@@ -271,10 +271,6 @@ class NumberField:
                 ladder.append((self._beta_lo, self._beta_hi))
             return ladder
 
-    @property
-    def real_root_enclosure(self) -> Interval:
-        return self.beta_interval()
-
     def evaluates_to_zero(self, elem: "FieldElement") -> bool:
         """Exact test for elem(beta) == 0, sound even when the defining
         polynomial is reducible (the vector test alone is not, then)."""

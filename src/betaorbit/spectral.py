@@ -1,10 +1,12 @@
 """Certified dominant-eigenvalue analysis of the transition matrix.
 
 The route to the dominant eigenvalue is exact: an integer characteristic
-polynomial (division-checked Faddeev-LeVerrier), Sturm isolation of its
-largest real root, and rational bisection to the requested width.  The
-eigenvector comes from an exact division-free kernel solve of (A - alpha*I),
-evaluated to rational intervals at the enclosure.  Floating point appears
+polynomial (division-checked Faddeev-LeVerrier over the nonzero entries of
+A), Sturm isolation of its largest real root, and rational bisection to the
+requested width.  The same recurrence, applied to the vector 1, yields
+P(z) = adj(zI - A) . 1, whose value at the Perron root is a nonnegative
+eigenvector (after exact division by any common factor vanishing there); it
+is evaluated to rational intervals at the enclosure.  Floating point appears
 only in the explicitly non-certified spectral-gap fallback and in display
 values.
 """
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from . import polys
 from .errors import DominanceNotEstablished, ZeroMatrix
-from .field import FieldElement, IntPolynomial, NumberField
+from .field import IntPolynomial, NumberField
 from .orbit import TransitionMatrix, count_profile_matrix
 from .polys import Interval
 
@@ -27,26 +29,52 @@ from .polys import Interval
 def char_polynomial(matrix: TransitionMatrix) -> tuple[int, ...]:
     """Exact characteristic polynomial det(lambda*I - A), constant term
     first, by the Faddeev-LeVerrier recurrence over the integers (every
-    division is by the step index and is checked exact)."""
-    a = matrix.rows
+    division is by the step index and is checked exact).  Products run over
+    the nonzero entries of A only (a row has at most m+1 of them)."""
     k = matrix.size
+    nonzero = _nonzero_entries(matrix)
     coeffs = [0] * (k + 1)
     coeffs[k] = 1
-    m = tuple(tuple(0 for _ in range(k)) for _ in range(k))
+    m = [[0] * k for _ in range(k)]
     for step in range(1, k + 1):
         # m <- A @ m + c_{k-step+1} * I
         prev_c = coeffs[k - step + 1]
-        am = tuple(
-            tuple(sum(a[i][t] * m[t][j] for t in range(k)) + (prev_c if i == j else 0)
-                  for j in range(k))
-            for i in range(k)
-        )
+        am = []
+        for i, terms in enumerate(nonzero):
+            row = [0] * k
+            for t, v in terms:
+                row = [x + v * y for x, y in zip(row, m[t])]
+            row[i] += prev_c
+            am.append(row)
         m = am
-        tr = sum(a[i][t] * m[t][i] for i in range(k) for t in range(k))
+        tr = sum(v * m[t][i] for i, terms in enumerate(nonzero) for t, v in terms)
         q, r = divmod(-tr, step)
         assert r == 0, "Faddeev-LeVerrier trace must divide exactly"
         coeffs[k - step] = q
     return tuple(coeffs)
+
+
+def _adjugate_row_sums(matrix: TransitionMatrix, chi: tuple[int, ...]) -> list[list[int]]:
+    """P = adj(zI - A) . 1 as integer polynomials, constant term first.
+
+    Faddeev-LeVerrier gives adj(zI - A) = sum_s M_s z^(k-s) with M_1 = I and
+    M_{s+1} = A M_s + c_{k-s} I, so the row sums p_s = M_s . 1 follow
+    p_{s+1} = A p_s + c_{k-s} . 1 without the matrices; (zI - A) P = chi . 1.
+    """
+    k = matrix.size
+    nonzero = _nonzero_entries(matrix)
+    adj_one = [[0] * k for _ in range(k)]
+    p = [1] * k
+    for step in range(1, k + 1):
+        if step > 1:
+            p = [sum(v * p[t] for t, v in terms) + chi[k - step + 1] for terms in nonzero]
+        for i in range(k):
+            adj_one[i][k - step] = p[i]
+    return adj_one
+
+
+def _nonzero_entries(matrix: TransitionMatrix) -> list[list[tuple[int, int]]]:
+    return [[(t, v) for t, v in enumerate(row) if v] for row in matrix.rows]
 
 
 class DominanceStatus(Enum):
@@ -90,8 +118,9 @@ class DominanceReport:
 
 @dataclass
 class PerronResult:
-    """Certified enclosure of the largest real eigenvalue with an exact-solve
-    eigenvector, entries as rational intervals at unit euclidean norm."""
+    """Certified enclosure of the largest real eigenvalue with a nonnegative
+    eigenvector taken from the adjugate adj(alpha*I - A) . 1, entries as
+    rational intervals that enclose the unit-euclidean-norm vector."""
 
     alpha: Interval
     eigenvector: tuple[Interval, ...]
@@ -110,7 +139,6 @@ class DimensionResult:
     rate of prefix counts."""
 
     dim: Interval
-    growth_rate: Interval
     status: DominanceStatus
     certified: bool
 
@@ -266,7 +294,7 @@ def check_dominance(matrix: TransitionMatrix,
 
 def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> PerronResult:
     """Isolate the largest real root of the characteristic polynomial to
-    width <= tol and solve for a nonnegative eigenvector exactly."""
+    width <= tol and take a nonnegative eigenvector from the adjugate."""
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -279,205 +307,103 @@ def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> Pe
     if not isolations:
         raise ZeroMatrix("no real eigenvalue found for a nonnegative matrix")
     lo, hi = isolations[-1]
-    row_sums = [sum(r) for r in matrix.rows]
 
     if lo == hi:
         alpha_exact = lo
-        vec = _kernel_vector_rational(matrix, alpha_exact)
-        eigen = _normalize_eigenvector([(v, v) for v in vec])
-        result = PerronResult(alpha=(lo, hi), eigenvector=eigen,
-                              char_poly=chi, alpha_exact=alpha_exact)
+
+        def approx(p: tuple[Fraction, ...], eps: Fraction) -> Interval:
+            v = polys.evaluate(p, alpha_exact)
+            return v, v
     else:
-        sf_q = [Fraction(c) for c in chi_sf]
-        lo, hi = polys.refine_to_width(sf_q, lo, hi, tol)
-        while lo <= 1:
-            lo, hi = polys.bisect_step(sf_q, lo, hi)
+        # an irrational Perron root of an integer matrix exceeds 1, so the
+        # field selects it as its largest real root
+        alpha_exact = None
         alpha_field = NumberField(IntPolynomial(chi_sf), root_rank=0)
-        flo, fhi = alpha_field.beta_interval()
-        while fhi - flo > tol:
-            flo, fhi = alpha_field.refine_beta()
-        intervals = _kernel_vector_field(matrix, alpha_field, tol)
-        eigen = _normalize_eigenvector(intervals)
-        result = PerronResult(alpha=(flo, fhi), eigenvector=eigen, char_poly=chi)
+        lo, hi = alpha_field.beta_interval()
+        while hi - lo > tol:
+            lo, hi = alpha_field.refine_beta()
+
+        def approx(p: tuple[Fraction, ...], eps: Fraction) -> Interval:
+            return alpha_field.element(p).approx(eps)
+
+    vec = _adjugate_eigenvector(chi, _adjugate_row_sums(matrix, chi), chi_sf, (lo, hi),
+                                approx, tol)
+    result = PerronResult(alpha=(lo, hi), eigenvector=_normalize_eigenvector(vec),
+                          char_poly=chi, alpha_exact=alpha_exact)
 
     # Perron row-sum bounds must bracket the enclosure
+    row_sums = [sum(r) for r in matrix.rows]
     assert result.alpha[0] <= max(row_sums) and result.alpha[1] >= min(row_sums), \
         "dominant root escaped the row-sum bracket"
     return result
 
 
-def _kernel_matrix_eliminate(rows, is_nonzero, scale_row):
-    """Division-free Gauss-Jordan elimination by cross-multiplication.
+def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
+                          chi_sf: tuple[int, ...], alpha: Interval, approx,
+                          tol: Fraction) -> list[Interval]:
+    """Enclosures of P(alpha) for P = adj(zI - A) . 1, sign-fixed nonnegative.
 
-    Returns (rows, pivots, free_cols); pivot entries are nonzero under
-    is_nonzero, every other row has an exact zero in each pivot column.
+    (alpha*I - A) P(alpha) = chi(alpha) . 1 = 0, so P(alpha) is an eigenvector
+    once it is nonzero.  When every P_i vanishes at alpha (possible only at
+    geometric multiplicity >= 2), t = gcd(chi_sf, P_1, ..., P_k) has alpha as
+    a root and P/t solves (zI - A) P/t = chi/t . 1; repeat.  Since
+    (zI - A)^-1 . 1 has a pole at the Perron root of order equal to its
+    index, this stops before chi/t loses that root, and the limit vector is
+    nonnegative up to sign.
     """
-    k = len(rows)
-    pivots: list[tuple[int, int]] = []
-    pivot_rows = set()
-    for col in range(k):
-        prow = next(
-            (r for r in range(k) if r not in pivot_rows and is_nonzero(rows[r][col])),
-            None,
-        )
-        if prow is None:
-            continue
-        pivot_rows.add(prow)
-        pivots.append((prow, col))
-        pv = rows[prow][col]
-        for r in range(k):
-            if r == prow:
-                continue
-            a = rows[r][col]
-            if not _is_exact_zero(a):
-                rows[r] = scale_row([pv * x - a * y for x, y in zip(rows[r], rows[prow])])
-    free_cols = [c for c in range(k) if c not in {pc for _, pc in pivots}]
-    return rows, pivots, free_cols
+    vec, rest = adj_one, list(chi)
+    eps = Fraction(1, 2 ** 48)
+    while True:
+        reduced = [polys.divmod_poly(p, chi_sf)[1] for p in vec]
+        rough = [approx(p, eps) for p in reduced]
+        if any(lo > 0 or hi < 0 for lo, hi in rough):
+            break
+        # every enclosure meets 0: divide out a common factor at alpha if
+        # there is one, else some entry is nonzero but tiny, so look closer
+        t = chi_sf
+        for p in reduced:
+            t = polys.gcd_poly(t, p)
+        if polys.count_roots_in_interval(t, *alpha):
+            vec = [_div_exact(p, t) for p in vec]
+            rest = _div_exact(rest, t)
+        else:
+            eps /= 2 ** 48
+    if len(rest) < len(chi):
+        # (alpha*I - A) P(alpha) = rest(alpha) . 1 must still vanish
+        assert polys.count_roots_in_interval(polys.gcd_poly(rest, chi_sf), *alpha), \
+            "common-factor division removed the Perron root"
+    sign = next(1 if lo > 0 else -1 for lo, hi in rough if lo > 0 or hi < 0)
+    scale = max(max(abs(lo), abs(hi)) for lo, hi in rough)
+    ivs = [approx(p, tol * scale) for p in reduced]
+    if sign < 0:
+        ivs = [(-hi, -lo) for lo, hi in ivs]
+    assert all(hi >= 0 for _, hi in ivs), "adjugate eigenvector is not nonnegative"
+    return ivs
 
 
-def _is_exact_zero(entry) -> bool:
-    if isinstance(entry, FieldElement):
-        return entry.is_zero()
-    return entry == 0
-
-
-def _kernel_candidates(rows, pivots, free_cols, one, zero):
-    """One kernel vector per free column: the free column gets the product of
-    all pivot values, each pivot coordinate the matching cross product, so no
-    entry ever needs an inverse."""
-    out = []
-    for f in free_cols:
-        vec = [zero] * len(rows)
-        prod_all = one
-        for (pr, pc) in pivots:
-            prod_all = prod_all * rows[pr][pc]
-        vec[f] = prod_all
-        for (pr, pc) in pivots:
-            others = one
-            for (qr, qc) in pivots:
-                if (qr, qc) != (pr, pc):
-                    others = others * rows[qr][qc]
-            vec[pc] = -(rows[pr][f] * others)
-        out.append(vec)
-    return out
-
-
-def _kernel_vector_rational(matrix: TransitionMatrix, alpha: Fraction) -> list[Fraction]:
-    k = matrix.size
-    rows = [
-        [Fraction(matrix.rows[i][j]) - (alpha if i == j else 0) for j in range(k)]
-        for i in range(k)
-    ]
-
-    def scale_row(row):
-        nums = [abs(c.numerator) for c in row if c]
-        if not nums:
-            return row
-        g = 0
-        for v in nums:
-            g = math.gcd(g, v)
-        L = 1
-        for c in row:
-            if c:
-                L = L * c.denominator // math.gcd(L, c.denominator)
-        s = Fraction(L, g)
-        return [c * s for c in row]
-
-    rows, pivots, free_cols = _kernel_matrix_eliminate(rows, lambda e: e != 0, scale_row)
-    assert free_cols, "A - alpha*I must be singular at an eigenvalue"
-    candidates = _kernel_candidates(rows, pivots, free_cols, Fraction(1), Fraction(0))
-    for vec in candidates:
-        mags = [abs(v) for v in vec]
-        top = max(mags)
-        if top == 0:
-            continue
-        if vec[mags.index(top)] < 0:
-            vec = [-v for v in vec]
-        if all(v >= 0 for v in vec):
-            return vec
-    # no single basis choice was nonnegative; fall back to the first nonzero
-    for vec in candidates:
-        if any(v != 0 for v in vec):
-            return vec
-    raise AssertionError("kernel solve produced only zero vectors")
-
-
-def _kernel_vector_field(matrix: TransitionMatrix, alpha_field: NumberField,
-                         tol: Fraction) -> list[Interval]:
-    """Kernel of (A - alpha*I) over Q[z]/(squarefree char poly) evaluated at
-    the isolated root; pivoting tests entries for zero *at the root*, so a
-    reducible squarefree modulus cannot derail the elimination."""
-    k = matrix.size
-    alpha = alpha_field.beta
-    rows = [
-        [alpha_field.from_rational(matrix.rows[i][j]) - (alpha if i == j else alpha_field.zero)
-         for j in range(k)]
-        for i in range(k)
-    ]
-
-    def scale_row(row):
-        nums = []
-        dens = 1
-        for e in row:
-            for c in e.coeffs:
-                if c:
-                    nums.append(abs(c.numerator))
-                    dens = dens * c.denominator // math.gcd(dens, c.denominator)
-        if not nums:
-            return row
-        g = 0
-        for v in nums:
-            g = math.gcd(g, v)
-        s = Fraction(dens, g)
-        return [e * s for e in row]
-
-    rows, pivots, free_cols = _kernel_matrix_eliminate(
-        rows, lambda e: not alpha_field.evaluates_to_zero(e), scale_row
-    )
-    assert free_cols, "A - alpha*I must be singular at an eigenvalue"
-    candidates = _kernel_candidates(
-        rows, pivots, free_cols, alpha_field.one, alpha_field.zero
-    )
-
-    best: list[Interval] | None = None
-    for vec in candidates:
-        rough = [e.approx(Fraction(1, 2 ** 48)) for e in vec]
-        scale = max((max(abs(lo), abs(hi)) for lo, hi in rough), default=Fraction(0))
-        if scale == 0:
-            continue
-        eps = tol * scale
-        ivs = [e.approx(eps) for e in vec]
-        top_idx = max(range(k), key=lambda i: abs(ivs[i][0] + ivs[i][1]))
-        if ivs[top_idx][0] + ivs[top_idx][1] < 0:
-            ivs = [(-hi, -lo) for lo, hi in ivs]
-        if best is None:
-            best = ivs
-        if all(hi >= 0 for _, hi in ivs) and any(lo > 0 for lo, _ in ivs):
-            return ivs
-    assert best is not None, "kernel solve produced only zero vectors"
-    return best
+def _div_exact(p, t) -> tuple[Fraction, ...]:
+    quot, rem = polys.divmod_poly(p, t)
+    assert not rem, "common factor must divide every adjugate entry"
+    return quot
 
 
 def _normalize_eigenvector(intervals: list[Interval]) -> tuple[Interval, ...]:
-    """Sign-fix, scale the largest entry's midpoint to 1, then rescale to
-    unit euclidean norm (all in exact rational interval arithmetic)."""
-    mids = [(lo + hi) / 2 for lo, hi in intervals]
-    top = max(range(len(mids)), key=lambda i: abs(mids[i]))
-    if mids[top] < 0:
-        intervals = [(-hi, -lo) for lo, hi in intervals]
-        mids = [-m for m in mids]
-    scale = mids[top]
-    if scale == 0:
+    """Scale the largest entry's midpoint to 1, then rescale to unit
+    euclidean norm, dividing by an enclosure of the norm over the whole box
+    (all in exact rational interval arithmetic)."""
+    top = max(abs(lo + hi) for lo, hi in intervals) / 2
+    if top == 0:
         return tuple(intervals)
-    intervals = [(lo / scale, hi / scale) for lo, hi in intervals]
-    mids = [m / scale for m in mids]
-    norm2 = sum(m * m for m in mids)
-    nlo, nhi = polys.sqrt_bounds(norm2, iters=6)
-    out = []
-    for lo, hi in intervals:
-        quots = (lo / nlo, lo / nhi, hi / nlo, hi / nhi)
-        out.append((min(quots), max(quots)))
-    return tuple(out)
+    intervals = [(lo / top, hi / top) for lo, hi in intervals]
+    sq_lo = sum(Fraction(0) if lo <= 0 <= hi else min(lo * lo, hi * hi)
+                for lo, hi in intervals)
+    sq_hi = sum(max(lo * lo, hi * hi) for lo, hi in intervals)
+    # Heron from (v+1)/2 needs about log2(v)/2 halving steps to reach
+    # sqrt(v) <= sqrt(k), then converges quadratically
+    iters = 6 + len(intervals).bit_length()
+    nlo = polys.sqrt_bounds(sq_lo, iters)[0]
+    nhi = polys.sqrt_bounds(sq_hi, iters)[1]
+    return tuple(polys.interval_div(iv, (nlo, nhi)) for iv in intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +450,6 @@ def dimension(m: int, perron: PerronResult, dominance: DominanceReport) -> Dimen
         dlo = dhi
     return DimensionResult(
         dim=(dlo, dhi),
-        growth_rate=(dlo, dhi),
         status=dominance.status,
         certified=dominance.certified,
     )
@@ -543,7 +468,6 @@ class GrowthBandReport:
     band_min: float
     band_max: float
     lower_witness_state0: float
-    upper_witness: float
 
     @property
     def spread(self) -> float:
@@ -577,5 +501,4 @@ def growth_band(matrix: TransitionMatrix, perron: PerronResult,
         band_min=float(band_min),
         band_max=float(band_max),
         lower_witness_state0=float(state0_min),
-        upper_witness=float(band_max),
     )

@@ -1,11 +1,16 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from betaorbit import (
     DominanceStatus,
+    ExpansionParams,
+    IntPolynomial,
+    NumberField,
     TransitionMatrix,
     char_polynomial,
     check_dominance,
@@ -16,7 +21,10 @@ from betaorbit import (
     perron_eigenvalue,
     transition_matrix,
 )
+from betaorbit.cli import main
 from betaorbit.errors import DominanceNotEstablished, ZeroMatrix
+from betaorbit.polys import interval_mul
+from betaorbit.spectral import _adjugate_row_sums
 
 F = Fraction
 
@@ -252,3 +260,162 @@ def test_growth_band_quintic(quintic_params, quintic_x):
     band = growth_band(mat, perron_eigenvalue(mat), n_max=40)
     assert 0 < band.band_min <= band.band_max
     assert band.spread < 10
+
+
+# === adjugate eigenvector and sparse Faddeev-LeVerrier ===
+
+def _dense_faddeev_leverrier(rows):
+    """Reference: the textbook dense recurrence M <- A M + c I, c = -tr(A M)/s."""
+    k = len(rows)
+    coeffs = [0] * (k + 1)
+    coeffs[k] = 1
+    m = [[0] * k for _ in range(k)]
+    for step in range(1, k + 1):
+        prev_c = coeffs[k - step + 1]
+        m = [[sum(rows[i][t] * m[t][j] for t in range(k)) + (prev_c if i == j else 0)
+              for j in range(k)] for i in range(k)]
+        tr = sum(rows[i][t] * m[t][i] for i in range(k) for t in range(k))
+        assert tr % step == 0
+        coeffs[k - step] = -tr // step
+    return tuple(coeffs)
+
+
+def _nonneg_matrices(max_k, max_entry=2):
+    return st.integers(1, max_k).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, max_entry), min_size=k, max_size=k),
+        min_size=k, max_size=k))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_nonneg_matrices(40))
+def test_sparse_faddeev_leverrier_matches_dense(rows):
+    mat = _mat(rows)
+    k = mat.size
+    chi = char_polynomial(mat)
+    assert chi == _dense_faddeev_leverrier(rows)
+    adj_one = _adjugate_row_sums(mat, chi)
+    # (zI - A) P(z) = chi(z) . 1 for P = adj(zI - A) . 1
+    for i in range(k):
+        lhs = [0] + list(adj_one[i])
+        for j in range(k):
+            for e, c in enumerate(adj_one[j]):
+                lhs[e] -= rows[i][j] * c
+        assert tuple(lhs) == chi
+
+
+def _assert_perron_eigenvector(mat, pr):
+    """A v meets alpha v entrywise as intervals, v >= 0, and the box holds
+    a unit vector."""
+    alpha = pr.alpha
+    vec = pr.eigenvector
+    for i, row in enumerate(mat.rows):
+        av = (sum(a * vec[j][0] for j, a in enumerate(row)),
+              sum(a * vec[j][1] for j, a in enumerate(row)))
+        lam_v = interval_mul(alpha, vec[i])
+        assert max(av[0], lam_v[0]) <= min(av[1], lam_v[1]), f"residual misses at {i}"
+    assert all(hi >= 0 for _, hi in vec)
+    assert any(lo > 0 for lo, _ in vec)
+    norm2_lo = sum(F(0) if lo <= 0 <= hi else min(lo * lo, hi * hi) for lo, hi in vec)
+    norm2_hi = sum(max(lo * lo, hi * hi) for lo, hi in vec)
+    assert norm2_lo <= 1 <= norm2_hi
+
+
+# inputs of the `certify` benchmark workload, then golden x = 1 (alpha = 1)
+_ORBIT_CASES = [
+    ((-1, -1, -1, -1, 0, 1), 1, "1/(b^2-1)"),
+    ((-1, -1, 0, 1), 1, "1/(b^3-1)"),
+    ((-1, 0, -1, 1), 1, "2/b^2"),
+    ((-1, -1, -1, -1, 1), 2, "2/b^2"),
+    ((-1, -1, 1), 1, "1/3"),
+    ((-1, -1, 1), 1, "1/5"),
+    ((-1, -1, 1), 1, "1"),
+]
+
+
+@pytest.mark.parametrize("minpoly,m,point", _ORBIT_CASES)
+def test_perron_eigenvector_orbit_matrices(minpoly, m, point):
+    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
+    mat = transition_matrix(compute_orbit(params, params.parse_point(point)))
+    pr = perron_eigenvalue(mat)
+    assert pr.alpha[1] - pr.alpha[0] <= F(1, 10 ** 12)
+    _assert_perron_eigenvector(mat, pr)
+
+
+@pytest.mark.parametrize("minpoly,m,point", [_ORBIT_CASES[i] for i in (0, 2, 4)])
+def test_unit_eigenvector_boxes_meet_across_tolerances(minpoly, m, point):
+    # both boxes must hold the same unit vector; dividing by the norm of the
+    # midpoints instead of norm bounds over the box breaks this
+    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
+    mat = transition_matrix(compute_orbit(params, params.parse_point(point)))
+    coarse = perron_eigenvalue(mat, F(1, 10 ** 12)).eigenvector
+    fine = perron_eigenvalue(mat, F(1, 10 ** 40)).eigenvector
+    for a, b in zip(coarse, fine):
+        assert max(a[0], b[0]) <= min(a[1], b[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_nonneg_matrices(6))
+def test_perron_eigenvector_random_matrices(rows):
+    mat = _mat(rows)
+    if all(v == 0 for row in rows for v in row):
+        return
+    _assert_perron_eigenvector(mat, perron_eigenvalue(mat))
+
+
+_ONES = [[1, 1], [1, 1]]
+_GOLD = [[1, 1], [1, 0]]
+
+
+def _block_diag(*blocks):
+    k = sum(len(b) for b in blocks)
+    rows = [[0] * k for _ in range(k)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[off + i][off:off + len(row)] = row
+        off += len(b)
+    return rows
+
+
+# P = adj(zI - A) . 1 vanishes at alpha for all but the first and [[2,1],[0,2]]
+_SOURCE_FEEDS_TWO_GOLDEN = [[0, 1, 0, 1, 0]] + [[0] + r for r in _block_diag(_GOLD, _GOLD)]
+
+
+@pytest.mark.parametrize("rows", [
+    _ONES,
+    _block_diag(_ONES, _ONES),
+    _block_diag(_GOLD, _GOLD),
+    _SOURCE_FEEDS_TWO_GOLDEN,
+    [[2, 1], [0, 2]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+], ids=["ones", "two-ones-blocks", "two-golden-blocks", "source-feeds-golden", "jordan-2", "identity"])
+def test_perron_eigenvector_degenerate(rows):
+    mat = _mat(rows)
+    _assert_perron_eigenvector(mat, perron_eigenvalue(mat))
+
+
+def test_perron_eigenvector_degenerate_values():
+    pr = perron_eigenvalue(_mat(_block_diag(_ONES, _ONES)))
+    assert pr.alpha == (F(2), F(2))
+    for lo, hi in pr.eigenvector:
+        assert lo <= F(1, 2) <= hi
+    pr = perron_eigenvalue(_mat([[2, 1], [0, 2]]))
+    assert pr.eigenvector[1] == (F(0), F(0))
+
+
+def test_golden_seventh_regression(capsys):
+    # golden ratio, m = 1, x = 1/7: one SCC of period 16; the eigenvector
+    # lives in a degree-32 field
+    params = ExpansionParams(NumberField(IntPolynomial((-1, -1, 1))), 1)
+    mat = transition_matrix(compute_orbit(params, params.parse_point("1/7")))
+    assert mat.size == 32
+    pr = perron_eigenvalue(mat)
+    assert pr.char_poly == (1,) + (0,) * 15 + (-18,) + (0,) * 15 + (1,)  # z^32 - 18 z^16 + 1
+    # alpha = phi^(3/8): alpha^16 = phi^6 = 9 + 4 sqrt(5), i.e. (alpha^16 - 9)^2 = 80
+    lo, hi = pr.alpha
+    assert 9 < lo ** 16 and (lo ** 16 - 9) ** 2 <= 80 <= (hi ** 16 - 9) ** 2
+    _assert_perron_eigenvector(mat, pr)
+    assert check_dominance(mat).status == DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
+    code = main(["dimension", "--minpoly", "-1,-1,1", "-m", "1", "-x", "1/7", "--format", "json"])
+    assert code == 5
+    assert json.loads(capsys.readouterr().out)["condition1"] == "FailedPeripheralSpectrum"
