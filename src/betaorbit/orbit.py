@@ -152,7 +152,6 @@ def transition_matrix(graph: OrbitGraph) -> TransitionMatrix:
 
 
 def _mat_mul(a, b):
-    n = len(a)
     bt = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt)

@@ -13,7 +13,6 @@ from typing import Sequence
 
 from .errors import NotSquarefree
 
-Rat = Fraction
 Interval = tuple[Fraction, Fraction]
 # Axis-aligned rational rectangle in the complex plane: (re_interval, im_interval).
 Box = tuple[Interval, Interval]

@@ -2,13 +2,16 @@
 
 The route to the dominant eigenvalue is exact: an integer characteristic
 polynomial (division-checked Faddeev-LeVerrier over the nonzero entries of
-A), Sturm isolation of its largest real root, and rational bisection to the
-requested width.  The same recurrence, applied to the vector 1, yields
-P(z) = adj(zI - A) . 1, whose value at the Perron root is a nonnegative
-eigenvector (after exact division by any common factor vanishing there); it
-is evaluated to rational intervals at the enclosure.  Floating point appears
-only in the explicitly non-certified spectral-gap fallback and in display
-values.
+A), one Sturm isolation of the largest real root of its squarefree part, and
+rational bisection to the requested width.  The same recurrence, applied to
+the vector 1, yields P(z) = adj(zI - A) . 1, whose value at the Perron root
+is a nonnegative eigenvector (after exact division by any common factor
+vanishing there); its entries are evaluated by interval Horner at one
+enclosure of the root that they all share, bisected further on the
+squarefree part while an entry is too wide.  A rational root is the exact
+point [r, r] and evaluates exactly.  Floating point (numpy) appears only in
+the explicitly non-certified spectral-gap fallback for graphs that are not
+strongly connected, and in display values.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import polys
-from .errors import DominanceNotEstablished, ZeroMatrix
-from .field import IntPolynomial, NumberField
+from .errors import DominanceNotEstablished, RefinementBudgetExceeded, ZeroMatrix
 from .orbit import TransitionMatrix, count_profile_matrix
 from .polys import Interval
 
@@ -96,7 +98,6 @@ class DominanceReport:
     strongly_connected: bool
     cycle_gcd: int | None
     primitivity_exponent: int | None
-    peripheral_moduli: tuple[float, ...]
 
     @property
     def verified(self) -> bool:
@@ -105,15 +106,6 @@ class DominanceReport:
     @property
     def certified(self) -> bool:
         return self.status == DominanceStatus.VERIFIED_PRIMITIVE
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status.value,
-            "strongly_connected": self.strongly_connected,
-            "cycle_gcd": self.cycle_gcd,
-            "primitivity_exponent": self.primitivity_exponent,
-            "peripheral_moduli": list(self.peripheral_moduli),
-        }
 
 
 @dataclass
@@ -231,20 +223,11 @@ def check_dominance(matrix: TransitionMatrix,
             strongly_connected=False,
             cycle_gcd=None,
             primitivity_exponent=None,
-            peripheral_moduli=(0.0,) * k,
         )
     adj = [[j for j in range(k) if matrix.rows[i][j]] for i in range(k)]
     radj = [[i for i in range(k) if matrix.rows[i][j]] for j in range(k)]
     sc = _strongly_connected(adj, radj)
     gcd = _cycle_gcd(adj) if sc else None
-
-    moduli: tuple[float, ...] = ()
-    try:
-        import numpy as np
-        eigs = np.linalg.eigvals(np.array(matrix.rows, dtype=float))
-        moduli = tuple(sorted((abs(complex(e)) for e in eigs), reverse=True))
-    except Exception:
-        moduli = ()
 
     if sc and gcd == 1:
         exponent = _primitivity_exponent(matrix) if k <= 64 else None
@@ -255,7 +238,6 @@ def check_dominance(matrix: TransitionMatrix,
             strongly_connected=True,
             cycle_gcd=1,
             primitivity_exponent=exponent,
-            peripheral_moduli=moduli,
         )
     if sc and gcd and gcd > 1:
         return DominanceReport(
@@ -263,19 +245,19 @@ def check_dominance(matrix: TransitionMatrix,
             strongly_connected=True,
             cycle_gcd=gcd,
             primitivity_exponent=None,
-            peripheral_moduli=moduli,
         )
+
+    # not strongly connected: the structure alone decides nothing, so compare
+    # float eigenvalue moduli; numpy is imported on this branch only
+    try:
+        import numpy as np
+        eigs = np.linalg.eigvals(np.array(matrix.rows, dtype=float))
+        moduli = sorted((abs(complex(e)) for e in eigs), reverse=True)
+    except Exception:
+        moduli = []
     if not moduli:
-        return DominanceReport(
-            status=DominanceStatus.UNKNOWN,
-            strongly_connected=sc,
-            cycle_gcd=gcd,
-            primitivity_exponent=None,
-            peripheral_moduli=moduli,
-        )
-    if len(moduli) == 1:
-        status = DominanceStatus.VERIFIED_SPECTRAL_GAP
-    elif moduli[1] < moduli[0] - float(numeric_gap_tol):
+        status = DominanceStatus.UNKNOWN
+    elif len(moduli) == 1 or moduli[1] < moduli[0] - float(numeric_gap_tol):
         status = DominanceStatus.VERIFIED_SPECTRAL_GAP
     else:
         status = DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
@@ -284,7 +266,6 @@ def check_dominance(matrix: TransitionMatrix,
         strongly_connected=sc,
         cycle_gcd=gcd,
         primitivity_exponent=None,
-        peripheral_moduli=moduli,
     )
 
 
@@ -306,30 +287,11 @@ def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> Pe
     isolations = polys.isolate_real_roots([Fraction(c) for c in chi_sf])
     if not isolations:
         raise ZeroMatrix("no real eigenvalue found for a nonnegative matrix")
-    lo, hi = isolations[-1]
-
-    if lo == hi:
-        alpha_exact = lo
-
-        def approx(p: tuple[Fraction, ...], eps: Fraction) -> Interval:
-            v = polys.evaluate(p, alpha_exact)
-            return v, v
-    else:
-        # an irrational Perron root of an integer matrix exceeds 1, so the
-        # field selects it as its largest real root
-        alpha_exact = None
-        alpha_field = NumberField(IntPolynomial(chi_sf), root_rank=0)
-        lo, hi = alpha_field.beta_interval()
-        while hi - lo > tol:
-            lo, hi = alpha_field.refine_beta()
-
-        def approx(p: tuple[Fraction, ...], eps: Fraction) -> Interval:
-            return alpha_field.element(p).approx(eps)
-
-    vec = _adjugate_eigenvector(chi, _adjugate_row_sums(matrix, chi), chi_sf, (lo, hi),
-                                approx, tol)
+    # a rational root comes back as the exact point [r, r], which bisection keeps
+    lo, hi = polys.refine_to_width(chi_sf, *isolations[-1], tol)
+    vec = _adjugate_eigenvector(chi, _adjugate_row_sums(matrix, chi), chi_sf, (lo, hi), tol)
     result = PerronResult(alpha=(lo, hi), eigenvector=_normalize_eigenvector(vec),
-                          char_poly=chi, alpha_exact=alpha_exact)
+                          char_poly=chi, alpha_exact=lo if lo == hi else None)
 
     # Perron row-sum bounds must bracket the enclosure
     row_sums = [sum(r) for r in matrix.rows]
@@ -339,7 +301,7 @@ def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> Pe
 
 
 def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
-                          chi_sf: tuple[int, ...], alpha: Interval, approx,
+                          chi_sf: tuple[int, ...], alpha: Interval,
                           tol: Fraction) -> list[Interval]:
     """Enclosures of P(alpha) for P = adj(zI - A) . 1, sign-fixed nonnegative.
 
@@ -353,9 +315,10 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
     """
     vec, rest = adj_one, list(chi)
     eps = Fraction(1, 2 ** 48)
+    at = alpha  # one enclosure of alpha shared by every evaluation below
     while True:
         reduced = [polys.divmod_poly(p, chi_sf)[1] for p in vec]
-        rough = [approx(p, eps) for p in reduced]
+        rough, at = _evaluate_at_root(reduced, chi_sf, at, eps)
         if any(lo > 0 or hi < 0 for lo, hi in rough):
             break
         # every enclosure meets 0: divide out a common factor at alpha if
@@ -374,11 +337,32 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
             "common-factor division removed the Perron root"
     sign = next(1 if lo > 0 else -1 for lo, hi in rough if lo > 0 or hi < 0)
     scale = max(max(abs(lo), abs(hi)) for lo, hi in rough)
-    ivs = [approx(p, tol * scale) for p in reduced]
+    ivs, _ = _evaluate_at_root(reduced, chi_sf, at, tol * scale)
     if sign < 0:
         ivs = [(-hi, -lo) for lo, hi in ivs]
     assert all(hi >= 0 for _, hi in ivs), "adjugate eigenvector is not nonnegative"
     return ivs
+
+
+def _evaluate_at_root(ps: list[tuple[Fraction, ...]], chi_sf: tuple[int, ...],
+                      at: Interval, eps: Fraction) -> tuple[list[Interval], Interval]:
+    """Enclose p(alpha) to width <= eps for each p by interval Horner at an
+    enclosure `at` of a root alpha of chi_sf, bisecting `at` on chi_sf while
+    an entry is too wide (an exact point [r, r] evaluates exactly).  Returns
+    the enclosures and the narrowed `at` for the next call."""
+    lo, hi = at
+    out = []
+    for p in ps:
+        vlo, vhi = polys.evaluate_interval(p, lo, hi)
+        rounds = 0
+        while vhi - vlo > eps:
+            if rounds == 100_000:
+                raise RefinementBudgetExceeded("eigenvector entry did not reach the requested width")
+            lo, hi = polys.bisect_step(chi_sf, lo, hi)
+            vlo, vhi = polys.evaluate_interval(p, lo, hi)
+            rounds += 1
+        out.append((vlo, vhi))
+    return out, (lo, hi)
 
 
 def _div_exact(p, t) -> tuple[Fraction, ...]:

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,10 +25,11 @@ from betaorbit import (
     perron_eigenvalue,
     transition_matrix,
 )
+from betaorbit import polys
 from betaorbit.cli import main
 from betaorbit.errors import DominanceNotEstablished, ZeroMatrix
 from betaorbit.polys import interval_mul
-from betaorbit.spectral import _adjugate_row_sums
+from betaorbit.spectral import _adjugate_eigenvector, _adjugate_row_sums
 
 F = Fraction
 
@@ -124,7 +129,6 @@ def test_perron_eigenvector_residual(quintic_params, quintic_x):
 
 
 def test_char_poly_sign_change_across_alpha(quintic_params, quintic_x):
-    from betaorbit import polys
     g = compute_orbit(quintic_params, quintic_x)
     chi = char_polynomial(transition_matrix(g))
     sf = [F(c) for c in polys.squarefree_part_int(chi)]
@@ -404,8 +408,8 @@ def test_perron_eigenvector_degenerate_values():
 
 
 def test_golden_seventh_regression(capsys):
-    # golden ratio, m = 1, x = 1/7: one SCC of period 16; the eigenvector
-    # lives in a degree-32 field
+    # golden ratio, m = 1, x = 1/7: one SCC of period 16, and a squarefree
+    # characteristic polynomial of degree 32 whose largest root is alpha
     params = ExpansionParams(NumberField(IntPolynomial((-1, -1, 1))), 1)
     mat = transition_matrix(compute_orbit(params, params.parse_point("1/7")))
     assert mat.size == 32
@@ -419,3 +423,91 @@ def test_golden_seventh_regression(capsys):
     code = main(["dimension", "--minpoly", "-1,-1,1", "-m", "1", "-x", "1/7", "--format", "json"])
     assert code == 5
     assert json.loads(capsys.readouterr().out)["condition1"] == "FailedPeripheralSpectrum"
+
+
+# === one enclosure path, checked against the NumberField route ===
+
+def _number_field_route(mat, tol):
+    """Reference oracle: alpha and P(alpha) the way perron_eigenvalue once
+    took them, through a NumberField on the squarefree part refined with
+    refine_beta and FieldElement.approx per entry (sign-fixed)."""
+    chi = char_polynomial(mat)
+    chi_sf = polys.squarefree_part_int(chi)
+    field = NumberField(IntPolynomial(chi_sf))
+    lo, hi = field.beta_interval()
+    while hi - lo > tol:
+        lo, hi = field.refine_beta()
+    reduced = [polys.divmod_poly(p, chi_sf)[1] for p in _adjugate_row_sums(mat, chi)]
+    rough = [field.element(p).approx(F(1, 2 ** 48)) for p in reduced]
+    scale = max(max(abs(a), abs(b)) for a, b in rough)
+    boxes = [field.element(p).approx(tol * scale) for p in reduced]
+    if not any(a > 0 for a, _ in rough):
+        boxes = [(-b, -a) for a, b in boxes]
+    return (lo, hi), boxes
+
+
+@pytest.mark.parametrize("minpoly,m,point", _ORBIT_CASES[:-1])
+def test_single_path_matches_number_field_route(minpoly, m, point):
+    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
+    mat = transition_matrix(compute_orbit(params, params.parse_point(point)))
+    tol = F(1, 10 ** 12)
+    alpha, boxes = _number_field_route(mat, tol)
+    pr = perron_eigenvalue(mat, tol)
+    assert pr.alpha_exact is None and pr.alpha == alpha
+    chi = pr.char_poly
+    vec = _adjugate_eigenvector(chi, _adjugate_row_sums(mat, chi),
+                                polys.squarefree_part_int(chi), pr.alpha, tol)
+    for a, b in zip(vec, boxes):
+        assert max(a[0], b[0]) <= min(a[1], b[1])
+
+
+@pytest.mark.parametrize("rows", [
+    None,  # the quintic reference orbit (irrational alpha)
+    [[1, 1], [1, 1]],
+    _block_diag(_GOLD, _GOLD),
+    [[2, 1], [0, 2]],
+], ids=["quintic", "ones", "two-golden-blocks", "jordan-2"])
+def test_perron_isolates_once_without_number_field(rows, quintic_params, quintic_x, monkeypatch):
+    if rows is None:
+        mat = transition_matrix(compute_orbit(quintic_params, quintic_x))
+    else:
+        mat = _mat(rows)
+    calls = {"isolate": 0, "field": 0}
+    isolate = polys.isolate_real_roots
+    field_init = NumberField.__init__
+
+    def counting_isolate(*args, **kwargs):
+        calls["isolate"] += 1
+        return isolate(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["field"] += 1
+        field_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(polys, "isolate_real_roots", counting_isolate)
+    monkeypatch.setattr(NumberField, "__init__", counting_init)
+    _assert_perron_eigenvector(mat, perron_eigenvalue(mat))
+    assert calls == {"isolate": 1, "field": 0}
+
+
+_DOMINANCE_SCRIPT = """
+import sys
+from betaorbit import (ExpansionParams, IntPolynomial, NumberField, TransitionMatrix,
+                       check_dominance, compute_orbit, transition_matrix)
+params = ExpansionParams(NumberField(IntPolynomial((-1, -1, -1, -1, 0, 1))), 1)
+quintic = transition_matrix(compute_orbit(params, params.parse_point("1/(b^2-1)")))
+cycle = TransitionMatrix(rows=((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+print(quintic.size, check_dominance(quintic).status.value,
+      check_dominance(cycle).status.value, "numpy" in sys.modules)
+print(check_dominance(TransitionMatrix(rows=((2, 1), (0, 1)))).status.value)
+"""
+
+
+def test_check_dominance_imports_numpy_only_when_not_strongly_connected():
+    src = str(Path(polys.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", _DOMINANCE_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    assert out.splitlines() == ["10 VerifiedPrimitive FailedPeripheralSpectrum False",
+                                "VerifiedSpectralGap"]
