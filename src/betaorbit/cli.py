@@ -161,7 +161,7 @@ def cmd_orbit(args) -> int:
         with open(args.out + ".dot", "w") as fh:
             fh.write(result.to_dot())
         with open(args.out + ".matrix.json", "w") as fh:
-            json.dump(mat.to_json(), fh, indent=2)
+            mat.write_json(fh)
         with open(args.out + ".matrix.csv", "w") as fh:
             fh.write(mat.to_csv())
     return EXIT_OK

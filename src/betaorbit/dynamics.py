@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import ceil, floor
 from typing import Sequence
 
 from .errors import InvalidRule, OutsideInterval
@@ -18,6 +19,9 @@ from .field import FieldElement, NumberField
 from .polys import Interval
 
 DigitWord = tuple[int, ...]
+
+# width of the enclosures of beta*x and R that branch_digits decides digits by
+_BRANCH_EPS = Fraction(1, 1 << 12)
 
 
 class ExpansionParams:
@@ -36,6 +40,7 @@ class ExpansionParams:
             raise ValueError(f"beta must lie in (1, {m + 1}] for m = {m}")
         self.right_endpoint = m * (self.beta - 1).inverse()
         assert self.right_endpoint * (self.beta - 1) == field.from_rational(m)
+        self._right_enclosure = self.right_endpoint.approx(_BRANCH_EPS)
 
     def __repr__(self):
         return f"ExpansionParams(m={self.m}, {self.field!r})"
@@ -49,17 +54,27 @@ class ExpansionParams:
         return self.beta * x - digit
 
     def branch_digits(self, x: FieldElement) -> tuple[int, ...]:
-        """Ascending digits i with beta*x - i still inside the interval.
-        Nonempty for every point of the interval."""
-        self._require_inside(x)
+        """Ascending digits i with beta*x - i still inside the interval: the
+        integers of [0, m] in [beta*x - R, beta*x], R = m/(beta-1).
+
+        One enclosure of beta*x settles every digit except a bound it cannot
+        decide, which goes to an exact comparison.  The set is empty exactly
+        for points outside [0, R] (x < 0 makes every beta*x - i negative;
+        x > R gives beta*x - i >= beta*x - m > beta*R - m = R), so an empty
+        set raises OutsideInterval."""
         bx = self.beta * x
-        digits = tuple(
-            i for i in range(self.m + 1)
-            if (bx - i).compare(self.field.zero) >= 0
-            and (bx - i).compare(self.right_endpoint) <= 0
-        )
-        assert digits, "every interval point admits at least one digit"
-        return digits
+        blo, bhi = bx.approx(_BRANCH_EPS)
+        rlo, rhi = self._right_enclosure
+        digits = []
+        for i in range(max(0, ceil(blo - rhi)), min(self.m, floor(bhi)) + 1):
+            if i > blo and bx.compare(i) < 0:
+                continue
+            if bhi - i > rlo and (bx - i).compare(self.right_endpoint) > 0:
+                continue
+            digits.append(i)
+        if not digits:
+            raise OutsideInterval(f"{x!r} lies outside [0, m/(beta-1)]")
+        return tuple(digits)
 
     def _require_inside(self, x: FieldElement) -> None:
         if not self.contains(x):

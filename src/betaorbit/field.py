@@ -2,10 +2,14 @@
 
 A NumberField is presented by a monic squarefree integer polynomial together
 with a chosen real root beta > 1 (selected by rank among the real roots).
-Field elements are rational coefficient vectors in the power basis
-1, beta, ..., beta^(d-1); equality, hashing, and deduplication are exact,
-while ordering is decided by refining a shared rational enclosure of beta
-until the sign of a difference is certain.
+A field element is a rational vector in the power basis 1, beta, ...,
+beta^(d-1), stored as integer numerators over one common denominator,
+(nums, den) with den > 0 and gcd(den, *nums) == 1.  That reduced form is
+unique, so equality, hashing and deduplication compare it directly, and each
+ring operation ends with one gcd normalisation.  Ordering is decided by
+integer interval Horner (polys.evaluate_interval) on the numerators, over a
+ladder of shared rational enclosures of beta that is refined until the sign
+of a difference is certain; den > 0 does not change a sign.
 
 All values are immutable after construction.  The only mutable state is the
 per-field enclosure cache (beta's isolating interval and the conjugate
@@ -19,6 +23,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 from typing import Iterable, Sequence
 
 from . import polys
@@ -204,9 +209,8 @@ class NumberField:
             rows.append(nxt)
         self._power_rows = [tuple(r) for r in rows]
 
-        zero = Fraction(0)
-        self.zero = self.element([zero] * d)
-        self.one = self.element([Fraction(1)] + [zero] * (d - 1))
+        self.zero = FieldElement(self, (0,) * d)
+        self.one = FieldElement(self, (1,) + (0,) * (d - 1))
 
     # -- presentation -----------------------------------------------------
 
@@ -216,34 +220,38 @@ class NumberField:
     @property
     def beta(self) -> "FieldElement":
         if self.degree == 1:
-            return self.element([-Fraction(self.min_poly.coeffs[0])])
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return self.element(coeffs)
+            return self.from_rational(-self.min_poly.coeffs[0])
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
 
     def element(self, coeffs: Iterable) -> "FieldElement":
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > self.degree:
             raise ValueError(f"coefficient vector longer than degree {self.degree}")
         cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        nums, den = polys.common_denominator(cs)
+        return FieldElement(self, tuple(nums), den)
 
     def from_rational(self, value) -> "FieldElement":
-        return self.element([Fraction(value)])
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def element_from_poly(self, coeffs: Sequence[Fraction]) -> "FieldElement":
         """Reduce an arbitrary-degree coefficient vector modulo the defining
         polynomial."""
-        cs = list(coeffs)
+        return self._reduce(*polys.common_denominator([Fraction(c) for c in coeffs]))
+
+    def _reduce(self, nums: list[int], den: int) -> "FieldElement":
+        """The element nums(beta) / den for an integer vector nums of length
+        at most 2d - 1, reduced by the integer power rows."""
         d = self.degree
-        out = [Fraction(c) for c in cs[:d]] + [Fraction(0)] * max(0, d - len(cs))
-        for j in range(d, len(cs)):
-            cj = Fraction(cs[j])
+        out = nums[:d] + [0] * (d - len(nums))
+        for j in range(d, len(nums)):
+            cj = nums[j]
             if cj:
                 row = self._power_rows[j - d]
                 for t in range(d):
                     out[t] += cj * row[t]
-        return FieldElement(self, tuple(out))
+        return _canonical(self, out, den)
 
     # -- enclosure management ---------------------------------------------
 
@@ -384,15 +392,34 @@ class NumberField:
             )
 
 
+def _canonical(field: NumberField, nums, den: int) -> "FieldElement":
+    """The element nums / den (den > 0) in its reduced form."""
+    g = gcd(den, *nums)
+    if g != 1:
+        return FieldElement(field, tuple(n // g for n in nums), den // g)
+    return FieldElement(field, tuple(nums), den)
+
+
 class FieldElement:
-    """Element of Q(beta) as an exact rational vector in the power basis."""
+    """Element of Q(beta): integer numerators nums over one denominator den.
 
-    __slots__ = ("field", "coeffs", "_hash")
+    (nums, den) is reduced, den > 0 and gcd(den, *nums) == 1, so it is the
+    unique representation and equality compares it directly.  `coeffs` is a
+    read-only view as Fractions.
+    """
 
-    def __init__(self, field: NumberField, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "nums", "den", "_hash")
+
+    def __init__(self, field: NumberField, nums: tuple[int, ...], den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
         self._hash = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -405,13 +432,22 @@ class FieldElement:
             return self.field.from_rational(other)
         return None
 
+    def _aligned(self, o: "FieldElement") -> tuple[Sequence[int], Sequence[int], int]:
+        """The numerators of self and o over their common denominator."""
+        da, db = self.den, o.den
+        if da == db:
+            return self.nums, o.nums, da
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return [n * fa for n in self.nums], [n * fb for n in o.nums], da * fa
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((id(self.field), self.coeffs))
+            h = hash((id(self.field), self.nums, self.den))
             self._hash = h
         return h
 
@@ -421,7 +457,7 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.nums == o.nums and self.den == o.den
 
     # -- ring and field operations -------------------------------------------
 
@@ -429,7 +465,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b, den = self._aligned(o)
+        return _canonical(self.field, [x + y for x, y in zip(a, b)], den)
 
     __radd__ = __add__
 
@@ -437,7 +474,8 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b, den = self._aligned(o)
+        return _canonical(self.field, [x - y for x, y in zip(a, b)], den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -446,23 +484,25 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        d = self.field.degree
+        a, b = self.nums, o.nums
+        field = self.field
+        den = self.den * o.den
+        d = field.degree
         if d == 1:
-            return FieldElement(self.field, (a[0] * b[0],))
-        conv = [Fraction(0)] * (2 * d - 1)
+            return _canonical(field, (a[0] * b[0],), den)
+        conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        return self.field.element_from_poly(conv)
+        return field._reduce(conv, den)
 
     __rmul__ = __mul__
 
@@ -515,30 +555,35 @@ class FieldElement:
     # -- ordering and approximation -------------------------------------------
 
     def compare(self, other) -> int:
-        """-1, 0, or +1; exact.  Equality is coefficient-vector identity, and
-        sign is decided by refining the shared enclosure of beta."""
+        """-1, 0, or +1; exact.  Equality is identity of the reduced form, and
+        sign is decided by refining the shared enclosure of beta.  The
+        numerator vector of the difference over the common denominator has
+        the sign of the difference, so it goes to interval Horner as is."""
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare FieldElement with {type(other).__name__}")
-        diff = self - o
-        if diff.is_zero():
+        a, b, _ = self._aligned(o)
+        p = [x - y for x, y in zip(a, b)]
+        if not any(p):
             return 0
-        p = polys.normalize(diff.coeffs)
+        while not p[-1]:
+            p.pop()
+        # a reduced Fraction carries its sign in the numerator
         field = self.field
         for lo, hi in field._enclosure_ladder():
             vlo, vhi = polys.evaluate_interval(p, lo, hi)
-            if vlo > 0:
+            if vlo.numerator > 0:
                 return 1
-            if vhi < 0:
+            if vhi.numerator < 0:
                 return -1
         for rounds in range(_CMP_BUDGET):
             lo, hi = field.refine_beta()
             vlo, vhi = polys.evaluate_interval(p, lo, hi)
-            if vlo > 0:
+            if vlo.numerator > 0:
                 return 1
-            if vhi < 0:
+            if vhi.numerator < 0:
                 return -1
-            if rounds == _ZERO_TEST_AFTER and field.evaluates_to_zero(diff):
+            if rounds == _ZERO_TEST_AFTER and field.evaluates_to_zero(self - o):
                 raise RefinementBudgetExceeded(
                     "distinct representations coincide at the chosen root; "
                     "the defining polynomial is reducible"
@@ -558,23 +603,29 @@ class FieldElement:
         return self.compare(other) >= 0
 
     def approx(self, eps=Fraction(1, 10 ** 12)) -> Interval:
-        """Rational interval of width <= eps containing the real value."""
+        """Rational interval of width <= eps containing the real value.
+
+        Interval Horner runs on the integer numerators; their enclosure is
+        den times the value's, so it is accepted at width <= eps * den and
+        divided by den."""
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
-        p = polys.normalize(self.coeffs)
-        if not p:
+        p = self.nums
+        if not any(p):
             return Fraction(0), Fraction(0)
+        den = self.den
+        width = eps * den
         field = self.field
         for lo, hi in field._enclosure_ladder():
             vlo, vhi = polys.evaluate_interval(p, lo, hi)
-            if vhi - vlo <= eps:
-                return vlo, vhi
+            if vhi - vlo <= width:
+                return vlo / den, vhi / den
         for _ in range(100_000):
             lo, hi = field.refine_beta()
             vlo, vhi = polys.evaluate_interval(p, lo, hi)
-            if vhi - vlo <= eps:
-                return vlo, vhi
+            if vhi - vlo <= width:
+                return vlo / den, vhi / den
         raise RefinementBudgetExceeded("approximation did not reach the requested width")
 
     def __float__(self) -> float:

@@ -75,8 +75,22 @@ class TransitionMatrix:
     def to_json(self) -> dict:
         return {"k": self.size, "rows": [list(r) for r in self.rows]}
 
+    def write_json(self, fh) -> None:
+        """Write the bytes of json.dump(self.to_json(), fh, indent=2), one
+        row at a time (json's indented encoder is pure Python, and a whole
+        string would hold k^2 digits at once)."""
+        if not self.rows:
+            fh.write('{\n  "k": 0,\n  "rows": []\n}')
+            return
+        fh.write(f'{{\n  "k": {self.size},\n  "rows": [')
+        sep = "\n    [\n      "
+        for row in self.rows:
+            fh.write(sep + ",\n      ".join(map(str, row)))
+            sep = "\n    ],\n    [\n      "
+        fh.write("\n    ]\n  ]\n}")
+
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(v) for v in row) for row in self.rows) + "\n"
+        return "\n".join(",".join(map(str, row)) for row in self.rows) + "\n"
 
 
 def compute_orbit(params: ExpansionParams, x: FieldElement,
@@ -88,8 +102,7 @@ def compute_orbit(params: ExpansionParams, x: FieldElement,
     """
     if state_cap < 1 or depth_cap < 1:
         raise ValueError("caps must be at least 1")
-    if not params.contains(x):
-        raise OutsideInterval(f"{x!r} lies outside [0, m/(beta-1)]")
+    # a point outside [0, m/(beta-1)] has no digits: branch_digits(x) raises
     states = [x]
     index = {x: 0}
     depth = [0]
@@ -145,10 +158,7 @@ def transition_matrix(graph: OrbitGraph) -> TransitionMatrix:
     rows = [[0] * k for _ in range(k)]
     for (q, _digit, j) in graph.edges:
         rows[q][j] = 1
-    mat = TransitionMatrix(rows=tuple(tuple(r) for r in rows))
-    for q in range(k):
-        assert sum(mat.rows[q]) == len(graph.params.branch_digits(graph.states[q]))
-    return mat
+    return TransitionMatrix(rows=tuple(tuple(r) for r in rows))
 
 
 def _mat_mul(a, b):

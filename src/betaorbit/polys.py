@@ -9,6 +9,7 @@ whose output is certified afterwards by exact interval Newton contraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import NotSquarefree
@@ -45,13 +46,48 @@ def evaluate(p: Sequence, x: Fraction) -> Fraction:
     return acc
 
 
+def common_denominator(cs: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of the rationals cs over their least common
+    denominator, and that denominator.  The numerators and the denominator
+    are coprime as a whole."""
+    den = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
 def evaluate_interval(p: Sequence, lo: Fraction, hi: Fraction) -> Interval:
-    """Enclosure of p([lo, hi]) by interval Horner evaluation."""
-    alo = ahi = _ZERO
-    for c in reversed(p):
-        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(prods) + c, max(prods) + c
-    return alo, ahi
+    """Enclosure of p([lo, hi]) by interval Horner evaluation.
+
+    The coefficients (ints or Fractions) are brought to one common
+    denominator D and the endpoints to another, E, so the Horner steps run on
+    integers: after t steps the accumulator holds D * E^(t-1) times the
+    rational one.  Positive scaling commutes with the min/max of interval
+    products, so the result is exactly the interval that rational interval
+    Horner gives.  For lo >= 0 each product bound is picked by sign; the
+    four-product min/max runs only when lo < 0.
+    """
+    if not p:
+        return _ZERO, _ZERO
+    nums, den = common_denominator(p)
+    nums.reverse()
+    e = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (e // lo.denominator)
+    b = hi.numerator * (e // hi.denominator)
+    alo = ahi = nums[0]
+    scale = 1
+    if a >= 0:
+        for n in nums[1:]:
+            scale *= e
+            c = n * scale
+            alo = alo * (a if alo >= 0 else b) + c
+            ahi = ahi * (b if ahi >= 0 else a) + c
+    else:
+        for n in nums[1:]:
+            scale *= e
+            c = n * scale
+            prods = (alo * a, alo * b, ahi * a, ahi * b)
+            alo, ahi = min(prods) + c, max(prods) + c
+    den *= scale
+    return Fraction(alo, den), Fraction(ahi, den)
 
 
 def derivative(p: Sequence) -> tuple[Fraction, ...]:
@@ -264,10 +300,12 @@ def isolate_real_roots(p: Sequence) -> list[Interval]:
             stack.append((lo, mid, left))
             stack.append((mid, hi, n - left))
 
-        # shrink so no isolating interval also contains a deflated exact root
+        # shrink until no deflated exact root lies in the closed interval, so
+        # both endpoints are non-roots of p (work has no rational roots, so
+        # its root in the interval is never one of them)
         shrunk = []
         for lo, hi in intervals:
-            while any(lo < r < hi for r in exact):
+            while any(lo <= r <= hi for r in exact):
                 lo, hi = bisect_step(work, lo, hi)
             shrunk.append((lo, hi))
         intervals = shrunk

@@ -1,8 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betaorbit import (
     ExpansionParams,
@@ -17,6 +19,7 @@ from betaorbit import (
     text_to_digits,
     verify_expansion,
 )
+from betaorbit import dynamics
 from betaorbit.errors import InvalidRule, OutsideInterval
 
 F = Fraction
@@ -106,6 +109,66 @@ def test_branch_consistency_random(golden_params):
         for i in range(golden_params.m + 1):
             inside = golden_params.contains(golden_params.apply(i, x))
             assert (i in branch) == inside
+
+
+def _branch_digits_ref(params, x):
+    """The exhaustive digit loop: membership first, then every digit tested
+    by exact comparison."""
+    if not params.contains(x):
+        raise OutsideInterval("outside")
+    bx = params.beta * x
+    return tuple(i for i in range(params.m + 1)
+                 if (bx - i).compare(params.field.zero) >= 0
+                 and (bx - i).compare(params.right_endpoint) <= 0)
+
+
+_BRANCH_PARAMS = [ExpansionParams(NumberField(IntPolynomial(p)), m) for p, m in (
+    ((-1, -1, 1), 1), ((-1, -1, -1, -1, 0, 1), 1), ((-2, 1), 1), ((-3, 1), 2),
+    ((-1, -1, 0, 1), 1), ((-1, 0, -1, 1), 2), ((-1, -1, -1, -1, 1), 2), ((-1, -1, 1), 3))]
+
+
+# the default enclosure width, and wide ones that leave most digits to the
+# exact comparisons
+_EPS_CHOICES = [dynamics._BRANCH_EPS, F(1, 2), F(4)]
+
+
+def _agree(params, x, eps):
+    with mock.patch.object(dynamics, "_BRANCH_EPS", eps):
+        try:
+            want = _branch_digits_ref(params, x)
+        except OutsideInterval:
+            with pytest.raises(OutsideInterval):
+                params.branch_digits(x)
+            return
+        assert params.branch_digits(x) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_BRANCH_PARAMS), st.sampled_from(_EPS_CHOICES), st.data())
+def test_branch_digits_match_exhaustive_loop(params, eps, data):
+    # points spread over [-R/4, 5R/4], so some lie outside the interval
+    field = params.field
+    t = data.draw(st.fractions(F(-1, 4), F(5, 4), max_denominator=64))
+    wiggle = field.element(data.draw(st.lists(
+        st.fractions(F(-1, 100), F(1, 100), max_denominator=1000),
+        min_size=field.degree, max_size=field.degree)))
+    _agree(params, params.right_endpoint * t + wiggle, eps)
+
+
+@pytest.mark.parametrize("eps", _EPS_CHOICES)
+@pytest.mark.parametrize("params", _BRANCH_PARAMS)
+def test_branch_digits_on_boundary_points(params, eps):
+    # 0, R, and the points where beta*x - i is exactly 0 or R
+    field, right = params.field, params.right_endpoint
+    inv_beta = params.beta.inverse()
+    points = [field.zero, right, right * F(1, 2)]
+    for i in range(params.m + 1):
+        points += [inv_beta * i, (right + i) * inv_beta]
+    for x in points:
+        for shift in (0, F(1, 10 ** 9), -F(1, 10 ** 9)):
+            _agree(params, x + shift, eps)
+    for x in (-field.one * F(1, 10 ** 9), right + F(1, 10 ** 9), -right, right * 2):
+        _agree(params, x, eps)
 
 
 # === expansion generation ===

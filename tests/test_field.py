@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from betaorbit import IntPolynomial, NumberField, sort_elements
+from betaorbit import IntPolynomial, NumberField, polys, sort_elements
 from betaorbit.errors import (
     DegreeZero,
     DivisionByZero,
@@ -207,6 +209,137 @@ def test_total_order_random(golden):
         assert (sab == 0) == (a == b)
         if a.compare(b) <= 0 and b.compare(c) <= 0:
             assert a.compare(c) <= 0
+
+
+# === differential: integer representation vs a Fraction-vector reference ===
+
+def _horner_ref(p, lo, hi):
+    """Interval Horner in Fraction arithmetic."""
+    alo = ahi = F(0)
+    for c in reversed(p):
+        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(prods) + c, max(prods) + c
+    return alo, ahi
+
+
+def _ref_mul(field, a, b):
+    """Product of two Fraction coefficient vectors, reduced by the power rows."""
+    d = field.degree
+    conv = [F(0)] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    out = conv[:d]
+    for j in range(d, 2 * d - 1):
+        for t in range(d):
+            out[t] += conv[j] * field._power_rows[j - d][t]
+    return tuple(out)
+
+
+def _ref_compare(field, a, b):
+    """Sign of a - b by the Fraction-coefficient route over the shared ladder."""
+    p = polys.normalize([x - y for x, y in zip(a, b)])
+    if not p:
+        return 0
+    for lo, hi in field._enclosure_ladder():
+        vlo, vhi = _horner_ref(p, lo, hi)
+        if vlo > 0 or vhi < 0:
+            return 1 if vlo > 0 else -1
+    while True:
+        lo, hi = field.refine_beta()
+        vlo, vhi = _horner_ref(p, lo, hi)
+        if vlo > 0 or vhi < 0:
+            return 1 if vlo > 0 else -1
+
+
+def _ref_approx(field, a, eps):
+    p = polys.normalize(a)
+    if not p:
+        return F(0), F(0)
+    for lo, hi in field._enclosure_ladder():
+        vlo, vhi = _horner_ref(p, lo, hi)
+        if vhi - vlo <= eps:
+            return vlo, vhi
+    while True:
+        lo, hi = field.refine_beta()
+        vlo, vhi = _horner_ref(p, lo, hi)
+        if vhi - vlo <= eps:
+            return vlo, vhi
+
+
+_DIFF_FIELDS = [NumberField(IntPolynomial(p)) for p in
+                ((-1, -1, 1), (-1, -1, -1, -1, 0, 1), (-2, 1), (-1, -1, 0, 1),
+                 (-1, 0, -1, 1), (-1, -1, -1, -1, 1))]
+_coeff = st.one_of(st.integers(-12, 12), st.fractions(-12, 12, max_denominator=30))
+
+
+@st.composite
+def _vectors(draw):
+    field = draw(st.sampled_from(_DIFF_FIELDS))
+    vec = st.lists(_coeff, min_size=field.degree, max_size=field.degree)
+    return field, tuple(map(F, draw(vec))), tuple(map(F, draw(vec)))
+
+
+def _assert_canonical(x):
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+    assert all(type(n) is int for n in x.nums)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vectors())
+def test_field_ops_match_fraction_reference(case):
+    field, a, b = case
+    x, y = field.element(a), field.element(b)
+    assert x.coeffs == a and y.coeffs == b
+    for got, want in [(x + y, tuple(p + q for p, q in zip(a, b))),
+                      (x - y, tuple(p - q for p, q in zip(a, b))),
+                      (-x, tuple(-p for p in a)),
+                      (x * y, _ref_mul(field, a, b))]:
+        _assert_canonical(got)
+        assert got.coeffs == want
+        assert got == field.element(want) and hash(got) == hash(field.element(want))
+    assert (x == y) == (a == b)
+    assert x.compare(y) == _ref_compare(field, a, b)
+    assert x.compare(b[0]) == _ref_compare(field, a, (b[0],) + (F(0),) * (field.degree - 1))
+    if not x.is_zero():
+        inv = x.inverse()
+        _assert_canonical(inv)
+        assert _ref_mul(field, inv.coeffs, a) == (F(1),) + (F(0),) * (field.degree - 1)
+    for eps in (F(1, 10), F(1, 10 ** 7), F(1, 10 ** 30)):
+        assert x.approx(eps) == _ref_approx(field, a, eps)
+
+
+def test_reduced_form_is_unique(golden):
+    x = golden.element([F(2, 4), F(6, 8)])
+    y = golden.from_rational(F(1, 2)) + golden.element([0, F(3, 4)])
+    assert (x.nums, x.den) == (y.nums, y.den) == ((2, 3), 4)
+    assert x == y and hash(x) == hash(y)
+    zero = golden.element([F(3, 5), 1]) - golden.element([F(3, 5), 1])
+    assert (zero.nums, zero.den) == ((0, 0), 1) and zero == golden.zero == 0
+    assert hash(zero) == hash(golden.zero)
+    assert golden.from_rational(F(-6, 4)) == golden.element([F(-3, 2)]) == F(-3, 2)
+
+
+def test_compare_builds_no_fraction_outside_the_kernel(golden, monkeypatch):
+    # the only Fractions a compare makes are the interval pairs that
+    # evaluate_interval returns
+    counts = {"fraction": 0, "kernel": 0}
+    new, kernel = Fraction.__new__, polys.evaluate_interval
+
+    def counting_new(cls, *args, **kwargs):
+        counts["fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    b = golden.beta
+    x, y, q = b * F(1, 3), (b + 1) * F(2, 7), F(5, 3)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(polys, "evaluate_interval", counting_kernel)
+    assert [x.compare(y), y.compare(x), x.compare(x), x.compare(1), x.compare(q)] == [-1, 1, 0, -1, -1]
+    assert counts["kernel"] > 0 and counts["fraction"] == 2 * counts["kernel"]
 
 
 # === random fields: construction succeeds and encloses the root ===

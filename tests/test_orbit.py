@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from betaorbit import (
     transition_matrix,
 )
 from betaorbit.errors import OutsideInterval
+from betaorbit.orbit import TransitionMatrix
 
 F = Fraction
 
@@ -202,3 +204,55 @@ def test_matrix_exports(golden_params):
     mat = transition_matrix(g)
     assert mat.to_csv().splitlines()[0] == "0,1,1,0"
     assert mat.to_json() == {"k": 4, "rows": [[0, 1, 1, 0], [0, 1, 0, 0], [1, 0, 0, 1], [0, 0, 0, 1]]}
+
+
+# === transition matrix from the recorded edges ===
+
+def _orbits():
+    plastic = ExpansionParams(NumberField(IntPolynomial((-1, -1, 0, 1))), 1)
+    cubic = ExpansionParams(NumberField(IntPolynomial((-1, 0, -1, 1))), 2)
+    golden = ExpansionParams(NumberField(IntPolynomial((-1, -1, 1))), 1)
+    return [
+        compute_orbit(golden, golden.field.zero),
+        compute_orbit(golden, golden.field.one),
+        compute_orbit(golden, golden.field.from_rational(F(1, 3))),
+        compute_orbit(plastic, plastic.field.from_rational(F(1, 3))),
+        compute_orbit(cubic, cubic.parse_point("b/(b+2)")),
+    ]
+
+
+_ORBITS = _orbits()
+_ORBIT_IDS = ["golden_zero", "golden_one", "golden_third", "plastic_third", "cubic"]
+
+
+@pytest.mark.parametrize("graph", _ORBITS, ids=_ORBIT_IDS)
+def test_transition_matrix_rows_are_branch_sets(graph):
+    mat = transition_matrix(graph)
+    params = graph.params
+    for q, state in enumerate(graph.states):
+        branch = params.branch_digits(state)
+        assert sum(mat.rows[q]) == len(branch)
+        targets = {graph.states.index(params.apply(i, state)) for i in branch}
+        assert {j for j, v in enumerate(mat.rows[q]) if v} == targets
+
+
+def test_orbit_sizes_cover_large_exports():
+    assert [g.size for g in _ORBITS] == [1, 4, 16, 289, 734]
+
+
+@pytest.mark.parametrize("graph", _ORBITS[:4], ids=_ORBIT_IDS[:4])
+def test_matrix_json_writer_is_byte_identical(graph):
+    mat = transition_matrix(graph)
+    fh = io.StringIO()
+    mat.write_json(fh)
+    assert fh.getvalue() == json.dumps(mat.to_json(), indent=2)
+    old_csv = "\n".join(",".join(str(v) for v in row) for row in mat.rows) + "\n"
+    assert mat.to_csv() == old_csv
+
+
+def test_matrix_json_writer_edge_shapes():
+    for rows in [(), ((0,),), ((1, 1), (0, 1)), ((0, 0, 0), (1, 0, 1), (0, 1, 1))]:
+        mat = TransitionMatrix(rows=rows)
+        fh = io.StringIO()
+        mat.write_json(fh)
+        assert fh.getvalue() == json.dumps(mat.to_json(), indent=2)

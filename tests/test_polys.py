@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betaorbit import polys
+from betaorbit.orbit import TransitionMatrix
+from betaorbit.spectral import char_polynomial
 
 
 F = Fraction
@@ -21,6 +24,43 @@ def test_evaluate_interval_contains_point_values():
     for t in range(0, 13):
         x = lo + (hi - lo) * F(t, 12)
         assert vlo <= polys.evaluate(p, x) <= vhi
+
+
+def _evaluate_interval_ref(p, lo, hi):
+    """Interval Horner in Fraction arithmetic: the differential oracle."""
+    alo = ahi = F(0)
+    for c in reversed(p):
+        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(prods) + c, max(prods) + c
+    return alo, ahi
+
+
+_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_polys = st.lists(st.one_of(_rationals, st.integers(-20, 20)), max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, _rationals, _rationals)
+def test_evaluate_interval_matches_fraction_horner(p, a, b):
+    lo, hi = min(a, b), max(a, b)
+    got = polys.evaluate_interval(p, lo, hi)
+    assert got == _evaluate_interval_ref(p, lo, hi)
+    assert all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _rationals)
+def test_evaluate_interval_point_is_exact(p, x):
+    assert polys.evaluate_interval(p, x, x) == (polys.evaluate(p, x),) * 2
+
+
+def test_evaluate_interval_edge_cases():
+    assert polys.evaluate_interval((), F(-1), F(2)) == (0, 0)
+    assert polys.evaluate_interval((0, 0, 0), F(-1, 3), F(1, 3)) == (0, 0)
+    p = (F(1, 3), -2, F(5, 7), 0, F(-3, 2))
+    for lo, hi in [(F(-3), F(-1, 2)), (F(-1, 2), F(1, 3)), (F(0), F(5, 4)),
+                   (F(1, 8), F(1, 8)), (F(-7, 9), F(-7, 9))]:
+        assert polys.evaluate_interval(p, lo, hi) == _evaluate_interval_ref(p, lo, hi)
 
 
 def test_divmod_roundtrip():
@@ -64,6 +104,35 @@ def test_isolate_mixed_exact_and_irrational():
     for lo, hi in roots:
         if lo != hi:
             assert not (lo < 1 < hi)
+
+
+def _assert_isolation(p):
+    p = polys.normalize(p)
+    for lo, hi in polys.isolate_real_roots(p):
+        if lo == hi:
+            assert polys.evaluate(p, lo) == 0
+        else:
+            assert polys.evaluate(p, lo) * polys.evaluate(p, hi) < 0
+            assert polys.count_roots_in_interval(p, lo, hi) == 1
+
+
+def test_isolate_endpoints_avoid_deflated_roots():
+    # z^3 - z^2 - z = z (z^2 - z - 1): no interval may end at the exact root 0
+    p = polys.normalize([0, -1, -1, 1])
+    roots = polys.isolate_real_roots(p)
+    assert len(roots) == 3 and (F(0), F(0)) in roots
+    _assert_isolation(p)
+    lo, hi = roots[-1]
+    assert polys.bisect_step(p, lo, hi) != (lo, hi)
+    assert polys.refine_to_width(p, lo, hi, F(1, 2 ** 20))[0] > F(1618, 1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 2), min_size=k, max_size=k), min_size=k, max_size=k)))
+def test_isolate_endpoints_are_sign_changes_on_char_polys(rows):
+    chi = char_polynomial(TransitionMatrix(rows=tuple(tuple(r) for r in rows)))
+    _assert_isolation(polys.squarefree_part_int(chi))
 
 
 def test_count_roots_in_interval():
