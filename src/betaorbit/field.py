@@ -672,16 +672,6 @@ def format_element(elem: FieldElement) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def sort_elements(elems: Iterable[FieldElement], float_keys: dict | None = None) -> list[FieldElement]:
-    """Ascending exact sort.  With float hints the list is pre-ordered by the
-    hint and the order is then verified by exact adjacent comparisons, falling
-    back to a fully exact comparison sort when any hint was wrong."""
-    items = list(elems)
-    if len(items) < 2:
-        return items
-    if float_keys:
-        items.sort(key=lambda e: float_keys.get(e, 0.0))
-        if all(a.compare(b) < 0 for a, b in zip(items, items[1:])):
-            return items
-    items.sort(key=cmp_to_key(lambda a, b: a.compare(b)))
-    return items
+def sort_elements(elems: Iterable[FieldElement]) -> list[FieldElement]:
+    """Ascending exact sort by comparison."""
+    return sorted(elems, key=cmp_to_key(lambda a, b: a.compare(b)))

@@ -7,31 +7,46 @@ the minimum gap stays bounded away from zero, while for a non-Pisot base it
 collapses as the depth grows.  A finite enumeration can only overestimate
 the true infimum gap, so the final minimum gap is reported strictly as an
 upper bound.
+
+The defining polynomial is monic, so every beta^i has integer coordinates and
+every point is its integer numerator tuple (the denominator is 1); the dedup
+dict is keyed by that tuple.  Each point also carries an integer key K within
+a level-wide slack s of 2^P * value (P = _KEY_BITS), built by integer
+additions from dyadic enclosures of beta^i.  Keys that differ by more than 2s
+order their points for certain; only runs of neighbours closer than that are
+ordered by exact FieldElement.compare.  For a Pisot base the points stay
+uniformly apart (Garsia), so such runs are rare.  Gaps take key differences
+(slack 2s), and the gap order and the tail cut read the same keys.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from operator import add, itemgetter, sub
 
 from .errors import TooFewPoints, TooLarge
-from .field import FieldElement, NumberField, PisotCertificate, sort_elements
+from .field import FieldElement, NumberField, PisotCertificate
 from .polys import Interval
 
 _MEMORY_GUARD = 10_000_000
+_KEY_BITS = 64  # P: a key approximates 2^P times its point's value
 
 
 @dataclass
 class SpectrumLevel:
     """All distinct digit-polynomial values at depth n, strictly ascending.
 
-    float_hints maps each value to a non-certified float estimate, carried
-    along as a sort accelerator only.
+    keys[i] is an integer with |keys[i] - 2^P * values[i]| <= slack, where
+    P = _KEY_BITS; one slack bounds the key error of the whole level.
     """
 
     n: int
     values: list
-    float_hints: dict = None
+    keys: list
+    slack: int
 
     @property
     def count(self) -> int:
@@ -66,9 +81,7 @@ class SeparationReport:
     pisot: PisotCertificate
 
 
-def enumerate_spectrum(field: NumberField, m: int, n: int) -> SpectrumLevel:
-    """Exact spectrum at depth n; rejects enumerations beyond the memory
-    guard of 10^7 raw sums."""
+def _check_depth(m: int, n: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     if m < 1:
@@ -76,22 +89,74 @@ def enumerate_spectrum(field: NumberField, m: int, n: int) -> SpectrumLevel:
     if (m + 1) ** n > _MEMORY_GUARD:
         raise TooLarge(f"(m+1)^n = {(m + 1) ** n} exceeds the enumeration guard")
 
+
+_EXACT = cmp_to_key(lambda a, b: a[0].compare(b[0]))
+
+
+def _order(pairs: list, tol: int) -> None:
+    """Sort (element, key) pairs ascending by element, in place.  Every key
+    is within tol/2 of 2^P times its element's value, so neighbours whose
+    keys differ by more than tol are in order; each run of closer neighbours
+    is ordered by exact comparison."""
+    pairs.sort(key=itemgetter(1))
+    keys = [k for _, k in pairs]
+    start = 0
+    for end in [j for j in range(1, len(keys)) if keys[j] - keys[j - 1] > tol] + [len(keys)]:
+        if end - start > 1:
+            pairs[start:end] = sorted(pairs[start:end], key=_EXACT)
+        start = end
+
+
+def enumerate_spectrum(field: NumberField, m: int, n: int) -> SpectrumLevel:
+    """Exact spectrum at depth n; rejects enumerations beyond the memory
+    guard of 10^7 raw sums."""
+    _check_depth(m, n)
     beta = field.beta
-    beta_float = float(beta)
+    lo, hi = beta.approx(Fraction(1, 10 ** 17))
     power = field.one
-    current: dict[FieldElement, float] = {field.zero: 0.0}
-    fpow = 1.0
-    for _ in range(n):
+    slack = 0
+    points: dict[tuple, int] = {field.zero.nums: 0}
+    for i in range(1, n + 1):
         power = power * beta
-        fpow *= beta_float
-        shifts = [power * e for e in range(1, m + 1)]
-        nxt = dict(current)
-        for val, fval in current.items():
-            for e, shift in enumerate(shifts, start=1):
-                nxt.setdefault(val + shift, fval + e * fpow)
-        current = nxt
-    ordered = sort_elements(current.keys(), float_keys=current)
-    return SpectrumLevel(n=n, values=ordered, float_hints=current)
+        # L <= 2^P * lo^i <= 2^P * beta^i <= 2^P * hi^i <= U, key midway
+        low = (lo.numerator ** i << _KEY_BITS) // lo.denominator ** i
+        high = -((-hi.numerator ** i << _KEY_BITS) // hi.denominator ** i)
+        key = (low + high) >> 1
+        slack += m * (high - key)
+        shifts = [(tuple(e * c for c in power.nums), e * key) for e in range(1, m + 1)]
+        nxt = dict(points)
+        for t, k in points.items():
+            for s, sk in shifts:
+                nxt.setdefault(tuple(map(add, t, s)), k + sk)
+        points = nxt
+    pairs = [(FieldElement(field, t), k) for t, k in points.items()]
+    del points
+    _order(pairs, 2 * slack)
+    return SpectrumLevel(n=n, values=[e for e, _ in pairs], keys=[k for _, k in pairs],
+                         slack=slack)
+
+
+def _upper_half(level: SpectrumLevel) -> int:
+    """Index of the first point x above half the largest point: a binary
+    search on the sign of 2x - top, read from keys (error at most 3s) and
+    settled exactly only where they cannot tell."""
+    values, keys, slack = level.values, level.keys, level.slack
+    field = values[0].field
+    top = values[-1].nums
+    lo_i, hi_i = 0, level.count - 1
+    while lo_i < hi_i:
+        mid = (lo_i + hi_i) // 2
+        d = 2 * keys[mid] - keys[-1]
+        if -3 * slack <= d <= 3 * slack:
+            twice = tuple(2 * a - b for a, b in zip(values[mid].nums, top))
+            above = any(twice) and FieldElement(field, twice).compare(field.zero) > 0
+        else:
+            above = d > 0
+        if above:
+            hi_i = mid
+        else:
+            lo_i = mid + 1
+    return lo_i
 
 
 def gap_stats(level: SpectrumLevel, eps=Fraction(1, 10 ** 15)) -> GapStats:
@@ -99,40 +164,29 @@ def gap_stats(level: SpectrumLevel, eps=Fraction(1, 10 ** 15)) -> GapStats:
     are exactly equal as field elements share a histogram bucket."""
     if level.count < 2:
         raise TooFewPoints("need at least two spectrum points")
-    hints = level.float_hints or {}
-    gaps = [b - a for a, b in zip(level.values, level.values[1:])]
-    gap_hints: dict[FieldElement, float] = {}
-    buckets: dict[FieldElement, int] = {}
-    for (a, b), g in zip(zip(level.values, level.values[1:]), gaps):
-        buckets[g] = buckets.get(g, 0) + 1
-        if g not in gap_hints and a in hints and b in hints:
-            gap_hints[g] = hints[b] - hints[a]
-    # gaps that are exactly equal as field elements collapse to one bucket,
-    # so ordering work scales with the number of distinct gaps only
-    distinct = sort_elements(buckets.keys(), float_keys=gap_hints)
+    values, keys, slack = level.values, level.keys, level.slack
+    field = values[0].field
+    nums = [v.nums for v in values]
+    gaps = [tuple(map(sub, b, a)) for a, b in zip(nums, nums[1:])]
+    buckets = Counter(gaps)
+    # a gap key is a difference of two point keys, so its slack is 2s; gaps
+    # that are exactly equal collapse to one bucket, so ordering work scales
+    # with the number of distinct gaps only
+    gap_keys = dict(zip(gaps, map(sub, keys[1:], keys)))
+    pairs = [(FieldElement(field, g), k) for g, k in gap_keys.items()]
+    _order(pairs, 4 * slack)
+    distinct = [e for e, _ in pairs]
     min_gap, max_gap = distinct[0], distinct[-1]
 
-    # tail heuristic: gaps whose left point lies in the upper half of the range;
-    # the cut index comes from a binary search (values are already sorted)
-    half = level.values[-1] * Fraction(1, 2)
-    lo_i, hi_i = 0, level.count - 1
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        if level.values[mid].compare(half) > 0:
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    rank = {g: i for i, g in enumerate(distinct)}
-    tail_min = None
-    for g in gaps[lo_i:]:
-        if tail_min is None or rank[g] < rank[tail_min]:
-            tail_min = g
+    # tail heuristic: gaps whose left point lies in the upper half of the range
+    rank = {e.nums: i for i, e in enumerate(distinct)}
+    tail = min(map(rank.__getitem__, gaps[_upper_half(level):]), default=None)
 
     return GapStats(
         min_gap=min_gap.approx(eps),
         max_gap=max_gap.approx(eps),
-        gap_histogram=[(g.approx(eps), buckets[g]) for g in distinct],
-        tail_min_gap=tail_min.approx(eps) if tail_min is not None else None,
+        gap_histogram=[(g.approx(eps), buckets[g.nums]) for g in distinct],
+        tail_min_gap=distinct[tail].approx(eps) if tail is not None else None,
         min_gap_element=min_gap,
         max_gap_element=max_gap,
     )
@@ -142,8 +196,7 @@ def separation_evidence(field: NumberField, m: int, n_max: int,
                         eps=Fraction(1, 10 ** 15)) -> SeparationReport:
     """Minimum gap per level up to n_max, with the field's Pisot certificate
     attached (non-Pisot fields are accepted; the contrast is the point)."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    _check_depth(m, n_max)
     counts = []
     min_gaps = []
     enclosures = []
@@ -171,6 +224,7 @@ def spectrum_csv(field: NumberField, m: int, n_max: int,
     """CSV rows: level, count, min_gap_lo, min_gap_hi, max_gap_lo, max_gap_hi
     (gap bounds as directed decimals, so each pair is a true enclosure)."""
     from .polys import decimal_str
+    _check_depth(m, n_max)
     lines = ["level,count,min_gap_lo,min_gap_hi,max_gap_lo,max_gap_hi"]
     for n in range(1, n_max + 1):
         level = enumerate_spectrum(field, m, n)

@@ -177,6 +177,20 @@ def test_spectrum_stdout_and_file(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_spectrum_rejects_bad_depth_before_any_level(capsys, monkeypatch):
+    from betaorbit import spacing
+
+    def no_level(*args):
+        raise AssertionError("a level was enumerated")
+
+    monkeypatch.setattr(spacing, "enumerate_spectrum", no_level)
+    for nmax in ("0", "-3"):
+        code, out, err = run(capsys, "spectrum", "--minpoly", GOLDEN, "--nmax", nmax)
+        assert (code, out) == (64, "") and "at least 1" in err
+    code, out, err = run(capsys, "spectrum", "--minpoly", "-2,0,1", "--nmax", "24")
+    assert (code, out) == (64, "") and "guard" in err
+
+
 def test_orbit_dot_format(capsys):
     code, out, _ = run(capsys, "orbit", "--minpoly", GOLDEN, "-m", "1", "-x", "1",
                        "--format", "dot")

@@ -1,13 +1,21 @@
+import json
+from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from betaorbit import (
+    FieldElement,
     IntPolynomial,
     NumberField,
+    SpectrumLevel,
     enumerate_spectrum,
     gap_stats,
     separation_evidence,
+    spacing,
     spectrum_csv,
 )
 from betaorbit.errors import TooFewPoints, TooLarge
@@ -121,3 +129,161 @@ def test_spectrum_csv_shape(base2):
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "2"
     assert float(first[2]) <= 2.0 <= float(first[3])
+
+
+# === integer keys: differential checks against an exact-comparison oracle ===
+
+FIELDS = {
+    "golden": (-1, -1, 1), "quintic": (-1, -1, -1, -1, 0, 1), "base2": (-2, 1),
+    "plastic": (-1, -1, 0, 1), "cubic": (-1, 0, -1, 1), "tetra": (-1, -1, -1, -1, 1),
+    "sqrt2": (-2, 0, 1), "sqrt3": (-3, 0, 1),
+}
+GOLDEN_DATA = Path(__file__).parent / "data" / "golden"
+_by_compare = cmp_to_key(lambda a, b: a.compare(b))
+
+
+def _oracle_level(field, m, n):
+    """Every digit sum built by field arithmetic, sorted by exact compare."""
+    points = {field.zero}
+    power = field.one
+    for _ in range(n):
+        power = power * field.beta
+        points |= {p + power * e for p in points for e in range(1, m + 1)}
+    return sorted(points, key=_by_compare)
+
+
+def _inside(elem, enclosure):
+    lo, hi = enclosure
+    return elem.compare(lo) >= 0 and elem.compare(hi) <= 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.sampled_from([1, 2]), st.data())
+def test_keyed_order_matches_exact_oracle(name, m, data):
+    n = data.draw(st.integers(1, 8 if m == 1 else 5))
+    field = NumberField(IntPolynomial(FIELDS[name]))
+    level = enumerate_spectrum(field, m, n)
+    oracle = _oracle_level(field, m, n)
+    assert level.values == oracle
+    scale = 1 << spacing._KEY_BITS
+    for v, k in zip(level.values, level.keys):
+        assert v.compare(F(k - level.slack, scale)) >= 0
+        assert v.compare(F(k + level.slack, scale)) <= 0
+
+    gaps = [b - a for a, b in zip(oracle, oracle[1:])]
+    counts = Counter(gaps)
+    order = sorted(counts, key=_by_compare)
+    stats = gap_stats(level)
+    assert stats.min_gap_element == order[0] and stats.max_gap_element == order[-1]
+    assert [c for _, c in stats.gap_histogram] == [counts[g] for g in order]
+    assert all(_inside(g, enc) for g, (enc, _) in zip(order, stats.gap_histogram))
+    half = oracle[-1] * F(1, 2)
+    tail = [g for a, g in zip(oracle, gaps) if a.compare(half) > 0]
+    if tail:
+        assert _inside(min(tail, key=_by_compare), stats.tail_min_gap)
+    else:
+        assert stats.tail_min_gap is None
+
+
+def _spectrum(minpoly, m, n):
+    return spectrum_csv(NumberField(IntPolynomial(minpoly)), m, n)
+
+
+def _count_compares(monkeypatch):
+    """Count FieldElement.compare calls, split by whether they come from the
+    exact sort of a run of keys that cannot be told apart."""
+    counts = {"run": 0, "other": 0}
+    in_run = [False]
+    compare = FieldElement.compare
+
+    def counting(self, other):
+        counts["run" if in_run[0] else "other"] += 1
+        return compare(self, other)
+
+    def run_cmp(a, b):
+        in_run[0] = True
+        try:
+            return a[0].compare(b[0])
+        finally:
+            in_run[0] = False
+
+    monkeypatch.setattr(FieldElement, "compare", counting)
+    monkeypatch.setattr(spacing, "_EXACT", cmp_to_key(run_cmp))
+    return counts
+
+
+def test_forced_clusters_keep_every_output(monkeypatch):
+    # at 3 key bits nearly all neighbours share a run, so the order comes
+    # from exact compares; the CSV must not change
+    cases = [((-1, 0, -1, 1), 1, 9), ((-1, -1, 0, 1), 2, 6), ((-3, 0, 1), 2, 6),
+             ((-1, -1, -1, -1, 0, 1), 1, 9)]
+    expected = [_spectrum(*case) for case in cases]
+    monkeypatch.setattr(spacing, "_KEY_BITS", 3)
+    counts = _count_compares(monkeypatch)
+    assert [_spectrum(*case) for case in cases] == expected
+    for case in ("spectrum_golden", "spectrum_sqrt2"):
+        argv = json.loads((GOLDEN_DATA / case / "meta.json").read_text())["argv"]
+        minpoly = tuple(int(c) for c in argv[argv.index("--minpoly") + 1].split(","))
+        csv = _spectrum(minpoly, 1, int(argv[argv.index("--nmax") + 1]))
+        assert csv.encode() == (GOLDEN_DATA / case / "stdout").read_bytes()
+    assert counts["run"] > 1000
+
+
+def test_no_compare_outside_exact_runs(monkeypatch):
+    counts = _count_compares(monkeypatch)
+    for minpoly in [(-1, -1, 1), (-2, 0, 1)]:
+        _spectrum(minpoly, 1, 12)
+    assert counts["other"] == 0
+
+
+def test_depth_validated_before_any_level(golden, monkeypatch):
+    def no_level(*args):
+        raise AssertionError("a level was enumerated")
+
+    monkeypatch.setattr(spacing, "enumerate_spectrum", no_level)
+    for n_max in (0, -3):
+        with pytest.raises(ValueError):
+            spectrum_csv(golden, 1, n_max)
+        with pytest.raises(ValueError):
+            separation_evidence(golden, 1, n_max)
+    with pytest.raises(TooLarge):
+        spectrum_csv(golden, 1, 24)
+    with pytest.raises(TooLarge):
+        separation_evidence(golden, 2, 15)
+
+
+def _assert_moved_keys_change_nothing(level, shifts, unit):
+    keys = [k + s for k, s in zip(level.keys, shifts)]
+    slack = level.slack + unit
+    pairs = list(zip(level.values, keys))[::-1]
+    spacing._order(pairs, 2 * slack)
+    assert [v for v, _ in pairs] == level.values
+    moved = SpectrumLevel(level.n, level.values, keys, slack)
+    assert gap_stats(moved) == gap_stats(level)
+    half = level.values[-1] * F(1, 2)
+    above = [i for i, v in enumerate(level.values) if v.compare(half) > 0]
+    assert spacing._upper_half(moved) == above[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["golden", "plastic", "sqrt2", "sqrt3"]), st.data())
+def test_keys_off_by_the_slack_change_nothing(name, data):
+    # push every key anywhere within a slack of up to 16 whole units: runs
+    # get long, and the order, the gaps and the tail cut must stay as they are
+    level = enumerate_spectrum(NumberField(IntPolynomial(FIELDS[name])), 1, 7)
+    unit = data.draw(st.sampled_from([1, 4, 16])) << spacing._KEY_BITS
+    shifts = data.draw(st.lists(st.sampled_from([-unit, 0, unit]),
+                                min_size=level.count, max_size=level.count))
+    _assert_moved_keys_change_nothing(level, shifts, unit)
+
+
+@pytest.mark.parametrize("name", ["golden", "plastic", "sqrt2", "sqrt3"])
+def test_keys_pushed_towards_the_half_keep_the_tail_cut(name):
+    # keys of points above half the range move down and the rest move up,
+    # so keys alone would misplace the cut wherever they cannot tell
+    level = enumerate_spectrum(NumberField(IntPolynomial(FIELDS[name])), 1, 7)
+    half = level.values[-1] * F(1, 2)
+    for units in (1, 4, 16):
+        unit = units << spacing._KEY_BITS
+        shifts = [-unit if v.compare(half) > 0 else unit for v in level.values]
+        _assert_moved_keys_change_nothing(level, shifts, unit)
