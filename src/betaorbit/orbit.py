@@ -64,13 +64,46 @@ class DivergenceReport:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """0/1 matrix: entry (q, j) is 1 when some digit maps state q to state j."""
+    """Nonnegative integer matrix stored as successor lists: succ[q] holds
+    the pairs (j, v) with entry (q, j) = v > 0, j ascending.  Entries are
+    weights, not only 0/1; an orbit graph's matrix is 0/1 with at most m+1
+    entries a row (distinct digits reach distinct states).  Dense rows are
+    built only for the exports, matrix powers and the numeric fallback."""
 
-    rows: tuple[tuple[int, ...], ...]
+    succ: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def from_rows(cls, rows) -> TransitionMatrix:
+        """The matrix with these dense rows; they must form a square
+        matrix of nonnegative entries."""
+        rows = [tuple(r) for r in rows]
+        for r in rows:
+            if len(r) != len(rows):
+                raise ValueError("transition matrix rows must form a square matrix")
+            if any(v < 0 for v in r):
+                raise ValueError("transition matrix entries must be nonnegative")
+        return cls(succ=tuple(tuple((j, v) for j, v in enumerate(r) if v) for r in rows))
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self.succ)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Dense view, built on each access."""
+        return tuple(map(tuple, self._dense(0, int)))
+
+    def _dense(self, zero, fmt):
+        """Dense rows as lists: zero everywhere, fmt(v) at each entry."""
+        for terms in self.succ:
+            row = [zero] * len(self.succ)
+            for j, v in terms:
+                row[j] = fmt(v)
+            yield row
+
+    def mul_vec(self, vec) -> list[int]:
+        """A . vec, exact."""
+        return [sum(v * vec[j] for j, v in terms) for terms in self.succ]
 
     def to_json(self) -> dict:
         return {"k": self.size, "rows": [list(r) for r in self.rows]}
@@ -79,18 +112,18 @@ class TransitionMatrix:
         """Write the bytes of json.dump(self.to_json(), fh, indent=2), one
         row at a time (json's indented encoder is pure Python, and a whole
         string would hold k^2 digits at once)."""
-        if not self.rows:
+        if not self.succ:
             fh.write('{\n  "k": 0,\n  "rows": []\n}')
             return
         fh.write(f'{{\n  "k": {self.size},\n  "rows": [')
         sep = "\n    [\n      "
-        for row in self.rows:
-            fh.write(sep + ",\n      ".join(map(str, row)))
+        for row in self._dense("0", str):
+            fh.write(sep + ",\n      ".join(row))
             sep = "\n    ],\n    [\n      "
         fh.write("\n    ]\n  ]\n}")
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(map(str, row)) for row in self.rows) + "\n"
+        return "\n".join(",".join(row) for row in self._dense("0", str)) + "\n"
 
 
 def compute_orbit(params: ExpansionParams, x: FieldElement,
@@ -154,11 +187,10 @@ def orbit_level(params: ExpansionParams, x: FieldElement, n: int) -> list[FieldE
 
 
 def transition_matrix(graph: OrbitGraph) -> TransitionMatrix:
-    k = graph.size
-    rows = [[0] * k for _ in range(k)]
+    succ = [set() for _ in range(graph.size)]
     for (q, _digit, j) in graph.edges:
-        rows[q][j] = 1
-    return TransitionMatrix(rows=tuple(tuple(r) for r in rows))
+        succ[q].add(j)
+    return TransitionMatrix(succ=tuple(tuple((j, 1) for j in sorted(t)) for t in succ))
 
 
 def _mat_mul(a, b):
@@ -188,16 +220,16 @@ def count_prefixes_matrix(matrix: TransitionMatrix, q: int, n: int) -> int:
     """Number of admissible length-n words from state q: the q-th row sum of
     the n-th matrix power, exact.
 
-    Row-vector iteration costs n*k^2 and repeated squaring k^3*log2(n); both
-    are exact big-integer routes, so the cheaper one is used.
+    Row-vector iteration costs n*(nonzero entries) and repeated squaring
+    k^3*log2(n); both are exact big-integer routes, so the cheaper one is
+    used.
     """
     k = matrix.size
-    adj = [[j for j in range(k) if matrix.rows[i][j]] for i in range(k)]
-    edges = sum(len(a) for a in adj)
-    if n * edges <= k ** 3 * max(1, n.bit_length()):
+    entries = sum(map(len, matrix.succ))
+    if n * entries <= k ** 3 * max(1, n.bit_length()):
         vec = [1] * k  # row-sum counts of A^t, iterated from t = 0
         for _ in range(n):
-            vec = [sum(vec[j] for j in adj[i]) for i in range(k)]
+            vec = matrix.mul_vec(vec)
         return vec[q]
     power = matrix_power(matrix, n)
     return sum(power[q])
@@ -205,11 +237,10 @@ def count_prefixes_matrix(matrix: TransitionMatrix, q: int, n: int) -> int:
 
 def count_profile_matrix(matrix: TransitionMatrix, n_max: int) -> list[tuple[int, ...]]:
     """Row-sum vectors of all powers up to n_max (counts per state, exact)."""
-    k = matrix.size
-    vec = tuple(1 for _ in range(k))
+    vec = (1,) * matrix.size
     out = [vec]
     for _ in range(n_max):
-        vec = tuple(sum(matrix.rows[q][j] * vec[j] for j in range(k)) for q in range(k))
+        vec = tuple(matrix.mul_vec(vec))
         out.append(vec)
     return out
 

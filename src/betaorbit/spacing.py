@@ -16,7 +16,7 @@ additions from dyadic enclosures of beta^i.  Keys that differ by more than 2s
 order their points for certain; only runs of neighbours closer than that are
 ordered by exact FieldElement.compare.  For a Pisot base the points stay
 uniformly apart (Garsia), so such runs are rare.  Gaps take key differences
-(slack 2s), and the gap order and the tail cut read the same keys.
+(slack 2s), and the gap order reads the same keys.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class GapStats:
     min_gap: Interval
     max_gap: Interval
     gap_histogram: list  # (enclosure, multiplicity), ascending by gap
-    tail_min_gap: Interval | None
     min_gap_element: FieldElement = None
     max_gap_element: FieldElement = None
 
@@ -136,29 +135,6 @@ def enumerate_spectrum(field: NumberField, m: int, n: int) -> SpectrumLevel:
                          slack=slack)
 
 
-def _upper_half(level: SpectrumLevel) -> int:
-    """Index of the first point x above half the largest point: a binary
-    search on the sign of 2x - top, read from keys (error at most 3s) and
-    settled exactly only where they cannot tell."""
-    values, keys, slack = level.values, level.keys, level.slack
-    field = values[0].field
-    top = values[-1].nums
-    lo_i, hi_i = 0, level.count - 1
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        d = 2 * keys[mid] - keys[-1]
-        if -3 * slack <= d <= 3 * slack:
-            twice = tuple(2 * a - b for a, b in zip(values[mid].nums, top))
-            above = any(twice) and FieldElement(field, twice).compare(field.zero) > 0
-        else:
-            above = d > 0
-        if above:
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    return lo_i
-
-
 def gap_stats(level: SpectrumLevel, eps=Fraction(1, 10 ** 15)) -> GapStats:
     """Exact consecutive differences with enclosures for reporting; gaps that
     are exactly equal as field elements share a histogram bucket."""
@@ -177,16 +153,10 @@ def gap_stats(level: SpectrumLevel, eps=Fraction(1, 10 ** 15)) -> GapStats:
     _order(pairs, 4 * slack)
     distinct = [e for e, _ in pairs]
     min_gap, max_gap = distinct[0], distinct[-1]
-
-    # tail heuristic: gaps whose left point lies in the upper half of the range
-    rank = {e.nums: i for i, e in enumerate(distinct)}
-    tail = min(map(rank.__getitem__, gaps[_upper_half(level):]), default=None)
-
     return GapStats(
         min_gap=min_gap.approx(eps),
         max_gap=max_gap.approx(eps),
         gap_histogram=[(g.approx(eps), buckets[g.nums]) for g in distinct],
-        tail_min_gap=distinct[tail].approx(eps) if tail is not None else None,
         min_gap_element=min_gap,
         max_gap_element=max_gap,
     )

@@ -1,17 +1,19 @@
 """Certified dominant-eigenvalue analysis of the transition matrix.
 
-The route to the dominant eigenvalue is exact: an integer characteristic
-polynomial (division-checked Faddeev-LeVerrier over the nonzero entries of
-A), one Sturm isolation of the largest real root of its squarefree part, and
-rational bisection to the requested width.  The same recurrence, applied to
-the vector 1, yields P(z) = adj(zI - A) . 1, whose value at the Perron root
-is a nonnegative eigenvector (after exact division by any common factor
-vanishing there); its entries are evaluated by interval Horner at one
-enclosure of the root that they all share, bisected further on the
-squarefree part while an entry is too wide.  A rational root is the exact
-point [r, r] and evaluates exactly.  Floating point (numpy) appears only in
-the explicitly non-certified spectral-gap fallback for graphs that are not
-strongly connected, and in display values.
+A is read through its successor lists (at most m+1 entries a row on an orbit
+graph), so each product with A and each graph search costs its number of
+nonzero entries, not k^2.  The route to the dominant eigenvalue is exact: an
+integer characteristic polynomial (division-checked Faddeev-LeVerrier over
+the successor lists of A), one Sturm isolation of the largest real root of
+its squarefree part, and rational bisection to the requested width.  The
+same recurrence, applied to the vector 1, yields P(z) = adj(zI - A) . 1,
+whose value at the Perron root is a nonnegative eigenvector (after exact
+division by any common factor vanishing there); its entries are evaluated by
+interval Horner at one enclosure of the root that they all share, bisected
+further on the squarefree part while an entry is too wide.  A rational root
+is the exact point [r, r] and evaluates exactly.  Floating point (numpy)
+appears only in the explicitly non-certified spectral-gap fallback for
+graphs that are not strongly connected, and in display values.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from . import polys
 from .errors import DominanceNotEstablished, RefinementBudgetExceeded, ZeroMatrix
@@ -34,7 +38,6 @@ def char_polynomial(matrix: TransitionMatrix) -> tuple[int, ...]:
     division is by the step index and is checked exact).  Products run over
     the nonzero entries of A only (a row has at most m+1 of them)."""
     k = matrix.size
-    nonzero = _nonzero_entries(matrix)
     coeffs = [0] * (k + 1)
     coeffs[k] = 1
     m = [[0] * k for _ in range(k)]
@@ -42,14 +45,14 @@ def char_polynomial(matrix: TransitionMatrix) -> tuple[int, ...]:
         # m <- A @ m + c_{k-step+1} * I
         prev_c = coeffs[k - step + 1]
         am = []
-        for i, terms in enumerate(nonzero):
+        for i, terms in enumerate(matrix.succ):
             row = [0] * k
             for t, v in terms:
                 row = [x + v * y for x, y in zip(row, m[t])]
             row[i] += prev_c
             am.append(row)
         m = am
-        tr = sum(v * m[t][i] for i, terms in enumerate(nonzero) for t, v in terms)
+        tr = sum(v * m[t][i] for i, terms in enumerate(matrix.succ) for t, v in terms)
         q, r = divmod(-tr, step)
         assert r == 0, "Faddeev-LeVerrier trace must divide exactly"
         coeffs[k - step] = q
@@ -64,19 +67,14 @@ def _adjugate_row_sums(matrix: TransitionMatrix, chi: tuple[int, ...]) -> list[l
     p_{s+1} = A p_s + c_{k-s} . 1 without the matrices; (zI - A) P = chi . 1.
     """
     k = matrix.size
-    nonzero = _nonzero_entries(matrix)
     adj_one = [[0] * k for _ in range(k)]
     p = [1] * k
     for step in range(1, k + 1):
         if step > 1:
-            p = [sum(v * p[t] for t, v in terms) + chi[k - step + 1] for terms in nonzero]
+            p = [s + chi[k - step + 1] for s in matrix.mul_vec(p)]
         for i in range(k):
             adj_one[i][k - step] = p[i]
     return adj_one
-
-
-def _nonzero_entries(matrix: TransitionMatrix) -> list[list[tuple[int, int]]]:
-    return [[(t, v) for t, v in enumerate(row) if v] for row in matrix.rows]
 
 
 class DominanceStatus(Enum):
@@ -177,31 +175,20 @@ def _cycle_gcd(adj: list[list[int]]) -> int:
     return g
 
 
-def _primitivity_exponent(matrix: TransitionMatrix) -> int | None:
+def _primitivity_exponent(adj: list[list[int]]) -> int | None:
     """Smallest t with A^t entrywise positive, searched directly up to the
-    Wielandt bound (k-1)^2 + 1 using bitset boolean products."""
-    k = matrix.size
+    Wielandt bound (k-1)^2 + 1 using bitset boolean products: row i of A^t
+    is the union of the rows of A^(t-1) at the successors of i."""
+    k = len(adj)
     full = (1 << k) - 1
-    base = [sum(1 << j for j in range(k) if matrix.rows[i][j]) for i in range(k)]
-    cur = base[:]
+    cur = [sum(1 << j for j in a) for a in adj]
     bound = (k - 1) ** 2 + 1
     for t in range(1, bound + 1):
         if t > 1:
-            cur = [
-                _bit_or_rows(cur[i], base, k)
-                for i in range(k)
-            ]
+            cur = [reduce(or_, map(cur.__getitem__, a), 0) for a in adj]
         if all(row == full for row in cur):
             return t
     return None
-
-
-def _bit_or_rows(rowbits: int, base: list[int], k: int) -> int:
-    out = 0
-    for j in range(k):
-        if rowbits >> j & 1:
-            out |= base[j]
-    return out
 
 
 def check_dominance(matrix: TransitionMatrix,
@@ -216,7 +203,7 @@ def check_dominance(matrix: TransitionMatrix,
     certified.
     """
     k = matrix.size
-    if all(v == 0 for row in matrix.rows for v in row):
+    if not any(matrix.succ):
         # no positive eigenvalue exists at all; nothing to dominate
         return DominanceReport(
             status=DominanceStatus.UNKNOWN,
@@ -224,13 +211,16 @@ def check_dominance(matrix: TransitionMatrix,
             cycle_gcd=None,
             primitivity_exponent=None,
         )
-    adj = [[j for j in range(k) if matrix.rows[i][j]] for i in range(k)]
-    radj = [[i for i in range(k) if matrix.rows[i][j]] for j in range(k)]
+    adj = [[j for j, _ in terms] for terms in matrix.succ]
+    radj = [[] for _ in range(k)]
+    for i, targets in enumerate(adj):
+        for j in targets:
+            radj[j].append(i)
     sc = _strongly_connected(adj, radj)
     gcd = _cycle_gcd(adj) if sc else None
 
     if sc and gcd == 1:
-        exponent = _primitivity_exponent(matrix) if k <= 64 else None
+        exponent = _primitivity_exponent(adj) if k <= 64 else None
         if k <= 64:
             assert exponent is not None, "cycle gcd 1 but no positive power below the Wielandt bound"
         return DominanceReport(
@@ -279,7 +269,7 @@ def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> Pe
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if all(v == 0 for row in matrix.rows for v in row):
+    if not any(matrix.succ):
         raise ZeroMatrix("transition matrix has no nonzero entry")
 
     chi = char_polynomial(matrix)
@@ -294,7 +284,7 @@ def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> Pe
                           char_poly=chi, alpha_exact=lo if lo == hi else None)
 
     # Perron row-sum bounds must bracket the enclosure
-    row_sums = [sum(r) for r in matrix.rows]
+    row_sums = matrix.mul_vec([1] * matrix.size)
     assert result.alpha[0] <= max(row_sums) and result.alpha[1] >= min(row_sums), \
         "dominant root escaped the row-sum bracket"
     return result

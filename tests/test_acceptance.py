@@ -95,8 +95,9 @@ def test_criterion_1a_reference_instance(quintic_params, quintic_x):
 
     perm = _reference_order(quintic_params, graph.states)
     mat = transition_matrix(graph)
+    dense = mat.rows
     matrix_ok = all(
-        mat.rows[perm[q]][perm[j]] == REFERENCE_MATRIX[q][j]
+        dense[perm[q]][perm[j]] == REFERENCE_MATRIX[q][j]
         for q in range(10) for j in range(10)
     )
 

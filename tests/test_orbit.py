@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from betaorbit import (
     DivergenceReport,
@@ -154,6 +155,25 @@ def test_large_n_uses_squaring_consistently(golden_params):
     assert sum(matrix_power(mat, 200)[0]) == 201
 
 
+def _weighted_matrices(min_k, max_k):
+    return st.integers(min_k, max_k).flatmap(lambda k: st.lists(
+        st.lists(st.integers(0, 2), min_size=k, max_size=k), min_size=k, max_size=k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_weighted_matrices(1, 6))
+@example([[2, 1], [0, 1]])
+def test_weighted_counts_agree_on_both_routes(rows):
+    # n in 0..40 covers both routes: a 6-state matrix with no zero entry is
+    # counted by row vectors at n = 20 and by repeated squaring at n = 40
+    mat = TransitionMatrix.from_rows(rows)
+    profile = count_profile_matrix(mat, 40)
+    for n in range(41):
+        power = matrix_power(mat, n)
+        for q in range(mat.size):
+            assert count_prefixes_matrix(mat, q, n) == profile[n][q] == sum(power[q])
+
+
 # === density diagnostic ===
 
 def test_density_single_state(golden_params):
@@ -228,31 +248,54 @@ _ORBIT_IDS = ["golden_zero", "golden_one", "golden_third", "plastic_third", "cub
 @pytest.mark.parametrize("graph", _ORBITS, ids=_ORBIT_IDS)
 def test_transition_matrix_rows_are_branch_sets(graph):
     mat = transition_matrix(graph)
+    dense = mat.rows
     params = graph.params
     for q, state in enumerate(graph.states):
         branch = params.branch_digits(state)
-        assert sum(mat.rows[q]) == len(branch)
+        assert sum(dense[q]) == len(branch)
         targets = {graph.states.index(params.apply(i, state)) for i in branch}
-        assert {j for j, v in enumerate(mat.rows[q]) if v} == targets
+        assert {j for j, v in enumerate(dense[q]) if v} == targets
+        assert mat.succ[q] == tuple((j, 1) for j in sorted(targets))
 
 
 def test_orbit_sizes_cover_large_exports():
     assert [g.size for g in _ORBITS] == [1, 4, 16, 289, 734]
 
 
-@pytest.mark.parametrize("graph", _ORBITS[:4], ids=_ORBIT_IDS[:4])
-def test_matrix_json_writer_is_byte_identical(graph):
-    mat = transition_matrix(graph)
+def _assert_writers_match_dense(mat):
     fh = io.StringIO()
     mat.write_json(fh)
     assert fh.getvalue() == json.dumps(mat.to_json(), indent=2)
-    old_csv = "\n".join(",".join(str(v) for v in row) for row in mat.rows) + "\n"
-    assert mat.to_csv() == old_csv
+    dense = mat.rows
+    assert mat.to_json() == {"k": len(dense), "rows": [list(r) for r in dense]}
+    assert mat.to_csv() == "\n".join(",".join(str(v) for v in r) for r in dense) + "\n"
+
+
+@pytest.mark.parametrize("graph", _ORBITS[:4], ids=_ORBIT_IDS[:4])
+def test_matrix_json_writer_is_byte_identical(graph):
+    _assert_writers_match_dense(transition_matrix(graph))
 
 
 def test_matrix_json_writer_edge_shapes():
-    for rows in [(), ((0,),), ((1, 1), (0, 1)), ((0, 0, 0), (1, 0, 1), (0, 1, 1))]:
-        mat = TransitionMatrix(rows=rows)
-        fh = io.StringIO()
-        mat.write_json(fh)
-        assert fh.getvalue() == json.dumps(mat.to_json(), indent=2)
+    for rows in [(), ((0,),), ((1, 1), (0, 1)), ((0, 0, 0), (1, 0, 1), (0, 1, 1)),
+                 ((2, 0), (0, 0)), ((0, 12), (3, 1))]:
+        mat = TransitionMatrix.from_rows(rows)
+        assert mat.rows == rows
+        _assert_writers_match_dense(mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weighted_matrices(0, 8))
+def test_weighted_matrix_writers_match_dense_oracles(rows):
+    mat = TransitionMatrix.from_rows(rows)
+    assert mat.rows == tuple(map(tuple, rows))
+    _assert_writers_match_dense(mat)
+
+
+def test_from_rows_rejects_malformed_rows():
+    for rows in [((1, 0), (1,)), ((1, 0),), ((1, 0, 0), (0, 1, 0)), ((1, -1), (0, 1)),
+                 ((-2,),)]:
+        with pytest.raises(ValueError):
+            TransitionMatrix.from_rows(rows)
+    assert TransitionMatrix.from_rows([[0, 2], [1, 0]]).succ == (((1, 2),), ((0, 1),))
+    assert TransitionMatrix.from_rows([]).size == 0

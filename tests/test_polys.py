@@ -131,7 +131,7 @@ def test_isolate_endpoints_avoid_deflated_roots():
 @given(st.integers(2, 5).flatmap(lambda k: st.lists(
     st.lists(st.integers(0, 2), min_size=k, max_size=k), min_size=k, max_size=k)))
 def test_isolate_endpoints_are_sign_changes_on_char_polys(rows):
-    chi = char_polynomial(TransitionMatrix(rows=tuple(tuple(r) for r in rows)))
+    chi = char_polynomial(TransitionMatrix.from_rows(rows))
     _assert_isolation(polys.squarefree_part_int(chi))
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from betaorbit import (
     DominanceStatus,
@@ -35,7 +35,7 @@ F = Fraction
 
 
 def _mat(rows):
-    return TransitionMatrix(rows=tuple(tuple(r) for r in rows))
+    return TransitionMatrix.from_rows(rows)
 
 
 # === characteristic polynomial ===
@@ -63,11 +63,12 @@ def test_char_poly_permutation_invariant(quintic_params, quintic_x):
     chi = char_polynomial(mat)
     rng = random.Random(3)
     k = mat.size
+    dense = mat.rows
     for _ in range(5):
         perm = list(range(k))
         rng.shuffle(perm)
         rows = tuple(
-            tuple(mat.rows[perm[i]][perm[j]] for j in range(k)) for i in range(k)
+            tuple(dense[perm[i]][perm[j]] for j in range(k)) for i in range(k)
         )
         assert char_polynomial(_mat(rows)) == chi
 
@@ -118,9 +119,10 @@ def test_perron_eigenvector_residual(quintic_params, quintic_x):
     mat = transition_matrix(g)
     pr = perron_eigenvalue(mat)
     alo, ahi = pr.alpha
+    dense = mat.rows
     for q in range(mat.size):
-        slo = sum(pr.eigenvector[j][0] for j in range(mat.size) if mat.rows[q][j])
-        shi = sum(pr.eigenvector[j][1] for j in range(mat.size) if mat.rows[q][j])
+        slo = sum(pr.eigenvector[j][0] for j in range(mat.size) if dense[q][j])
+        shi = sum(pr.eigenvector[j][1] for j in range(mat.size) if dense[q][j])
         tlo = min(alo * pr.eigenvector[q][0], alo * pr.eigenvector[q][1],
                   ahi * pr.eigenvector[q][0], ahi * pr.eigenvector[q][1])
         thi = max(alo * pr.eigenvector[q][0], alo * pr.eigenvector[q][1],
@@ -180,6 +182,20 @@ def test_dominance_single_self_loop():
     rep = check_dominance(_mat([[1]]))
     assert rep.status == DominanceStatus.VERIFIED_PRIMITIVE
     assert rep.primitivity_exponent == 1
+
+
+def test_primitivity_exponent_reaches_the_wielandt_bound():
+    # a k-cycle with one chord skipping a state: the first positive power is
+    # A^((k-1)^2 + 1), the last one the search tries (k = 64 is the largest
+    # size it runs at)
+    k = 64
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][(i + 1) % k] = 1
+    rows[k - 1][1] = 1
+    rep = check_dominance(_mat(rows))
+    assert rep.status == DominanceStatus.VERIFIED_PRIMITIVE
+    assert rep.primitivity_exponent == (k - 1) ** 2 + 1
 
 
 # === dimension ===
@@ -295,6 +311,7 @@ def _nonneg_matrices(max_k, max_entry=2):
 def test_sparse_faddeev_leverrier_matches_dense(rows):
     mat = _mat(rows)
     k = mat.size
+    assert mat.rows == tuple(map(tuple, rows))
     chi = char_polynomial(mat)
     assert chi == _dense_faddeev_leverrier(rows)
     adj_one = _adjugate_row_sums(mat, chi)
@@ -305,6 +322,49 @@ def test_sparse_faddeev_leverrier_matches_dense(rows):
             for e, c in enumerate(adj_one[j]):
                 lhs[e] -= rows[i][j] * c
         assert tuple(lhs) == chi
+
+
+def _dense_dominance_oracle(rows):
+    """Reference for check_dominance's graph data from dense boolean powers:
+    (strongly_connected, cycle_gcd, primitivity_exponent)."""
+    k = len(rows)
+    if not any(map(any, rows)):
+        return False, None, None  # the zero matrix is reported as not connected
+    a = [[v > 0 for v in r] for r in rows]
+
+    def mul(x, y):
+        return [[any(x[i][t] and y[t][j] for t in range(k)) for j in range(k)]
+                for i in range(k)]
+
+    powers = [a]  # boolean A^1 .. A^k
+    for _ in range(k - 1):
+        powers.append(mul(powers[-1], a))
+    if not all(i == j or any(p[i][j] for p in powers) for i in range(k) for j in range(k)):
+        return False, None, None
+    # every closed walk splits into simple cycles, and those have length <= k
+    g = 0
+    for n, p in enumerate(powers, 1):
+        if any(p[i][i] for i in range(k)):
+            g = math.gcd(g, n)
+    if g != 1:
+        return True, g, None
+    t, p = 1, a
+    while not all(map(all, p)):
+        t, p = t + 1, mul(p, a)
+    return True, 1, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=k, max_size=k),
+    min_size=k, max_size=k)))
+@example([[0, 2, 0], [0, 0, 1], [1, 0, 0]])  # period 3
+@example([[0, 1, 2, 0], [1, 0, 0, 1], [2, 0, 0, 1], [0, 1, 1, 0]])  # bipartite
+@example([[0, 2], [1, 1]])
+def test_dominance_graph_data_matches_dense_oracle(rows):
+    rep = check_dominance(_mat(rows))
+    assert (rep.strongly_connected, rep.cycle_gcd, rep.primitivity_exponent) == \
+        _dense_dominance_oracle(rows)
 
 
 def _assert_perron_eigenvector(mat, pr):
@@ -496,10 +556,10 @@ from betaorbit import (ExpansionParams, IntPolynomial, NumberField, TransitionMa
                        check_dominance, compute_orbit, transition_matrix)
 params = ExpansionParams(NumberField(IntPolynomial((-1, -1, -1, -1, 0, 1))), 1)
 quintic = transition_matrix(compute_orbit(params, params.parse_point("1/(b^2-1)")))
-cycle = TransitionMatrix(rows=((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+cycle = TransitionMatrix.from_rows(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
 print(quintic.size, check_dominance(quintic).status.value,
       check_dominance(cycle).status.value, "numpy" in sys.modules)
-print(check_dominance(TransitionMatrix(rows=((2, 1), (0, 1)))).status.value)
+print(check_dominance(TransitionMatrix.from_rows(((2, 1), (0, 1)))).status.value)
 """
 
 
