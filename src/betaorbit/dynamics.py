@@ -1,7 +1,7 @@
 """The dynamical layer: digit maps x -> beta*x - i on [0, m/(beta-1)].
 
 Provides membership and branch-set queries, prefix checks, brute-force
-prefix counting (the enumeration oracle the matrix method is checked
+prefix counting (the level-by-level oracle the matrix method is checked
 against), expansion generation under greedy/lazy/alternating/interval-table
 rules with exact periodicity detection, and residual verification of digit
 strings.
@@ -219,31 +219,34 @@ def is_prefix(params: ExpansionParams, x: FieldElement, word: Sequence[int]) -> 
 
 
 def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int) -> int:
-    """Exact number of admissible length-n digit words from x, by depth-first
-    enumeration of the branching tree.
+    """Exact number of admissible length-n digit words from x, by counting
+    the branching tree level by level.
 
-    This is the independent oracle for the transition-matrix counts; it never
-    builds a matrix.  Only the one-step dynamics are memoized per state, the
-    counting itself walks every admissible word.
+    Level t maps each point reached by some admissible length-t word to the
+    number of such words that reach it; each point of level t passes its
+    count to every child, so level n sums to the number of words.  The
+    children of a point (one exact digit map per admissible digit) are
+    computed once per distinct point and kept.  This is the independent
+    oracle for the transition-matrix counts: it builds no orbit graph and no
+    matrix, and it needs no recursion, so n is not bounded by the stack.
+    For a base that is not Pisot the levels can keep growing with n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     params._require_inside(x)
     children: dict = {}
-
-    def expand(y: FieldElement):
-        got = children.get(y)
-        if got is None:
-            got = tuple(params.apply(i, y) for i in params.branch_digits(y))
-            children[y] = got
-        return got
-
-    def count(y: FieldElement, depth: int) -> int:
-        if depth == 0:
-            return 1
-        return sum(count(z, depth - 1) for z in expand(y))
-
-    return count(x, n)
+    level = {x: 1}
+    for _ in range(n):
+        nxt: dict = {}
+        for y, mult in level.items():
+            kids = children.get(y)
+            if kids is None:
+                kids = tuple(params.apply(i, y) for i in params.branch_digits(y))
+                children[y] = kids
+            for z in kids:
+                nxt[z] = nxt.get(z, 0) + mult
+        level = nxt
+    return sum(level.values())
 
 
 def generate_expansion(params: ExpansionParams, x: FieldElement, rule: ExpansionRule,

@@ -11,10 +11,22 @@ integer interval Horner (polys.evaluate_interval) on the numerators, over a
 ladder of shared rational enclosures of beta that is refined until the sign
 of a difference is certain; den > 0 does not change a sign.
 
-All values are immutable after construction.  The only mutable state is the
-per-field enclosure cache (beta's isolating interval and the conjugate
-boxes), whose refinement is monotone narrowing and guarded by a lock, so any
-snapshot a concurrent reader sees is a valid enclosure.
+approx returns the first rung of the ladder, coarse to fine, whose interval
+Horner enclosure is narrow enough.  Interval Horner is inclusion-isotone and
+the rungs are nested, so the rungs that fit form a suffix of the ladder.
+Each rung is also kept as integer endpoints (a, b, e) for [a/e, b/e], and
+approx runs the integer kernel (polys.horner_interval_int) on them, starting
+at the rung the last request with the same width returned: it mostly checks
+that rung and the one before it, and builds Fractions only for the interval
+it returns.
+
+All values are immutable after construction.  The mutable state is the
+per-field enclosure cache (beta's isolating interval, the ladder and its
+integer rungs, and the conjugate boxes), whose refinement is monotone
+narrowing and guarded by a lock, so any snapshot a concurrent reader sees is
+a valid enclosure; the integer rung list is replaced, never changed in
+place, so approx reads it without the lock.  The per-width rung hint is
+advisory: any hint gives the same interval, so it needs no lock either.
 """
 
 from __future__ import annotations
@@ -191,6 +203,13 @@ class NumberField:
         # ladder of progressively narrower enclosures; comparisons try coarse
         # (cheap, small denominators) snapshots before touching fine ones
         self._beta_ladder: list[Interval] = [(lo, hi)]
+        # the enclosures approx walks, as integer endpoints (a, b, e) for
+        # [a/e, b/e]: the ladder, then the current enclosure when it is not
+        # the last rung.  Replaced, never mutated, so a reader needs no lock.
+        self._rungs: list[tuple[int, int, int]] = [polys.integer_endpoints(lo, hi)]
+        # advisory: per eps (numerator, denominator), the rung approx last
+        # returned; any hint gives the same interval
+        self._rung_hint: dict[tuple[int, int], int] = {}
         self._lock = threading.RLock()
         self._conjugates: list[_RealEnclosure | _ComplexEnclosure] | None = None
 
@@ -264,12 +283,15 @@ class NumberField:
             for _ in range(rounds):
                 if self._beta_lo == self._beta_hi:
                     break
-                self._beta_lo, self._beta_hi = polys.bisect_step(
+                lo, hi = self._beta_lo, self._beta_hi = polys.bisect_step(
                     self._poly_q, self._beta_lo, self._beta_hi
                 )
-                last = self._beta_ladder[-1]
-                if (last[1] - last[0]) >= 256 * (self._beta_hi - self._beta_lo):
-                    self._beta_ladder.append((self._beta_lo, self._beta_hi))
+                ladder = self._beta_ladder
+                last = ladder[-1]
+                keep = len(ladder)
+                if (last[1] - last[0]) >= 256 * (hi - lo):
+                    ladder.append((lo, hi))
+                self._rungs = self._rungs[:keep] + [polys.integer_endpoints(lo, hi)]
             return self._beta_lo, self._beta_hi
 
     def _enclosure_ladder(self) -> list[Interval]:
@@ -607,25 +629,62 @@ class FieldElement:
 
         Interval Horner runs on the integer numerators; their enclosure is
         den times the value's, so it is accepted at width <= eps * den and
-        divided by den."""
-        eps = Fraction(eps)
-        if eps <= 0:
+        divided by den.  The answer is the first rung of the ladder, coarse
+        to fine, that gives that width (the rungs that do form a suffix, see
+        the module docstring); the search starts at the rung this eps last
+        needed.  When no rung fits, beta is refined until the current
+        enclosure does."""
+        if not isinstance(eps, Fraction):
+            eps = Fraction(eps)
+        en, ed = eps.numerator, eps.denominator
+        if en <= 0:
             raise ValueError("eps must be positive")
         p = self.nums
         if not any(p):
             return Fraction(0), Fraction(0)
         den = self.den
-        width = eps * den
+        limit = en * den  # the width test (ahi - alo) / scale <= eps * den, times ed * scale
         field = self.field
-        for lo, hi in field._enclosure_ladder():
-            vlo, vhi = polys.evaluate_interval(p, lo, hi)
-            if vhi - vlo <= width:
-                return vlo / den, vhi / den
+        kernel = polys.horner_interval_int
+        rungs = field._rungs
+        last = len(rungs) - 1
+        key = (en, ed)
+        i = min(field._rung_hint.get(key, last), last)
+        alo, ahi, scale = kernel(p, *rungs[i])
+        if alo == ahi:
+            # beta >= 1 on every rung, so a point enclosure means every
+            # nonconstant coefficient is zero and every rung gives this point
+            return Fraction(alo, den * scale), Fraction(ahi, den * scale)
+        if (ahi - alo) * ed <= limit * scale:
+            while i:
+                clo, chi, cscale = kernel(p, *rungs[i - 1])
+                if (chi - clo) * ed > limit * cscale:
+                    break
+                i -= 1
+                alo, ahi, scale = clo, chi, cscale
+        else:
+            while i < last:
+                i += 1
+                alo, ahi, scale = kernel(p, *rungs[i])
+                if (ahi - alo) * ed <= limit * scale:
+                    break
+            else:
+                alo, ahi, scale = self._approx_refining(ed, limit)
+                i = len(field._rungs) - 1
+        field._rung_hint[key] = i
+        den *= scale
+        return Fraction(alo, den), Fraction(ahi, den)
+
+    def _approx_refining(self, ed: int, limit: int) -> tuple[int, int, int]:
+        """approx when no rung fits: refine beta until the current enclosure
+        gives the width."""
+        p = self.nums
+        field = self.field
         for _ in range(100_000):
             lo, hi = field.refine_beta()
-            vlo, vhi = polys.evaluate_interval(p, lo, hi)
-            if vhi - vlo <= width:
-                return vlo / den, vhi / den
+            alo, ahi, scale = polys.horner_interval_int(p, *polys.integer_endpoints(lo, hi))
+            if (ahi - alo) * ed <= limit * scale:
+                return alo, ahi, scale
         raise RefinementBudgetExceeded("approximation did not reach the requested width")
 
     def __float__(self) -> float:

@@ -54,38 +54,54 @@ def common_denominator(cs: Sequence) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def evaluate_interval(p: Sequence, lo: Fraction, hi: Fraction) -> Interval:
-    """Enclosure of p([lo, hi]) by interval Horner evaluation.
-
-    The coefficients (ints or Fractions) are brought to one common
-    denominator D and the endpoints to another, E, so the Horner steps run on
-    integers: after t steps the accumulator holds D * E^(t-1) times the
-    rational one.  Positive scaling commutes with the min/max of interval
-    products, so the result is exactly the interval that rational interval
-    Horner gives.  For lo >= 0 each product bound is picked by sign; the
-    four-product min/max runs only when lo < 0.
-    """
-    if not p:
-        return _ZERO, _ZERO
-    nums, den = common_denominator(p)
-    nums.reverse()
+def integer_endpoints(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(a, b, e) with [lo, hi] = [a/e, b/e] and e the least common
+    denominator of the endpoints."""
     e = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (e // lo.denominator)
-    b = hi.numerator * (e // hi.denominator)
-    alo = ahi = nums[0]
+    return lo.numerator * (e // lo.denominator), hi.numerator * (e // hi.denominator), e
+
+
+def horner_interval_int(nums: Sequence[int], a: int, b: int, e: int) -> tuple[int, int, int]:
+    """Integer interval Horner: (alo, ahi, scale) with p([a/e, b/e])
+    enclosed by [alo/scale, ahi/scale], for the nonempty integer
+    coefficient vector nums of p (constant term first) and e > 0.
+
+    After t steps the accumulator holds e^(t-1) times the rational one.
+    Positive scaling commutes with the min/max of interval products, so
+    alo/scale and ahi/scale are exactly the bounds that rational interval
+    Horner gives.  For a >= 0 each product bound is picked by sign; the
+    four-product min/max runs only when a < 0.
+    """
+    it = reversed(nums)
+    alo = ahi = next(it)
     scale = 1
     if a >= 0:
-        for n in nums[1:]:
+        for n in it:
             scale *= e
             c = n * scale
             alo = alo * (a if alo >= 0 else b) + c
             ahi = ahi * (b if ahi >= 0 else a) + c
     else:
-        for n in nums[1:]:
+        for n in it:
             scale *= e
             c = n * scale
             prods = (alo * a, alo * b, ahi * a, ahi * b)
             alo, ahi = min(prods) + c, max(prods) + c
+    return alo, ahi, scale
+
+
+def evaluate_interval(p: Sequence, lo: Fraction, hi: Fraction) -> Interval:
+    """Enclosure of p([lo, hi]) by interval Horner evaluation.
+
+    The coefficients (ints or Fractions) are brought to one common
+    denominator D and the endpoints to another, so horner_interval_int runs
+    the steps on integers; the result is exactly the interval that rational
+    interval Horner gives.
+    """
+    if not p:
+        return _ZERO, _ZERO
+    nums, den = common_denominator(p)
+    alo, ahi, scale = horner_interval_int(nums, *integer_endpoints(lo, hi))
     den *= scale
     return Fraction(alo, den), Fraction(ahi, den)
 

@@ -164,6 +164,13 @@ def test_count_single_method(capsys):
     assert out.strip() == "brute: 21"
 
 
+def test_count_brute_word_length_beyond_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "count", "--minpoly", GOLDEN, "-m", "1", "-x", "0",
+                       "-n", "2000", "--method", "brute")
+    assert code == 0
+    assert out.strip() == "brute: 1"
+
+
 # === spectrum ===
 
 def test_spectrum_stdout_and_file(tmp_path, capsys):

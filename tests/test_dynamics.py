@@ -99,6 +99,31 @@ def test_prefix_count_matches_exhaustive_enumeration(golden_params):
         assert by_enum == count_prefixes_bruteforce(golden_params, one, n)
 
 
+@pytest.mark.parametrize("minpoly, m", [
+    ((-1, -1, -1, -1, 0, 1), 1),  # quintic
+    ((-1, -1, 0, 1), 2),          # plastic
+    ((-1, 0, -1, 1), 1),          # cubic
+    ((-1, -1, -1, -1, 1), 1),     # tetranacci
+    ((-2, 0, 1), 1),              # sqrt2: not Pisot, so the levels keep growing
+])
+def test_level_counts_match_exhaustive_enumeration(minpoly, m):
+    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
+    x = params.field.from_rational(F(1, 3))
+    for n in range(8):
+        by_enum = sum(
+            1 for w in itertools.product(range(m + 1), repeat=n)
+            if is_prefix(params, x, w)
+        )
+        assert by_enum == count_prefixes_bruteforce(params, x, n)
+
+
+def test_count_bruteforce_runs_past_the_recursion_limit(golden_params):
+    # the levels are counted iteratively, so n is not bounded by the stack
+    golden = golden_params.field
+    assert count_prefixes_bruteforce(golden_params, golden.zero, 5000) == 1
+    assert count_prefixes_bruteforce(golden_params, golden.one, 5000) == 5001
+
+
 def test_branch_consistency_random(golden_params):
     rng = random.Random(5)
     golden = golden_params.field

@@ -306,6 +306,115 @@ def test_field_ops_match_fraction_reference(case):
         assert x.approx(eps) == _ref_approx(field, a, eps)
 
 
+# the minimal polynomials of conftest: golden, quintic, base 2, plastic,
+# cubic, tetranacci, and the non-Pisot sqrt2 and sqrt3
+_CONFTEST_POLYS = ((-1, -1, 1), (-1, -1, -1, -1, 0, 1), (-2, 1), (-1, -1, 0, 1),
+                   (-1, 0, -1, 1), (-1, -1, -1, -1, 1), (-2, 0, 1), (-3, 0, 1))
+# widths from 1/2 down to about 1e-40
+_eps = st.one_of(
+    st.integers(1, 132).map(lambda k: F(1, 2 ** k)),
+    st.integers(1, 40).map(lambda k: F(1, 10 ** k)),
+    st.tuples(st.integers(1, 9), st.integers(1, 40)).map(lambda t: F(t[0], 2 * 10 ** t[1])),
+)
+
+
+@st.composite
+def _approx_sessions(draw):
+    """A field and a run of approx, refine_beta and compare calls on it; the
+    approx calls share a few widths, so the rung hints carry over."""
+    poly = draw(st.sampled_from(_CONFTEST_POLYS))
+    d = len(poly) - 1
+    vec = st.one_of(st.just((F(0),) * d),
+                    _coeff.map(lambda c: (F(c),) + (F(0),) * (d - 1)),
+                    st.lists(_coeff, min_size=d, max_size=d).map(lambda v: tuple(map(F, v))))
+    widths = draw(st.lists(_eps, min_size=1, max_size=3))
+    op = st.one_of(st.tuples(st.just("approx"), vec, st.sampled_from(widths)),
+                   st.tuples(st.just("refine"), st.integers(1, 12)),
+                   st.tuples(st.just("compare"), vec, vec))
+    return poly, draw(st.lists(op, min_size=1, max_size=14))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_approx_sessions())
+def test_approx_first_fit_matches_the_ladder_walk(session):
+    # approx against the coarse-to-fine walk of _ref_approx on a twin field
+    # that sees the same calls: equal intervals, equal refine_beta calls,
+    # equal ladders after every step
+    poly, ops = session
+    new, old = NumberField(IntPolynomial(poly)), NumberField(IntPolynomial(poly))
+    refines = {new: 0, old: 0}
+    for field in (new, old):
+        def counting_refine(rounds=1, _field=field, _refine=field.refine_beta):
+            refines[_field] += 1
+            return _refine(rounds)
+        field.refine_beta = counting_refine
+    for op in ops:
+        if op[0] == "approx":
+            _, a, eps = op
+            x = new.element(a)
+            assert x.approx(eps) == _ref_approx(old, a, eps)
+        elif op[0] == "refine":
+            assert new.refine_beta(op[1]) == old.refine_beta(op[1])
+        else:
+            _, a, b = op
+            assert new.element(a).compare(new.element(b)) == old.element(a).compare(old.element(b))
+        assert refines[new] == refines[old]
+        assert new._enclosure_ladder() == old._enclosure_ladder()
+        assert new._rungs == [polys.integer_endpoints(lo, hi) for lo, hi in new._enclosure_ladder()]
+
+
+def test_approx_builds_only_the_returned_pair(quintic, monkeypatch):
+    b = quintic.beta
+    elems = [b, b * b - 1, (b + F(2, 3)) * F(-5, 7), quintic.from_rational(F(4, 9))]
+    eps = F(1, 10 ** 9)
+    for x in elems:
+        x.approx(eps / 1000)  # the ladder now fits eps without refining
+    count = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for x in elems:
+        x.approx(eps)
+    assert count[0] == 2 * len(elems)
+
+
+def test_orbit_approx_makes_about_two_kernel_evaluations(monkeypatch, tmp_path, capsys):
+    # quintic x = 1/3 (k = 1372): a search that starts at the rung the last
+    # call with the same eps returned mostly evaluates that rung and the one
+    # before it; walking the ladder from the coarsest rung made about 4.3
+    from betaorbit.cli import main
+    from betaorbit.field import FieldElement
+    counts = {"approx": 0, "kernel": 0}
+    depth = [0]
+    approx, kernel = FieldElement.approx, polys.horner_interval_int
+
+    def counting_approx(self, *args):
+        counts["approx"] += 1
+        depth[0] += 1
+        try:
+            return approx(self, *args)
+        finally:
+            depth[0] -= 1
+
+    def counting_kernel(*args):
+        if depth[0]:
+            counts["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(FieldElement, "approx", counting_approx)
+    monkeypatch.setattr(polys, "horner_interval_int", counting_kernel)
+    argv = ["orbit", "--minpoly", "-1,-1,-1,-1,0,1", "-m", "1", "-x", "1/3",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("k = 1372\n")
+    assert counts["approx"] > 3 * 1372
+    assert counts["kernel"] <= 2.2 * counts["approx"]
+
+
 def test_reduced_form_is_unique(golden):
     x = golden.element([F(2, 4), F(6, 8)])
     y = golden.from_rational(F(1, 2)) + golden.element([0, F(3, 4)])
