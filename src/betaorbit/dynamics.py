@@ -252,10 +252,11 @@ def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int) 
 def generate_expansion(params: ExpansionParams, x: FieldElement, rule: ExpansionRule,
                        max_steps: int = 10_000) -> ExpansionRun:
     """Iterate the rule from x, recording digits until an exact state
-    recurrence (canonical-form lookup, no numeric hashing) or max_steps."""
+    recurrence (canonical-form lookup, no numeric hashing) or max_steps.
+    A point outside the interval raises OutsideInterval at its first
+    branch_digits."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    params._require_inside(x)
     seen = {x: 0}
     states = [x]
     digits: list[int] = []

@@ -6,27 +6,30 @@ A field element is a rational vector in the power basis 1, beta, ...,
 beta^(d-1), stored as integer numerators over one common denominator,
 (nums, den) with den > 0 and gcd(den, *nums) == 1.  That reduced form is
 unique, so equality, hashing and deduplication compare it directly, and each
-ring operation ends with one gcd normalisation.  Ordering is decided by
-integer interval Horner (polys.evaluate_interval) on the numerators, over a
-ladder of shared rational enclosures of beta that is refined until the sign
-of a difference is certain; den > 0 does not change a sign.
+ring operation ends with one gcd normalisation.
 
-approx returns the first rung of the ladder, coarse to fine, whose interval
-Horner enclosure is narrow enough.  Interval Horner is inclusion-isotone and
-the rungs are nested, so the rungs that fit form a suffix of the ladder.
-Each rung is also kept as integer endpoints (a, b, e) for [a/e, b/e], and
-approx runs the integer kernel (polys.horner_interval_int) on them, starting
-at the rung the last request with the same width returned: it mostly checks
-that rung and the one before it, and builds Fractions only for the interval
-it returns.
+Ordering and approximation share one ladder of rational enclosures of beta,
+kept as integer endpoints (a, b, e) for [a/e, b/e]: rungs, each at least
+256 times narrower than the one before, and last the current enclosure.
+Both run integer interval Horner (polys.horner_interval_int) on the
+numerators; den > 0 does not change a sign.  Interval Horner is
+inclusion-isotone and the rungs are nested, so the enclosure at a finer
+rung lies inside the one at a coarser rung.  Hence compare reads the sign at
+the current enclosure, which decides every sign a coarser rung decides, and
+refines beta one bisection at a time until the sign is certain.  approx
+returns the first rung, coarse to fine, whose enclosure is narrow enough
+(the rungs that fit form a suffix of the ladder): it starts at the rung the
+last request with the same width returned, mostly checks that rung and the
+one before it, walks on into refinement when no rung fits, and builds
+Fractions only for the interval it returns.
 
 All values are immutable after construction.  The mutable state is the
-per-field enclosure cache (beta's isolating interval, the ladder and its
-integer rungs, and the conjugate boxes), whose refinement is monotone
-narrowing and guarded by a lock, so any snapshot a concurrent reader sees is
-a valid enclosure; the integer rung list is replaced, never changed in
-place, so approx reads it without the lock.  The per-width rung hint is
-advisory: any hint gives the same interval, so it needs no lock either.
+per-field enclosure cache (beta's isolating interval, the ladder, and the
+conjugate boxes), whose refinement is monotone narrowing and guarded by a
+lock, so any snapshot a concurrent reader sees is a valid enclosure; the
+ladder list is replaced, never changed in place, so compare and approx read
+it without the lock.  The per-width rung hint is advisory: any hint gives
+the same interval, so it needs no lock either.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .errors import (
 from .polys import Box, Interval
 
 _CMP_BUDGET = 4096
-_ZERO_TEST_AFTER = 64  # rounds of refinement before suspecting a reducible modulus
+_ZERO_TEST_AFTER = 65  # refinements before suspecting a reducible modulus
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,9 @@ class IntPolynomial:
 
     def __post_init__(self):
         cs = tuple(int(c) for c in self.coeffs)
+        for c, n in zip(self.coeffs, cs):
+            if c != n:
+                raise ValueError(f"coefficient {c} is not an integer")
         object.__setattr__(self, "coeffs", cs)
         if len(cs) < 2:
             raise DegreeZero("defining polynomial must have degree >= 1")
@@ -69,9 +75,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return polys.evaluate(self.coeffs, Fraction(x))
 
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
@@ -200,13 +203,13 @@ class NumberField:
             )
         self._chosen_index = isolations.index(by_rank[root_rank])
         self._beta_lo, self._beta_hi = lo, hi
-        # ladder of progressively narrower enclosures; comparisons try coarse
-        # (cheap, small denominators) snapshots before touching fine ones
-        self._beta_ladder: list[Interval] = [(lo, hi)]
-        # the enclosures approx walks, as integer endpoints (a, b, e) for
-        # [a/e, b/e]: the ladder, then the current enclosure when it is not
-        # the last rung.  Replaced, never mutated, so a reader needs no lock.
+        # the one enclosure ladder, as integer endpoints (a, b, e) for
+        # [a/e, b/e]: the first _ladder_len entries are rungs, each at least
+        # 256 times narrower than the one before, and the last entry is
+        # always the current enclosure (itself a rung when it was kept as
+        # one).  Replaced, never mutated, so a reader needs no lock.
         self._rungs: list[tuple[int, int, int]] = [polys.integer_endpoints(lo, hi)]
+        self._ladder_len = 1
         # advisory: per eps (numerator, denominator), the rung approx last
         # returned; any hint gives the same interval
         self._rung_hint: dict[tuple[int, int], int] = {}
@@ -286,20 +289,13 @@ class NumberField:
                 lo, hi = self._beta_lo, self._beta_hi = polys.bisect_step(
                     self._poly_q, self._beta_lo, self._beta_hi
                 )
-                ladder = self._beta_ladder
-                last = ladder[-1]
-                keep = len(ladder)
-                if (last[1] - last[0]) >= 256 * (hi - lo):
-                    ladder.append((lo, hi))
-                self._rungs = self._rungs[:keep] + [polys.integer_endpoints(lo, hi)]
+                keep = self._ladder_len
+                a, b, e = self._rungs[keep - 1]
+                cur = polys.integer_endpoints(lo, hi)
+                if (b - a) * cur[2] >= 256 * (cur[1] - cur[0]) * e:
+                    self._ladder_len = keep + 1
+                self._rungs = self._rungs[:keep] + [cur]
             return self._beta_lo, self._beta_hi
-
-    def _enclosure_ladder(self) -> list[Interval]:
-        with self._lock:
-            ladder = list(self._beta_ladder)
-            if ladder[-1] != (self._beta_lo, self._beta_hi):
-                ladder.append((self._beta_lo, self._beta_hi))
-            return ladder
 
     def evaluates_to_zero(self, elem: "FieldElement") -> bool:
         """Exact test for elem(beta) == 0, sound even when the defining
@@ -577,10 +573,13 @@ class FieldElement:
     # -- ordering and approximation -------------------------------------------
 
     def compare(self, other) -> int:
-        """-1, 0, or +1; exact.  Equality is identity of the reduced form, and
-        sign is decided by refining the shared enclosure of beta.  The
-        numerator vector of the difference over the common denominator has
-        the sign of the difference, so it goes to interval Horner as is."""
+        """-1, 0, or +1; exact.  Equality is identity of the reduced form.
+        The numerator vector of the difference over the common denominator
+        has the sign of the difference, so integer interval Horner on it at
+        the current enclosure of beta reads the sign, and beta is refined
+        one bisection at a time until it does.  Interval Horner is
+        inclusion-isotone and the rungs are nested, so a sign that any
+        coarser rung decides is decided at the current enclosure too."""
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare FieldElement with {type(other).__name__}")
@@ -590,27 +589,22 @@ class FieldElement:
             return 0
         while not p[-1]:
             p.pop()
-        # a reduced Fraction carries its sign in the numerator
         field = self.field
-        for lo, hi in field._enclosure_ladder():
-            vlo, vhi = polys.evaluate_interval(p, lo, hi)
-            if vlo.numerator > 0:
-                return 1
-            if vhi.numerator < 0:
-                return -1
-        for rounds in range(_CMP_BUDGET):
-            lo, hi = field.refine_beta()
-            vlo, vhi = polys.evaluate_interval(p, lo, hi)
-            if vlo.numerator > 0:
-                return 1
-            if vhi.numerator < 0:
-                return -1
+        kernel = polys.horner_interval_int
+        alo, ahi, _ = kernel(p, *field._rungs[-1])
+        rounds = 0
+        while alo <= 0 <= ahi:
             if rounds == _ZERO_TEST_AFTER and field.evaluates_to_zero(self - o):
                 raise RefinementBudgetExceeded(
                     "distinct representations coincide at the chosen root; "
                     "the defining polynomial is reducible"
                 )
-        raise RefinementBudgetExceeded("sign of a nonzero difference did not resolve")
+            if rounds == _CMP_BUDGET:
+                raise RefinementBudgetExceeded("sign of a nonzero difference did not resolve")
+            field.refine_beta()
+            alo, ahi, _ = kernel(p, *field._rungs[-1])
+            rounds += 1
+        return 1 if alo > 0 else -1
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -632,8 +626,8 @@ class FieldElement:
         divided by den.  The answer is the first rung of the ladder, coarse
         to fine, that gives that width (the rungs that do form a suffix, see
         the module docstring); the search starts at the rung this eps last
-        needed.  When no rung fits, beta is refined until the current
-        enclosure does."""
+        needed.  When no rung fits, the walk goes on refining beta until the
+        current enclosure, the last rung, does."""
         if not isinstance(eps, Fraction):
             eps = Fraction(eps)
         en, ed = eps.numerator, eps.denominator
@@ -663,29 +657,26 @@ class FieldElement:
                 i -= 1
                 alo, ahi, scale = clo, chi, cscale
         else:
-            while i < last:
-                i += 1
+            # up the ladder, then on into refinement: the last rung is always
+            # the current enclosure
+            refined = 0
+            while True:
+                if i < last:
+                    i += 1
+                else:
+                    if refined == 100_000:
+                        raise RefinementBudgetExceeded(
+                            "approximation did not reach the requested width")
+                    field.refine_beta()
+                    refined += 1
+                    rungs = field._rungs
+                    i = last = len(rungs) - 1
                 alo, ahi, scale = kernel(p, *rungs[i])
                 if (ahi - alo) * ed <= limit * scale:
                     break
-            else:
-                alo, ahi, scale = self._approx_refining(ed, limit)
-                i = len(field._rungs) - 1
         field._rung_hint[key] = i
         den *= scale
         return Fraction(alo, den), Fraction(ahi, den)
-
-    def _approx_refining(self, ed: int, limit: int) -> tuple[int, int, int]:
-        """approx when no rung fits: refine beta until the current enclosure
-        gives the width."""
-        p = self.nums
-        field = self.field
-        for _ in range(100_000):
-            lo, hi = field.refine_beta()
-            alo, ahi, scale = polys.horner_interval_int(p, *polys.integer_endpoints(lo, hi))
-            if (ahi - alo) * ed <= limit * scale:
-                return alo, ahi, scale
-        raise RefinementBudgetExceeded("approximation did not reach the requested width")
 
     def __float__(self) -> float:
         lo, hi = self.approx(Fraction(1, 10 ** 17))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import ExpansionParams
-from .errors import OutsideInterval
 from .field import FieldElement, sort_elements
 
 
@@ -178,11 +177,12 @@ def orbit_level(params: ExpansionParams, x: FieldElement, n: int) -> list[FieldE
     sorted ascending."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if not params.contains(x):
-        raise OutsideInterval(f"{x!r} lies outside [0, m/(beta-1)]")
-    level = {x}
+    params._require_inside(x)
+    # an insertion-ordered dict, not a set: element hashes depend on the
+    # field's id, and the order of the exact work must not
+    level = {x: None}
     for _ in range(n):
-        level = {params.apply(d, y) for y in level for d in params.branch_digits(y)}
+        level = dict.fromkeys(params.apply(d, y) for y in level for d in params.branch_digits(y))
     return sort_elements(level)
 
 

@@ -133,46 +133,18 @@ class DimensionResult:
     certified: bool
 
 
-def _strongly_connected(adj: list[list[int]], radj: list[list[int]]) -> bool:
-    k = len(adj)
-
-    def reach(start: int, nbrs) -> int:
-        seen = [False] * k
-        seen[start] = True
-        stack = [start]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in nbrs[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count
-
-    return reach(0, adj) == k and reach(0, radj) == k
-
-
-def _cycle_gcd(adj: list[list[int]]) -> int:
-    """gcd of all cycle lengths of a strongly connected digraph, via BFS
-    levels: every edge (u, v) contributes |level(u) + 1 - level(v)|."""
-    k = len(adj)
-    level = [-1] * k
+def _bfs_levels(nbrs: list[list[int]]) -> list[int]:
+    """Breadth-first depth of every state from state 0, -1 where state 0
+    cannot reach it."""
+    level = [-1] * len(nbrs)
     level[0] = 0
     queue = [0]
-    qpos = 0
-    while qpos < len(queue):
-        u = queue[qpos]
-        qpos += 1
-        for v in adj[u]:
+    for u in queue:
+        for v in nbrs[u]:
             if level[v] < 0:
                 level[v] = level[u] + 1
                 queue.append(v)
-    g = 0
-    for u in range(k):
-        for v in adj[u]:
-            g = math.gcd(g, abs(level[u] + 1 - level[v]))
-    return g
+    return level
 
 
 def _primitivity_exponent(adj: list[list[int]]) -> int | None:
@@ -196,11 +168,15 @@ def check_dominance(matrix: TransitionMatrix,
     """Decide whether the dominant eigenvalue strictly exceeds all other
     eigenvalue moduli.
 
-    Primitivity (strong connectivity with cycle gcd 1) certifies it; strong
-    connectivity with gcd > 1 certifies failure (the peripheral spectrum is a
-    full cycle of moduli equal to alpha).  Otherwise the eigenvalue moduli
-    are compared numerically and the verdict is flagged as numeric, not
-    certified.
+    The structure is read from breadth-first levels from state 0
+    (_bfs_levels).  The graph is strongly connected when every state has a
+    level both in the graph and in its reverse.  Then the gcd of all cycle
+    lengths is the gcd over the edges (u, v) of |level(u) + 1 - level(v)|,
+    and the levels mod that gcd are the cyclic classes.  Primitivity (strong
+    connectivity with cycle gcd 1) certifies dominance; strong connectivity
+    with gcd > 1 certifies failure (the peripheral spectrum is a full cycle
+    of moduli equal to alpha).  Otherwise the eigenvalue moduli are compared
+    numerically and the verdict is flagged as numeric, not certified.
     """
     k = matrix.size
     if not any(matrix.succ):
@@ -216,8 +192,10 @@ def check_dominance(matrix: TransitionMatrix,
     for i, targets in enumerate(adj):
         for j in targets:
             radj[j].append(i)
-    sc = _strongly_connected(adj, radj)
-    gcd = _cycle_gcd(adj) if sc else None
+    level = _bfs_levels(adj)
+    sc = min(level) >= 0 and min(_bfs_levels(radj)) >= 0
+    gcd = reduce(math.gcd, (abs(level[u] + 1 - level[v])
+                            for u, targets in enumerate(adj) for v in targets), 0) if sc else None
 
     if sc and gcd == 1:
         exponent = _primitivity_exponent(adj) if k <= 64 else None

@@ -46,6 +46,16 @@ def test_rejects_non_monic():
         IntPolynomial((-1, 2))
 
 
+def test_rejects_non_integer_coefficients():
+    for coeffs in ((-2.5, 0, 1), (F(-3, 2), -1, 1)):
+        with pytest.raises(ValueError, match="not an integer"):
+            IntPolynomial(coeffs)
+    with pytest.raises(ValueError):
+        NumberField([-2.5, 0, 1])
+    assert IntPolynomial((-2.0, F(0), 1)).coeffs == (-2, 0, 1)
+    assert str(IntPolynomial((F(-1), -1, 1.0))) == "z^2 - z - 1"
+
+
 def test_rejects_non_squarefree():
     with pytest.raises(NotSquarefree):
         NumberField(IntPolynomial((1, -2, 1)))  # (z-1)^2
@@ -233,12 +243,18 @@ def _ref_mul(field, a, b):
     return tuple(out)
 
 
+def _ladder(field):
+    """The field's ladder as Fraction intervals, coarse to fine."""
+    return [(F(a, e), F(b, e)) for a, b, e in field._rungs]
+
+
 def _ref_compare(field, a, b):
-    """Sign of a - b by the Fraction-coefficient route over the shared ladder."""
+    """Sign of a - b by the Fraction-coefficient route over the shared
+    ladder, walked from the coarsest rung."""
     p = polys.normalize([x - y for x, y in zip(a, b)])
     if not p:
         return 0
-    for lo, hi in field._enclosure_ladder():
+    for lo, hi in _ladder(field):
         vlo, vhi = _horner_ref(p, lo, hi)
         if vlo > 0 or vhi < 0:
             return 1 if vlo > 0 else -1
@@ -253,7 +269,7 @@ def _ref_approx(field, a, eps):
     p = polys.normalize(a)
     if not p:
         return F(0), F(0)
-    for lo, hi in field._enclosure_ladder():
+    for lo, hi in _ladder(field):
         vlo, vhi = _horner_ref(p, lo, hi)
         if vhi - vlo <= eps:
             return vlo, vhi
@@ -337,9 +353,10 @@ def _approx_sessions(draw):
 @settings(max_examples=150, deadline=None)
 @given(_approx_sessions())
 def test_approx_first_fit_matches_the_ladder_walk(session):
-    # approx against the coarse-to-fine walk of _ref_approx on a twin field
-    # that sees the same calls: equal intervals, equal refine_beta calls,
-    # equal ladders after every step
+    # approx and compare against the coarse-to-fine walks of _ref_approx
+    # and _ref_compare on a twin field that sees the same calls: equal
+    # intervals and signs, equal refine_beta calls, equal ladders after
+    # every step
     poly, ops = session
     new, old = NumberField(IntPolynomial(poly)), NumberField(IntPolynomial(poly))
     refines = {new: 0, old: 0}
@@ -357,10 +374,24 @@ def test_approx_first_fit_matches_the_ladder_walk(session):
             assert new.refine_beta(op[1]) == old.refine_beta(op[1])
         else:
             _, a, b = op
-            assert new.element(a).compare(new.element(b)) == old.element(a).compare(old.element(b))
+            assert new.element(a).compare(new.element(b)) == _ref_compare(old, a, b)
         assert refines[new] == refines[old]
-        assert new._enclosure_ladder() == old._enclosure_ladder()
-        assert new._rungs == [polys.integer_endpoints(lo, hi) for lo, hi in new._enclosure_ladder()]
+        assert new._rungs == old._rungs
+        _assert_ladder_shape(new)
+
+
+def _assert_ladder_shape(field):
+    """Bisection halves the width, so each rung is exactly 256 times
+    narrower than the one before, and the current enclosure, always last,
+    is a rung as soon as it is that narrow."""
+    ladder = _ladder(field)
+    assert ladder[-1] == field.beta_interval()
+    n = field._ladder_len
+    assert len(ladder) in (n, n + 1)
+    widths = [hi - lo for lo, hi in ladder]
+    assert all(widths[i - 1] == 256 * widths[i] for i in range(1, n))
+    if len(ladder) > n:
+        assert widths[n - 1] < 256 * widths[n]
 
 
 def test_approx_builds_only_the_returned_pair(quintic, monkeypatch):
@@ -427,10 +458,10 @@ def test_reduced_form_is_unique(golden):
 
 
 def test_compare_builds_no_fraction_outside_the_kernel(golden, monkeypatch):
-    # the only Fractions a compare makes are the interval pairs that
-    # evaluate_interval returns
+    # compare reads signs from the integer kernel's numerators and builds no
+    # Fraction at all
     counts = {"fraction": 0, "kernel": 0}
-    new, kernel = Fraction.__new__, polys.evaluate_interval
+    new, kernel = Fraction.__new__, polys.horner_interval_int
 
     def counting_new(cls, *args, **kwargs):
         counts["fraction"] += 1
@@ -443,9 +474,27 @@ def test_compare_builds_no_fraction_outside_the_kernel(golden, monkeypatch):
     b = golden.beta
     x, y, q = b * F(1, 3), (b + 1) * F(2, 7), F(5, 3)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    monkeypatch.setattr(polys, "evaluate_interval", counting_kernel)
+    monkeypatch.setattr(polys, "horner_interval_int", counting_kernel)
     assert [x.compare(y), y.compare(x), x.compare(x), x.compare(1), x.compare(q)] == [-1, 1, 0, -1, -1]
-    assert counts["kernel"] > 0 and counts["fraction"] == 2 * counts["kernel"]
+    assert counts["kernel"] > 0 and counts["fraction"] == 0
+
+
+def test_reducible_modulus_zero_test_after_65_refinements():
+    # (z^2 - z - 1)(z^2 + 1): b^2 and b + 1 differ as vectors but agree at
+    # the golden root, which is irrational, so every refinement is real work
+    field = NumberField(IntPolynomial((-1, -1, 0, -1, 1)))
+    refines = [0]
+    refine = field.refine_beta
+
+    def counting_refine(rounds=1):
+        refines[0] += 1
+        return refine(rounds)
+
+    field.refine_beta = counting_refine
+    b = field.beta
+    with pytest.raises(RefinementBudgetExceeded, match="reducible"):
+        (b * b).compare(b + 1)
+    assert refines[0] == 65
 
 
 # === random fields: construction succeeds and encloses the root ===

@@ -114,6 +114,35 @@ def test_levels_are_subsets_of_orbit(quintic_params, quintic_x):
     assert sizes[:10] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
 
 
+def test_orbit_level_does_the_same_work_on_fresh_fields(monkeypatch):
+    # element hashes include the field's id; a level kept as a set made the
+    # exact work (and so the compare count) vary from field to field
+    from betaorbit.field import FieldElement
+    counts = {"compare": 0, "refine": 0}
+    compare = FieldElement.compare
+
+    def counting_compare(self, other):
+        counts["compare"] += 1
+        return compare(self, other)
+
+    monkeypatch.setattr(FieldElement, "compare", counting_compare)
+    work, fields = [], []
+    for _ in range(4):
+        field = NumberField(IntPolynomial((-1, -1, -1, -1, 0, 1)))
+        fields.append(field)  # keep each alive, so every id is new
+        refine = field.refine_beta
+
+        def counting_refine(rounds=1, _refine=refine):
+            counts["refine"] += 1
+            return _refine(rounds)
+
+        field.refine_beta = counting_refine
+        counts.update(compare=0, refine=0)
+        level = orbit_level(ExpansionParams(field, 1), field.from_rational(F(1, 3)), 9)
+        work.append((counts["compare"], counts["refine"], [y.nums for y in level]))
+    assert all(w == work[0] for w in work)
+
+
 # === matrix counting ===
 
 def test_matrix_power_identity(golden_params):
@@ -198,6 +227,39 @@ def test_density_quintic(quintic_params, quintic_x):
     assert rep.n_cells == 38
     assert len(rep.hit_cells) == 10  # all ten states in distinct cells
     assert rep.covering_fraction == F(10, 38)
+
+
+def test_density_makes_one_kernel_evaluation_per_compare(monkeypatch):
+    # compare reads the sign at the current enclosure of beta; walking the
+    # ladder from the coarsest rung made about 2 evaluations per compare
+    from betaorbit import polys
+    from betaorbit.field import FieldElement
+    field = NumberField(IntPolynomial((-1, 0, -1, 1)))
+    g = compute_orbit(ExpansionParams(field, 1), field.from_rational(F(1, 5)))
+    assert g.size == 236
+    counts = {"compare": 0, "kernel": 0}
+    depth = [0]
+    compare, kernel = FieldElement.compare, polys.horner_interval_int
+
+    def counting_compare(self, other):
+        counts["compare"] += 1
+        depth[0] += 1
+        try:
+            return compare(self, other)
+        finally:
+            depth[0] -= 1
+
+    def counting_kernel(*args):
+        if depth[0]:
+            counts["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(FieldElement, "compare", counting_compare)
+    monkeypatch.setattr(polys, "horner_interval_int", counting_kernel)
+    rep = density_diagnostic(g, F(1, 500))
+    assert len(rep.hit_cells) == 230
+    assert counts["compare"] > 10 * g.size
+    assert counts["kernel"] <= 1.05 * counts["compare"]
 
 
 # === exports ===
