@@ -99,7 +99,6 @@ def build_parser() -> _Parser:
     p.add_argument("--state-cap", type=int, default=100_000)
     p.add_argument("--depth-cap", type=int, default=1_000)
     p.add_argument("--tol", default="1e-12", help="width of the alpha enclosure")
-    p.add_argument("--gap-tol", default="1e-9", help="numeric spectral-gap tolerance")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(handler=cmd_dimension)
 
@@ -151,9 +150,8 @@ def cmd_orbit(args) -> int:
     elif args.format == "dot":
         print(result.to_dot(), end="")
     else:
-        for j, state in enumerate(result.states, start=1):
-            lo, hi = state.approx(Fraction(1, 10 ** 7))
-            print(f"  {j}: {decimal_str((lo + hi) / 2, 5, -1)}  depth {result.discovery_depth[j - 1]}")
+        for j, mid in enumerate(result.label_midpoints, start=1):
+            print(f"  {j}: {decimal_str(mid, 5, -1)}  depth {result.discovery_depth[j - 1]}")
     if args.out:
         mat = transition_matrix(result)
         with open(args.out + ".json", "w") as fh:
@@ -175,7 +173,7 @@ def cmd_dimension(args) -> int:
         return EXIT_DIVERGED
     mat = transition_matrix(result)
     perron = perron_eigenvalue(mat, tol=Fraction(args.tol))
-    dom = check_dominance(mat, numeric_gap_tol=Fraction(args.gap_tol))
+    dom = check_dominance(mat)
 
     report = {
         "k": result.size,
@@ -204,8 +202,7 @@ def cmd_dimension(args) -> int:
         print(f"alpha in [{report['alpha'][0]}, {report['alpha'][1]}]")
         print(f"condition1: {report['condition1']}")
         if report["dim"] is not None:
-            print(f"dim in [{report['dim'][0]}, {report['dim'][1]}] "
-                  f"({'certified' if report['certified'] else 'numeric'})")
+            print(f"dim in [{report['dim'][0]}, {report['dim'][1]}] (certified)")
         else:
             print(f"dim <= {report['dim_upper_bound'][1]} (dominance not verified)")
     return code

@@ -24,10 +24,12 @@ class DivisionByZero(BetaOrbitError, ZeroDivisionError):
 
 
 class RefinementBudgetExceeded(BetaOrbitError):
-    """Internal panic: an enclosure refinement loop hit its hard cap.
+    """A refinement loop hit its hard cap.
 
-    Unreachable for honest nonzero differences; guards misuse with reducible
-    defining polynomials where two representations coincide at the root.
+    For enclosures of beta this is unreachable for honest nonzero
+    differences; it guards misuse with reducible defining polynomials where
+    two representations coincide at the root.  It also ends the proposal,
+    certification and separation of complex conjugate roots.
     """
 
 

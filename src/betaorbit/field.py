@@ -344,7 +344,7 @@ class NumberField:
                 rounds = 0
                 while polys._box_intersect(pair_encs[i].box, pair_encs[j].box):
                     if rounds >= cap:
-                        raise ArithmeticError("could not separate two conjugate enclosures")
+                        raise RefinementBudgetExceeded("could not separate two conjugate enclosures")
                     pair_encs[i].refine()
                     pair_encs[j].refine()
                     rounds += 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .dynamics import ExpansionParams
 from .field import FieldElement, sort_elements
@@ -39,12 +40,16 @@ class OrbitGraph:
             "edges": [list(e) for e in self.edges],
         }
 
+    @cached_property
+    def label_midpoints(self) -> list[Fraction]:
+        """Midpoint of each state's 1e-7 enclosure, the value that the
+        table and the DOT labels print."""
+        return [sum(s.approx(Fraction(1, 10 ** 7))) / 2 for s in self.states]
+
     def to_dot(self) -> str:
         lines = ["digraph orbit {"]
-        for j, s in enumerate(self.states, start=1):
-            lo, hi = s.approx(Fraction(1, 10 ** 7))
-            mid = float((lo + hi) / 2)
-            lines.append(f'  {j} [label="{j}: {mid:.5f}"];')
+        for j, mid in enumerate(self.label_midpoints, start=1):
+            lines.append(f'  {j} [label="{j}: {float(mid):.5f}"];')
         for (q, digit, j) in self.edges:
             lines.append(f'  {q + 1} -> {j + 1} [label="{digit}"];')
         lines.append("}")
@@ -67,7 +72,7 @@ class TransitionMatrix:
     the pairs (j, v) with entry (q, j) = v > 0, j ascending.  Entries are
     weights, not only 0/1; an orbit graph's matrix is 0/1 with at most m+1
     entries a row (distinct digits reach distinct states).  Dense rows are
-    built only for the exports, matrix powers and the numeric fallback."""
+    built only for the exports and matrix powers."""
 
     succ: tuple[tuple[tuple[int, int], ...], ...]
 

@@ -8,11 +8,12 @@ whose output is certified afterwards by exact interval Newton contraction.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
-from math import lcm
+from math import lcm, pi
 from typing import Sequence
 
-from .errors import NotSquarefree
+from .errors import NotSquarefree, RefinementBudgetExceeded
 
 Interval = tuple[Fraction, Fraction]
 # Axis-aligned rational rectangle in the complex plane: (re_interval, im_interval).
@@ -20,6 +21,7 @@ Box = tuple[Interval, Interval]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_ABERTH_SWEEPS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -547,27 +549,52 @@ def refine_certified_box(p: Sequence, dp: Sequence, b: Box) -> Box:
     return shrunk if shrunk is not None else b
 
 
+def _aberth_roots(p: Sequence[int]) -> list[complex]:
+    """Float approximations of all complex roots of a squarefree
+    polynomial by the Aberth-Ehrlich iteration (Aberth 1973), sweeping
+    in place from points on a circle of Fujiwara's root radius; it stops
+    once no sweep moves a root by more than 2^-46 of its size (absolute
+    near 0) and gives up after _ABERTH_SWEEPS sweeps."""
+    n = len(p) - 1
+    c = [complex(x) / p[-1] for x in p]
+    radius = 2 * max(abs(c[n - i]) ** (1 / i) for i in range(1, n + 1)) or 1.0
+    zs = [cmath.rect(radius, 2 * pi * i / n + 0.4) for i in range(n)]
+    for _ in range(_ABERTH_SWEEPS):
+        moved = False
+        for i, z in enumerate(zs):
+            f = fp = 0j
+            for a in reversed(c):  # Horner for p and p' together
+                f, fp = f * z + a, fp * z + f
+            den = fp - f * sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+            step = f / den if den else 0j
+            zs[i] = z - step
+            moved = moved or abs(step) > 2.0 ** -46 * max(abs(z), 1.0)
+        if not moved:
+            return zs
+    raise RefinementBudgetExceeded(f"Aberth iteration did not settle in {_ABERTH_SWEEPS} sweeps")
+
+
 def propose_and_certify_complex_roots(p_int: Sequence[int], n_pairs: int) -> list[Box]:
     """Certified boxes for the n_pairs non-real roots of p with positive
-    imaginary part.  numpy proposes, exact rational Newton polishes, and
-    interval Newton certifies; floats never enter the certified result.
+    imaginary part.  An Aberth iteration on floats proposes, exact rational
+    Newton polishes, and interval Newton certifies; floats never enter the
+    certified result.
     """
     if n_pairs == 0:
         return []
-    import numpy as np
 
     p = normalize(p_int)
     dp = derivative(p)
-    approx = np.roots([float(c) for c in reversed(p)])
+    approx = _aberth_roots(p_int)
     cands = sorted(
-        (complex(z) for z in approx if z.imag > 1e-12),
+        (z for z in approx if z.imag > 1e-12),
         key=lambda z: (z.real, z.imag),
     )
     if len(cands) != n_pairs:
         # fall back to the most-imaginary candidates if float noise blurred
         # a nearly-real pair
         cands = sorted(
-            (complex(z) for z in approx if z.imag > 0),
+            (z for z in approx if z.imag > 0),
             key=lambda z: -z.imag,
         )[:n_pairs]
         cands.sort(key=lambda z: (z.real, z.imag))
@@ -596,7 +623,7 @@ def propose_and_certify_complex_roots(p_int: Sequence[int], n_pairs: int) -> lis
                 certified = certify_box(p, dp, box)
             h *= 64
         if certified is None:
-            raise ArithmeticError(
+            raise RefinementBudgetExceeded(
                 "failed to certify a complex root enclosure near "
                 f"{float(re):.6g}+{float(im):.6g}i"
             )

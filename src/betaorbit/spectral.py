@@ -11,9 +11,10 @@ whose value at the Perron root is a nonnegative eigenvector (after exact
 division by any common factor vanishing there); its entries are evaluated by
 interval Horner at one enclosure of the root that they all share, bisected
 further on the squarefree part while an entry is too wide.  A rational root
-is the exact point [r, r] and evaluates exactly.  Floating point (numpy)
-appears only in the explicitly non-certified spectral-gap fallback for
-graphs that are not strongly connected, and in display values.
+is the exact point [r, r] and evaluates exactly.  Dominance is decided from
+the strongly connected components: their periods, Collatz-Wielandt brackets
+of their Perron roots, and exact root comparisons where the brackets
+overlap.  Floating point appears only in display values.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from operator import or_
 
 from . import polys
@@ -103,7 +105,8 @@ class DominanceReport:
 
     @property
     def certified(self) -> bool:
-        return self.status == DominanceStatus.VERIFIED_PRIMITIVE
+        """Every verified status is decided in exact arithmetic."""
+        return self.verified
 
 
 @dataclass
@@ -131,6 +134,9 @@ class DimensionResult:
     dim: Interval
     status: DominanceStatus
     certified: bool
+
+
+_BRACKET_STEPS = 8  # powers B^t . 1 behind each Collatz-Wielandt bracket
 
 
 def _bfs_levels(nbrs: list[list[int]]) -> list[int]:
@@ -163,78 +169,141 @@ def _primitivity_exponent(adj: list[list[int]]) -> int | None:
     return None
 
 
-def check_dominance(matrix: TransitionMatrix,
-                    numeric_gap_tol=Fraction(1, 10 ** 9)) -> DominanceReport:
-    """Decide whether the dominant eigenvalue strictly exceeds all other
-    eigenvalue moduli.
+def _period(nbrs: list[list[int]]) -> int:
+    """gcd of the cycle lengths of a strongly connected graph: the gcd over
+    the edges (u, v) of |level(u) + 1 - level(v)| for the breadth-first
+    levels from state 0 (the levels mod that gcd are the cyclic classes)."""
+    level = _bfs_levels(nbrs)
+    return reduce(math.gcd, (abs(level[u] + 1 - level[v])
+                             for u, targets in enumerate(nbrs) for v in targets), 0)
 
-    The structure is read from breadth-first levels from state 0
-    (_bfs_levels).  The graph is strongly connected when every state has a
-    level both in the graph and in its reverse.  Then the gcd of all cycle
-    lengths is the gcd over the edges (u, v) of |level(u) + 1 - level(v)|,
-    and the levels mod that gcd are the cyclic classes.  Primitivity (strong
-    connectivity with cycle gcd 1) certifies dominance; strong connectivity
-    with gcd > 1 certifies failure (the peripheral spectrum is a full cycle
-    of moduli equal to alpha).  Otherwise the eigenvalue moduli are compared
-    numerically and the verdict is flagged as numeric, not certified.
+
+def _sccs(nbrs: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components by an iterative Tarjan pass (Tarjan
+    1972).  A state that leaves the stack with its component gets index k,
+    so a later edge into it lowers no link value."""
+    k = len(nbrs)
+    index, low = [-1] * k, [0] * k
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    order = count()
+    for root in range(k):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = next(order)
+        stack.append(root)
+        work = [(root, iter(nbrs[root]))]
+        while work:
+            u, succ = work[-1]
+            v = next(succ, None)
+            if v is None:
+                work.pop()
+                if low[u] == index[u]:
+                    comp = [stack.pop()]
+                    while comp[-1] != u:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index[w] = low[w] = k
+                    comps.append(comp)
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
+            elif index[v] < 0:
+                index[v] = low[v] = next(order)
+                stack.append(v)
+                work.append((v, iter(nbrs[v])))
+            else:
+                low[u] = min(low[u], index[v])
+    return comps
+
+
+def _cw_bracket(block: TransitionMatrix) -> Interval:
+    """Collatz-Wielandt bracket of the Perron root of an irreducible block
+    B (Collatz 1942, Wielandt 1950): for a positive v, rho(B) lies between
+    the least and the largest ratio (Bv)_i / v_i.  Intersects the brackets
+    for v = B^t . 1 (positive: no row of B is zero), t < _BRACKET_STEPS."""
+    brackets = []
+    v = [1] * block.size
+    for _ in range(_BRACKET_STEPS):
+        w = block.mul_vec(v)
+        ratios = [Fraction(a, b) for a, b in zip(w, v)]
+        brackets.append((min(ratios), max(ratios)))
+        v = w
+    return max(lo for lo, _ in brackets), min(hi for _, hi in brackets)
+
+
+def _top_blocks(blocks: list[TransitionMatrix]) -> list[TransitionMatrix]:
+    """The blocks whose Perron root, the largest real root of the block's
+    squarefree characteristic polynomial, is the largest.  Two roots are
+    equal when the gcd of their polynomials has a root where their
+    isolating intervals meet; otherwise bisection pulls the intervals apart."""
+    roots = []
+    for block in blocks:
+        sf = polys.squarefree_part_int(char_polynomial(block))
+        roots.append((sf, *polys.isolate_real_roots(sf)[-1]))
+    best = [0]
+    for i in range(1, len(roots)):
+        (p, alo, ahi), (q, blo, bhi) = roots[i], roots[best[0]]
+        lo, hi = max(alo, blo), min(ahi, bhi)
+        if lo <= hi and polys.count_roots_in_interval(polys.gcd_poly(p, q), lo, hi):
+            best.append(i)
+            continue
+        while alo <= bhi and blo <= ahi:
+            alo, ahi = polys.bisect_step(p, alo, ahi)
+            blo, bhi = polys.bisect_step(q, blo, bhi)
+        if alo > bhi:
+            best = [i]
+    return [blocks[i] for i in best]
+
+
+def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
+    """Decide exactly whether the dominant eigenvalue strictly exceeds all
+    other eigenvalue moduli.
+
+    The spectrum of A is that of the diagonal blocks of its strongly
+    connected components (SCCs, from one Tarjan pass) with a cycle, plus
+    zeros, and the Perron root of an irreducible block of period p shares
+    its modulus with exactly p of the block's eigenvalues.  So dominance
+    holds iff exactly one SCC attains the largest Perron root and its
+    period is 1.  One SCC covering every state is VerifiedPrimitive (the
+    positive power confirmed up to the Wielandt bound for k <= 64) or
+    FailedPeripheralSpectrum.  Otherwise each SCC with a cycle gets a
+    Collatz-Wielandt bracket of its Perron root, and the SCCs whose
+    bracket reaches the largest lower bound are ranked exactly
+    (_top_blocks).  One winner of period 1 is VerifiedSpectralGap; a tie,
+    a larger period or a graph without cycles is FailedPeripheralSpectrum.
+    Only the zero matrix is Unknown.
     """
     k = matrix.size
     if not any(matrix.succ):
         # no positive eigenvalue exists at all; nothing to dominate
-        return DominanceReport(
-            status=DominanceStatus.UNKNOWN,
-            strongly_connected=False,
-            cycle_gcd=None,
-            primitivity_exponent=None,
-        )
+        return DominanceReport(DominanceStatus.UNKNOWN, False, None, None)
     adj = [[j for j, _ in terms] for terms in matrix.succ]
-    radj = [[] for _ in range(k)]
-    for i, targets in enumerate(adj):
-        for j in targets:
-            radj[j].append(i)
-    level = _bfs_levels(adj)
-    sc = min(level) >= 0 and min(_bfs_levels(radj)) >= 0
-    gcd = reduce(math.gcd, (abs(level[u] + 1 - level[v])
-                            for u, targets in enumerate(adj) for v in targets), 0) if sc else None
-
-    if sc and gcd == 1:
+    comps = _sccs(adj)
+    if len(comps) == 1:
+        gcd = _period(adj)
+        if gcd > 1:
+            return DominanceReport(DominanceStatus.FAILED_PERIPHERAL_SPECTRUM, True, gcd, None)
         exponent = _primitivity_exponent(adj) if k <= 64 else None
         if k <= 64:
             assert exponent is not None, "cycle gcd 1 but no positive power below the Wielandt bound"
-        return DominanceReport(
-            status=DominanceStatus.VERIFIED_PRIMITIVE,
-            strongly_connected=True,
-            cycle_gcd=1,
-            primitivity_exponent=exponent,
-        )
-    if sc and gcd and gcd > 1:
-        return DominanceReport(
-            status=DominanceStatus.FAILED_PERIPHERAL_SPECTRUM,
-            strongly_connected=True,
-            cycle_gcd=gcd,
-            primitivity_exponent=None,
-        )
+        return DominanceReport(DominanceStatus.VERIFIED_PRIMITIVE, True, 1, exponent)
 
-    # not strongly connected: the structure alone decides nothing, so compare
-    # float eigenvalue moduli; numpy is imported on this branch only
-    try:
-        import numpy as np
-        eigs = np.linalg.eigvals(np.array(matrix.rows, dtype=float))
-        moduli = sorted((abs(complex(e)) for e in eigs), reverse=True)
-    except Exception:
-        moduli = []
-    if not moduli:
-        status = DominanceStatus.UNKNOWN
-    elif len(moduli) == 1 or moduli[1] < moduli[0] - float(numeric_gap_tol):
-        status = DominanceStatus.VERIFIED_SPECTRAL_GAP
-    else:
-        status = DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
-    return DominanceReport(
-        status=status,
-        strongly_connected=sc,
-        cycle_gcd=gcd,
-        primitivity_exponent=None,
-    )
+    blocks = []
+    for comp in comps:
+        if len(comp) == 1 and comp[0] not in adj[comp[0]]:
+            continue  # no cycle through this state
+        local = {s: i for i, s in enumerate(comp)}
+        blocks.append(TransitionMatrix(succ=tuple(
+            tuple((local[j], v) for j, v in matrix.succ[s] if j in local) for s in comp)))
+    brackets = [_cw_bracket(b) for b in blocks]
+    # without any cycle there is no winner: every eigenvalue is 0
+    top = max((lo for lo, _ in brackets), default=None)
+    winners = [b for b, (_, hi) in zip(blocks, brackets) if hi >= top]
+    if len(winners) > 1:
+        winners = _top_blocks(winners)
+    gap = len(winners) == 1 and _period([[j for j, _ in t] for t in winners[0].succ]) == 1
+    status = DominanceStatus.VERIFIED_SPECTRAL_GAP if gap else DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
+    return DominanceReport(status, False, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +456,7 @@ def log_base_interval(alpha: Interval, base: int) -> Interval:
 
 def dimension(m: int, perron: PerronResult, dominance: DominanceReport) -> DimensionResult:
     """log_{m+1}(alpha) as a rational enclosure; requires a verified dominant
-    eigenvalue, and carries whether the verification was certified or numeric."""
+    eigenvalue."""
     if not dominance.verified:
         raise DominanceNotEstablished(
             f"dominant eigenvalue not verified: {dominance.status.value}"

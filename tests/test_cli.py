@@ -28,6 +28,15 @@ def test_pisot_prints_certificate_json(capsys):
     assert blob["status"] == "pisot"
 
 
+def test_pisot_exhausted_certification_budget_exits_64(capsys, monkeypatch):
+    from betaorbit import polys
+    monkeypatch.setattr(polys, "certify_box", lambda p, dp, box: None)
+    code, out, err = run(capsys, "pisot", "--minpoly", QUINTIC)
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: failed to certify")
+
+
 # === orbit ===
 
 def test_orbit_prints_k(capsys):
@@ -115,6 +124,13 @@ def test_dimension_single_state(capsys):
     code, out, _ = run(capsys, "dimension", "--minpoly", GOLDEN, "-m", "1", "-x", "0")
     assert code == 0
     assert "dim in [0." in out
+
+
+def test_dimension_has_no_gap_tolerance_option(capsys):
+    code, _, err = run(capsys, "dimension", "--minpoly", QUINTIC, "-m", "1",
+                       "-x", "1/(b^2-1)", "--gap-tol", "1e-9")
+    assert code == 64
+    assert "--gap-tol" in err
 
 
 # === expand ===

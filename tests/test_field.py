@@ -442,7 +442,10 @@ def test_orbit_approx_makes_about_two_kernel_evaluations(monkeypatch, tmp_path, 
             "--out", str(tmp_path / "run")]
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("k = 1372\n")
-    assert counts["approx"] > 3 * 1372
+    # one 2^-12 enclosure per state for its digits, one label midpoint per
+    # state shared by the table and the DOT file, and one for the right
+    # endpoint m/(beta-1)
+    assert counts["approx"] == 2 * 1372 + 1
     assert counts["kernel"] <= 2.2 * counts["approx"]
 
 
@@ -553,6 +556,20 @@ def test_conjugate_enclosures_structure(quintic):
     uppers = [b for b in boxes if b[1][0] > 0]
     lowers = [b for b in boxes if b[1][1] < 0]
     assert len(uppers) == 2 and len(lowers) == 2
+
+
+def test_conjugate_budgets_raise_typed_errors(monkeypatch):
+    # the same root twice can never be separated; an Aberth run with no
+    # sweeps never settles
+    from betaorbit.field import _ComplexEnclosure
+    p = polys.normalize((-1, -1, -1, -1, 0, 1))
+    box = polys.propose_and_certify_complex_roots(p, 2)[0]
+    twins = [_ComplexEnclosure(p, polys.derivative(p), box) for _ in range(2)]
+    with pytest.raises(RefinementBudgetExceeded):
+        NumberField._separate_boxes(twins, cap=4)
+    monkeypatch.setattr(polys, "_ABERTH_SWEEPS", 0)
+    with pytest.raises(RefinementBudgetExceeded):
+        NumberField(IntPolynomial((-1, -1, -1, -1, 0, 1))).is_pisot()
 
 
 def test_degree_one_pisot_certificate(base2):

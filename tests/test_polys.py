@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from betaorbit import polys
 from betaorbit.orbit import TransitionMatrix
@@ -173,6 +173,22 @@ def test_complex_certification_quintic():
         assert box[1][0] > 0  # strictly above the real axis
         again = polys.certify_box(pq, dp, box)
         assert again is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12).flatmap(lambda d: st.lists(st.integers(-6, 6), min_size=d, max_size=d)))
+def test_complex_proposals_certify_every_pair(low):
+    p = low + [1]
+    assume(polys.is_squarefree(p))
+    n_pairs = (len(low) - len(polys.isolate_real_roots(p))) // 2
+    boxes = polys.propose_and_certify_complex_roots(p, n_pairs)
+    assert len(boxes) == n_pairs
+    pq = polys.normalize(p)
+    dp = polys.derivative(pq)
+    for i, box in enumerate(boxes):
+        assert box[1][0] > 0  # strictly above the real axis
+        assert polys.certify_box(pq, dp, box) is not None
+        assert all(polys._box_intersect(box, other) is None for other in boxes[i + 1:])
 
 
 def test_decimal_str_directed():

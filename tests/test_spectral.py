@@ -25,7 +25,7 @@ from betaorbit import (
     perron_eigenvalue,
     transition_matrix,
 )
-from betaorbit import polys
+from betaorbit import polys, spectral
 from betaorbit.cli import main
 from betaorbit.errors import DominanceNotEstablished, ZeroMatrix
 from betaorbit.polys import interval_mul
@@ -550,24 +550,118 @@ def test_perron_isolates_once_without_number_field(rows, quintic_params, quintic
     assert calls == {"isolate": 1, "field": 0}
 
 
-_DOMINANCE_SCRIPT = """
+# === exact dominance rule for graphs that are not strongly connected ===
+
+def test_dominance_defective_double_root_fails():
+    # two 2-cycles, {1, 3} and {2, 4}, joined by the edge 4 -> 3: both have
+    # Perron root 1, and a float eigensolver splits the defective double
+    # eigenvalue 1 by ~6e-9
+    rows = [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 1, 0, 0, 0],
+            [0, 0, 1, 1, 0]]
+    rep = check_dominance(_mat(rows))
+    assert rep.status == DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
+    assert not rep.strongly_connected
+
+
+def test_dominance_tie_below_the_top_block_is_a_gap():
+    # two period-2 blocks with Perron root sqrt(2) tie below a weight-2
+    # self-loop, which alone attains the maximum
+    rows = [[0, 0, 0, 2, 0], [0, 0, 2, 0, 0], [0, 1, 0, 0, 0], [1, 0, 2, 0, 0],
+            [2, 0, 0, 0, 2]]
+    assert check_dominance(_mat(rows)).status == DominanceStatus.VERIFIED_SPECTRAL_GAP
+
+
+def _dense_dominance_status(rows):
+    """Reference verdict of check_dominance from dense data: SCCs from a
+    boolean transitive closure, each block's period from the dense cycle-gcd
+    oracle, and its Perron root from perron_eigenvalue; two roots whose
+    enclosures meet are equal exactly when the gcd of the blocks' dense
+    characteristic polynomials has a root where the enclosures meet."""
+    k = len(rows)
+    if not any(map(any, rows)):
+        return DominanceStatus.UNKNOWN
+    reach = [[v > 0 for v in r] for r in rows]
+    for t in range(k):  # Warshall
+        for i in range(k):
+            if reach[i][t]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[t])]
+    comps = {tuple(j for j in range(k) if j == i or reach[i][j] and reach[j][i])
+             for i in range(k)}
+    if len(comps) == 1:
+        g = _dense_dominance_oracle(rows)[1]
+        return DominanceStatus.VERIFIED_PRIMITIVE if g == 1 \
+            else DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
+    roots = []
+    for comp in comps:
+        if reach[comp[0]][comp[0]]:
+            sub = [[rows[i][j] for j in comp] for i in comp]
+            alpha = perron_eigenvalue(_mat(sub), tol=F(1, 10 ** 30)).alpha
+            roots.append((alpha, _dense_faddeev_leverrier(sub), _dense_dominance_oracle(sub)[1]))
+
+    def above(a, b):
+        lo, hi = max(a[0][0], b[0][0]), min(a[0][1], b[0][1])
+        if lo <= hi:
+            g = polys.gcd_poly(a[1], b[1])
+            assert polys.count_roots_in_interval(g, lo, hi), "enclosures too wide to separate"
+            return False
+        return a[0][0] > b[0][1]
+
+    top = [r for r in roots if not any(above(o, r) for o in roots)]
+    if len(top) == 1 and top[0][2] == 1:
+        return DominanceStatus.VERIFIED_SPECTRAL_GAP
+    return DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from((0, 0, 0, 0, 1, 2)), min_size=k, max_size=k),
+    min_size=k, max_size=k)))
+@example([[0, 1, 1], [0, 0, 1], [0, 0, 0]])  # edges but no cycle: every eigenvalue is 0
+@example([[0, 0], [0, 0]])  # the zero matrix: Unknown
+@example([[1, 0, 0], [0, 0, 1], [0, 1, 0]])  # a loop and a 2-cycle tie at 1
+def test_dominance_matches_dense_oracle(rows):
+    assert check_dominance(_mat(rows)).status == _dense_dominance_status(rows)
+
+
+@pytest.mark.parametrize("minpoly,m,point", _ORBIT_CASES[1:4])
+def test_brackets_rank_the_certify_graphs(minpoly, m, point, monkeypatch):
+    # plastic 1/(b^3-1), cubic 2/b^2 and tetranacci m2 2/b^2 are not strongly
+    # connected; the Collatz-Wielandt brackets alone single out the top SCC
+    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
+    mat = transition_matrix(compute_orbit(params, params.parse_point(point)))
+    calls = []
+    monkeypatch.setattr(spectral, "char_polynomial", lambda b: calls.append(b))
+    rep = check_dominance(mat)
+    assert rep.status == DominanceStatus.VERIFIED_SPECTRAL_GAP
+    assert not rep.strongly_connected and calls == []
+
+
+# each command runs with numpy blocked: an import of it raises ImportError
+_NUMPY_FREE_SCRIPT = """
 import sys
-from betaorbit import (ExpansionParams, IntPolynomial, NumberField, TransitionMatrix,
-                       check_dominance, compute_orbit, transition_matrix)
-params = ExpansionParams(NumberField(IntPolynomial((-1, -1, -1, -1, 0, 1))), 1)
-quintic = transition_matrix(compute_orbit(params, params.parse_point("1/(b^2-1)")))
-cycle = TransitionMatrix.from_rows(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
-print(quintic.size, check_dominance(quintic).status.value,
-      check_dominance(cycle).status.value, "numpy" in sys.modules)
-print(check_dominance(TransitionMatrix.from_rows(((2, 1), (0, 1)))).status.value)
+sys.modules["numpy"] = None
+from betaorbit.cli import main
+for argv in sys.argv[1:]:
+    print("exit", main(argv.split()))
 """
 
 
-def test_check_dominance_imports_numpy_only_when_not_strongly_connected():
-    src = str(Path(polys.__file__).resolve().parents[1])
+def test_cli_runs_without_numpy():
+    root = Path(polys.__file__).resolve().parents[2]
+    golden = Path(__file__).parent / "data" / "golden"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", _DOMINANCE_SCRIPT], env=env,
+        [str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    argv = ["pisot --minpoly=-1,-1,-1,-1,0,1",
+            "dimension --minpoly=-1,-1,0,1 -m 1 -x 1/(b^3-1) --format json",
+            "dimension --minpoly=-1,-1,1 -m 1 -x 1"]
+    out = subprocess.run([sys.executable, "-c", _NUMPY_FREE_SCRIPT, *argv], env=env,
                          capture_output=True, text=True, check=True, timeout=120).stdout
-    assert out.splitlines() == ["10 VerifiedPrimitive FailedPeripheralSpectrum False",
-                                "VerifiedSpectralGap"]
+    expected = ((golden / "readme_pisot" / "stdout").read_text() + "exit 0\n"
+                + (golden / "dimension_plastic" / "stdout").read_text() + "exit 0\n")
+    assert out.startswith(expected)
+    table = out[len(expected):].splitlines()
+    assert table[:1] == ["k = 4"] and "condition1: FailedPeripheralSpectrum" in table
+    assert table[-1] == "exit 5"
+    # and the package declares no runtime dependency
+    pyproject = (root / "pyproject.toml").read_text()
+    assert not any(line.split("=")[0].strip() == "dependencies" for line in pyproject.splitlines())
