@@ -83,7 +83,10 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("pisot", help="certify whether the base is a Pisot number")
     _add_field_args(p)
-    p.add_argument("--budget", type=int, default=96, help="refinement rounds per conjugate")
+    p.add_argument("--budget", type=int, default=96,
+                   help="precision in bits: a conjugate whose squared-modulus enclosure "
+                        "still straddles 1 stops refining once it is narrower than "
+                        "2^-BUDGET (default 96)")
     p.set_defaults(handler=cmd_pisot)
 
     p = subs.add_parser("orbit", help="compute the branching orbit closure of x")

@@ -23,6 +23,12 @@ last request with the same width returned, mostly checks that rung and the
 one before it, walks on into refinement when no rung fits, and builds
 Fractions only for the interval it returns.
 
+The d-1 conjugates of beta are kept as one list of upper-half-plane boxes:
+a real conjugate is the zero-height box of its isolating interval, refined
+by bisection, and a complex pair is the pairwise disjoint certified box of
+its upper root (polys.propose_and_certify_complex_roots), refined by
+interval Newton.
+
 All values are immutable after construction.  The mutable state is the
 per-field enclosure cache (beta's isolating interval, the ladder, and the
 conjugate boxes), whose refinement is monotone narrowing and guarded by a
@@ -84,22 +90,7 @@ class IntPolynomial:
         return cls(tuple(int(c) for c in obj["coeffs"]))
 
     def __str__(self) -> str:
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "z" if i == 1 else f"z^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts) or "0"
+        return _format_terms(reversed(list(enumerate(self.coeffs))), "z")
 
 
 @dataclass(frozen=True)
@@ -131,46 +122,6 @@ class PisotCertificate:
         }
 
 
-class _RealEnclosure:
-    """Refinable isolating interval for a real root (bisection on a sign bracket)."""
-
-    def __init__(self, poly: tuple[Fraction, ...], lo: Fraction, hi: Fraction):
-        self.poly = poly
-        self.lo = lo
-        self.hi = hi
-
-    def refine(self) -> None:
-        self.lo, self.hi = polys.bisect_step(self.poly, self.lo, self.hi)
-
-    def mod2_bounds(self) -> Interval:
-        return polys.box_mod2_bounds(((self.lo, self.hi), (Fraction(0), Fraction(0))))
-
-    def as_box(self) -> Box:
-        return (self.lo, self.hi), (Fraction(0), Fraction(0))
-
-
-class _ComplexEnclosure:
-    """Refinable certified rectangle for one non-real root (upper half plane)."""
-
-    def __init__(self, poly, dpoly, box: Box):
-        self.poly = poly
-        self.dpoly = dpoly
-        self.box = box
-
-    def refine(self) -> None:
-        self.box = polys.refine_certified_box(self.poly, self.dpoly, self.box)
-
-    def mod2_bounds(self) -> Interval:
-        return polys.box_mod2_bounds(self.box)
-
-    def as_box(self) -> Box:
-        return self.box
-
-    def mirror(self) -> Box:
-        (rlo, rhi), (ilo, ihi) = self.box
-        return (rlo, rhi), (-ihi, -ilo)
-
-
 class NumberField:
     """Q(beta) for the rank-th largest real root beta > 1 of a monic squarefree
     integer polynomial."""
@@ -181,11 +132,10 @@ class NumberField:
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self.root_rank = root_rank
-        self._poly_q = polys.normalize(min_poly.coeffs)
-        if not polys.is_squarefree(self._poly_q):
+        if not polys.is_squarefree(min_poly.coeffs):
             raise NotSquarefree(f"{min_poly} shares a root with its derivative")
 
-        isolations = polys.isolate_real_roots(self._poly_q)
+        isolations = polys.isolate_real_roots(min_poly.coeffs)
         self._real_root_intervals = isolations
         by_rank = list(reversed(isolations))  # largest first
         if root_rank < 0 or root_rank >= len(by_rank):
@@ -196,7 +146,7 @@ class NumberField:
         # settle the root against 1 (irrational roots cannot equal 1, and
         # rational roots come back as exact points)
         while lo < 1 < hi:
-            lo, hi = polys.bisect_step(self._poly_q, lo, hi)
+            lo, hi = polys.bisect_step(min_poly.coeffs, lo, hi)
         if hi <= 1:
             raise NoRealRootAboveOne(
                 f"selected root of {min_poly} lies in [{lo}, {hi}], not above 1"
@@ -214,7 +164,8 @@ class NumberField:
         # returned; any hint gives the same interval
         self._rung_hint: dict[tuple[int, int], int] = {}
         self._lock = threading.RLock()
-        self._conjugates: list[_RealEnclosure | _ComplexEnclosure] | None = None
+        # upper-half-plane boxes of the conjugates, once materialized
+        self._conjugates: list[Box] | None = None
 
         # beta^j for j = d .. 2d-2 has integer coordinates since the defining
         # polynomial is monic; these power rows make reduction after products
@@ -287,7 +238,7 @@ class NumberField:
                 if self._beta_lo == self._beta_hi:
                     break
                 lo, hi = self._beta_lo, self._beta_hi = polys.bisect_step(
-                    self._poly_q, self._beta_lo, self._beta_hi
+                    self.min_poly.coeffs, self._beta_lo, self._beta_hi
                 )
                 keep = self._ladder_len
                 a, b, e = self._rungs[keep - 1]
@@ -306,69 +257,67 @@ class NumberField:
         p = polys.normalize(elem.coeffs)
         if lo == hi:
             return polys.evaluate(p, lo) == 0
-        g = polys.gcd_poly(p, self._poly_q)
+        g = polys.gcd_poly(p, self.min_poly.coeffs)
         if polys.degree(g) == 0:
             return False
         return polys.count_roots_in_interval(g, lo, hi) > 0
 
     # -- conjugates and the Pisot test --------------------------------------
 
-    def _materialize_conjugates(self) -> list:
+    def _materialize_conjugates(self) -> list[Box]:
+        """The d-1 conjugates as upper-half-plane boxes: each real conjugate
+        as the zero-height box of its isolating interval, then the pairwise
+        disjoint certified boxes of the complex pairs."""
         with self._lock:
             if self._conjugates is not None:
                 return self._conjugates
-            d = self.degree
-            encs: list[_RealEnclosure | _ComplexEnclosure] = []
-            for i, (lo, hi) in enumerate(self._real_root_intervals):
-                if i == self._chosen_index:
-                    continue
-                encs.append(_RealEnclosure(self._poly_q, lo, hi))
+            zero = (Fraction(0), Fraction(0))
+            boxes: list[Box] = [(iv, zero) for i, iv in enumerate(self._real_root_intervals)
+                                if i != self._chosen_index]
             n_real = len(self._real_root_intervals)
-            assert (d - n_real) % 2 == 0
-            n_pairs = (d - n_real) // 2
-            if n_pairs:
-                dpoly = polys.derivative(self._poly_q)
-                boxes = polys.propose_and_certify_complex_roots(
-                    [c.numerator for c in self._poly_q], n_pairs
-                )
-                pair_encs = [_ComplexEnclosure(self._poly_q, dpoly, b) for b in boxes]
-                self._separate_boxes(pair_encs)
-                encs.extend(pair_encs)
-            self._conjugates = encs
-            return encs
+            assert (self.degree - n_real) % 2 == 0
+            n_pairs = (self.degree - n_real) // 2
+            boxes += polys.propose_and_certify_complex_roots(self.min_poly.coeffs, n_pairs)
+            self._conjugates = boxes
+            return boxes
 
-    @staticmethod
-    def _separate_boxes(pair_encs: list["_ComplexEnclosure"], cap: int = 64) -> None:
-        for i in range(len(pair_encs)):
-            for j in range(i + 1, len(pair_encs)):
-                rounds = 0
-                while polys._box_intersect(pair_encs[i].box, pair_encs[j].box):
-                    if rounds >= cap:
-                        raise RefinementBudgetExceeded("could not separate two conjugate enclosures")
-                    pair_encs[i].refine()
-                    pair_encs[j].refine()
-                    rounds += 1
+    def _refine_conjugate(self, i: int) -> Box:
+        """One refinement of conjugate box i: a bisection step for a real
+        conjugate (zero height), an interval Newton step otherwise."""
+        p = self.min_poly.coeffs
+        box = self._conjugates[i]
+        if box[1][1] == 0:
+            box = polys.bisect_step(p, *box[0]), box[1]
+        else:
+            box = polys.refine_certified_box(p, polys.derivative(p), box)
+        self._conjugates[i] = box
+        return box
 
     @property
     def conjugate_enclosures(self) -> list[Box]:
         """Boxes for the d-1 roots other than beta; complex roots appear as a
         box in the upper half plane followed by its mirror image."""
         out: list[Box] = []
-        for enc in self._materialize_conjugates():
-            out.append(enc.as_box())
-            if isinstance(enc, _ComplexEnclosure):
-                out.append(enc.mirror())
+        for box in self._materialize_conjugates():
+            out.append(box)
+            re, (ilo, ihi) = box
+            if ihi:
+                out.append((re, (-ihi, -ilo)))
         return out
 
     def is_pisot(self, budget: int = 96) -> PisotCertificate:
-        """Refine conjugate enclosures until every modulus is certified below 1
-        (Pisot), some modulus is certified at or above 1 (not Pisot), or a
-        modulus still straddles 1 at the precision budget (unknown).
+        """Refine each conjugate box until its modulus is certified below 1,
+        certified at or above 1, or still straddles 1 at the precision
+        budget.  The status is "not_pisot" when some modulus is at or above
+        1, else "unknown" when some modulus straddles 1, else "pisot";
+        max_conjugate_modulus_upper bounds the modulus of every conjugate.
 
         budget is in bits: an enclosure of squared modulus narrower than
         2**-budget that still straddles 1 stops refining (a conjugate exactly
         on the unit circle can never be resolved).
         """
+        if budget < 0:
+            raise ValueError("budget must be nonnegative")
         with self._lock:
             while self._beta_lo <= 1:
                 self.refine_beta()
@@ -380,10 +329,10 @@ class NumberField:
             worst = Fraction(0)
             status = "pisot"
             if self.degree > 1:
-                for enc in self._materialize_conjugates():
+                for i, box in enumerate(self._materialize_conjugates()):
                     prev_width = None
                     while True:
-                        m2lo, m2hi = enc.mod2_bounds()
+                        m2lo, m2hi = polys.box_mod2_bounds(box)
                         if m2hi < 1:
                             worst = max(worst, m2hi)
                             break
@@ -397,9 +346,7 @@ class NumberField:
                             status = "unknown" if status == "pisot" else status
                             break
                         prev_width = width
-                        enc.refine()
-                    if status == "not_pisot":
-                        break
+                        box = self._refine_conjugate(i)
             max_mod_upper = polys.sqrt_bounds(worst)[1] if worst else Fraction(0)
             return PisotCertificate(
                 status=status,
@@ -556,7 +503,7 @@ class FieldElement:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         a = polys.normalize(self.coeffs)
-        m = self.field._poly_q
+        m = self.field.min_poly.coeffs
         r0, r1 = m, a
         t0, t1 = (), (Fraction(1),)
         while r1:
@@ -705,21 +652,28 @@ class FieldElement:
 
 def format_element(elem: FieldElement) -> str:
     """Human-readable polynomial-in-b form, e.g. '1/2 - b + b^2'."""
+    return _format_terms(enumerate(elem.coeffs), "b")
+
+
+def _format_terms(terms: Iterable[tuple[int, int | Fraction]], var: str) -> str:
+    """The terms (exponent, coefficient), in the order given, as signed
+    monomials in var, zero terms left out, e.g. 'z^2 - z - 1'; '0' when
+    every coefficient is zero."""
     parts = []
-    for i, c in enumerate(elem.coeffs):
+    for i, c in terms:
         if c == 0:
             continue
         mag = abs(c)
         if i == 0:
             body = str(mag)
         else:
-            var = "b" if i == 1 else f"b^{i}"
-            body = var if mag == 1 else f"{mag}*{var}"
+            mono = var if i == 1 else f"{var}^{i}"
+            body = mono if mag == 1 else f"{mag}*{mono}"
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:
             parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+    return " ".join(parts) or "0"
 
 
 def sort_elements(elems: Iterable[FieldElement]) -> list[FieldElement]:

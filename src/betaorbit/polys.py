@@ -525,7 +525,15 @@ def certify_box(p: Sequence, dp: Sequence, b: Box) -> Box | None:
     Returns a (possibly smaller) certified box when the interval Newton
     operator maps b strictly into itself, which proves existence and
     uniqueness of a simple root; returns None when certification fails.
+    A point box is certified by exact evaluation: it is returned when its
+    point is a simple root (the exact Newton polish can land on a
+    Gaussian-rational root, and then the certified box is that point).
     """
+    (rlo, rhi), (ilo, ihi) = b
+    if rlo == rhi and ilo == ihi:
+        simple_root = (not any(eval_poly_complex_point(p, rlo, ilo))
+                       and any(eval_poly_complex_point(dp, rlo, ilo)))
+        return b if simple_root else None
     nb = newton_box_step(p, dp, b)
     if nb is None or not _box_strictly_inside(nb, b):
         return None
@@ -574,10 +582,28 @@ def _aberth_roots(p: Sequence[int]) -> list[complex]:
     raise RefinementBudgetExceeded(f"Aberth iteration did not settle in {_ABERTH_SWEEPS} sweeps")
 
 
+def _separate_boxes(p: Sequence, dp: Sequence, boxes: list[Box], cap: int = 64) -> list[Box]:
+    """Refine certified boxes of p, pair by pair in index order, until no
+    two intersect; each round refines both boxes of the pair.  Raises
+    RefinementBudgetExceeded when a pair still meets after cap rounds (two
+    copies of one root never separate)."""
+    for i in range(len(boxes)):
+        for j in range(i + 1, len(boxes)):
+            rounds = 0
+            while _box_intersect(boxes[i], boxes[j]):
+                if rounds >= cap:
+                    raise RefinementBudgetExceeded("could not separate two conjugate enclosures")
+                boxes[i] = refine_certified_box(p, dp, boxes[i])
+                boxes[j] = refine_certified_box(p, dp, boxes[j])
+                rounds += 1
+    return boxes
+
+
 def propose_and_certify_complex_roots(p_int: Sequence[int], n_pairs: int) -> list[Box]:
-    """Certified boxes for the n_pairs non-real roots of p with positive
-    imaginary part.  An Aberth iteration on floats proposes, exact rational
-    Newton polishes, and interval Newton certifies; floats never enter the
+    """n_pairs pairwise disjoint certified boxes, one for each non-real root
+    of p with positive imaginary part.  An Aberth iteration on floats
+    proposes, exact rational Newton polishes, interval Newton certifies, and
+    _separate_boxes makes the boxes disjoint; floats never enter the
     certified result.
     """
     if n_pairs == 0:
@@ -628,4 +654,4 @@ def propose_and_certify_complex_roots(p_int: Sequence[int], n_pairs: int) -> lis
                 f"{float(re):.6g}+{float(im):.6g}i"
             )
         boxes.append(certified)
-    return boxes
+    return _separate_boxes(p, dp, boxes)

@@ -321,7 +321,7 @@ def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> Pe
 
     chi = char_polynomial(matrix)
     chi_sf = polys.squarefree_part_int(chi)
-    isolations = polys.isolate_real_roots([Fraction(c) for c in chi_sf])
+    isolations = polys.isolate_real_roots(chi_sf)
     if not isolations:
         raise ZeroMatrix("no real eigenvalue found for a nonnegative matrix")
     # a rational root comes back as the exact point [r, r], which bisection keeps

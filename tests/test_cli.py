@@ -37,6 +37,13 @@ def test_pisot_exhausted_certification_budget_exits_64(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("error: failed to certify")
 
 
+def test_pisot_negative_budget_exits_64(capsys):
+    code, out, err = run(capsys, "pisot", "--minpoly", GOLDEN, "--budget", "-1")
+    assert code == 64
+    assert out == ""
+    assert err == "error: budget must be nonnegative\n"
+
+
 # === orbit ===
 
 def test_orbit_prints_k(capsys):

@@ -520,7 +520,7 @@ def test_random_small_fields_enclose_their_root():
         field.refine_beta(40)
         tlo, thi = field.beta_interval()
         assert tlo - width <= mid <= thi + width
-        plo, phi = polys.evaluate_interval(field._poly_q, tlo, thi)
+        plo, phi = polys.evaluate_interval(field.min_poly.coeffs, tlo, thi)
         assert plo <= 0 <= phi
 
 
@@ -559,17 +559,58 @@ def test_conjugate_enclosures_structure(quintic):
 
 
 def test_conjugate_budgets_raise_typed_errors(monkeypatch):
-    # the same root twice can never be separated; an Aberth run with no
-    # sweeps never settles
-    from betaorbit.field import _ComplexEnclosure
-    p = polys.normalize((-1, -1, -1, -1, 0, 1))
-    box = polys.propose_and_certify_complex_roots(p, 2)[0]
-    twins = [_ComplexEnclosure(p, polys.derivative(p), box) for _ in range(2)]
-    with pytest.raises(RefinementBudgetExceeded):
-        NumberField._separate_boxes(twins, cap=4)
+    # an Aberth run with no sweeps never settles
     monkeypatch.setattr(polys, "_ABERTH_SWEEPS", 0)
     with pytest.raises(RefinementBudgetExceeded):
         NumberField(IntPolynomial((-1, -1, -1, -1, 0, 1))).is_pisot()
+
+
+def test_pisot_certificate_matches_mpmath_oracle():
+    # differential test against 50-digit roots from mpmath.polyroots
+    mpmath = pytest.importorskip("mpmath")
+
+    def mpq(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    rng = random.Random(2012)
+    found = 0
+    while found < 40:
+        deg = rng.randint(2, 7)
+        coeffs = tuple(rng.randint(-4, 4) for _ in range(deg)) + (1,)
+        try:
+            field = NumberField(IntPolynomial(coeffs))
+        except (NotSquarefree, NoRealRootAboveOne):
+            continue
+        found += 1
+        cert = field.is_pisot()
+        boxes = field.conjugate_enclosures
+        assert len(boxes) == deg - 1
+        for i, a in enumerate(boxes):
+            for b in boxes[i + 1:]:
+                # adjacent real isolating intervals may share an endpoint,
+                # which is never a root
+                meet = polys._box_intersect(a, b)
+                assert meet is None or (meet[1] == (0, 0) and meet[0][0] == meet[0][1]
+                                        and polys.evaluate(coeffs, meet[0][0]) != 0)
+        with mpmath.workdps(50):
+            roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=100)
+            tol = mpmath.mpf(10) ** -40
+
+            def inside(z, box):
+                (rlo, rhi), (ilo, ihi) = box
+                return (mpq(rlo) - tol <= z.real <= mpq(rhi) + tol
+                        and mpq(ilo) - tol <= z.imag <= mpq(ihi) + tol)
+
+            for box in boxes:
+                assert sum(inside(mpmath.mpc(z), box) for z in roots) == 1, (coeffs, box)
+            lo, hi = field.beta_interval()
+            [beta] = [z for z in roots if not any(inside(mpmath.mpc(z), b) for b in boxes)]
+            assert inside(mpmath.mpc(beta), ((lo, hi), (F(0), F(0))))
+            moduli = [abs(z) for z in roots if z is not beta]
+            assert mpq(cert.max_conjugate_modulus_upper) >= max(moduli) - tol, coeffs
+            if all(abs(m - 1) >= mpmath.mpf("1e-9") for m in moduli):
+                expected = "pisot" if max(moduli) < 1 else "not_pisot"
+                assert cert.status == expected, coeffs
 
 
 def test_degree_one_pisot_certificate(base2):
@@ -646,3 +687,10 @@ def test_intpolynomial_json_roundtrip():
     p = IntPolynomial((-1, -1, -1, -1, 0, 1))
     assert IntPolynomial.from_json(p.to_json()) == p
     assert str(p) == "z^5 - z^3 - z^2 - z - 1"
+
+
+def test_format_element(quintic):
+    from betaorbit import format_element
+    assert format_element(quintic.element([F(1, 2), -1, 1])) == "1/2 - b + b^2"
+    assert format_element(quintic.element([0, 0, 0, -3])) == "-3*b^3"
+    assert format_element(quintic.zero) == "0"

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from betaorbit import polys
+from betaorbit.errors import RefinementBudgetExceeded
 from betaorbit.orbit import TransitionMatrix
 from betaorbit.spectral import char_polynomial
 
@@ -173,10 +174,14 @@ def test_complex_certification_quintic():
         assert box[1][0] > 0  # strictly above the real axis
         again = polys.certify_box(pq, dp, box)
         assert again is not None
+    # two copies of one root never separate
+    with pytest.raises(RefinementBudgetExceeded):
+        polys._separate_boxes(pq, dp, [boxes[0], boxes[0]], cap=4)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 12).flatmap(lambda d: st.lists(st.integers(-6, 6), min_size=d, max_size=d)))
+@example(low=[-1, 0, 0, 0])  # z^4 - 1: the polish lands on i, a point box
 def test_complex_proposals_certify_every_pair(low):
     p = low + [1]
     assume(polys.is_squarefree(p))
