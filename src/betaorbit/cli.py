@@ -22,7 +22,7 @@ from .expr import ExprError
 from .field import IntPolynomial, NumberField
 from .orbit import DivergenceReport, compute_orbit, count_prefixes_matrix, \
     transition_matrix
-from .polys import decimal_str
+from .polys import MAX_HALVINGS, decimal_str
 from .spectral import check_dominance, dimension, log_base_interval, \
     perron_eigenvalue
 
@@ -101,7 +101,9 @@ def build_parser() -> _Parser:
     _add_point_args(p)
     p.add_argument("--state-cap", type=int, default=100_000)
     p.add_argument("--depth-cap", type=int, default=1_000)
-    p.add_argument("--tol", default="1e-12", help="width of the alpha enclosure")
+    p.add_argument("--tol", default="1e-12",
+                   help=f"width of the alpha enclosure; a width that takes more than {MAX_HALVINGS} "
+                        "halvings of alpha's isolating interval is refused (exit 64)")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(handler=cmd_dimension)
 

@@ -254,10 +254,9 @@ class NumberField:
         if elem.is_zero():
             return True
         lo, hi = self.beta_interval()
-        p = polys.normalize(elem.coeffs)
         if lo == hi:
-            return polys.evaluate(p, lo) == 0
-        g = polys.gcd_poly(p, self.min_poly.coeffs)
+            return polys.sign_at(elem.nums, lo.numerator, lo.denominator) == 0
+        g = polys.gcd_poly(elem.coeffs, self.min_poly.coeffs)
         if polys.degree(g) == 0:
             return False
         return polys.count_roots_in_interval(g, lo, hi) > 0
@@ -296,7 +295,12 @@ class NumberField:
     @property
     def conjugate_enclosures(self) -> list[Box]:
         """Boxes for the d-1 roots other than beta; complex roots appear as a
-        box in the upper half plane followed by its mirror image."""
+        box in the upper half plane followed by its mirror image.
+
+        A real conjugate's box is its closed isolating interval with zero
+        height.  Two such intervals may share an endpoint (a bisection
+        midpoint), which is never a root; the complex boxes are pairwise
+        disjoint as closed sets."""
         out: list[Box] = []
         for box in self._materialize_conjugates():
             out.append(box)

@@ -4,13 +4,21 @@ Polynomials are dense coefficient tuples, constant term first.  Everything in
 this module works over the rationals (fractions.Fraction) or the integers;
 nothing here touches floating point except the complex-root *proposal* step,
 whose output is certified afterwards by exact interval Newton contraction.
+
+The real-root path runs on integers.  Signs at a rational point n/d are read
+by integer Horner on the coefficient numerators (sign_at), the Sturm chain is
+an integer primitive remainder sequence (Collins 1967, Brown & Traub 1971)
+whose members are positive multiples of the rational Sturm chain's, and
+division by a monic integer polynomial stays in the integers (divmod_monic).
+The rational evaluate, divmod_poly and sturm_chain remain for everything
+else and as the reference the integer paths are tested against.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import lcm, pi
+from math import gcd, lcm, pi
 from typing import Sequence
 
 from .errors import NotSquarefree, RefinementBudgetExceeded
@@ -90,6 +98,24 @@ def horner_interval_int(nums: Sequence[int], a: int, b: int, e: int) -> tuple[in
             prods = (alo * a, alo * b, ahi * a, ahi * b)
             alo, ahi = min(prods) + c, max(prods) + c
     return alo, ahi, scale
+
+
+def sign_at(nums: Sequence[int], n: int, d: int) -> int:
+    """Sign (-1, 0 or 1) of p(n/d) for the coefficient vector nums of p
+    (constant term first) and d > 0, by Horner on the numerators: after t
+    steps the accumulator holds d^t times the rational one, as in
+    horner_interval_int, so its sign is the sign of p(n/d)."""
+    it = reversed(nums)
+    acc = next(it, 0)
+    scale = 1
+    for c in it:
+        scale *= d
+        acc = acc * n + c * scale
+    return (acc > 0) - (acc < 0)
+
+
+def _sign(nums: Sequence[int], x: Fraction) -> int:
+    return sign_at(nums, x.numerator, x.denominator)
 
 
 def evaluate_interval(p: Sequence, lo: Fraction, hi: Fraction) -> Interval:
@@ -175,7 +201,8 @@ def is_squarefree(p: Sequence) -> bool:
     p = normalize(p)
     if degree(p) < 1:
         return True
-    return degree(gcd_poly(p, derivative(p))) == 0
+    # the last member of the Sturm chain is gcd(p, p') up to a constant
+    return len(sturm_chain_int(common_denominator(p)[0])[-1]) == 1
 
 
 def squarefree_part(p: Sequence) -> tuple[Fraction, ...]:
@@ -188,14 +215,46 @@ def squarefree_part(p: Sequence) -> tuple[Fraction, ...]:
 
 
 def squarefree_part_int(p: Sequence[int]) -> tuple[int, ...]:
-    """Squarefree part of a monic integer polynomial; stays monic over Z."""
-    sf = squarefree_part([Fraction(c) for c in p])
-    out = []
-    for c in sf:
-        if c.denominator != 1:
-            raise AssertionError("squarefree part of a monic integer polynomial must be integral")
-        out.append(c.numerator)
-    return tuple(out)
+    """Squarefree part of a monic integer polynomial; stays monic over Z.
+
+    gcd(p, p') made monic has integer coefficients (Gauss's lemma), so the
+    primitive gcd that ends the integer Sturm chain is +-1 times it and
+    divides p exactly over the integers."""
+    nums = [int(c) for c in p]
+    while nums and nums[-1] == 0:
+        nums.pop()
+    if len(nums) < 2:
+        return tuple(nums)
+    if nums[-1] != 1:
+        raise ValueError("squarefree_part_int needs a monic integer polynomial")
+    g = sturm_chain_int(nums)[-1]
+    assert abs(g[-1]) == 1, "the monic gcd of a monic integer polynomial is integral"
+    if len(g) == 1:
+        return tuple(nums)
+    if g[-1] < 0:
+        g = [-c for c in g]
+    quot, rem = divmod_monic(nums, g)
+    assert not rem, "gcd(p, p') must divide p"
+    return tuple(quot)
+
+
+def divmod_monic(p: Sequence[int], q: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the integer polynomial p by the monic integer
+    polynomial q.  Elimination from the top coefficient down never divides,
+    so both stay integral; the remainder has no trailing zeros."""
+    rem = list(p)
+    dq = len(q) - 1
+    low = q[:dq]
+    quot = [0] * max(len(rem) - dq, 0)
+    for shift in range(len(rem) - 1 - dq, -1, -1):
+        c = rem[shift + dq]
+        if c:
+            quot[shift] = c
+            rem[shift:shift + dq] = [r - c * b for r, b in zip(rem[shift:shift + dq], low)]
+    del rem[dq:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +262,8 @@ def squarefree_part_int(p: Sequence[int]) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def sturm_chain(p: Sequence) -> list[tuple[Fraction, ...]]:
-    """Sturm chain of a squarefree polynomial, with positive rescaling per step."""
+    """Sturm chain of a squarefree polynomial, with positive rescaling per
+    step, over the rationals (the reference for sturm_chain_int)."""
     p = normalize(p)
     chain = [p, derivative(p)]
     while chain[-1]:
@@ -216,15 +276,54 @@ def sturm_chain(p: Sequence) -> list[tuple[Fraction, ...]]:
     return [c for c in chain if c]
 
 
-def _sign_variations(values: Sequence[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
+def _primitive(nums: list[int]) -> list[int]:
+    g = gcd(*nums)
+    return [c // g for c in nums] if g > 1 else nums
+
+
+def sturm_chain_int(nums: Sequence[int]) -> list[list[int]]:
+    """Sturm chain of the polynomial p with integer coefficients nums (degree
+    >= 1, no trailing zeros) as a primitive remainder sequence (Collins
+    1967, Brown & Traub 1971): the primitive parts of p and p', then each
+    next member the primitive part of minus a pseudo-remainder of the two
+    before it.
+
+    Each pseudo-division step replaces r by (|lc|/g) r - (sgn(lc) c/g) z^s q,
+    where c is the top coefficient of r, lc that of q and g = gcd(c, lc), so
+    the pseudo-remainder is a positive multiple of the rational remainder.
+    Every member is therefore a positive multiple of sturm_chain's member,
+    the signs are the same, and the last member is gcd(p, p') up to a
+    constant."""
+    chain = [_primitive(list(nums)), _primitive([i * c for i, c in enumerate(nums)][1:])]
+    while True:
+        r, q = list(chain[-2]), chain[-1]
+        dq, lead = len(q) - 1, q[-1]
+        low = q[:dq]
+        for shift in range(len(r) - 1 - dq, -1, -1):
+            c = r[shift + dq]
+            if c:
+                g = gcd(c, lead)
+                u, v = abs(lead) // g, (c if lead > 0 else -c) // g
+                if u != 1:
+                    r[:shift] = [u * x for x in r[:shift]]
+                r[shift:shift + dq] = [u * x - v * y for x, y in zip(r[shift:shift + dq], low)]
+        del r[dq:]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            return chain
+        chain.append(_primitive([-x for x in r]))
+
+
+def _sign_variations(signs: Sequence[int]) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_between(chain: list[tuple[Fraction, ...]], a: Fraction, b: Fraction) -> int:
+def count_roots_between(chain: list[Sequence[int]], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots in (a, b]; endpoints must not be roots of chain[0]."""
-    va = _sign_variations([evaluate(c, a) for c in chain])
-    vb = _sign_variations([evaluate(c, b) for c in chain])
+    va = _sign_variations([_sign(c, a) for c in chain])
+    vb = _sign_variations([_sign(c, b) for c in chain])
     return va - vb
 
 
@@ -259,21 +358,9 @@ def integer_roots(p: Sequence[int]) -> list[int]:
         d += 1
     for d in sorted(divisors):
         for cand in (d, -d):
-            if evaluate(p, Fraction(cand)) == 0:
+            if sign_at(p, cand, 1) == 0:
                 roots.append(cand)
     return sorted(roots)
-
-
-def deflate(p: Sequence, r: Fraction) -> tuple[Fraction, ...]:
-    """Divide out a known exact root r (synthetic division)."""
-    p = normalize(p)
-    out = [_ZERO] * (len(p) - 1)
-    acc = _ZERO
-    for i in range(len(p) - 1, 0, -1):
-        acc = acc * r + p[i]
-        out[i - 1] = acc
-    assert acc * r + p[0] == 0, "deflation by a non-root"
-    return normalize(out)
 
 
 def isolate_real_roots(p: Sequence) -> list[Interval]:
@@ -282,28 +369,32 @@ def isolate_real_roots(p: Sequence) -> list[Interval]:
     Returns ascending intervals [lo, hi], each containing exactly one real
     root of p; exact rational roots come back as degenerate [r, r].  For
     non-degenerate intervals the endpoints are non-roots and p changes sign
-    across the interval, so plain bisection refines them.
+    across the interval, so plain bisection refines them.  Adjacent
+    intervals may share an endpoint, which is then not a root.
     """
     p = normalize(p)
     if degree(p) < 1:
         return []
-    if not is_squarefree(p):
+    work = common_denominator(p)[0]
+    chain = sturm_chain_int(work)
+    if len(chain[-1]) > 1:
         raise NotSquarefree("root isolation requires a squarefree polynomial")
 
     # Exact rational roots of a monic integer polynomial are integers.  The
     # fields built here always have monic integer defining polynomials, so
     # peeling integer roots off first leaves a polynomial with no dyadic
     # roots at all, making every bisection midpoint sign-safe.
-    work = p
     exact: list[Fraction] = []
     if all(c.denominator == 1 for c in p) and p[-1] == 1:
-        for r in integer_roots([c.numerator for c in p]):
+        for r in integer_roots(work):
             exact.append(Fraction(r))
-            work = deflate(work, Fraction(r))
+            work, rem = divmod_monic(work, (-r, 1))
+            assert not rem, "deflation by a non-root"
+        if exact and len(work) > 1:
+            chain = sturm_chain_int(work)
 
     intervals: list[Interval] = []
-    if degree(work) >= 1:
-        chain = sturm_chain(work)
+    if len(work) > 1:
         bound = root_bound(work)
         stack = [(-bound, bound, count_roots_between(chain, -bound, bound))]
         while stack:
@@ -337,16 +428,31 @@ def bisect_step(p: Sequence, lo: Fraction, hi: Fraction) -> Interval:
     """One bisection step on a sign-change bracket of a squarefree polynomial."""
     if lo == hi:
         return lo, hi
+    nums = common_denominator(p)[0]
     mid = (lo + hi) / 2
-    vm = evaluate(p, mid)
-    if vm == 0:  # only possible for rational roots, which the fields deflate
+    sm = _sign(nums, mid)
+    if sm == 0:  # only possible for rational roots, which the fields deflate
         return mid, mid
-    if (evaluate(p, lo) > 0) != (vm > 0):
+    if (_sign(nums, lo) > 0) != (sm > 0):
         return lo, mid
     return mid, hi
 
 
+# refine_to_width refuses a request that needs more halvings than this
+MAX_HALVINGS = 4096
+
+
 def refine_to_width(p: Sequence, lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
+    """Bisect [lo, hi] to width at most `width`.  The number of halvings,
+    ceil(log2((hi - lo) / width)), is known up front: above MAX_HALVINGS
+    this raises RefinementBudgetExceeded before the first step."""
+    if hi - lo > width:
+        ratio = (hi - lo) / width
+        halvings = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+        if halvings > MAX_HALVINGS:
+            raise RefinementBudgetExceeded(
+                f"the requested width takes {halvings} halvings of the isolating "
+                f"interval, over the budget of {MAX_HALVINGS}")
     while hi - lo > width:
         lo, hi = bisect_step(p, lo, hi)
     return lo, hi
@@ -357,10 +463,11 @@ def count_roots_in_interval(p: Sequence, lo: Fraction, hi: Fraction) -> int:
     p = normalize(p)
     if degree(p) < 1:
         return 0
-    n = 1 if (lo != hi and evaluate(p, lo) == 0) else 0
+    nums = common_denominator(p)[0]
+    at_lo = _sign(nums, lo) == 0
     if lo == hi:
-        return 1 if evaluate(p, lo) == 0 else 0
-    return n + count_roots_between(sturm_chain(p), lo, hi)
+        return 1 if at_lo else 0
+    return at_lo + count_roots_between(sturm_chain_int(nums), lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ graph), so each product with A and each graph search costs its number of
 nonzero entries, not k^2.  The route to the dominant eigenvalue is exact: an
 integer characteristic polynomial (division-checked Faddeev-LeVerrier over
 the successor lists of A), one Sturm isolation of the largest real root of
-its squarefree part, and rational bisection to the requested width.  The
-same recurrence, applied to the vector 1, yields P(z) = adj(zI - A) . 1,
-whose value at the Perron root is a nonnegative eigenvector (after exact
-division by any common factor vanishing there); its entries are evaluated by
-interval Horner at one enclosure of the root that they all share, bisected
-further on the squarefree part while an entry is too wide.  A rational root
+its squarefree part, and bisection to the requested width, every sign read
+by integer Horner (polys.sign_at).  The same recurrence, applied to the
+vector 1, yields P(z) = adj(zI - A) . 1, whose value at the Perron root is
+a nonnegative eigenvector (after exact division by any common factor
+vanishing there); its rows are reduced mod the monic squarefree part by
+integer elimination, and its entries are evaluated by interval Horner at
+one enclosure of the root that they all share, bisected further on the
+squarefree part while an entry is too wide.  A rational root
 is the exact point [r, r] and evaluates exactly.  Dominance is decided from
 the strongly connected components: their periods, Collatz-Wielandt brackets
 of their Perron roots, and exact root comparisons where the brackets
@@ -216,6 +218,19 @@ def _sccs(nbrs: list[list[int]]) -> list[list[int]]:
     return comps
 
 
+def _cycle_blocks(matrix: TransitionMatrix, comps: list[list[int]]) -> list[TransitionMatrix]:
+    """The diagonal block of every SCC in comps that carries a cycle, its
+    states numbered in the order of the component."""
+    blocks = []
+    for comp in comps:
+        if len(comp) == 1 and all(j != comp[0] for j, _ in matrix.succ[comp[0]]):
+            continue  # no cycle through this state
+        local = {s: i for i, s in enumerate(comp)}
+        blocks.append(TransitionMatrix(succ=tuple(
+            tuple((local[j], v) for j, v in matrix.succ[s] if j in local) for s in comp)))
+    return blocks
+
+
 def _cw_bracket(block: TransitionMatrix) -> Interval:
     """Collatz-Wielandt bracket of the Perron root of an irreducible block
     B (Collatz 1942, Wielandt 1950): for a positive v, rho(B) lies between
@@ -288,13 +303,7 @@ def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
             assert exponent is not None, "cycle gcd 1 but no positive power below the Wielandt bound"
         return DominanceReport(DominanceStatus.VERIFIED_PRIMITIVE, True, 1, exponent)
 
-    blocks = []
-    for comp in comps:
-        if len(comp) == 1 and comp[0] not in adj[comp[0]]:
-            continue  # no cycle through this state
-        local = {s: i for i, s in enumerate(comp)}
-        blocks.append(TransitionMatrix(succ=tuple(
-            tuple((local[j], v) for j, v in matrix.succ[s] if j in local) for s in comp)))
+    blocks = _cycle_blocks(matrix, comps)
     brackets = [_cw_bracket(b) for b in blocks]
     # without any cycle there is no winner: every eigenvalue is 0
     top = max((lo for lo, _ in brackets), default=None)
@@ -354,7 +363,7 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
     eps = Fraction(1, 2 ** 48)
     at = alpha  # one enclosure of alpha shared by every evaluation below
     while True:
-        reduced = [polys.divmod_poly(p, chi_sf)[1] for p in vec]
+        reduced = [_reduce_mod(p, chi_sf) for p in vec]
         rough, at = _evaluate_at_root(reduced, chi_sf, at, eps)
         if any(lo > 0 or hi < 0 for lo, hi in rough):
             break
@@ -381,7 +390,7 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
     return ivs
 
 
-def _evaluate_at_root(ps: list[tuple[Fraction, ...]], chi_sf: tuple[int, ...],
+def _evaluate_at_root(ps: list[tuple], chi_sf: tuple[int, ...],
                       at: Interval, eps: Fraction) -> tuple[list[Interval], Interval]:
     """Enclose p(alpha) to width <= eps for each p by interval Horner at an
     enclosure `at` of a root alpha of chi_sf, bisecting `at` on chi_sf while
@@ -402,6 +411,15 @@ def _evaluate_at_root(ps: list[tuple[Fraction, ...]], chi_sf: tuple[int, ...],
     return out, (lo, hi)
 
 
+def _reduce_mod(p, chi_sf: tuple[int, ...]) -> tuple:
+    """p mod the monic chi_sf by integer elimination on the numerators of p
+    over their common denominator: an integer row stays integral, and only
+    a row left rational by a common-factor division comes back rational."""
+    nums, den = polys.common_denominator(p)
+    rem = polys.divmod_monic(nums, chi_sf)[1]
+    return tuple(rem) if den == 1 else tuple(Fraction(c, den) for c in rem)
+
+
 def _div_exact(p, t) -> tuple[Fraction, ...]:
     quot, rem = polys.divmod_poly(p, t)
     assert not rem, "common factor must divide every adjugate entry"
@@ -411,14 +429,20 @@ def _div_exact(p, t) -> tuple[Fraction, ...]:
 def _normalize_eigenvector(intervals: list[Interval]) -> tuple[Interval, ...]:
     """Scale the largest entry's midpoint to 1, then rescale to unit
     euclidean norm, dividing by an enclosure of the norm over the whole box
-    (all in exact rational interval arithmetic)."""
-    top = max(abs(lo + hi) for lo, hi in intervals) / 2
+    (all in exact rational interval arithmetic).
+
+    The endpoints are taken over one common denominator D as [a/D, b/D];
+    with T = max |a + b| the scaled entries are [2a/T, 2b/T] and the
+    squared-norm bounds are integer sums of squares over T^2/4, the same
+    rationals as term-by-term Fraction sums without their per-term gcds."""
+    nums, _ = polys.common_denominator([x for iv in intervals for x in iv])
+    pairs = list(zip(nums[::2], nums[1::2]))
+    top = max(abs(a + b) for a, b in pairs)
     if top == 0:
         return tuple(intervals)
-    intervals = [(lo / top, hi / top) for lo, hi in intervals]
-    sq_lo = sum(Fraction(0) if lo <= 0 <= hi else min(lo * lo, hi * hi)
-                for lo, hi in intervals)
-    sq_hi = sum(max(lo * lo, hi * hi) for lo, hi in intervals)
+    sq_lo = Fraction(4 * sum(0 if a <= 0 <= b else min(a * a, b * b) for a, b in pairs), top * top)
+    sq_hi = Fraction(4 * sum(max(a * a, b * b) for a, b in pairs), top * top)
+    intervals = [(Fraction(2 * a, top), Fraction(2 * b, top)) for a, b in pairs]
     # Heron from (v+1)/2 needs about log2(v)/2 halving steps to reach
     # sqrt(v) <= sqrt(k), then converges quadratically
     iters = 6 + len(intervals).bit_length()

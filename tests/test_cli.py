@@ -1,5 +1,6 @@
 import json
 
+from betaorbit import polys
 from betaorbit.cli import main
 
 GOLDEN = "-1,-1,1"
@@ -242,6 +243,30 @@ def test_dimension_tol_flag(capsys):
     assert code == 0
     alo, ahi = map(float, json.loads(out)["alpha"])
     assert ahi - alo <= 1e-6
+
+
+def test_dimension_tol_beyond_the_halving_budget_exits_64_before_bisecting(capsys, monkeypatch):
+    # 1e-3000 takes about 9960 halvings of alpha's isolating interval; no
+    # bisection may run on the characteristic polynomial (degree 10 here,
+    # while the field's own refinements run on the quintic)
+    steps = []
+    bisect = polys.bisect_step
+    monkeypatch.setattr(polys, "bisect_step", lambda p, lo, hi: steps.append(len(p)) or bisect(p, lo, hi))
+    code, out, err = run(capsys, "dimension", "--minpoly", QUINTIC, "-m", "1",
+                         "-x", "1/(b^2-1)", "--tol", "1e-3000")
+    assert code == 64 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"budget of {polys.MAX_HALVINGS}" in err
+    assert all(n <= 6 for n in steps)
+
+
+def test_dimension_tol_within_the_halving_budget(capsys):
+    code, out, err = run(capsys, "dimension", "--minpoly", QUINTIC, "-m", "1",
+                         "-x", "1/(b^2-1)", "--tol", "1e-300", "--format", "json")
+    assert code == 0 and err == ""
+    blob = json.loads(out)
+    assert blob["condition1"] == "VerifiedPrimitive"
+    assert blob["alpha"] == ["1.324717957244746025960908854478", "1.324717957244746025960908854479"]
 
 
 # === usage errors and determinism ===

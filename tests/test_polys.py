@@ -133,7 +133,13 @@ def test_isolate_endpoints_avoid_deflated_roots():
     st.lists(st.integers(0, 2), min_size=k, max_size=k), min_size=k, max_size=k)))
 def test_isolate_endpoints_are_sign_changes_on_char_polys(rows):
     chi = char_polynomial(TransitionMatrix.from_rows(rows))
-    _assert_isolation(polys.squarefree_part_int(chi))
+    sf = polys.squarefree_part_int(chi)
+    _assert_isolation(sf)
+    # the integer kernel against the rational one (helpers below)
+    assert sf == polys.squarefree_part(chi)
+    assert polys.is_squarefree(chi) == (polys.degree(polys.gcd_poly(chi, polys.derivative(chi))) == 0)
+    _assert_chain_is_positive_multiple(sf)
+    assert polys.isolate_real_roots(sf) == _isolate_oracle(sf)
 
 
 def test_count_roots_in_interval():
@@ -203,3 +209,112 @@ def test_decimal_str_directed():
     assert polys.decimal_str(F(-1, 3), 4, -1) == "-0.3334"
     assert polys.decimal_str(F(-1, 3), 4, +1) == "-0.3333"
     assert polys.decimal_str(F(5, 2), 2, +1) == "2.50"
+
+
+# === the integer sign kernel, the integer Sturm chain and monic division ===
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys, _rationals)
+@example([F(1, 3), -2, F(5, 7)], F(0))
+@example([2, -3, 1], F(1))  # a root
+@example([], F(-7, 3))
+def test_sign_at_matches_fraction_evaluate(p, x):
+    want = _sign(polys.evaluate(p, x))
+    nums, _ = polys.common_denominator(p)
+    assert polys.sign_at(nums, x.numerator, x.denominator) == want
+    # Fraction coefficients run through the same kernel
+    assert polys.sign_at(p, x.numerator, x.denominator) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=12),
+       st.lists(st.integers(-9, 9), max_size=6))
+def test_divmod_monic_matches_divmod_poly(p, low):
+    q = low + [1]
+    quot, rem = polys.divmod_monic(p, q)
+    fquot, frem = polys.divmod_poly(p, q)
+    assert tuple(rem) == frem
+    assert tuple(polys.normalize(quot)) == fquot
+    assert all(type(c) is int for c in quot + rem)
+
+
+def _isolate_oracle(p):
+    """isolate_real_roots as it was built on the rational Sturm chain and
+    rational Horner: the differential reference for the integer kernel."""
+    p = polys.normalize(p)
+
+    def variations(chain, x):
+        signs = [_sign(polys.evaluate(c, x)) for c in chain]
+        signs = [s for s in signs if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def bisect(q, lo, hi):
+        mid = (lo + hi) / 2
+        vm = polys.evaluate(q, mid)
+        if vm == 0:
+            return mid, mid
+        return (lo, mid) if (polys.evaluate(q, lo) > 0) != (vm > 0) else (mid, hi)
+
+    work, exact = p, []
+    if all(c.denominator == 1 for c in p) and p[-1] == 1:
+        for r in polys.integer_roots([c.numerator for c in p]):
+            exact.append(F(r))
+            work = polys.divmod_poly(work, (F(-r), F(1)))[0]
+    intervals = []
+    if polys.degree(work) >= 1:
+        chain = polys.sturm_chain(work)
+        bound = polys.root_bound(work)
+        stack = [(-bound, bound, variations(chain, -bound) - variations(chain, bound))]
+        while stack:
+            lo, hi, n = stack.pop()
+            if n == 1:
+                while any(lo <= r <= hi for r in exact):
+                    lo, hi = bisect(work, lo, hi)
+                intervals.append((lo, hi))
+            elif n > 1:
+                mid = (lo + hi) / 2
+                left = variations(chain, lo) - variations(chain, mid)
+                stack += [(lo, mid, left), (mid, hi, n - left)]
+    out = intervals + [(r, r) for r in exact]
+    out.sort(key=lambda iv: iv[0] + iv[1])
+    return out
+
+
+def _assert_chain_is_positive_multiple(p):
+    nums = polys.common_denominator(polys.normalize(p))[0]
+    ints, fracs = polys.sturm_chain_int(nums), polys.sturm_chain(p)
+    assert len(ints) == len(fracs)
+    for a, b in zip(ints, fracs):
+        assert len(a) == len(b)
+        ratio = F(a[-1]) / b[-1]
+        assert ratio > 0 and all(x == ratio * y for x, y in zip(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=2, max_size=8), st.booleans())
+@example([0, -1, -1, 1], True)  # z (z^2 - z - 1): an exact root at 0
+@example([-2, 1, -2, 1], True)  # (z - 2)(z^2 + 1)
+def test_isolation_matches_rational_sturm_oracle(low, make_monic):
+    p = polys.normalize(low + [1] if make_monic else low)
+    assume(polys.degree(p) >= 1)
+    assume(polys.degree(polys.gcd_poly(p, polys.derivative(p))) == 0)
+    assert polys.is_squarefree(p)
+    _assert_chain_is_positive_multiple(p)
+    assert polys.isolate_real_roots(p) == _isolate_oracle(p)
+
+
+def test_refine_to_width_budget_is_checked_before_bisecting(monkeypatch):
+    p = (-2, 0, 1)  # z^2 - 2 on [1, 2]: width 1
+    steps = []
+    bisect = polys.bisect_step
+    monkeypatch.setattr(polys, "bisect_step", lambda *a: steps.append(1) or bisect(*a))
+    with pytest.raises(RefinementBudgetExceeded, match="halvings"):
+        polys.refine_to_width(p, F(1), F(2), F(1, 2 ** polys.MAX_HALVINGS + 1))
+    assert steps == []
+    lo, hi = polys.refine_to_width(p, F(1), F(2), F(1, 2 ** polys.MAX_HALVINGS))
+    assert hi - lo == F(1, 2 ** polys.MAX_HALVINGS) and len(steps) == polys.MAX_HALVINGS
+    assert lo * lo < 2 < hi * hi

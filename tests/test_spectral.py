@@ -28,6 +28,7 @@ from betaorbit import (
 from betaorbit import polys, spectral
 from betaorbit.cli import main
 from betaorbit.errors import DominanceNotEstablished, ZeroMatrix
+from betaorbit.orbit import DivergenceReport
 from betaorbit.polys import interval_mul
 from betaorbit.spectral import _adjugate_eigenvector, _adjugate_row_sums
 
@@ -665,3 +666,57 @@ def test_cli_runs_without_numpy():
     # and the package declares no runtime dependency
     pyproject = (root / "pyproject.toml").read_text()
     assert not any(line.split("=")[0].strip() == "dependencies" for line in pyproject.splitlines())
+
+
+# === the integer kernel on the Perron root path ===
+
+@settings(max_examples=60, deadline=None)
+@given(_nonneg_matrices(8), st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50))
+def test_integer_reduction_matches_rational_division(rows, scale):
+    mat = _mat(rows)
+    chi = char_polynomial(mat)
+    chi_sf = polys.squarefree_part_int(chi)
+    for p in _adjugate_row_sums(mat, chi):
+        got = spectral._reduce_mod(p, chi_sf)
+        assert got == polys.divmod_poly(p, chi_sf)[1]
+        assert all(type(c) is int for c in got)
+        # a row left rational by a common-factor division
+        q = tuple(c * scale for c in p)
+        assert spectral._reduce_mod(q, chi_sf) == polys.divmod_poly(q, chi_sf)[1]
+
+
+@pytest.mark.parametrize("point", [None, "1/5"], ids=["quintic", "golden-fifth"])
+def test_perron_path_makes_no_rational_evaluate_or_sturm_chain(
+        point, quintic_params, quintic_x, golden_params, monkeypatch):
+    if point is None:
+        mat = transition_matrix(compute_orbit(quintic_params, quintic_x))
+    else:
+        mat = transition_matrix(compute_orbit(golden_params, golden_params.parse_point(point)))
+    calls = {"evaluate": 0, "sturm_chain": 0, "divmod_poly": 0}
+    for name, original in [(n, getattr(polys, n)) for n in calls]:
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(polys, name, counting)
+    pr = perron_eigenvalue(mat)
+    assert calls == {"evaluate": 0, "sturm_chain": 0, "divmod_poly": 0}
+    _assert_perron_eigenvector(mat, pr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(-1, -1, 1), (-1, -1, -1, -1, 0, 1), (-2, 1), (-1, -1, 0, 1),
+                        (-1, 0, -1, 1), (-1, -1, -1, -1, 1), (-2, 0, 1), (-3, 0, 1)]),
+       st.integers(1, 2),
+       st.integers(1, 12).flatmap(lambda q: st.integers(0, q).map(lambda a: F(a, q))))
+def test_cw_bracket_contains_the_perron_root_of_every_block(minpoly, m, x):
+    # the conftest bases; x in [0, 1] lies in [0, m/(beta-1)] for each
+    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
+    graph = compute_orbit(params, params.field.from_rational(x), state_cap=80)
+    if isinstance(graph, DivergenceReport):
+        return
+    mat = transition_matrix(graph)
+    comps = spectral._sccs([[j for j, _ in terms] for terms in mat.succ])
+    for block in spectral._cycle_blocks(mat, comps):
+        lo, hi = spectral._cw_bracket(block)
+        alo, ahi = perron_eigenvalue(block).alpha
+        assert lo <= alo and ahi <= hi
