@@ -291,11 +291,15 @@ def verify_expansion(params: ExpansionParams, x: FieldElement, word: Sequence[in
 
     For an admissible prefix the residual is at most (m/(beta-1)) * beta^(-n).
     """
-    inv_beta = params.beta.inverse()
-    acc = params.field.zero
+    return (x - _word_value(word, params.beta.inverse())).abs_enclosure(eps)
+
+
+def _word_value(word: Sequence[int], inv_beta: FieldElement) -> FieldElement:
+    """sum_i word_i * beta^(-i) over a finite digit word, by Horner in 1/beta."""
+    acc = inv_beta.field.zero
     for d in reversed(tuple(word)):
         acc = (acc + d) * inv_beta
-    return (x - acc).abs_enclosure(eps)
+    return acc
 
 
 def expansion_value(params: ExpansionParams, preperiod: Sequence[int],
@@ -306,15 +310,8 @@ def expansion_value(params: ExpansionParams, preperiod: Sequence[int],
     if not period:
         raise ValueError("period must be nonempty")
     inv_beta = params.beta.inverse()
-
-    def finite_sum(word):
-        acc = params.field.zero
-        for d in reversed(tuple(word)):
-            acc = (acc + d) * inv_beta
-        return acc
-
-    s_pre = finite_sum(preperiod)
-    s_per = finite_sum(period)
+    s_pre = _word_value(preperiod, inv_beta)
+    s_per = _word_value(period, inv_beta)
     shift = inv_beta ** len(preperiod)
     tail = s_per * (params.field.one - inv_beta ** len(period)).inverse()
     return s_pre + shift * tail

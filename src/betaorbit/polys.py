@@ -8,8 +8,10 @@ whose output is certified afterwards by exact interval Newton contraction.
 The real-root path runs on integers.  Signs at a rational point n/d are read
 by integer Horner on the coefficient numerators (sign_at), the Sturm chain is
 an integer primitive remainder sequence (Collins 1967, Brown & Traub 1971)
-whose members are positive multiples of the rational Sturm chain's, and
-division by a monic integer polynomial stays in the integers (divmod_monic).
+whose members are positive multiples of the rational Sturm chain's, the
+integer roots come from Sturm counts on integer intervals of the same chain
+(integer_roots), and division by a monic integer polynomial stays in the
+integers (divmod_monic).
 The rational evaluate, divmod_poly and sturm_chain remain for everything
 else and as the reference the integer paths are tested against.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd, lcm, pi
+from math import ceil, gcd, lcm, pi
 from typing import Sequence
 
 from .errors import NotSquarefree, RefinementBudgetExceeded
@@ -335,32 +337,51 @@ def root_bound(p: Sequence) -> Fraction:
 
 
 def integer_roots(p: Sequence[int]) -> list[int]:
-    """All integer roots of an integer polynomial (rational roots are integers
-    when the polynomial is monic)."""
-    p = [int(c) for c in p]
-    while p and p[-1] == 0:
-        p.pop()
-    if len(p) <= 1:
+    """All integer roots of a squarefree integer polynomial, ascending.
+
+    Sturm counts on integer intervals: from (-B, B] with B the Cauchy bound
+    rounded up, each interval (a, b] that holds a root is halved until its
+    width is 1, and then b is tested by sign_at, so the cost grows with the
+    bit size of the coefficients.  Raises NotSquarefree when p shares a root
+    with p'."""
+    nums = [int(c) for c in p]
+    while nums and nums[-1] == 0:
+        nums.pop()
+    if len(nums) < 2:
         return []
+    chain = sturm_chain_int(nums)
+    if len(chain[-1]) > 1:
+        raise NotSquarefree("integer_roots requires a squarefree polynomial")
+    return _integer_roots(chain)
+
+
+def _integer_roots(chain: list[list[int]]) -> list[int]:
+    """integer_roots from the Sturm chain of its squarefree polynomial.
+
+    V(a) - V(b) counts the roots in (a, b] even when a or b is a root: the
+    chain's first member p vanishes there and is dropped, while p' keeps its
+    sign, so V is continuous from the right at a root and drops by one
+    across it."""
+    p = chain[0]
+    bound = ceil(root_bound(p))
+
+    def variations(x: int) -> int:
+        return _sign_variations([sign_at(c, x, 1) for c in chain])
+
     roots = []
-    if p[0] == 0:
-        roots.append(0)
-        while p and p[0] == 0:
-            p = p[1:]  # divide out the factor z^k
-    if len(p) <= 1:
-        return sorted(roots)
-    c0 = abs(p[0])
-    divisors = set()
-    d = 1
-    while d * d <= c0:
-        if c0 % d == 0:
-            divisors.update((d, c0 // d))
-        d += 1
-    for d in sorted(divisors):
-        for cand in (d, -d):
-            if sign_at(p, cand, 1) == 0:
-                roots.append(cand)
-    return sorted(roots)
+    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if sign_at(p, b, 1) == 0:
+                roots.append(b)
+            continue
+        mid = (a + b) // 2
+        vm = variations(mid)
+        stack += [(mid, b, vm, vb), (a, mid, va, vm)]
+    return roots
 
 
 def isolate_real_roots(p: Sequence) -> list[Interval]:
@@ -386,7 +407,7 @@ def isolate_real_roots(p: Sequence) -> list[Interval]:
     # roots at all, making every bisection midpoint sign-safe.
     exact: list[Fraction] = []
     if all(c.denominator == 1 for c in p) and p[-1] == 1:
-        for r in integer_roots(work):
+        for r in _integer_roots(chain):
             exact.append(Fraction(r))
             work, rem = divmod_monic(work, (-r, 1))
             assert not rem, "deflation by a non-root"
@@ -425,15 +446,15 @@ def isolate_real_roots(p: Sequence) -> list[Interval]:
 
 
 def bisect_step(p: Sequence, lo: Fraction, hi: Fraction) -> Interval:
-    """One bisection step on a sign-change bracket of a squarefree polynomial."""
+    """One bisection step on a sign-change bracket of a squarefree polynomial
+    with integer or rational coefficients (sign_at is exact for both)."""
     if lo == hi:
         return lo, hi
-    nums = common_denominator(p)[0]
     mid = (lo + hi) / 2
-    sm = _sign(nums, mid)
+    sm = _sign(p, mid)
     if sm == 0:  # only possible for rational roots, which the fields deflate
         return mid, mid
-    if (_sign(nums, lo) > 0) != (sm > 0):
+    if (_sign(p, lo) > 0) != (sm > 0):
         return lo, mid
     return mid, hi
 

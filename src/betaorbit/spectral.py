@@ -9,14 +9,15 @@ its squarefree part, and bisection to the requested width, every sign read
 by integer Horner (polys.sign_at).  The same recurrence, applied to the
 vector 1, yields P(z) = adj(zI - A) . 1, whose value at the Perron root is
 a nonnegative eigenvector (after exact division by any common factor
-vanishing there); its rows are reduced mod the monic squarefree part by
-integer elimination, and its entries are evaluated by interval Horner at
-one enclosure of the root that they all share, bisected further on the
-squarefree part while an entry is too wide.  A rational root
-is the exact point [r, r] and evaluates exactly.  Dominance is decided from
-the strongly connected components: their periods, Collatz-Wielandt brackets
-of their Perron roots, and exact root comparisons where the brackets
-overlap.  Floating point appears only in display values.
+vanishing there, a monic integer polynomial); its rows are divided and
+reduced mod the monic squarefree part by integer elimination, and its
+entries are evaluated by interval Horner at one enclosure of the root that
+they all share, bisected further on the squarefree part while an entry is
+too wide.  A rational root is the exact point [r, r] and evaluates exactly.
+Dominance is decided from the strongly connected components: their periods
+(from the depth-first depths of the same Tarjan walk that finds them),
+Collatz-Wielandt brackets of their Perron roots, and exact root comparisons
+where the brackets overlap.  Floating point appears only in display values.
 """
 
 from __future__ import annotations
@@ -141,20 +142,6 @@ class DimensionResult:
 _BRACKET_STEPS = 8  # powers B^t . 1 behind each Collatz-Wielandt bracket
 
 
-def _bfs_levels(nbrs: list[list[int]]) -> list[int]:
-    """Breadth-first depth of every state from state 0, -1 where state 0
-    cannot reach it."""
-    level = [-1] * len(nbrs)
-    level[0] = 0
-    queue = [0]
-    for u in queue:
-        for v in nbrs[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-    return level
-
-
 def _primitivity_exponent(adj: list[list[int]]) -> int | None:
     """Smallest t with A^t entrywise positive, searched directly up to the
     Wielandt bound (k-1)^2 + 1 using bitset boolean products: row i of A^t
@@ -171,23 +158,25 @@ def _primitivity_exponent(adj: list[list[int]]) -> int | None:
     return None
 
 
-def _period(nbrs: list[list[int]]) -> int:
-    """gcd of the cycle lengths of a strongly connected graph: the gcd over
-    the edges (u, v) of |level(u) + 1 - level(v)| for the breadth-first
-    levels from state 0 (the levels mod that gcd are the cyclic classes)."""
-    level = _bfs_levels(nbrs)
-    return reduce(math.gcd, (abs(level[u] + 1 - level[v])
-                             for u, targets in enumerate(nbrs) for v in targets), 0)
-
-
-def _sccs(nbrs: list[list[int]]) -> list[list[int]]:
+def _sccs(nbrs: list[list[int]]) -> list[tuple[list[int], int]]:
     """Strongly connected components by an iterative Tarjan pass (Tarjan
-    1972).  A state that leaves the stack with its component gets index k,
-    so a later edge into it lowers no link value."""
+    1972), each with its period: the gcd of its cycle lengths, 0 for a
+    single state without a loop.  A state that leaves the stack with its
+    component gets index k, so a later edge into it lowers no link value.
+
+    The same walk records each state's depth-first depth (a tree edge sets
+    depth(v) = depth(u) + 1).  A component's states form a subtree of the
+    depth-first forest, so every depth is, up to one offset, the length of a
+    walk from the component's first-visited state.  The period is therefore
+    the gcd of |depth(u) + 1 - depth(v)| over the component's edges (u, v):
+    a closed walk's length is the sum of these terms along it, and each term
+    is the difference of two closed-walk lengths.  Tree edges add 0, and an
+    edge to a state still on the stack stays inside the component, so each
+    such edge adds its term to a per-state gcd when it is seen."""
     k = len(nbrs)
-    index, low = [-1] * k, [0] * k
+    index, low, depth, g = [-1] * k, [0] * k, [0] * k, [0] * k
     stack: list[int] = []
-    comps: list[list[int]] = []
+    comps: list[tuple[list[int], int]] = []
     order = count()
     for root in range(k):
         if index[root] >= 0:
@@ -206,28 +195,32 @@ def _sccs(nbrs: list[list[int]]) -> list[list[int]]:
                         comp.append(stack.pop())
                     for w in comp:
                         index[w] = low[w] = k
-                    comps.append(comp)
+                    comps.append((comp, reduce(math.gcd, (g[w] for w in comp), 0)))
                 if work:
                     low[work[-1][0]] = min(low[work[-1][0]], low[u])
             elif index[v] < 0:
                 index[v] = low[v] = next(order)
+                depth[v] = depth[u] + 1
                 stack.append(v)
                 work.append((v, iter(nbrs[v])))
-            else:
+            elif index[v] < k:  # v is on the stack: the edge is inside u's component
                 low[u] = min(low[u], index[v])
+                g[u] = math.gcd(g[u], depth[u] + 1 - depth[v])
     return comps
 
 
-def _cycle_blocks(matrix: TransitionMatrix, comps: list[list[int]]) -> list[TransitionMatrix]:
-    """The diagonal block of every SCC in comps that carries a cycle, its
-    states numbered in the order of the component."""
+def _cycle_blocks(matrix: TransitionMatrix,
+                  comps: list[tuple[list[int], int]]) -> list[tuple[TransitionMatrix, int]]:
+    """The diagonal block of every SCC in comps that carries a cycle (period
+    > 0), its states numbered in the order of the component, with its
+    period."""
     blocks = []
-    for comp in comps:
-        if len(comp) == 1 and all(j != comp[0] for j, _ in matrix.succ[comp[0]]):
-            continue  # no cycle through this state
-        local = {s: i for i, s in enumerate(comp)}
-        blocks.append(TransitionMatrix(succ=tuple(
-            tuple((local[j], v) for j, v in matrix.succ[s] if j in local) for s in comp)))
+    for comp, period in comps:
+        if period:
+            local = {s: i for i, s in enumerate(comp)}
+            blocks.append((TransitionMatrix(succ=tuple(
+                tuple((local[j], v) for j, v in matrix.succ[s] if j in local) for s in comp)),
+                period))
     return blocks
 
 
@@ -246,13 +239,13 @@ def _cw_bracket(block: TransitionMatrix) -> Interval:
     return max(lo for lo, _ in brackets), min(hi for _, hi in brackets)
 
 
-def _top_blocks(blocks: list[TransitionMatrix]) -> list[TransitionMatrix]:
-    """The blocks whose Perron root, the largest real root of the block's
-    squarefree characteristic polynomial, is the largest.  Two roots are
-    equal when the gcd of their polynomials has a root where their
+def _top_blocks(blocks: list[tuple[TransitionMatrix, int]]) -> list[tuple[TransitionMatrix, int]]:
+    """The (block, period) pairs whose Perron root, the largest real root of
+    the block's squarefree characteristic polynomial, is the largest.  Two
+    roots are equal when the gcd of their polynomials has a root where their
     isolating intervals meet; otherwise bisection pulls the intervals apart."""
     roots = []
-    for block in blocks:
+    for block, _ in blocks:
         sf = polys.squarefree_part_int(char_polynomial(block))
         roots.append((sf, *polys.isolate_real_roots(sf)[-1]))
     best = [0]
@@ -275,16 +268,17 @@ def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
     other eigenvalue moduli.
 
     The spectrum of A is that of the diagonal blocks of its strongly
-    connected components (SCCs, from one Tarjan pass) with a cycle, plus
-    zeros, and the Perron root of an irreducible block of period p shares
-    its modulus with exactly p of the block's eigenvalues.  So dominance
-    holds iff exactly one SCC attains the largest Perron root and its
-    period is 1.  One SCC covering every state is VerifiedPrimitive (the
-    positive power confirmed up to the Wielandt bound for k <= 64) or
-    FailedPeripheralSpectrum.  Otherwise each SCC with a cycle gets a
-    Collatz-Wielandt bracket of its Perron root, and the SCCs whose
-    bracket reaches the largest lower bound are ranked exactly
-    (_top_blocks).  One winner of period 1 is VerifiedSpectralGap; a tie,
+    connected components (SCCs) with a cycle, plus zeros, and the Perron
+    root of an irreducible block of period p shares its modulus with
+    exactly p of the block's eigenvalues.  So dominance holds iff exactly
+    one SCC attains the largest Perron root and its period is 1.  One
+    Tarjan pass (_sccs) finds the SCCs with their periods, and both
+    branches below read those periods.  One SCC covering every state is
+    VerifiedPrimitive (the positive power confirmed up to the Wielandt
+    bound for k <= 64) or FailedPeripheralSpectrum.  Otherwise each SCC
+    with a cycle (period > 0) gets a Collatz-Wielandt bracket of its Perron
+    root, and the SCCs whose bracket reaches the largest lower bound are
+    ranked exactly (_top_blocks).  One winner of period 1 is VerifiedSpectralGap; a tie,
     a larger period or a graph without cycles is FailedPeripheralSpectrum.
     Only the zero matrix is Unknown.
     """
@@ -295,22 +289,22 @@ def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
     adj = [[j for j, _ in terms] for terms in matrix.succ]
     comps = _sccs(adj)
     if len(comps) == 1:
-        gcd = _period(adj)
-        if gcd > 1:
-            return DominanceReport(DominanceStatus.FAILED_PERIPHERAL_SPECTRUM, True, gcd, None)
+        period = comps[0][1]
+        if period > 1:
+            return DominanceReport(DominanceStatus.FAILED_PERIPHERAL_SPECTRUM, True, period, None)
         exponent = _primitivity_exponent(adj) if k <= 64 else None
         if k <= 64:
             assert exponent is not None, "cycle gcd 1 but no positive power below the Wielandt bound"
         return DominanceReport(DominanceStatus.VERIFIED_PRIMITIVE, True, 1, exponent)
 
     blocks = _cycle_blocks(matrix, comps)
-    brackets = [_cw_bracket(b) for b in blocks]
+    brackets = [_cw_bracket(b) for b, _ in blocks]
     # without any cycle there is no winner: every eigenvalue is 0
     top = max((lo for lo, _ in brackets), default=None)
     winners = [b for b, (_, hi) in zip(blocks, brackets) if hi >= top]
     if len(winners) > 1:
         winners = _top_blocks(winners)
-    gap = len(winners) == 1 and _period([[j for j, _ in t] for t in winners[0].succ]) == 1
+    gap = len(winners) == 1 and winners[0][1] == 1
     status = DominanceStatus.VERIFIED_SPECTRAL_GAP if gap else DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
     return DominanceReport(status, False, None, None)
 
@@ -363,7 +357,7 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
     eps = Fraction(1, 2 ** 48)
     at = alpha  # one enclosure of alpha shared by every evaluation below
     while True:
-        reduced = [_reduce_mod(p, chi_sf) for p in vec]
+        reduced = [polys.divmod_monic(p, chi_sf)[1] for p in vec]
         rough, at = _evaluate_at_root(reduced, chi_sf, at, eps)
         if any(lo > 0 or hi < 0 for lo, hi in rough):
             break
@@ -373,8 +367,13 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
         for p in reduced:
             t = polys.gcd_poly(t, p)
         if polys.count_roots_in_interval(t, *alpha):
-            vec = [_div_exact(p, t) for p in vec]
-            rest = _div_exact(rest, t)
+            # t divides the monic integer chi_sf, so it is monic over Z
+            # (Gauss's lemma) and the division stays in the integers
+            assert all(c.denominator == 1 for c in t), "a monic factor of chi_sf is integral"
+            t = [int(c) for c in t]
+            quots = [polys.divmod_monic(p, t) for p in [rest, *vec]]
+            assert not any(rem for _, rem in quots), "common factor must divide every adjugate entry"
+            rest, *vec = [q for q, _ in quots]
         else:
             eps /= 2 ** 48
     if len(rest) < len(chi):
@@ -390,7 +389,7 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
     return ivs
 
 
-def _evaluate_at_root(ps: list[tuple], chi_sf: tuple[int, ...],
+def _evaluate_at_root(ps: list[list[int]], chi_sf: tuple[int, ...],
                       at: Interval, eps: Fraction) -> tuple[list[Interval], Interval]:
     """Enclose p(alpha) to width <= eps for each p by interval Horner at an
     enclosure `at` of a root alpha of chi_sf, bisecting `at` on chi_sf while
@@ -409,21 +408,6 @@ def _evaluate_at_root(ps: list[tuple], chi_sf: tuple[int, ...],
             rounds += 1
         out.append((vlo, vhi))
     return out, (lo, hi)
-
-
-def _reduce_mod(p, chi_sf: tuple[int, ...]) -> tuple:
-    """p mod the monic chi_sf by integer elimination on the numerators of p
-    over their common denominator: an integer row stays integral, and only
-    a row left rational by a common-factor division comes back rational."""
-    nums, den = polys.common_denominator(p)
-    rem = polys.divmod_monic(nums, chi_sf)[1]
-    return tuple(rem) if den == 1 else tuple(Fraction(c, den) for c in rem)
-
-
-def _div_exact(p, t) -> tuple[Fraction, ...]:
-    quot, rem = polys.divmod_poly(p, t)
-    assert not rem, "common factor must divide every adjugate entry"
-    return quot
 
 
 def _normalize_eigenvector(intervals: list[Interval]) -> tuple[Interval, ...]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 from betaorbit import polys
 from betaorbit.cli import main
@@ -20,6 +21,15 @@ def test_pisot_exit_codes(capsys):
     assert run(capsys, "pisot", "--minpoly", "-2,1")[0] == 0
     assert run(capsys, "pisot", "--minpoly", "-3,0,1")[0] == 2
     assert run(capsys, "pisot", "--minpoly", "1,-1,-1,-1,1")[0] == 3  # Salem-type
+
+
+def test_pisot_huge_constant_term_exits_2_quickly(capsys):
+    # z^2 - (2^64 + 1): the integer-root search is logarithmic in the
+    # constant term, not a divisor search over it
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "pisot", "--minpoly", "-18446744073709551617,0,1")
+    assert code == 2 and json.loads(out)["status"] == "not_pisot"
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_pisot_prints_certificate_json(capsys):

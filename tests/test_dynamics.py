@@ -258,6 +258,30 @@ def test_periodicity_for_field_points():
                 assert expansion_value(params, run.preperiod_digits, run.period_digits) == x
 
 
+_CONFTEST_BASES = [(-1, -1, 1), (-1, -1, -1, -1, 0, 1), (-2, 1), (-1, -1, 0, 1),
+                   (-1, 0, -1, 1), (-1, -1, -1, -1, 1), (-2, 0, 1), (-3, 0, 1)]
+_FIELDS = {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_CONFTEST_BASES), st.integers(1, 2),
+       st.sampled_from(["greedy", "lazy", "alternating"]),
+       st.integers(1, 15).flatmap(lambda q: st.integers(0, 4 * q).map(lambda a: F(a, q))))
+def test_periodic_expansions_evaluate_back_to_x(minpoly, m, kind, x):
+    # every periodic greedy, lazy or alternating expansion of a rational x in
+    # [0, m/(beta-1)] sums back to x exactly (the sqrt bases need not close)
+    field = _FIELDS.setdefault(minpoly, NumberField(IntPolynomial(minpoly)))
+    if field.beta > m + 1:
+        return
+    params = ExpansionParams(field, m)
+    point = field.from_rational(x)
+    if not params.contains(point):
+        return
+    run = generate_expansion(params, point, getattr(ExpansionRule, kind)(), max_steps=400)
+    if run.is_periodic:
+        assert expansion_value(params, run.preperiod_digits, run.period_digits) == point
+
+
 def test_no_period_within_budget(golden_params):
     run = generate_expansion(golden_params, golden_params.field.one,
                              ExpansionRule.greedy(), max_steps=1)

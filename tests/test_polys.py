@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from betaorbit import polys
-from betaorbit.errors import RefinementBudgetExceeded
+from betaorbit.errors import NotSquarefree, RefinementBudgetExceeded
 from betaorbit.orbit import TransitionMatrix
 from betaorbit.spectral import char_polynomial
 
@@ -126,6 +126,43 @@ def test_isolate_endpoints_avoid_deflated_roots():
     lo, hi = roots[-1]
     assert polys.bisect_step(p, lo, hi) != (lo, hi)
     assert polys.refine_to_width(p, lo, hi, F(1, 2 ** 20))[0] > F(1618, 1000)
+
+
+def _poly_with_integer_roots(roots, cofactor, lead):
+    p = (F(lead),)
+    for r in roots:
+        p = polys.mul(p, (F(-r), F(1)))
+    return [int(c) for c in polys.mul(p, polys.normalize(cofactor) or (F(1),))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=3), st.lists(st.integers(-4, 4), max_size=3),
+       st.sampled_from((1, -1, 2, 3, -6)))
+@example([0], [], 1)          # z: the root 0
+@example([0], [0, 1], 1)      # z^2: not squarefree
+@example([-3, 2], [1, 2], 1)  # (z + 3)(z - 2)(2z + 1): a rational root that is no integer
+@example([4], [], 2)          # 2z - 8: not monic
+@example([2, 2], [], 1)       # (z - 2)^2
+def test_integer_roots_match_brute_force(roots, cofactor, lead):
+    p = _poly_with_integer_roots(roots, cofactor, lead)
+    # every root has modulus below the Cauchy bound 1 + max |c_i / lead|
+    bound = 1 + max(abs(c) for c in p)
+    brute = [x for x in range(-bound, bound + 1) if sum(c * x ** i for i, c in enumerate(p)) == 0]
+    assert set(roots) <= set(brute)
+    if polys.degree(polys.gcd_poly(p, polys.derivative(p))) > 0:
+        with pytest.raises(NotSquarefree):
+            polys.integer_roots(p)
+    else:
+        assert polys.integer_roots(p) == brute
+
+
+def test_integer_roots_of_a_huge_constant_term():
+    # z^2 - (2^64 + 1) has no integer root, z^2 - 2^64 has +-2^32; a divisor
+    # search over the constant term would take hours
+    assert polys.integer_roots([-(2 ** 64 + 1), 0, 1]) == []
+    assert polys.integer_roots([-(2 ** 64), 0, 1]) == [-(2 ** 32), 2 ** 32]
+    assert polys.integer_roots([0, -(2 ** 64), 0, 1]) == [-(2 ** 32), 0, 2 ** 32]
+    assert polys.integer_roots([7]) == [] and polys.integer_roots([0, 0]) == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -368,6 +368,39 @@ def test_dominance_graph_data_matches_dense_oracle(rows):
         _dense_dominance_oracle(rows)
 
 
+def _dense_sccs(rows):
+    """SCCs from a boolean transitive closure (Warshall), as sorted tuples."""
+    k = len(rows)
+    reach = [[v > 0 for v in r] for r in rows]
+    for t in range(k):
+        for i in range(k):
+            if reach[i][t]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[t])]
+    return {tuple(j for j in range(k) if j == i or reach[i][j] and reach[j][i])
+            for i in range(k)}, reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from((0, 0, 0, 0, 1, 2)), min_size=k, max_size=k),
+    min_size=k, max_size=k)))
+@example([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 1]])  # loopless source, 2-cycle, loop
+@example([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]])
+@example([[0, 0], [0, 0]])
+def test_scc_periods_match_dense_cycle_gcd(rows):
+    # each SCC's period from the Tarjan walk is the cycle gcd of its diagonal
+    # block, and 0 for a single state without a loop
+    comps = spectral._sccs([[j for j, v in enumerate(r) if v] for r in rows])
+    assert {tuple(sorted(comp)) for comp, _ in comps} == _dense_sccs(rows)[0]
+    assert sum(len(comp) for comp, _ in comps) == len(rows)
+    for comp, period in comps:
+        sub = [[rows[i][j] for j in comp] for i in comp]
+        if len(comp) == 1 and not sub[0][0]:
+            assert period == 0
+        else:
+            assert period == _dense_dominance_oracle(sub)[1] > 0
+
+
 def _assert_perron_eigenvector(mat, pr):
     """A v meets alpha v entrywise as intervals, v >= 0, and the box holds
     a unit vector."""
@@ -578,16 +611,9 @@ def _dense_dominance_status(rows):
     oracle, and its Perron root from perron_eigenvalue; two roots whose
     enclosures meet are equal exactly when the gcd of the blocks' dense
     characteristic polynomials has a root where the enclosures meet."""
-    k = len(rows)
     if not any(map(any, rows)):
         return DominanceStatus.UNKNOWN
-    reach = [[v > 0 for v in r] for r in rows]
-    for t in range(k):  # Warshall
-        for i in range(k):
-            if reach[i][t]:
-                reach[i] = [a or b for a, b in zip(reach[i], reach[t])]
-    comps = {tuple(j for j in range(k) if j == i or reach[i][j] and reach[j][i])
-             for i in range(k)}
+    comps, reach = _dense_sccs(rows)
     if len(comps) == 1:
         g = _dense_dominance_oracle(rows)[1]
         return DominanceStatus.VERIFIED_PRIMITIVE if g == 1 \
@@ -671,35 +697,49 @@ def test_cli_runs_without_numpy():
 # === the integer kernel on the Perron root path ===
 
 @settings(max_examples=60, deadline=None)
-@given(_nonneg_matrices(8), st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50))
-def test_integer_reduction_matches_rational_division(rows, scale):
+@given(_nonneg_matrices(8))
+def test_integer_reduction_matches_rational_division(rows):
+    # the adjugate rows are reduced mod chi_sf by integer elimination
     mat = _mat(rows)
     chi = char_polynomial(mat)
     chi_sf = polys.squarefree_part_int(chi)
     for p in _adjugate_row_sums(mat, chi):
-        got = spectral._reduce_mod(p, chi_sf)
-        assert got == polys.divmod_poly(p, chi_sf)[1]
+        got = polys.divmod_monic(p, chi_sf)[1]
+        assert tuple(got) == polys.divmod_poly(p, chi_sf)[1]
         assert all(type(c) is int for c in got)
-        # a row left rational by a common-factor division
-        q = tuple(c * scale for c in p)
-        assert spectral._reduce_mod(q, chi_sf) == polys.divmod_poly(q, chi_sf)[1]
 
 
-@pytest.mark.parametrize("point", [None, "1/5"], ids=["quintic", "golden-fifth"])
+@pytest.mark.parametrize("case", [
+    "quintic", "golden-fifth", _block_diag(_GOLD, _GOLD), _SOURCE_FEEDS_TWO_GOLDEN,
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+], ids=["quintic", "golden-fifth", "two-golden-blocks", "source-feeds-golden", "identity"])
 def test_perron_path_makes_no_rational_evaluate_or_sturm_chain(
-        point, quintic_params, quintic_x, golden_params, monkeypatch):
-    if point is None:
+        case, quintic_params, quintic_x, golden_params, monkeypatch):
+    # the last three take the common-factor path: gcd_poly finds the factor
+    # (its own rational divisions are not counted), and the rows and chi/t
+    # are divided by it in the integers
+    if case == "quintic":
         mat = transition_matrix(compute_orbit(quintic_params, quintic_x))
+    elif case == "golden-fifth":
+        mat = transition_matrix(compute_orbit(golden_params, golden_params.parse_point("1/5")))
     else:
-        mat = transition_matrix(compute_orbit(golden_params, golden_params.parse_point(point)))
-    calls = {"evaluate": 0, "sturm_chain": 0, "divmod_poly": 0}
+        mat = _mat(case)
+    calls = {"evaluate": 0, "sturm_chain": 0, "divmod_poly": 0, "gcd_poly": 0}
+    inside_gcd = []
     for name, original in [(n, getattr(polys, n)) for n in calls]:
         def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+            if not any(inside_gcd):
+                calls[_name] += 1
+            inside_gcd.append(_name == "gcd_poly")
+            try:
+                return _original(*args)
+            finally:
+                inside_gcd.pop()
         monkeypatch.setattr(polys, name, counting)
     pr = perron_eigenvalue(mat)
+    gcds = calls.pop("gcd_poly")
     assert calls == {"evaluate": 0, "sturm_chain": 0, "divmod_poly": 0}
+    assert (gcds > 0) == isinstance(case, list)
     _assert_perron_eigenvector(mat, pr)
 
 
@@ -716,7 +756,8 @@ def test_cw_bracket_contains_the_perron_root_of_every_block(minpoly, m, x):
         return
     mat = transition_matrix(graph)
     comps = spectral._sccs([[j for j, _ in terms] for terms in mat.succ])
-    for block in spectral._cycle_blocks(mat, comps):
+    for block, period in spectral._cycle_blocks(mat, comps):
+        assert period > 0
         lo, hi = spectral._cw_bracket(block)
         alo, ahi = perron_eigenvalue(block).alpha
         assert lo <= alo and ahi <= hi
