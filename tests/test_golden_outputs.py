@@ -9,7 +9,9 @@ Pisot and a non-Pisot base, divergence and not-Pisot exits, and
 
 Regenerate the frozen copies (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_golden_outputs.py --regenerate
+    PYTHONPATH=src python tests/test_golden_outputs.py --regenerate [NAME ...]
+
+which rewrites the named cases, or every case when none is named.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ CASES = {
                            "--format", "json"],
     "orbit_quintic_dot": ["orbit", "--minpoly", QUINTIC, "-m", "1", "-x", REF_X,
                           "--format", "dot"],
+    "orbit_golden_seventh_out": ["orbit", "--minpoly", GOLDEN, "-m", "1", "-x", "1/7",
+                                 "--out", "{out}/seventh"],
     "orbit_sqrt2_diverges": ["orbit", "--minpoly", SQRT2, "-m", "1", "-x", "1/3",
                              "--state-cap", "200"],
     "spectrum_golden": ["spectrum", "--minpoly", GOLDEN, "-m", "1", "--nmax", "12"],
@@ -97,11 +101,12 @@ def test_cli_output_matches_golden(name, tmp_path):
         assert blob == (case / "files" / fname).read_bytes(), fname
 
 
-def _regenerate() -> None:
+def _regenerate(names: list[str]) -> None:
     import shutil
     import tempfile
 
-    for name, argv in CASES.items():
+    for name in names or CASES:
+        argv = CASES[name]
         case = DATA / name
         shutil.rmtree(case, ignore_errors=True)
         case.mkdir(parents=True)
@@ -117,7 +122,7 @@ def _regenerate() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
+    if sys.argv[1:2] != ["--regenerate"]:
         sys.exit(__doc__)
     os.chdir(Path(__file__).parent.parent)
-    _regenerate()
+    _regenerate(sys.argv[2:])
