@@ -151,7 +151,8 @@ def cmd_orbit(args) -> int:
         return EXIT_DIVERGED
     print(f"k = {result.size}")
     if args.format == "json":
-        print(json.dumps(result.to_json(), indent=2))
+        result.write_json(sys.stdout)
+        print()
     elif args.format == "dot":
         print(result.to_dot(), end="")
     else:
@@ -160,7 +161,7 @@ def cmd_orbit(args) -> int:
     if args.out:
         mat = transition_matrix(result)
         with open(args.out + ".json", "w") as fh:
-            json.dump(result.to_json(), fh, indent=2)
+            result.write_json(fh)
         with open(args.out + ".dot", "w") as fh:
             fh.write(result.to_dot())
         with open(args.out + ".matrix.json", "w") as fh:

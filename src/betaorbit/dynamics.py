@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import ceil, floor
 from typing import Sequence
 
 from .errors import InvalidRule, OutsideInterval
@@ -20,7 +19,7 @@ from .polys import Interval
 
 DigitWord = tuple[int, ...]
 
-# width of the enclosures of beta*x and R that branch_digits decides digits by
+# width of the enclosures of beta*x and R that branches decides digits by
 _BRANCH_EPS = Fraction(1, 1 << 12)
 
 
@@ -40,7 +39,7 @@ class ExpansionParams:
             raise ValueError(f"beta must lie in (1, {m + 1}] for m = {m}")
         self.right_endpoint = m * (self.beta - 1).inverse()
         assert self.right_endpoint * (self.beta - 1) == field.from_rational(m)
-        self._right_enclosure = self.right_endpoint.approx(_BRANCH_EPS)
+        self._right_enclosure = self.right_endpoint.approx_int(_BRANCH_EPS)
 
     def __repr__(self):
         return f"ExpansionParams(m={self.m}, {self.field!r})"
@@ -53,28 +52,42 @@ class ExpansionParams:
         """The digit map beta*x - digit (total; the image may leave the interval)."""
         return self.beta * x - digit
 
-    def branch_digits(self, x: FieldElement) -> tuple[int, ...]:
-        """Ascending digits i with beta*x - i still inside the interval: the
-        integers of [0, m] in [beta*x - R, beta*x], R = m/(beta-1).
+    def branches(self, x: FieldElement) -> tuple[tuple[int, FieldElement], ...]:
+        """The pairs (i, beta*x - i), digits ascending, for the digits i
+        whose image stays inside the interval: the integers of [0, m] in
+        [beta*x - R, beta*x], R = m/(beta-1).
 
-        One enclosure of beta*x settles every digit except a bound it cannot
-        decide, which goes to an exact comparison.  The set is empty exactly
-        for points outside [0, R] (x < 0 makes every beta*x - i negative;
-        x > R gives beta*x - i >= beta*x - m > beta*R - m = R), so an empty
-        set raises OutsideInterval."""
+        beta*x is formed once.  One integer enclosure of it settles every
+        digit except a bound it cannot decide, which goes to an exact
+        comparison of the image.  With beta*x = (n_0, n_1, ...)/den
+        reduced, the image (n_0 - i*den, n_1, ...)/den is reduced too,
+        since gcd(den, n_0 - i*den, n_1, ...) = gcd(den, n_0, n_1, ...).
+        The set is empty exactly for points outside [0, R] (x < 0 makes
+        every beta*x - i negative; x > R gives beta*x - i >= beta*x - m >
+        beta*R - m = R), so an empty set raises OutsideInterval."""
         bx = self.beta * x
-        blo, bhi = bx.approx(_BRANCH_EPS)
-        rlo, rhi = self._right_enclosure
-        digits = []
-        for i in range(max(0, ceil(blo - rhi)), min(self.m, floor(bhi)) + 1):
-            if i > blo and bx.compare(i) < 0:
+        blo, bhi, bd = bx.approx_int(_BRANCH_EPS)  # beta*x in [blo, bhi]/bd
+        rlo, rhi, rd = self._right_enclosure        # R in [rlo, rhi]/rd
+        n0, rest, den = bx.nums[0], bx.nums[1:], bx.den
+        field, zero, right = self.field, self.field.zero, self.right_endpoint
+        first = max(0, -((rhi * bd - blo * rd) // (bd * rd)))  # ceil(blo/bd - rhi/rd)
+        last = min(self.m, bhi // bd)                           # floor(bhi/bd)
+        out = []
+        for i in range(first, last + 1):
+            img = FieldElement(field, (n0 - i * den,) + rest, den)
+            if i * bd > blo and img.compare(zero) < 0:
                 continue
-            if bhi - i > rlo and (bx - i).compare(self.right_endpoint) > 0:
+            if (bhi - i * bd) * rd > rlo * bd and img.compare(right) > 0:
                 continue
-            digits.append(i)
-        if not digits:
+            out.append((i, img))
+        if not out:
             raise OutsideInterval(f"{x!r} lies outside [0, m/(beta-1)]")
-        return tuple(digits)
+        return tuple(out)
+
+    def branch_digits(self, x: FieldElement) -> tuple[int, ...]:
+        """Ascending digits i with beta*x - i still inside the interval (see
+        branches); an empty set raises OutsideInterval."""
+        return tuple(i for i, _ in self.branches(x))
 
     def _require_inside(self, x: FieldElement) -> None:
         if not self.contains(x):
@@ -241,7 +254,7 @@ def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int) 
         for y, mult in level.items():
             kids = children.get(y)
             if kids is None:
-                kids = tuple(params.apply(i, y) for i in params.branch_digits(y))
+                kids = tuple(z for _, z in params.branches(y))
                 children[y] = kids
             for z in kids:
                 nxt[z] = nxt.get(z, 0) + mult
@@ -254,7 +267,7 @@ def generate_expansion(params: ExpansionParams, x: FieldElement, rule: Expansion
     """Iterate the rule from x, recording digits until an exact state
     recurrence (canonical-form lookup, no numeric hashing) or max_steps.
     A point outside the interval raises OutsideInterval at its first
-    branch_digits."""
+    branches."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     seen = {x: 0}
@@ -262,10 +275,10 @@ def generate_expansion(params: ExpansionParams, x: FieldElement, rule: Expansion
     digits: list[int] = []
     cur = x
     for step in range(max_steps):
-        branch = params.branch_digits(cur)
-        d = rule.choose(params, cur, step, branch)
+        pairs = params.branches(cur)
+        d = rule.choose(params, cur, step, tuple(i for i, _ in pairs))
         digits.append(d)
-        cur = params.apply(d, cur)
+        cur = next(z for i, z in pairs if i == d)
         hit = seen.get(cur)
         if hit is not None:
             period = step + 1 - hit

@@ -20,8 +20,9 @@ refines beta one bisection at a time until the sign is certain.  approx
 returns the first rung, coarse to fine, whose enclosure is narrow enough
 (the rungs that fit form a suffix of the ladder): it starts at the rung the
 last request with the same width returned, mostly checks that rung and the
-one before it, walks on into refinement when no rung fits, and builds
-Fractions only for the interval it returns.
+one before it, and walks on into refinement when no rung fits.  Its integer
+core, approx_int, returns the enclosure as integers (alo, ahi, den); approx
+builds Fractions only for the interval it returns.
 
 The d-1 conjugates of beta are kept as one list of upper-half-plane boxes:
 a real conjugate is the zero-height box of its isolating interval, refined
@@ -570,15 +571,22 @@ class FieldElement:
         return self.compare(other) >= 0
 
     def approx(self, eps=Fraction(1, 10 ** 12)) -> Interval:
-        """Rational interval of width <= eps containing the real value.
+        """Rational interval of width <= eps containing the real value: the
+        enclosure of approx_int as a pair of Fractions."""
+        alo, ahi, den = self.approx_int(eps)
+        return Fraction(alo, den), Fraction(ahi, den)
+
+    def approx_int(self, eps=Fraction(1, 10 ** 12)) -> tuple[int, int, int]:
+        """Integers (alo, ahi, den), den > 0, with the real value in
+        [alo/den, ahi/den] and (ahi - alo)/den <= eps.
 
         Interval Horner runs on the integer numerators; their enclosure is
-        den times the value's, so it is accepted at width <= eps * den and
-        divided by den.  The answer is the first rung of the ladder, coarse
-        to fine, that gives that width (the rungs that do form a suffix, see
-        the module docstring); the search starts at the rung this eps last
-        needed.  When no rung fits, the walk goes on refining beta until the
-        current enclosure, the last rung, does."""
+        den times the value's, so it is accepted at width <= eps * den.  The
+        answer is the first rung of the ladder, coarse to fine, that gives
+        that width (the rungs that do form a suffix, see the module
+        docstring); the search starts at the rung this eps last needed.
+        When no rung fits, the walk goes on refining beta until the current
+        enclosure, the last rung, does."""
         if not isinstance(eps, Fraction):
             eps = Fraction(eps)
         en, ed = eps.numerator, eps.denominator
@@ -586,7 +594,7 @@ class FieldElement:
             raise ValueError("eps must be positive")
         p = self.nums
         if not any(p):
-            return Fraction(0), Fraction(0)
+            return 0, 0, 1
         den = self.den
         limit = en * den  # the width test (ahi - alo) / scale <= eps * den, times ed * scale
         field = self.field
@@ -599,7 +607,7 @@ class FieldElement:
         if alo == ahi:
             # beta >= 1 on every rung, so a point enclosure means every
             # nonconstant coefficient is zero and every rung gives this point
-            return Fraction(alo, den * scale), Fraction(ahi, den * scale)
+            return alo, ahi, den * scale
         if (ahi - alo) * ed <= limit * scale:
             while i:
                 clo, chi, cscale = kernel(p, *rungs[i - 1])
@@ -626,8 +634,7 @@ class FieldElement:
                 if (ahi - alo) * ed <= limit * scale:
                     break
         field._rung_hint[key] = i
-        den *= scale
-        return Fraction(alo, den), Fraction(ahi, den)
+        return alo, ahi, den * scale
 
     def __float__(self) -> float:
         lo, hi = self.approx(Fraction(1, 10 ** 17))
@@ -647,7 +654,16 @@ class FieldElement:
         return f"<{format_element(self)}>"
 
     def to_json(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs]}
+        """{"coeffs": [...]}, each coefficient as str(Fraction) gives it
+        ("-4/7", "0", "3"), formed from the integers."""
+        den = self.den
+        if den == 1:
+            return {"coeffs": [str(n) for n in self.nums]}
+        out = []
+        for n in self.nums:
+            g = gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return {"coeffs": out}
 
     @classmethod
     def from_json(cls, field: NumberField, obj: dict) -> "FieldElement":

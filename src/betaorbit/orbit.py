@@ -40,11 +40,29 @@ class OrbitGraph:
             "edges": [list(e) for e in self.edges],
         }
 
+    def write_json(self, fh) -> None:
+        """Write the bytes of json.dump(self.to_json(), fh, indent=2), laid
+        out directly.  No list in it is empty: k >= 1, every state has an
+        edge, and every coefficient vector has at least one entry."""
+        def strings(values, indent):
+            return _json_list([f'"{v}"' for v in values], indent)
+
+        minpoly = strings(self.params.field.min_poly.to_json()["coeffs"], 6)
+        states = [f'{{\n      "coeffs": {strings(s.to_json()["coeffs"], 8)}\n    }}'
+                  for s in self.states]
+        edges = [_json_list(map(str, e), 6) for e in self.edges]
+        fh.write(f'{{\n  "minpoly": {{\n    "coeffs": {minpoly}\n  }},\n'
+                 f'  "m": {self.params.m},\n'
+                 f'  "states": {_json_list(states, 4)},\n'
+                 f'  "edges": {_json_list(edges, 4)}\n}}')
+
     @cached_property
     def label_midpoints(self) -> list[Fraction]:
         """Midpoint of each state's 1e-7 enclosure, the value that the
         table and the DOT labels print."""
-        return [sum(s.approx(Fraction(1, 10 ** 7))) / 2 for s in self.states]
+        eps = Fraction(1, 10 ** 7)
+        return [Fraction(lo + hi, 2 * den)
+                for lo, hi, den in (s.approx_int(eps) for s in self.states)]
 
     def to_dot(self) -> str:
         lines = ["digraph orbit {"]
@@ -54,6 +72,13 @@ class OrbitGraph:
             lines.append(f'  {q + 1} -> {j + 1} [label="{digit}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _json_list(items, indent: int) -> str:
+    """A nonempty list of JSON-encoded items as json.dumps(..., indent=2)
+    lays it out with its items at this indent."""
+    pad = "\n" + " " * indent
+    return f"[{pad}{(',' + pad).join(items)}\n{' ' * (indent - 2)}]"
 
 
 @dataclass
@@ -95,15 +120,28 @@ class TransitionMatrix:
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Dense view, built on each access."""
-        return tuple(map(tuple, self._dense(0, int)))
-
-    def _dense(self, zero, fmt):
-        """Dense rows as lists: zero everywhere, fmt(v) at each entry."""
+        out = []
         for terms in self.succ:
-            row = [zero] * len(self.succ)
+            row = [0] * len(self.succ)
             for j, v in terms:
-                row[j] = fmt(v)
-            yield row
+                row[j] = v
+            out.append(tuple(row))
+        return tuple(out)
+
+    def _dense_text(self, sep: str):
+        """Each dense row as text, its entries joined by sep: slices of one
+        template, sep + "0" repeated k times, with the nonzero entries
+        spliced in at their columns."""
+        width, skip = len(sep) + 1, len(sep)
+        template = (sep + "0") * len(self.succ)
+        for terms in self.succ:
+            parts, pos = [], skip
+            for j, v in terms:
+                at = j * width + skip
+                parts += (template[pos:at], str(v))
+                pos = at + 1
+            parts.append(template[pos:])
+            yield "".join(parts)
 
     def mul_vec(self, vec) -> list[int]:
         """A . vec, exact."""
@@ -121,13 +159,14 @@ class TransitionMatrix:
             return
         fh.write(f'{{\n  "k": {self.size},\n  "rows": [')
         sep = "\n    [\n      "
-        for row in self._dense("0", str):
-            fh.write(sep + ",\n      ".join(row))
+        for row in self._dense_text(",\n      "):
+            fh.write(sep)
+            fh.write(row)
             sep = "\n    ],\n    [\n      "
         fh.write("\n    ]\n  ]\n}")
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self._dense("0", str)) + "\n"
+        return "\n".join(self._dense_text(",")) + "\n"
 
 
 def compute_orbit(params: ExpansionParams, x: FieldElement,
@@ -139,7 +178,7 @@ def compute_orbit(params: ExpansionParams, x: FieldElement,
     """
     if state_cap < 1 or depth_cap < 1:
         raise ValueError("caps must be at least 1")
-    # a point outside [0, m/(beta-1)] has no digits: branch_digits(x) raises
+    # a point outside [0, m/(beta-1)] has no digits: branches(x) raises
     states = [x]
     index = {x: 0}
     depth = [0]
@@ -155,8 +194,7 @@ def compute_orbit(params: ExpansionParams, x: FieldElement,
             )
         cur = states[qpos]
         seen_targets = set()
-        for digit in params.branch_digits(cur):
-            img = params.apply(digit, cur)
+        for digit, img in params.branches(cur):
             j = index.get(img)
             if j is None:
                 if len(states) >= state_cap:
@@ -187,7 +225,7 @@ def orbit_level(params: ExpansionParams, x: FieldElement, n: int) -> list[FieldE
     # field's id, and the order of the exact work must not
     level = {x: None}
     for _ in range(n):
-        level = dict.fromkeys(params.apply(d, y) for y in level for d in params.branch_digits(y))
+        level = dict.fromkeys(z for y in level for _, z in params.branches(y))
     return sort_elements(level)
 
 

@@ -1,6 +1,9 @@
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -19,7 +22,7 @@ from betaorbit import (
     text_to_digits,
     verify_expansion,
 )
-from betaorbit import dynamics
+from betaorbit import DivergenceReport, compute_orbit, dynamics
 from betaorbit.errors import InvalidRule, OutsideInterval
 
 F = Fraction
@@ -158,14 +161,24 @@ _EPS_CHOICES = [dynamics._BRANCH_EPS, F(1, 2), F(4)]
 
 
 def _agree(params, x, eps):
+    """branch_digits matches the exhaustive loop, and every pair of the fused
+    step branches(x) is (i, beta*x - i) in reduced form."""
     with mock.patch.object(dynamics, "_BRANCH_EPS", eps):
         try:
             want = _branch_digits_ref(params, x)
         except OutsideInterval:
             with pytest.raises(OutsideInterval):
                 params.branch_digits(x)
+            with pytest.raises(OutsideInterval):
+                params.branches(x)
             return
         assert params.branch_digits(x) == want
+        pairs = params.branches(x)
+        assert tuple(i for i, _ in pairs) == want
+        bx = params.beta * x
+        for i, img in pairs:
+            assert img == bx - i
+            assert img.den > 0 and gcd(img.den, *img.nums) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,6 +207,35 @@ def test_branch_digits_on_boundary_points(params, eps):
             _agree(params, x + shift, eps)
     for x in (-field.one * F(1, 10 ** 9), right + F(1, 10 ** 9), -right, right * 2):
         _agree(params, x, eps)
+
+
+def _orbit_json_mismatch(graph):
+    """None when OrbitGraph.write_json writes the bytes of json.dumps(
+    to_json(), indent=2), else the text around the first difference (a
+    short message: a text diff of two large exports takes minutes)."""
+    fh = io.StringIO()
+    graph.write_json(fh)
+    got, want = fh.getvalue(), json.dumps(graph.to_json(), indent=2)
+    if got == want:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return f"at {at}: {got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_BRANCH_PARAMS), st.fractions(0, 1, max_denominator=12))
+def test_orbit_json_writer_matches_json_dumps(params, t):
+    # t = 0 gives the one-state orbit of x = 0
+    graph = compute_orbit(params, params.right_endpoint * t, state_cap=300)
+    if not isinstance(graph, DivergenceReport):
+        assert _orbit_json_mismatch(graph) is None
+
+
+def test_orbit_json_writer_on_the_zero_orbit():
+    for params in _BRANCH_PARAMS:
+        graph = compute_orbit(params, params.field.zero)
+        assert graph.size == 1 and graph.edges == [(0, 0, 0)]
+        assert _orbit_json_mismatch(graph) is None
 
 
 # === expansion generation ===

@@ -417,11 +417,13 @@ def test_orbit_approx_makes_about_two_kernel_evaluations(monkeypatch, tmp_path, 
     # quintic x = 1/3 (k = 1372): a search that starts at the rung the last
     # call with the same eps returned mostly evaluates that rung and the one
     # before it; walking the ladder from the coarsest rung made about 4.3
+    # (the counter sits on approx_int, the integer core that both approx and
+    # the orbit path call)
     from betaorbit.cli import main
     from betaorbit.field import FieldElement
     counts = {"approx": 0, "kernel": 0}
     depth = [0]
-    approx, kernel = FieldElement.approx, polys.horner_interval_int
+    approx, kernel = FieldElement.approx_int, polys.horner_interval_int
 
     def counting_approx(self, *args):
         counts["approx"] += 1
@@ -436,7 +438,7 @@ def test_orbit_approx_makes_about_two_kernel_evaluations(monkeypatch, tmp_path, 
             counts["kernel"] += 1
         return kernel(*args)
 
-    monkeypatch.setattr(FieldElement, "approx", counting_approx)
+    monkeypatch.setattr(FieldElement, "approx_int", counting_approx)
     monkeypatch.setattr(polys, "horner_interval_int", counting_kernel)
     argv = ["orbit", "--minpoly", "-1,-1,-1,-1,0,1", "-m", "1", "-x", "1/3",
             "--out", str(tmp_path / "run")]
@@ -447,6 +449,21 @@ def test_orbit_approx_makes_about_two_kernel_evaluations(monkeypatch, tmp_path, 
     # endpoint m/(beta-1)
     assert counts["approx"] == 2 * 1372 + 1
     assert counts["kernel"] <= 2.2 * counts["approx"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=5, max_size=5), st.integers(1, 42))
+def test_json_coefficients_match_fraction_str(quintic, nums, den):
+    # zero coefficients, negative numerators and den = 1 (after reduction)
+    # all print as str(Fraction) does
+    coeffs = [Fraction(n, den) for n in nums]
+    assert quintic.element(coeffs).to_json() == {"coeffs": [str(c) for c in coeffs]}
+
+
+def test_json_coefficient_edge_cases(golden):
+    for coeffs in ([0, 0], [-4, 0], [F(-4, 7), F(5, 7)], [F(6, 3), F(-1, 2)], [0, F(-3, 9)]):
+        x = golden.element(coeffs)
+        assert x.to_json() == {"coeffs": [str(Fraction(c)) for c in coeffs]}
 
 
 def test_reduced_form_is_unique(golden):

@@ -354,6 +354,26 @@ def test_weighted_matrix_writers_match_dense_oracles(rows):
     _assert_writers_match_dense(mat)
 
 
+def _sparse_weighted_matrices():
+    # k from 0 to 12, weights up to 120 (entries of one to three digits),
+    # mostly zero, and some rows all zero
+    return st.integers(0, 12).flatmap(lambda k: st.lists(st.one_of(
+        st.just([0] * k),
+        st.lists(st.one_of(st.just(0), st.integers(1, 120)), min_size=k, max_size=k)),
+        min_size=k, max_size=k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_weighted_matrices())
+@example([[0, 0, 0], [120, 0, 7], [0, 0, 0]])
+def test_sliced_row_writers_match_json_and_the_joined_csv(rows):
+    mat = TransitionMatrix.from_rows(rows)
+    fh = io.StringIO()
+    mat.write_json(fh)
+    assert fh.getvalue() == json.dumps(mat.to_json(), indent=2)
+    assert mat.to_csv() == "\n".join(",".join(str(v) for v in r) for r in rows) + "\n"
+
+
 def test_from_rows_rejects_malformed_rows():
     for rows in [((1, 0), (1,)), ((1, 0),), ((1, 0, 0), (0, 1, 0)), ((1, -1), (0, 1)),
                  ((-2,),)]:
