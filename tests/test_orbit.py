@@ -346,14 +346,6 @@ def test_matrix_json_writer_edge_shapes():
         _assert_writers_match_dense(mat)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_weighted_matrices(0, 8))
-def test_weighted_matrix_writers_match_dense_oracles(rows):
-    mat = TransitionMatrix.from_rows(rows)
-    assert mat.rows == tuple(map(tuple, rows))
-    _assert_writers_match_dense(mat)
-
-
 def _sparse_weighted_matrices():
     # k from 0 to 12, weights up to 120 (entries of one to three digits),
     # mostly zero, and some rows all zero
@@ -366,12 +358,10 @@ def _sparse_weighted_matrices():
 @settings(max_examples=150, deadline=None)
 @given(_sparse_weighted_matrices())
 @example([[0, 0, 0], [120, 0, 7], [0, 0, 0]])
-def test_sliced_row_writers_match_json_and_the_joined_csv(rows):
+def test_weighted_matrix_writers_match_dense_oracles(rows):
     mat = TransitionMatrix.from_rows(rows)
-    fh = io.StringIO()
-    mat.write_json(fh)
-    assert fh.getvalue() == json.dumps(mat.to_json(), indent=2)
-    assert mat.to_csv() == "\n".join(",".join(str(v) for v in r) for r in rows) + "\n"
+    assert mat.rows == tuple(map(tuple, rows))
+    _assert_writers_match_dense(mat)
 
 
 def test_from_rows_rejects_malformed_rows():
