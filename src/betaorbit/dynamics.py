@@ -278,7 +278,7 @@ def generate_expansion(params: ExpansionParams, x: FieldElement, rule: Expansion
         pairs = params.branches(cur)
         d = rule.choose(params, cur, step, tuple(i for i, _ in pairs))
         digits.append(d)
-        cur = next(z for i, z in pairs if i == d)
+        cur = dict(pairs)[d]
         hit = seen.get(cur)
         if hit is not None:
             period = step + 1 - hit
