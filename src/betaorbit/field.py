@@ -657,8 +657,6 @@ class FieldElement:
         """{"coeffs": [...]}, each coefficient as str(Fraction) gives it
         ("-4/7", "0", "3"), formed from the integers."""
         den = self.den
-        if den == 1:
-            return {"coeffs": [str(n) for n in self.nums]}
         out = []
         for n in self.nums:
             g = gcd(n, den)

@@ -213,14 +213,15 @@ def _cycle_blocks(matrix: TransitionMatrix,
                   comps: list[tuple[list[int], int]]) -> list[tuple[TransitionMatrix, int]]:
     """The diagonal block of every SCC in comps that carries a cycle (period
     > 0), its states numbered in the order of the component, with its
-    period."""
+    period.  Each block row lists its columns ascending, as TransitionMatrix
+    requires."""
     blocks = []
     for comp, period in comps:
         if period:
             local = {s: i for i, s in enumerate(comp)}
             blocks.append((TransitionMatrix(succ=tuple(
-                tuple((local[j], v) for j, v in matrix.succ[s] if j in local) for s in comp)),
-                period))
+                tuple(sorted((local[j], v) for j, v in matrix.succ[s] if j in local))
+                for s in comp)), period))
     return blocks
 
 

@@ -9,9 +9,7 @@ Pisot and a non-Pisot base, divergence and not-Pisot exits, and
 
 Regenerate the frozen copies (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_golden_outputs.py --regenerate [NAME ...]
-
-which rewrites the named cases, or every case when none is named.
+    PYTHONPATH=src python tests/test_golden_outputs.py --regenerate
 """
 
 from __future__ import annotations
@@ -101,12 +99,11 @@ def test_cli_output_matches_golden(name, tmp_path):
         assert blob == (case / "files" / fname).read_bytes(), fname
 
 
-def _regenerate(names: list[str]) -> None:
+def _regenerate() -> None:
     import shutil
     import tempfile
 
-    for name in names or CASES:
-        argv = CASES[name]
+    for name, argv in CASES.items():
         case = DATA / name
         shutil.rmtree(case, ignore_errors=True)
         case.mkdir(parents=True)
@@ -122,7 +119,7 @@ def _regenerate(names: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] != ["--regenerate"]:
+    if sys.argv[1:] != ["--regenerate"]:
         sys.exit(__doc__)
     os.chdir(Path(__file__).parent.parent)
-    _regenerate(sys.argv[2:])
+    _regenerate()

@@ -758,6 +758,9 @@ def test_cw_bracket_contains_the_perron_root_of_every_block(minpoly, m, x):
     comps = spectral._sccs([[j for j, _ in terms] for terms in mat.succ])
     for block, period in spectral._cycle_blocks(mat, comps):
         assert period > 0
+        # rows list their columns ascending, so the dense writers can slice them
+        assert all([j for j, _ in t] == sorted(j for j, _ in t) for t in block.succ)
+        assert block.to_csv() == "\n".join(",".join(map(str, r)) for r in block.rows) + "\n"
         lo, hi = spectral._cw_bracket(block)
         alo, ahi = perron_eigenvalue(block).alpha
         assert lo <= alo and ahi <= hi
