@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import spacing
 from .dynamics import ExpansionParams, ExpansionRule, count_prefixes_bruteforce, \
     digits_to_text, generate_expansion
 from .errors import BetaOrbitError, OutsideInterval
-from .expr import ExprError
+from .expr import MAX_EXPONENT, fraction
 from .field import IntPolynomial, NumberField
 from .orbit import DivergenceReport, compute_orbit, count_prefixes_matrix, \
     transition_matrix
@@ -103,7 +102,8 @@ def build_parser() -> _Parser:
     p.add_argument("--depth-cap", type=int, default=1_000)
     p.add_argument("--tol", default="1e-12",
                    help=f"width of the alpha enclosure; a width that takes more than {MAX_HALVINGS} "
-                        "halvings of alpha's isolating interval is refused (exit 64)")
+                        "halvings of alpha's isolating interval, or a decimal exponent beyond "
+                        f"{MAX_EXPONENT} in size, is refused (exit 64)")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(handler=cmd_dimension)
 
@@ -178,7 +178,7 @@ def cmd_dimension(args) -> int:
         print(f"diverged: {result.states_found} states found, {result.cap_hit} cap hit")
         return EXIT_DIVERGED
     mat = transition_matrix(result)
-    perron = perron_eigenvalue(mat, tol=Fraction(args.tol))
+    perron = perron_eigenvalue(mat, tol=fraction(args.tol))
     dom = check_dominance(mat)
 
     report = {
@@ -299,10 +299,7 @@ def main(argv=None) -> int:
     except OutsideInterval as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUTSIDE
-    except (_UsageError, ExprError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (BetaOrbitError, ValueError) as exc:
+    except (_UsageError, BetaOrbitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

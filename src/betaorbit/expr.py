@@ -1,113 +1,82 @@
-"""Tiny expression grammar for points of Q(beta).
+"""Points of Q(beta) given on the command line, read by Python's own parser.
 
-Accepts rationals, `b` for the base, + - * / ^ with integer exponents, and
-parentheses, e.g. "1/(b^2-1)".  A string starting with '{' is instead parsed
-as FieldElement JSON ({"coeffs": ["p/q", ...]}).
+A string starting with '{' is FieldElement JSON: an object whose "coeffs"
+list holds rationals (integers, JSON numbers or strings such as "-3/4"),
+constant coordinate first.  Anything else is an expression in b:
+nonnegative integers, b for the base, + - * /, ^ with an integer exponent
+(optionally negated), and parentheses, e.g. "1/(b^2-1)".
+
+The expression is first normalised as text: whitespace runs become one
+space and every digit run is rewritten as its integer, so leading zeros and
+non-ASCII decimal digits read as ASCII integers.  Any character other than
+ASCII digits, b, ( ) + - * / ^ and space is refused, as are '**', a '^' not
+followed by an integer literal, and a digit directly followed by b (Python
+would read 0b1 as a binary literal).  Then ^ is read as **, ast.parse
+builds the tree, and only these nodes are evaluated, in exact field
+arithmetic: an int constant, the name b, unary + and -, binary + - * /,
+and ** whose exponent is an int literal, optionally negated.  Any other
+node is an ExprError.  So is an expression deeper than Python's parser
+allows (200 nested parentheses) or than the recursion limit allows (a
+little under 1000 chained operators).
 """
 
-from __future__ import annotations
-
+import ast
 import json
+import operator
 import re
+from fractions import Fraction
 
 from .field import FieldElement
 
-_TOKEN = re.compile(r"\s*(\d+|b|[()+\-*/^])")
+MAX_EXPONENT = 100_000  # largest |E| read from a decimal such as 1e-E
+
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.USub: operator.neg, ast.UAdd: lambda x: x}
 
 
 class ExprError(ValueError):
     """Malformed point expression."""
 
 
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            raise ExprError(f"unexpected character at {text[pos:]!r}")
-        out.append(match.group(1))
-        pos = match.end()
-    return out
+def fraction(value) -> Fraction:
+    """value (an int, a float, or a string such as '-3/4' or '1e-12') as a
+    Fraction.  A decimal exponent larger than MAX_EXPONENT in size is refused
+    before Fraction expands it."""
+    exp = re.search(r"e[-+]?(\d[\d_]*)", value, re.IGNORECASE) if isinstance(value, str) else None
+    if exp and int(exp.group(1).replace("_", "")) > MAX_EXPONENT:
+        raise ExprError(f"decimal exponent beyond {MAX_EXPONENT} in {value[:80]!r}")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ExprError(f"not a rational number: {str(value)[:80]!r}") from None
 
 
-class _Parser:
-    def __init__(self, params, tokens: list[str]):
-        self.params = params
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str):
-        got = self.take()
-        if got != tok:
-            raise ExprError(f"expected {tok!r}, got {got!r}")
-
-    def parse(self) -> FieldElement:
-        value = self.expr()
-        if self.peek() is not None:
-            raise ExprError(f"trailing input at {self.peek()!r}")
-        return value
-
-    def expr(self) -> FieldElement:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> FieldElement:
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def factor(self) -> FieldElement:
-        if self.peek() == "-":
-            self.take()
-            return -self.factor()
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            neg = False
-            if self.peek() == "-":
-                self.take()
-                neg = True
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise ExprError("exponent must be an integer")
-            exp = -int(tok) if neg else int(tok)
-            return base ** exp
-        return base
-
-    def atom(self) -> FieldElement:
-        tok = self.take()
-        if tok == "(":
-            value = self.expr()
-            self.expect(")")
-            return value
-        if tok == "b":
-            return self.params.beta
-        if tok is not None and tok.isdigit():
-            return self.params.field.from_rational(int(tok))
-        raise ExprError(f"unexpected token {tok!r}")
+def _evaluate(params, node) -> FieldElement:
+    match node:
+        case ast.Constant(value=int(n)):
+            return params.field.from_rational(n)
+        case ast.Name(id="b"):
+            return params.beta
+        case ast.BinOp(x, ast.Pow(), ast.Constant() | ast.UnaryOp(ast.USub(), ast.Constant()) as e):
+            return _evaluate(params, x) ** ast.literal_eval(e)
+        case ast.UnaryOp(op, x) if type(op) in _OPS:
+            return _OPS[type(op)](_evaluate(params, x))
+        case ast.BinOp(x, op, y) if type(op) in _OPS:
+            return _OPS[type(op)](_evaluate(params, x), _evaluate(params, y))
+    raise ExprError(f"unexpected {ast.unparse(node).replace('**', '^')[:80]!r}")
 
 
 def parse_point(params, text: str) -> FieldElement:
-    text = text.strip()
-    if text.startswith("{"):
-        return FieldElement.from_json(params.field, json.loads(text))
-    return _Parser(params, _tokenize(text)).parse()
+    if text.lstrip().startswith("{"):
+        match json.loads(text.strip()):
+            case {"coeffs": list(coeffs)}:
+                return params.field.element([fraction(c) for c in coeffs])
+        raise ExprError(f'FieldElement JSON needs a "coeffs" list: {text.strip()[:80]!r}')
+    text = re.sub(r"\d+", lambda run: str(int(run.group())), " ".join(text.split()))
+    if refused := re.search(r"[^0-9b()+\-*/^ ]|\*\*|\^(?! ?-? ?\d)|\db", text):
+        raise ExprError(f"unexpected {refused.group()!r} in {text[:80]!r}")
+    try:
+        return _evaluate(params, ast.parse(text.replace("^", "**"), mode="eval").body)
+    # MemoryError is the parser's own stack limit (deep runs of unary signs)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ExprError(f"malformed point {text[:80]!r}: {getattr(exc, 'msg', 'too deep')}") from None

@@ -663,10 +663,6 @@ class FieldElement:
             out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
         return {"coeffs": out}
 
-    @classmethod
-    def from_json(cls, field: NumberField, obj: dict) -> "FieldElement":
-        return field.element([Fraction(c) for c in obj["coeffs"]])
-
 
 def format_element(elem: FieldElement) -> str:
     """Human-readable polynomial-in-b form, e.g. '1/2 - b + b^2'."""

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import pytest
+
+import betaorbit
 from betaorbit import polys
 from betaorbit.cli import main
 
@@ -286,6 +293,41 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "orbit", "--minpoly", "1,1,notint", "-m", "1", "-x", "1")[0] == 64
     assert run(capsys, "pisot", "--minpoly", "1,-2,1")[0] == 64  # not squarefree
     assert run(capsys, "orbit", "--minpoly", GOLDEN, "-m", "0", "-x", "1")[0] == 64
+
+
+POINT_ARGS = ("orbit", "--minpoly", GOLDEN, "-m", "1", "-x")
+REFERENCE = ("dimension", "--minpoly", QUINTIC, "-m", "1", "-x", "1/(b^2-1)", "--tol")
+
+
+@pytest.mark.parametrize("argv", [
+    POINT_ARGS + ("(" * 300 + "1" + ")" * 300,),
+    POINT_ARGS + ('{"foo": 1}',),
+    POINT_ARGS + ('{"coeffs": 5}',),
+    POINT_ARGS + ('{"coeffs": [null]}',),
+    POINT_ARGS + ('{"coeffs": ["1/0"]}',),
+    REFERENCE + ("1/0",),
+], ids=["300-parens", "json-no-coeffs", "json-coeffs-int", "json-null", "json-zero-den", "tol-zero-den"])
+def test_malformed_input_exits_64_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
+def test_huge_tol_exponent_exits_64_without_expanding_it():
+    # Fraction("1e-9999999999") would build 10**9999999999; the exponent is
+    # refused first.  A fresh interpreter, so a hang fails on the timeout.
+    env = dict(os.environ, PYTHONPATH=str(Path(betaorbit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "betaorbit", *REFERENCE, "1e-9999999999"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_a_500_term_sum_parses(capsys):
+    code, out, _ = run(capsys, *POINT_ARGS, "+".join(["1/1000"] * 500))
+    assert (code, out) == run(capsys, *POINT_ARGS, "1/2")[:2]
+    assert code == 0
 
 
 def test_identical_configs_identical_bytes(capsys):
