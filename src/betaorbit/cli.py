@@ -172,13 +172,14 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_dimension(args) -> int:
+    tol = fraction(args.tol)  # a malformed width exits 64 before the BFS
     params, x = _build_params(args)
     result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
     if isinstance(result, DivergenceReport):
         print(f"diverged: {result.states_found} states found, {result.cap_hit} cap hit")
         return EXIT_DIVERGED
     mat = transition_matrix(result)
-    perron = perron_eigenvalue(mat, tol=fraction(args.tol))
+    perron = perron_eigenvalue(mat, tol=tol)
     dom = check_dominance(mat)
 
     report = {

@@ -15,9 +15,11 @@ would read 0b1 as a binary literal).  Then ^ is read as **, ast.parse
 builds the tree, and only these nodes are evaluated, in exact field
 arithmetic: an int constant, the name b, unary + and -, binary + - * /,
 and ** whose exponent is an int literal, optionally negated.  Any other
-node is an ExprError.  So is an expression deeper than Python's parser
-allows (200 nested parentheses) or than the recursion limit allows (a
-little under 1000 chained operators).
+node is an ExprError.  So is a power whose |exponent| times the bit size of
+its evaluated base exceeds MAX_POWER_BITS, refused before it is computed,
+and an expression deeper than Python's parser allows (200 nested
+parentheses) or than the recursion limit allows (a little under 1000
+chained operators).
 """
 
 import ast
@@ -29,6 +31,9 @@ from fractions import Fraction
 from .field import FieldElement
 
 MAX_EXPONENT = 100_000  # largest |E| read from a decimal such as 1e-E
+# largest |E| times the base's bit size (its widest numerator or denominator)
+# in a power x^E; the result's coefficients grow about that wide
+MAX_POWER_BITS = 200_000
 
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
         ast.Div: operator.truediv, ast.USub: operator.neg, ast.UAdd: lambda x: x}
@@ -58,7 +63,12 @@ def _evaluate(params, node) -> FieldElement:
         case ast.Name(id="b"):
             return params.beta
         case ast.BinOp(x, ast.Pow(), ast.Constant() | ast.UnaryOp(ast.USub(), ast.Constant()) as e):
-            return _evaluate(params, x) ** ast.literal_eval(e)
+            base, exponent = _evaluate(params, x), ast.literal_eval(e)
+            bits = max(n.bit_length() for n in (*base.nums, base.den))
+            if abs(exponent) * bits > MAX_POWER_BITS:
+                raise ExprError(f"power beyond {MAX_POWER_BITS} bits (|exponent| times the base's "
+                                f"bit size {bits}) in {ast.unparse(node).replace('**', '^')[:60]!r}")
+            return base ** exponent
         case ast.UnaryOp(op, x) if type(op) in _OPS:
             return _OPS[type(op)](_evaluate(params, x))
         case ast.BinOp(x, op, y) if type(op) in _OPS:

@@ -8,15 +8,16 @@ collapses as the depth grows.  A finite enumeration can only overestimate
 the true infimum gap, so the final minimum gap is reported strictly as an
 upper bound.
 
-The defining polynomial is monic, so every beta^i has integer coordinates and
-every point is its integer numerator tuple (the denominator is 1); the dedup
-dict is keyed by that tuple.  Each point also carries an integer key K within
-a level-wide slack s of 2^P * value (P = _KEY_BITS), built by integer
-additions from dyadic enclosures of beta^i.  Keys that differ by more than 2s
-order their points for certain; only runs of neighbours closer than that are
-ordered by exact FieldElement.compare.  For a Pisot base the points stay
-uniformly apart (Garsia), so such runs are rare.  Gaps take key differences
-(slack 2s), and the gap order reads the same keys.
+The defining polynomial is monic, so every point is its integer numerator
+tuple (the denominator is 1).  One sweep builds each level from the last:
+level n is level n-1 plus its shifts by e*beta^n, deduplicated by tuple.
+Each point carries an integer key within a level-wide slack s of 2^P * value
+(P = _KEY_BITS), summed from dyadic enclosures of beta^i.  Keys more than 2s
+apart order their points for certain; only runs of closer neighbours become
+FieldElements, ordered by exact compare (rare for a Pisot base, whose points
+stay uniformly apart: Garsia).  A gap key has slack 2s, so only gaps keyed
+within 4s of the least or greatest gap key can be extreme; the CSV and the
+separation report form and order only those.
 """
 
 from __future__ import annotations
@@ -92,29 +93,30 @@ def _check_depth(m: int, n: int) -> None:
 _EXACT = cmp_to_key(lambda a, b: a[0].compare(b[0]))
 
 
-def _order(pairs: list, tol: int) -> None:
-    """Sort (element, key) pairs ascending by element, in place.  Every key
-    is within tol/2 of 2^P times its element's value, so neighbours whose
-    keys differ by more than tol are in order; each run of closer neighbours
-    is ordered by exact comparison."""
-    pairs.sort(key=itemgetter(1))
+def _order(field: NumberField, pairs, tol: int) -> tuple[list, list]:
+    """The nums tuples of (nums, key) pairs ascending by value, and their keys.
+    Every key is within tol/2 of 2^P times its point's value, so neighbours
+    whose keys differ by more than tol are in order; each run of closer
+    neighbours becomes FieldElements and is ordered by exact comparison."""
+    pairs = sorted(pairs, key=itemgetter(1))
     keys = [k for _, k in pairs]
     start = 0
-    for end in [j for j in range(1, len(keys)) if keys[j] - keys[j - 1] > tol] + [len(keys)]:
+    for end in [j for j, d in enumerate(map(sub, keys[1:], keys), 1) if d > tol] + [len(keys)]:
         if end - start > 1:
-            pairs[start:end] = sorted(pairs[start:end], key=_EXACT)
+            run = sorted([(FieldElement(field, t), t, k) for t, k in pairs[start:end]], key=_EXACT)
+            pairs[start:end] = [(t, k) for _, t, k in run]
         start = end
+    return [t for t, _ in pairs], [k for _, k in pairs]
 
 
-def enumerate_spectrum(field: NumberField, m: int, n: int) -> SpectrumLevel:
-    """Exact spectrum at depth n; rejects enumerations beyond the memory
-    guard of 10^7 raw sums."""
-    _check_depth(m, n)
+def _levels(field: NumberField, m: int, n: int):
+    """Levels 1..n, each from the last, as (nums ascending by value, keys,
+    slack).  The body runs lazily, so callers check the depth first."""
     beta = field.beta
     lo, hi = beta.approx(Fraction(1, 10 ** 17))
     power = field.one
     slack = 0
-    points: dict[tuple, int] = {field.zero.nums: 0}
+    nums, keys = [field.zero.nums], [0]
     for i in range(1, n + 1):
         power = power * beta
         # L <= 2^P * lo^i <= 2^P * beta^i <= 2^P * hi^i <= U, key midway
@@ -122,17 +124,37 @@ def enumerate_spectrum(field: NumberField, m: int, n: int) -> SpectrumLevel:
         high = -((-hi.numerator ** i << _KEY_BITS) // hi.denominator ** i)
         key = (low + high) >> 1
         slack += m * (high - key)
-        shifts = [(tuple(e * c for c in power.nums), e * key) for e in range(1, m + 1)]
-        nxt = dict(points)
-        for t, k in points.items():
-            for s, sk in shifts:
-                nxt.setdefault(tuple(map(add, t, s)), k + sk)
-        points = nxt
-    pairs = [(FieldElement(field, t), k) for t, k in points.items()]
-    del points
-    _order(pairs, 2 * slack)
-    return SpectrumLevel(n=n, values=[e for e, _ in pairs], keys=[k for _, k in pairs],
-                         slack=slack)
+        # the last level, then each of its shifts: m + 1 runs already in order
+        points = dict(zip(nums, keys))
+        for e in range(1, m + 1):
+            shift, shift_key = tuple(e * c for c in power.nums), e * key
+            for t, k in zip(nums, keys):
+                points.setdefault(tuple(map(add, t, shift)), k + shift_key)
+        nums, keys = _order(field, points.items(), 2 * slack)
+        del points
+        yield nums, keys, slack
+
+
+def enumerate_spectrum(field: NumberField, m: int, n: int) -> SpectrumLevel:
+    """Exact spectrum at depth n; rejects enumerations beyond the memory
+    guard of 10^7 raw sums."""
+    _check_depth(m, n)
+    for nums, keys, slack in _levels(field, m, n):
+        pass
+    return SpectrumLevel(n, [FieldElement(field, t) for t in nums], keys, slack)
+
+
+def _extreme_gaps(field: NumberField, nums: list, keys: list, slack: int) -> tuple:
+    """The least and the greatest consecutive gap of a level, exactly.  A gap
+    key is within 2s of 2^P times its gap, so no gap keyed more than 4s above
+    the least gap key (below the greatest) is the least (greatest) gap; only
+    the others are formed, deduplicated and ordered."""
+    gap_keys = list(map(sub, keys[1:], keys))
+    low, high = min(gap_keys) + 4 * slack, max(gap_keys) - 4 * slack
+    picked = {tuple(map(sub, nums[j + 1], nums[j])): k
+              for j, k in enumerate(gap_keys) if k <= low or k >= high}
+    ordered, _ = _order(field, picked.items(), 4 * slack)
+    return FieldElement(field, ordered[0]), FieldElement(field, ordered[-1])
 
 
 def gap_stats(level: SpectrumLevel, eps=Fraction(1, 10 ** 15)) -> GapStats:
@@ -148,18 +170,12 @@ def gap_stats(level: SpectrumLevel, eps=Fraction(1, 10 ** 15)) -> GapStats:
     # a gap key is a difference of two point keys, so its slack is 2s; gaps
     # that are exactly equal collapse to one bucket, so ordering work scales
     # with the number of distinct gaps only
-    gap_keys = dict(zip(gaps, map(sub, keys[1:], keys)))
-    pairs = [(FieldElement(field, g), k) for g, k in gap_keys.items()]
-    _order(pairs, 4 * slack)
-    distinct = [e for e, _ in pairs]
+    ordered, _ = _order(field, dict(zip(gaps, map(sub, keys[1:], keys))).items(), 4 * slack)
+    distinct = [FieldElement(field, g) for g in ordered]
     min_gap, max_gap = distinct[0], distinct[-1]
-    return GapStats(
-        min_gap=min_gap.approx(eps),
-        max_gap=max_gap.approx(eps),
-        gap_histogram=[(g.approx(eps), buckets[g.nums]) for g in distinct],
-        min_gap_element=min_gap,
-        max_gap_element=max_gap,
-    )
+    return GapStats(min_gap=min_gap.approx(eps), max_gap=max_gap.approx(eps),
+                    gap_histogram=[(g.approx(eps), buckets[g.nums]) for g in distinct],
+                    min_gap_element=min_gap, max_gap_element=max_gap)
 
 
 def separation_evidence(field: NumberField, m: int, n_max: int,
@@ -167,26 +183,15 @@ def separation_evidence(field: NumberField, m: int, n_max: int,
     """Minimum gap per level up to n_max, with the field's Pisot certificate
     attached (non-Pisot fields are accepted; the contrast is the point)."""
     _check_depth(m, n_max)
-    counts = []
-    min_gaps = []
-    enclosures = []
-    for n in range(1, n_max + 1):
-        level = enumerate_spectrum(field, m, n)
-        counts.append(level.count)
-        stats = gap_stats(level, eps)
-        min_gaps.append(stats.min_gap_element)
-        enclosures.append(stats.min_gap)
+    counts, min_gaps = [], []
+    for nums, keys, slack in _levels(field, m, n_max):
+        counts.append(len(nums))
+        min_gaps.append(_extreme_gaps(field, nums, keys, slack)[0])
+    enclosures = [g.approx(eps) for g in min_gaps]
     stabilized = len(min_gaps) >= 2 and min_gaps[-1] == min_gaps[-2]
-    return SeparationReport(
-        m=m,
-        n_max=n_max,
-        level_counts=counts,
-        min_gaps=min_gaps,
-        min_gap_enclosures=enclosures,
-        stabilized=stabilized,
-        delta_upper_bound=enclosures[-1],
-        pisot=field.is_pisot(),
-    )
+    return SeparationReport(m=m, n_max=n_max, level_counts=counts, min_gaps=min_gaps,
+                            min_gap_enclosures=enclosures, stabilized=stabilized,
+                            delta_upper_bound=enclosures[-1], pisot=field.is_pisot())
 
 
 def spectrum_csv(field: NumberField, m: int, n_max: int,
@@ -196,13 +201,8 @@ def spectrum_csv(field: NumberField, m: int, n_max: int,
     from .polys import decimal_str
     _check_depth(m, n_max)
     lines = ["level,count,min_gap_lo,min_gap_hi,max_gap_lo,max_gap_hi"]
-    for n in range(1, n_max + 1):
-        level = enumerate_spectrum(field, m, n)
-        stats = gap_stats(level, eps)
-        lines.append(
-            f"{n},{level.count},{decimal_str(stats.min_gap[0], 18, -1)},"
-            f"{decimal_str(stats.min_gap[1], 18, +1)},"
-            f"{decimal_str(stats.max_gap[0], 18, -1)},"
-            f"{decimal_str(stats.max_gap[1], 18, +1)}"
-        )
+    for n, (nums, keys, slack) in enumerate(_levels(field, m, n_max), 1):
+        (a, b), (c, d) = (g.approx(eps) for g in _extreme_gaps(field, nums, keys, slack))
+        lines.append(f"{n},{len(nums)},{decimal_str(a, 18, -1)},{decimal_str(b, 18, +1)},"
+                     f"{decimal_str(c, 18, -1)},{decimal_str(d, 18, +1)}")
     return "\n".join(lines) + "\n"

@@ -231,7 +231,7 @@ def test_spectrum_rejects_bad_depth_before_any_level(capsys, monkeypatch):
     def no_level(*args):
         raise AssertionError("a level was enumerated")
 
-    monkeypatch.setattr(spacing, "enumerate_spectrum", no_level)
+    monkeypatch.setattr(spacing, "_levels", no_level)
     for nmax in ("0", "-3"):
         code, out, err = run(capsys, "spectrum", "--minpoly", GOLDEN, "--nmax", nmax)
         assert (code, out) == (64, "") and "at least 1" in err
@@ -306,7 +306,10 @@ REFERENCE = ("dimension", "--minpoly", QUINTIC, "-m", "1", "-x", "1/(b^2-1)", "-
     POINT_ARGS + ('{"coeffs": [null]}',),
     POINT_ARGS + ('{"coeffs": ["1/0"]}',),
     REFERENCE + ("1/0",),
-], ids=["300-parens", "json-no-coeffs", "json-coeffs-int", "json-null", "json-zero-den", "tol-zero-den"])
+    ("dimension", "--minpoly", "-2,0,1", "-m", "1", "-x", "1/3", "--tol", "abc",
+     "--state-cap", "100"),
+], ids=["300-parens", "json-no-coeffs", "json-coeffs-int", "json-null", "json-zero-den", "tol-zero-den",
+        "tol-before-capped-bfs"])
 def test_malformed_input_exits_64_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64 and out == ""
@@ -322,6 +325,20 @@ def test_huge_tol_exponent_exits_64_without_expanding_it():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 64 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("point", ["b^999999999", "2^999999999", "(b^100000)^100000"])
+def test_huge_powers_exit_64_quickly(point):
+    # each would take minutes or never finish if computed; the power budget
+    # refuses it first.  A fresh interpreter, so a hang fails on the timeout.
+    env = dict(os.environ, PYTHONPATH=str(Path(betaorbit.__file__).parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "betaorbit", "orbit", "--minpoly", QUINTIC,
+                           "-m", "1", "-x", point], capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert proc.stderr.startswith("error: power beyond") and proc.stderr.count("\n") == 1
+    assert time.perf_counter() - t0 < 10
 
 
 def test_a_500_term_sum_parses(capsys):

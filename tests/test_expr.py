@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from betaorbit import ExpansionParams, IntPolynomial, NumberField
 from betaorbit.errors import DivisionByZero
-from betaorbit.expr import MAX_EXPONENT, ExprError, fraction, parse_point
+from betaorbit.expr import MAX_EXPONENT, MAX_POWER_BITS, ExprError, fraction, parse_point
 
 PARAMS = [ExpansionParams(NumberField(IntPolynomial(c)), 1)
           for c in ((-1, -1, 1), (-1, -1, -1, -1, 0, 1), (-2, 1), (-1, -1, 0, 1))]
@@ -133,6 +133,20 @@ def test_zero_divisor_is_not_an_expr_error(golden_params):
     for text in ("1/0", "0^-1", "1/(b-b)"):
         with pytest.raises(DivisionByZero):
             parse_point(golden_params, text)
+
+
+def test_powers_beyond_the_bit_budget_are_refused():
+    # |exponent| times the bit size of the evaluated base: b has 1 bit, 2 and
+    # 1/2 have 2, and b^1000 on the quintic about 600, so the nested power is
+    # refused
+    quintic = PARAMS[1]
+    assert parse_point(quintic, "b^-100000") == quintic.beta ** -100000
+    half = MAX_POWER_BITS // 2
+    assert parse_point(quintic, f"2^{half}") == quintic.field.from_rational(2 ** half)
+    for text in (f"2^{half + 1}", f"(1/2)^{half + 1}", f"b^-{MAX_POWER_BITS + 1}",
+                 "(b^1000)^1000"):
+        with pytest.raises(ExprError, match="power beyond"):
+            parse_point(quintic, text)
 
 
 # === FieldElement JSON ===

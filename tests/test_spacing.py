@@ -172,6 +172,24 @@ def test_keyed_order_matches_exact_oracle(name, m, data):
     assert all(_inside(g, enc) for g, (enc, _) in zip(order, stats.gap_histogram))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.sampled_from([1, 2]), st.data())
+def test_sweep_levels_and_picked_gaps_match_the_exact_oracle(name, m, data):
+    # every level of the sweep, not only the last, and the extreme gaps
+    # picked from the gap keys against all gaps ordered exactly
+    n_max = data.draw(st.integers(1, 7 if m == 1 else 4))
+    field = NumberField(IntPolynomial(FIELDS[name]))
+    for n, (nums, keys, slack) in enumerate(spacing._levels(field, m, n_max), 1):
+        oracle = _oracle_level(field, m, n)
+        assert nums == [v.nums for v in oracle]
+        gaps = sorted({b - a for a, b in zip(oracle, oracle[1:])}, key=_by_compare)
+        least, greatest = spacing._extreme_gaps(field, nums, keys, slack)
+        assert (least, greatest) == (gaps[0], gaps[-1])
+        histogram = gap_stats(SpectrumLevel(n, oracle, keys, slack)).gap_histogram
+        assert (least.approx(F(1, 10 ** 15)), greatest.approx(F(1, 10 ** 15))) == (
+            histogram[0][0], histogram[-1][0])
+
+
 def _spectrum(minpoly, m, n):
     return spectrum_csv(NumberField(IntPolynomial(minpoly)), m, n)
 
@@ -205,9 +223,15 @@ def test_forced_clusters_keep_every_output(monkeypatch):
     cases = [((-1, 0, -1, 1), 1, 9), ((-1, -1, 0, 1), 2, 6), ((-3, 0, 1), 2, 6),
              ((-1, -1, -1, -1, 0, 1), 1, 9)]
     expected = [_spectrum(*case) for case in cases]
+    plastic = NumberField(IntPolynomial((-1, -1, 0, 1)))
+    report = separation_evidence(plastic, 2, 6)
     monkeypatch.setattr(spacing, "_KEY_BITS", 3)
     counts = _count_compares(monkeypatch)
     assert [_spectrum(*case) for case in cases] == expected
+    clustered = separation_evidence(plastic, 2, 6)
+    assert (clustered.min_gaps, clustered.level_counts, clustered.stabilized,
+            clustered.delta_upper_bound) == (report.min_gaps, report.level_counts,
+                                             report.stabilized, report.delta_upper_bound)
     for case in ("spectrum_golden", "spectrum_sqrt2"):
         argv = json.loads((GOLDEN_DATA / case / "meta.json").read_text())["argv"]
         minpoly = tuple(int(c) for c in argv[argv.index("--minpoly") + 1].split(","))
@@ -227,26 +251,29 @@ def test_depth_validated_before_any_level(golden, monkeypatch):
     def no_level(*args):
         raise AssertionError("a level was enumerated")
 
-    monkeypatch.setattr(spacing, "enumerate_spectrum", no_level)
+    # the level generator's body runs lazily, so the check must come first
+    monkeypatch.setattr(spacing, "_levels", no_level)
     for n_max in (0, -3):
-        with pytest.raises(ValueError):
-            spectrum_csv(golden, 1, n_max)
-        with pytest.raises(ValueError):
-            separation_evidence(golden, 1, n_max)
-    with pytest.raises(TooLarge):
-        spectrum_csv(golden, 1, 24)
-    with pytest.raises(TooLarge):
-        separation_evidence(golden, 2, 15)
+        for run in (spectrum_csv, separation_evidence, enumerate_spectrum):
+            with pytest.raises(ValueError):
+                run(golden, 1, n_max)
+    for run in (spectrum_csv, separation_evidence, enumerate_spectrum):
+        for m, n_max in ((1, 24), (2, 15)):
+            with pytest.raises(TooLarge):
+                run(golden, m, n_max)
 
 
 def _assert_moved_keys_change_nothing(level, shifts, unit):
     keys = [k + s for k, s in zip(level.keys, shifts)]
     slack = level.slack + unit
-    pairs = list(zip(level.values, keys))[::-1]
-    spacing._order(pairs, 2 * slack)
-    assert [v for v, _ in pairs] == level.values
+    field = level.values[0].field
+    nums = [v.nums for v in level.values]
+    assert spacing._order(field, list(zip(nums, keys))[::-1], 2 * slack)[0] == nums
     moved = SpectrumLevel(level.n, level.values, keys, slack)
-    assert gap_stats(moved) == gap_stats(level)
+    stats = gap_stats(moved)
+    assert stats == gap_stats(level)
+    assert spacing._extreme_gaps(field, nums, keys, slack) == (stats.min_gap_element,
+                                                               stats.max_gap_element)
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,6 +286,23 @@ def test_keys_off_by_the_slack_change_nothing(name, data):
     shifts = data.draw(st.lists(st.sampled_from([-unit, 0, unit]),
                                 min_size=level.count, max_size=level.count))
     _assert_moved_keys_change_nothing(level, shifts, unit)
+
+
+@pytest.mark.parametrize("name", ["golden", "plastic", "sqrt2", "sqrt3"])
+def test_extreme_gaps_keyed_two_units_off_are_still_picked(name):
+    # every point right of a least (greatest) gap moves one unit up (down)
+    # and every other point one unit down (up), so the keys of those gaps
+    # rise (fall) by two units while the gaps after them fall (rise) by two;
+    # units below the gap spread keep the extreme gap out of the other window
+    level = enumerate_spectrum(NumberField(IntPolynomial(FIELDS[name])), 1, 7)
+    stats = gap_stats(level)
+    gaps = [b - a for a, b in zip(level.values, level.values[1:])]
+    for bits in (-4, -2, 0):
+        unit = 1 << (spacing._KEY_BITS + bits)
+        for extreme, sign in ((stats.min_gap_element, 1), (stats.max_gap_element, -1)):
+            ends = {j + 1 for j, g in enumerate(gaps) if g == extreme}
+            shifts = [sign * unit if j in ends else -sign * unit for j in range(level.count)]
+            _assert_moved_keys_change_nothing(level, shifts, unit)
 
 
 @pytest.mark.parametrize("name", ["golden", "plastic", "sqrt2", "sqrt3"])
