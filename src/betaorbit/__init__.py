@@ -31,16 +31,13 @@ from .field import (
     sort_elements,
 )
 from .orbit import (
-    DensityReport,
     DivergenceReport,
     OrbitGraph,
     TransitionMatrix,
     compute_orbit,
     count_prefixes_matrix,
     count_profile_matrix,
-    density_diagnostic,
     matrix_power,
-    orbit_level,
     transition_matrix,
 )
 from .spacing import (
@@ -56,12 +53,10 @@ from .spectral import (
     DimensionResult,
     DominanceReport,
     DominanceStatus,
-    GrowthBandReport,
     PerronResult,
     char_polynomial,
     check_dominance,
     dimension,
-    growth_band,
     perron_eigenvalue,
 )
 
@@ -73,13 +68,12 @@ __all__ = [
     "generate_expansion", "is_prefix", "text_to_digits", "verify_expansion",
     "FieldElement", "IntPolynomial", "NumberField", "PisotCertificate",
     "format_element", "sort_elements",
-    "DensityReport", "DivergenceReport", "OrbitGraph", "TransitionMatrix",
-    "compute_orbit", "count_prefixes_matrix", "count_profile_matrix",
-    "density_diagnostic", "matrix_power", "orbit_level", "transition_matrix",
+    "DivergenceReport", "OrbitGraph", "TransitionMatrix", "compute_orbit",
+    "count_prefixes_matrix", "count_profile_matrix", "matrix_power",
+    "transition_matrix",
     "GapStats", "SeparationReport", "SpectrumLevel", "enumerate_spectrum",
     "gap_stats", "separation_evidence", "spectrum_csv",
-    "DimensionResult", "DominanceReport", "DominanceStatus", "GrowthBandReport",
-    "PerronResult", "char_polynomial", "check_dominance", "dimension",
-    "growth_band", "perron_eigenvalue",
+    "DimensionResult", "DominanceReport", "DominanceStatus", "PerronResult",
+    "char_polynomial", "check_dominance", "dimension", "perron_eigenvalue",
     "__version__",
 ]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dynamics import ExpansionParams
-from .field import FieldElement, sort_elements
+from .field import FieldElement
 
 
 @dataclass
@@ -215,20 +215,6 @@ def compute_orbit(params: ExpansionParams, x: FieldElement,
     return OrbitGraph(params=params, states=states, edges=edges, discovery_depth=depth)
 
 
-def orbit_level(params: ExpansionParams, x: FieldElement, n: int) -> list[FieldElement]:
-    """The exact set of points reachable in exactly n steps, deduplicated and
-    sorted ascending."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    params._require_inside(x)
-    # an insertion-ordered dict, not a set: element hashes depend on the
-    # field's id, and the order of the exact work must not
-    level = {x: None}
-    for _ in range(n):
-        level = dict.fromkeys(z for y in level for _, z in params.branches(y))
-    return sort_elements(level)
-
-
 def transition_matrix(graph: OrbitGraph) -> TransitionMatrix:
     succ = [set() for _ in range(graph.size)]
     for (q, _digit, j) in graph.edges:
@@ -286,62 +272,3 @@ def count_profile_matrix(matrix: TransitionMatrix, n_max: int) -> list[tuple[int
         vec = tuple(matrix.mul_vec(vec))
         out.append(vec)
     return out
-
-
-@dataclass
-class DensityReport:
-    """Finite-depth density diagnostic: which equal-width cells of the
-    interval contain an orbit state.
-
-    A finite orbit is never dense, so for closed orbits this is a covering
-    fraction, not a density decision.
-    """
-
-    n_cells: int
-    hit_cells: list[int]
-    covering_fraction: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "n_cells": self.n_cells,
-            "hit_cells": self.hit_cells,
-            "covering_fraction": str(self.covering_fraction),
-        }
-
-
-def density_diagnostic(graph: OrbitGraph, eps) -> DensityReport:
-    """Partition [0, m/(beta-1)] into ceil(R/eps) equal cells and report the
-    cells containing orbit states.  eps fixes only the cell count; the cells
-    themselves have exact algebraic endpoints j * R/n_cells."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    params = graph.params
-    right = params.right_endpoint
-    # exact ceil(R / eps): smallest c with c*eps >= R
-    approx = right.approx(eps / 4)
-    if approx[1] / eps > 10 ** 6:
-        raise ValueError("eps yields more than 10^6 cells")
-    n_cells = max(1, int(float(approx[1] / eps)))
-    while (params.field.from_rational(n_cells * eps)).compare(right) < 0:
-        n_cells += 1
-    while n_cells > 1 and (params.field.from_rational((n_cells - 1) * eps)).compare(right) >= 0:
-        n_cells -= 1
-
-    width = right * Fraction(1, n_cells)
-    hit = set()
-    for s in graph.states:
-        lo_j, hi_j = 0, n_cells - 1
-        while lo_j < hi_j:
-            mid = (lo_j + hi_j) // 2
-            if s.compare(width * (mid + 1)) < 0:
-                hi_j = mid
-            else:
-                lo_j = mid + 1
-        hit.add(lo_j)
-    hits = sorted(hit)
-    return DensityReport(
-        n_cells=n_cells,
-        hit_cells=hits,
-        covering_fraction=Fraction(len(hits), n_cells),
-    )

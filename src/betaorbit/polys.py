@@ -11,9 +11,10 @@ an integer primitive remainder sequence (Collins 1967, Brown & Traub 1971)
 whose members are positive multiples of the rational Sturm chain's, the
 integer roots come from Sturm counts on integer intervals of the same chain
 (integer_roots), and division by a monic integer polynomial stays in the
-integers (divmod_monic).
-The rational evaluate, divmod_poly and sturm_chain remain for everything
-else and as the reference the integer paths are tested against.
+integers (divmod_monic).  The rational divmod_poly and gcd_poly remain for
+field inverses and common factors; the rational evaluate, squarefree part
+and Sturm chain that the integer paths are checked against live with the
+tests.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ def normalize(coeffs: Sequence) -> tuple[Fraction, ...]:
 def degree(p: Sequence) -> int:
     """Degree of a normalized polynomial; the zero polynomial has degree -1."""
     return len(p) - 1
-
-
-def evaluate(p: Sequence, x: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def common_denominator(cs: Sequence) -> tuple[list[int], int]:
@@ -207,15 +201,6 @@ def is_squarefree(p: Sequence) -> bool:
     return len(sturm_chain_int(common_denominator(p)[0])[-1]) == 1
 
 
-def squarefree_part(p: Sequence) -> tuple[Fraction, ...]:
-    """p / gcd(p, p'), monic."""
-    p = normalize(p)
-    g = gcd_poly(p, derivative(p))
-    if degree(g) == 0:
-        return monic(p)
-    return monic(divmod_poly(p, g)[0])
-
-
 def squarefree_part_int(p: Sequence[int]) -> tuple[int, ...]:
     """Squarefree part of a monic integer polynomial; stays monic over Z.
 
@@ -263,21 +248,6 @@ def divmod_monic(p: Sequence[int], q: Sequence[int]) -> tuple[list[int], list[in
 # Sturm sequences and real root isolation
 # ---------------------------------------------------------------------------
 
-def sturm_chain(p: Sequence) -> list[tuple[Fraction, ...]]:
-    """Sturm chain of a squarefree polynomial, with positive rescaling per
-    step, over the rationals (the reference for sturm_chain_int)."""
-    p = normalize(p)
-    chain = [p, derivative(p)]
-    while chain[-1]:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        # positive scaling preserves the sign-variation count
-        scale = abs(rem[-1])
-        chain.append(tuple(-c / scale for c in rem))
-    return [c for c in chain if c]
-
-
 def _primitive(nums: list[int]) -> list[int]:
     g = gcd(*nums)
     return [c // g for c in nums] if g > 1 else nums
@@ -293,9 +263,9 @@ def sturm_chain_int(nums: Sequence[int]) -> list[list[int]]:
     Each pseudo-division step replaces r by (|lc|/g) r - (sgn(lc) c/g) z^s q,
     where c is the top coefficient of r, lc that of q and g = gcd(c, lc), so
     the pseudo-remainder is a positive multiple of the rational remainder.
-    Every member is therefore a positive multiple of sturm_chain's member,
-    the signs are the same, and the last member is gcd(p, p') up to a
-    constant."""
+    Every member is therefore a positive multiple of the rational Sturm
+    chain's member, the signs are the same, and the last member is
+    gcd(p, p') up to a constant."""
     chain = [_primitive(list(nums)), _primitive([i * c for i, c in enumerate(nums)][1:])]
     while True:
         r, q = list(chain[-2]), chain[-1]

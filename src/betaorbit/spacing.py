@@ -86,8 +86,14 @@ def _check_depth(m: int, n: int) -> None:
         raise ValueError("n must be at least 1")
     if m < 1:
         raise ValueError("m must be at least 1")
-    if (m + 1) ** n > _MEMORY_GUARD:
-        raise TooLarge(f"(m+1)^n = {(m + 1) ** n} exceeds the enumeration guard")
+    # m + 1 >= 2, so the product passes the guard within 24 factors and no
+    # power beyond (m+1) * _MEMORY_GUARD is ever built
+    raw = 1
+    for _ in range(n):
+        raw *= m + 1
+        if raw > _MEMORY_GUARD:
+            raise TooLarge(f"(m+1)^n = {m + 1}^{n} exceeds the enumeration guard "
+                           f"of {_MEMORY_GUARD} raw sums")
 
 
 _EXACT = cmp_to_key(lambda a, b: a[0].compare(b[0]))

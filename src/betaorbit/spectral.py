@@ -29,11 +29,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from operator import or_
 
 from . import polys
 from .errors import DominanceNotEstablished, RefinementBudgetExceeded, ZeroMatrix
-from .orbit import TransitionMatrix, count_profile_matrix
+from .orbit import TransitionMatrix
 from .polys import Interval
 
 
@@ -100,16 +99,10 @@ class DominanceReport:
     status: DominanceStatus
     strongly_connected: bool
     cycle_gcd: int | None
-    primitivity_exponent: int | None
 
     @property
     def verified(self) -> bool:
         return self.status in _VERIFIED
-
-    @property
-    def certified(self) -> bool:
-        """Every verified status is decided in exact arithmetic."""
-        return self.verified
 
 
 @dataclass
@@ -140,22 +133,6 @@ class DimensionResult:
 
 
 _BRACKET_STEPS = 8  # powers B^t . 1 behind each Collatz-Wielandt bracket
-
-
-def _primitivity_exponent(adj: list[list[int]]) -> int | None:
-    """Smallest t with A^t entrywise positive, searched directly up to the
-    Wielandt bound (k-1)^2 + 1 using bitset boolean products: row i of A^t
-    is the union of the rows of A^(t-1) at the successors of i."""
-    k = len(adj)
-    full = (1 << k) - 1
-    cur = [sum(1 << j for j in a) for a in adj]
-    bound = (k - 1) ** 2 + 1
-    for t in range(1, bound + 1):
-        if t > 1:
-            cur = [reduce(or_, map(cur.__getitem__, a), 0) for a in adj]
-        if all(row == full for row in cur):
-            return t
-    return None
 
 
 def _sccs(nbrs: list[list[int]]) -> list[tuple[list[int], int]]:
@@ -275,28 +252,23 @@ def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
     one SCC attains the largest Perron root and its period is 1.  One
     Tarjan pass (_sccs) finds the SCCs with their periods, and both
     branches below read those periods.  One SCC covering every state is
-    VerifiedPrimitive (the positive power confirmed up to the Wielandt
-    bound for k <= 64) or FailedPeripheralSpectrum.  Otherwise each SCC
-    with a cycle (period > 0) gets a Collatz-Wielandt bracket of its Perron
-    root, and the SCCs whose bracket reaches the largest lower bound are
-    ranked exactly (_top_blocks).  One winner of period 1 is VerifiedSpectralGap; a tie,
-    a larger period or a graph without cycles is FailedPeripheralSpectrum.
-    Only the zero matrix is Unknown.
+    VerifiedPrimitive (period 1) or FailedPeripheralSpectrum.  Otherwise
+    each SCC with a cycle (period > 0) gets a Collatz-Wielandt bracket of
+    its Perron root, and the SCCs whose bracket reaches the largest lower
+    bound are ranked exactly (_top_blocks).  One winner of period 1 is
+    VerifiedSpectralGap; a tie, a larger period or a graph without cycles
+    is FailedPeripheralSpectrum.  Only the zero matrix is Unknown.
     """
-    k = matrix.size
     if not any(matrix.succ):
         # no positive eigenvalue exists at all; nothing to dominate
-        return DominanceReport(DominanceStatus.UNKNOWN, False, None, None)
+        return DominanceReport(DominanceStatus.UNKNOWN, False, None)
     adj = [[j for j, _ in terms] for terms in matrix.succ]
     comps = _sccs(adj)
     if len(comps) == 1:
         period = comps[0][1]
         if period > 1:
-            return DominanceReport(DominanceStatus.FAILED_PERIPHERAL_SPECTRUM, True, period, None)
-        exponent = _primitivity_exponent(adj) if k <= 64 else None
-        if k <= 64:
-            assert exponent is not None, "cycle gcd 1 but no positive power below the Wielandt bound"
-        return DominanceReport(DominanceStatus.VERIFIED_PRIMITIVE, True, 1, exponent)
+            return DominanceReport(DominanceStatus.FAILED_PERIPHERAL_SPECTRUM, True, period)
+        return DominanceReport(DominanceStatus.VERIFIED_PRIMITIVE, True, 1)
 
     blocks = _cycle_blocks(matrix, comps)
     brackets = [_cw_bracket(b) for b, _ in blocks]
@@ -307,7 +279,7 @@ def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
         winners = _top_blocks(winners)
     gap = len(winners) == 1 and winners[0][1] == 1
     status = DominanceStatus.VERIFIED_SPECTRAL_GAP if gap else DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
-    return DominanceReport(status, False, None, None)
+    return DominanceReport(status, False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -481,54 +453,5 @@ def dimension(m: int, perron: PerronResult, dominance: DominanceReport) -> Dimen
     return DimensionResult(
         dim=(dlo, dhi),
         status=dominance.status,
-        certified=dominance.certified,
-    )
-
-
-@dataclass
-class GrowthBandReport:
-    """Tail band of the normalized counts r_n(q) = N_n(state q) / alpha^n.
-
-    band_min and band_max over the tail witness the two-sided geometric
-    growth constants at finite depth.
-    """
-
-    n_from: int
-    n_to: int
-    band_min: float
-    band_max: float
-    lower_witness_state0: float
-
-    @property
-    def spread(self) -> float:
-        return self.band_max / self.band_min if self.band_min else float("inf")
-
-
-def growth_band(matrix: TransitionMatrix, perron: PerronResult,
-                n_max: int = 40) -> GrowthBandReport:
-    """Exact counts versus alpha^n for every state, reported over the tail
-    n in [n_max/2, n_max]."""
-    if n_max < 5:
-        raise ValueError("n_max must be at least 5")
-    profile = count_profile_matrix(matrix, n_max)
-    alpha_mid = perron.alpha_mid
-    n_from = max(1, n_max // 2)
-    band_min = None
-    band_max = None
-    state0_min = None
-    power = alpha_mid ** n_from
-    for n in range(n_from, n_max + 1):
-        for q in range(matrix.size):
-            r = Fraction(profile[n][q]) / power
-            band_min = r if band_min is None or r < band_min else band_min
-            band_max = r if band_max is None or r > band_max else band_max
-            if q == 0 and (state0_min is None or r < state0_min):
-                state0_min = r
-        power *= alpha_mid
-    return GrowthBandReport(
-        n_from=n_from,
-        n_to=n_max,
-        band_min=float(band_min),
-        band_max=float(band_max),
-        lower_witness_state0=float(state0_min),
+        certified=dominance.verified,
     )

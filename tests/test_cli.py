@@ -239,6 +239,18 @@ def test_spectrum_rejects_bad_depth_before_any_level(capsys, monkeypatch):
     assert (code, out) == (64, "") and "guard" in err
 
 
+@pytest.mark.parametrize("m, nmax", [("1", "20000"), ("2", "3000000")])
+def test_spectrum_far_beyond_the_guard_exits_64_quickly(capsys, m, nmax):
+    # (m+1)^nmax has thousands of digits here; the guard must neither build
+    # it nor print it (str() of a 4300-digit integer raises)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--minpoly", GOLDEN, "-m", m, "--nmax", nmax)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "exceeds the enumeration guard" in err
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_orbit_dot_format(capsys):
     code, out, _ = run(capsys, "orbit", "--minpoly", GOLDEN, "-m", "1", "-x", "1",
                        "--format", "dot")
@@ -353,3 +365,10 @@ def test_identical_configs_identical_bytes(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_every_public_name_resolves_once():
+    names = betaorbit.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(betaorbit, name), name

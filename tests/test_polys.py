@@ -7,6 +7,7 @@ from betaorbit import polys
 from betaorbit.errors import NotSquarefree, RefinementBudgetExceeded
 from betaorbit.orbit import TransitionMatrix
 from betaorbit.spectral import char_polynomial
+from rational_oracles import evaluate, squarefree_part, sturm_chain
 
 
 F = Fraction
@@ -14,8 +15,8 @@ F = Fraction
 
 def test_evaluate_horner():
     p = polys.normalize([-1, -1, 1])  # z^2 - z - 1
-    assert polys.evaluate(p, F(2)) == 1
-    assert polys.evaluate(p, F(0)) == -1
+    assert evaluate(p, F(2)) == 1
+    assert evaluate(p, F(0)) == -1
 
 
 def test_evaluate_interval_contains_point_values():
@@ -24,7 +25,7 @@ def test_evaluate_interval_contains_point_values():
     vlo, vhi = polys.evaluate_interval(p, lo, hi)
     for t in range(0, 13):
         x = lo + (hi - lo) * F(t, 12)
-        assert vlo <= polys.evaluate(p, x) <= vhi
+        assert vlo <= evaluate(p, x) <= vhi
 
 
 def _evaluate_interval_ref(p, lo, hi):
@@ -52,7 +53,7 @@ def test_evaluate_interval_matches_fraction_horner(p, a, b):
 @settings(max_examples=100, deadline=None)
 @given(_polys, _rationals)
 def test_evaluate_interval_point_is_exact(p, x):
-    assert polys.evaluate_interval(p, x, x) == (polys.evaluate(p, x),) * 2
+    assert polys.evaluate_interval(p, x, x) == (evaluate(p, x),) * 2
 
 
 def test_evaluate_interval_edge_cases():
@@ -76,7 +77,7 @@ def test_gcd_and_squarefree():
     # (z-1)^2 (z+2) is not squarefree; its squarefree part is (z-1)(z+2)
     sq = polys.mul(polys.mul((F(-1), F(1)), (F(-1), F(1))), (F(2), F(1)))
     assert not polys.is_squarefree(sq)
-    part = polys.squarefree_part(sq)
+    part = squarefree_part(sq)
     assert part == polys.monic(polys.mul((F(-1), F(1)), (F(2), F(1))))
     assert polys.is_squarefree(polys.normalize([-1, -1, 1]))
 
@@ -111,9 +112,9 @@ def _assert_isolation(p):
     p = polys.normalize(p)
     for lo, hi in polys.isolate_real_roots(p):
         if lo == hi:
-            assert polys.evaluate(p, lo) == 0
+            assert evaluate(p, lo) == 0
         else:
-            assert polys.evaluate(p, lo) * polys.evaluate(p, hi) < 0
+            assert evaluate(p, lo) * evaluate(p, hi) < 0
             assert polys.count_roots_in_interval(p, lo, hi) == 1
 
 
@@ -173,7 +174,7 @@ def test_isolate_endpoints_are_sign_changes_on_char_polys(rows):
     sf = polys.squarefree_part_int(chi)
     _assert_isolation(sf)
     # the integer kernel against the rational one (helpers below)
-    assert sf == polys.squarefree_part(chi)
+    assert sf == squarefree_part(chi)
     assert polys.is_squarefree(chi) == (polys.degree(polys.gcd_poly(chi, polys.derivative(chi))) == 0)
     _assert_chain_is_positive_multiple(sf)
     assert polys.isolate_real_roots(sf) == _isolate_oracle(sf)
@@ -260,7 +261,7 @@ def _sign(v):
 @example([2, -3, 1], F(1))  # a root
 @example([], F(-7, 3))
 def test_sign_at_matches_fraction_evaluate(p, x):
-    want = _sign(polys.evaluate(p, x))
+    want = _sign(evaluate(p, x))
     nums, _ = polys.common_denominator(p)
     assert polys.sign_at(nums, x.numerator, x.denominator) == want
     # Fraction coefficients run through the same kernel
@@ -285,16 +286,16 @@ def _isolate_oracle(p):
     p = polys.normalize(p)
 
     def variations(chain, x):
-        signs = [_sign(polys.evaluate(c, x)) for c in chain]
+        signs = [_sign(evaluate(c, x)) for c in chain]
         signs = [s for s in signs if s]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     def bisect(q, lo, hi):
         mid = (lo + hi) / 2
-        vm = polys.evaluate(q, mid)
+        vm = evaluate(q, mid)
         if vm == 0:
             return mid, mid
-        return (lo, mid) if (polys.evaluate(q, lo) > 0) != (vm > 0) else (mid, hi)
+        return (lo, mid) if (evaluate(q, lo) > 0) != (vm > 0) else (mid, hi)
 
     work, exact = p, []
     if all(c.denominator == 1 for c in p) and p[-1] == 1:
@@ -303,7 +304,7 @@ def _isolate_oracle(p):
             work = polys.divmod_poly(work, (F(-r), F(1)))[0]
     intervals = []
     if polys.degree(work) >= 1:
-        chain = polys.sturm_chain(work)
+        chain = sturm_chain(work)
         bound = polys.root_bound(work)
         stack = [(-bound, bound, variations(chain, -bound) - variations(chain, bound))]
         while stack:
@@ -323,7 +324,7 @@ def _isolate_oracle(p):
 
 def _assert_chain_is_positive_multiple(p):
     nums = polys.common_denominator(polys.normalize(p))[0]
-    ints, fracs = polys.sturm_chain_int(nums), polys.sturm_chain(p)
+    ints, fracs = polys.sturm_chain_int(nums), sturm_chain(p)
     assert len(ints) == len(fracs)
     for a, b in zip(ints, fracs):
         assert len(a) == len(b)

@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,6 @@ from betaorbit import (
     compute_orbit,
     count_profile_matrix,
     dimension,
-    growth_band,
     perron_eigenvalue,
     transition_matrix,
 )
@@ -31,6 +32,7 @@ from betaorbit.errors import DominanceNotEstablished, ZeroMatrix
 from betaorbit.orbit import DivergenceReport
 from betaorbit.polys import interval_mul
 from betaorbit.spectral import _adjugate_eigenvector, _adjugate_row_sums
+from rational_oracles import evaluate
 
 F = Fraction
 
@@ -137,7 +139,7 @@ def test_char_poly_sign_change_across_alpha(quintic_params, quintic_x):
     sf = [F(c) for c in polys.squarefree_part_int(chi)]
     pr = perron_eigenvalue(transition_matrix(g))
     lo, hi = pr.alpha
-    assert polys.evaluate(sf, lo) * polys.evaluate(sf, hi) < 0
+    assert evaluate(sf, lo) * evaluate(sf, hi) < 0
 
 
 # === dominance ===
@@ -148,8 +150,7 @@ def test_dominance_quintic(quintic_params, quintic_x):
     assert rep.status == DominanceStatus.VERIFIED_PRIMITIVE
     assert rep.strongly_connected
     assert rep.cycle_gcd == 1
-    assert rep.primitivity_exponent is not None
-    assert rep.primitivity_exponent <= (10 - 1) ** 2 + 1
+    assert _primitivity_exponent(transition_matrix(g).rows) <= (10 - 1) ** 2 + 1
 
 
 def test_dominance_golden_fails(golden_params):
@@ -182,13 +183,12 @@ def test_dominance_reducible_with_gap():
 def test_dominance_single_self_loop():
     rep = check_dominance(_mat([[1]]))
     assert rep.status == DominanceStatus.VERIFIED_PRIMITIVE
-    assert rep.primitivity_exponent == 1
+    assert _primitivity_exponent([[1]]) == 1
 
 
 def test_primitivity_exponent_reaches_the_wielandt_bound():
     # a k-cycle with one chord skipping a state: the first positive power is
-    # A^((k-1)^2 + 1), the last one the search tries (k = 64 is the largest
-    # size it runs at)
+    # A^((k-1)^2 + 1), the last one the search tries
     k = 64
     rows = [[0] * k for _ in range(k)]
     for i in range(k):
@@ -196,7 +196,7 @@ def test_primitivity_exponent_reaches_the_wielandt_bound():
     rows[k - 1][1] = 1
     rep = check_dominance(_mat(rows))
     assert rep.status == DominanceStatus.VERIFIED_PRIMITIVE
-    assert rep.primitivity_exponent == (k - 1) ** 2 + 1
+    assert _primitivity_exponent(rows) == (k - 1) ** 2 + 1
 
 
 # === dimension ===
@@ -263,26 +263,6 @@ def test_dimension_slope_chain(quintic_params, quintic_x):
     assert last < first
 
 
-# === growth band ===
-
-def test_growth_band_flat_for_regular_matrices():
-    mat = _mat([[1, 1], [1, 1]])
-    band = growth_band(mat, perron_eigenvalue(mat), n_max=12)
-    assert band.band_min == pytest.approx(1.0)
-    assert band.band_max == pytest.approx(1.0)
-    loop = _mat([[1]])
-    band = growth_band(loop, perron_eigenvalue(loop), n_max=12)
-    assert band.band_min == pytest.approx(1.0) == pytest.approx(band.band_max)
-
-
-def test_growth_band_quintic(quintic_params, quintic_x):
-    g = compute_orbit(quintic_params, quintic_x)
-    mat = transition_matrix(g)
-    band = growth_band(mat, perron_eigenvalue(mat), n_max=40)
-    assert 0 < band.band_min <= band.band_max
-    assert band.spread < 10
-
-
 # === adjugate eigenvector and sparse Faddeev-LeVerrier ===
 
 def _dense_faddeev_leverrier(rows):
@@ -325,9 +305,26 @@ def test_sparse_faddeev_leverrier_matches_dense(rows):
         assert tuple(lhs) == chi
 
 
+def _primitivity_exponent(rows):
+    """Smallest t with A^t entrywise positive, searched up to the Wielandt
+    bound (k-1)^2 + 1 with bitset boolean products: row i of A^t is the
+    union of the rows of A^(t-1) at the successors of i.  None if no power
+    up to the bound is positive, that is, if A is not primitive."""
+    adj = [[j for j, v in enumerate(r) if v] for r in rows]
+    k = len(adj)
+    full = (1 << k) - 1
+    cur = [sum(1 << j for j in a) for a in adj]
+    for t in range(1, (k - 1) ** 2 + 2):
+        if t > 1:
+            cur = [reduce(or_, map(cur.__getitem__, a), 0) for a in adj]
+        if all(row == full for row in cur):
+            return t
+    return None
+
+
 def _dense_dominance_oracle(rows):
     """Reference for check_dominance's graph data from dense boolean powers:
-    (strongly_connected, cycle_gcd, primitivity_exponent)."""
+    (strongly_connected, cycle_gcd, the least t with A^t positive)."""
     k = len(rows)
     if not any(map(any, rows)):
         return False, None, None  # the zero matrix is reported as not connected
@@ -364,8 +361,12 @@ def _dense_dominance_oracle(rows):
 @example([[0, 2], [1, 1]])
 def test_dominance_graph_data_matches_dense_oracle(rows):
     rep = check_dominance(_mat(rows))
-    assert (rep.strongly_connected, rep.cycle_gcd, rep.primitivity_exponent) == \
-        _dense_dominance_oracle(rows)
+    connected, cycle_gcd, exponent = _dense_dominance_oracle(rows)
+    assert (rep.strongly_connected, rep.cycle_gcd) == (connected, cycle_gcd)
+    if rep.status == DominanceStatus.VERIFIED_PRIMITIVE:
+        k = len(rows)
+        assert exponent <= (k - 1) ** 2 + 1  # Wielandt
+        assert _primitivity_exponent(rows) == exponent
 
 
 def _dense_sccs(rows):
@@ -724,7 +725,9 @@ def test_perron_path_makes_no_rational_evaluate_or_sturm_chain(
         mat = transition_matrix(compute_orbit(golden_params, golden_params.parse_point("1/5")))
     else:
         mat = _mat(case)
-    calls = {"evaluate": 0, "sturm_chain": 0, "divmod_poly": 0, "gcd_poly": 0}
+    # the rational oracles live with the tests, out of the Perron path's reach
+    assert not any(hasattr(polys, n) for n in ("evaluate", "sturm_chain", "squarefree_part"))
+    calls = {"divmod_poly": 0, "gcd_poly": 0}
     inside_gcd = []
     for name, original in [(n, getattr(polys, n)) for n in calls]:
         def counting(*args, _name=name, _original=original):
@@ -738,7 +741,7 @@ def test_perron_path_makes_no_rational_evaluate_or_sturm_chain(
         monkeypatch.setattr(polys, name, counting)
     pr = perron_eigenvalue(mat)
     gcds = calls.pop("gcd_poly")
-    assert calls == {"evaluate": 0, "sturm_chain": 0, "divmod_poly": 0}
+    assert calls == {"divmod_poly": 0}
     assert (gcds > 0) == isinstance(case, list)
     _assert_perron_eigenvector(mat, pr)
 
