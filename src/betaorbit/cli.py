@@ -5,6 +5,13 @@ Exit codes: 0 success; 2 not Pisot; 3 Pisot status unknown; 4 orbit hit a cap;
 5 dominant eigenvalue not verified (alpha still reported); 6 count-method
 mismatch; 7 no period within the step budget; 64 usage/parse errors;
 65 point outside the expansion interval.
+
+Every invocation is a fresh interpreter, so start-up pays for each module
+imported.  The top level imports only what the parser and every command
+share (errors, expr, field, polys); each cmd_* imports the rest in its body:
+`pisot` loads nothing more, `spectrum` adds spacing, `expand` adds dynamics,
+`orbit` and `count` add dynamics and orbit, and `dimension` adds those two
+and spectral.
 """
 
 from __future__ import annotations
@@ -13,17 +20,10 @@ import argparse
 import json
 import sys
 
-from . import spacing
-from .dynamics import ExpansionParams, ExpansionRule, count_prefixes_bruteforce, \
-    digits_to_text, generate_expansion
 from .errors import BetaOrbitError, OutsideInterval
 from .expr import MAX_EXPONENT, fraction
 from .field import IntPolynomial, NumberField
-from .orbit import DivergenceReport, compute_orbit, count_prefixes_matrix, \
-    transition_matrix
 from .polys import MAX_HALVINGS, decimal_str
-from .spectral import check_dominance, dimension, log_base_interval, \
-    perron_eigenvalue
 
 EXIT_OK = 0
 EXIT_NOT_PISOT = 2
@@ -69,7 +69,9 @@ def _build_field(args) -> NumberField:
     return NumberField(IntPolynomial(coeffs), root_rank=args.root_rank)
 
 
-def _build_params(args) -> tuple[ExpansionParams, "FieldElement"]:
+def _build_params(args) -> tuple["ExpansionParams", "FieldElement"]:
+    from .dynamics import ExpansionParams
+
     field = _build_field(args)
     params = ExpansionParams(field, args.m)
     x = params.parse_point(args.x)
@@ -144,6 +146,8 @@ def cmd_pisot(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .orbit import DivergenceReport, compute_orbit, transition_matrix
+
     params, x = _build_params(args)
     result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
     if isinstance(result, DivergenceReport):
@@ -172,6 +176,9 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_dimension(args) -> int:
+    from .orbit import DivergenceReport, compute_orbit, transition_matrix
+    from .spectral import check_dominance, dimension, log_base_interval, perron_eigenvalue
+
     tol = fraction(args.tol)  # a malformed width exits 64 before the BFS
     params, x = _build_params(args)
     result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
@@ -192,7 +199,7 @@ def cmd_dimension(args) -> int:
     if dom.verified:
         dim = dimension(params.m, perron, dom)
         report["dim"] = _interval_strs(dim.dim)
-        report["certified"] = dim.certified
+        report["certified"] = True  # dimension() raises unless dominance is verified
         code = EXIT_OK
     else:
         # without a verified dominant eigenvalue, log_{m+1}(alpha) is only an
@@ -216,6 +223,8 @@ def cmd_dimension(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from .dynamics import ExpansionRule, digits_to_text, generate_expansion
+
     params, x = _build_params(args)
     rule = {
         "greedy": ExpansionRule.greedy,
@@ -235,6 +244,10 @@ def cmd_expand(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .dynamics import count_prefixes_bruteforce
+    from .orbit import DivergenceReport, compute_orbit, count_prefixes_matrix, \
+        transition_matrix
+
     params, x = _build_params(args)
     if args.n < 0:
         raise _UsageError("n must be nonnegative")
@@ -258,6 +271,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import spacing
+
     field = _build_field(args)
     csv = spacing.spectrum_csv(field, args.m, args.nmax)
     if args.out:
@@ -268,18 +283,19 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _fold_minpoly(argv: list[str]) -> list[str]:
-    """Join '--minpoly -1,-1,1' into '--minpoly=-1,-1,1' so leading minus
-    signs are not mistaken for option strings."""
+def _fold_values(argv: list[str]) -> list[str]:
+    """Join '--minpoly -1,-1,1' into '--minpoly=-1,-1,1' and '-x -1+b' into
+    '-x=-1+b', so values with a leading minus sign are not mistaken for
+    option strings."""
     out = []
     it = iter(argv)
     for tok in it:
-        if tok == "--minpoly":
+        if tok in ("--minpoly", "-x"):
             val = next(it, None)
             if val is None:
                 out.append(tok)
             else:
-                out.append(f"--minpoly={val}")
+                out.append(f"{tok}={val}")
         else:
             out.append(tok)
     return out
@@ -289,7 +305,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _fold_minpoly(list(argv))
+    argv = _fold_values(list(argv))
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

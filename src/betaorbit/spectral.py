@@ -114,7 +114,6 @@ class PerronResult:
     alpha: Interval
     eigenvector: tuple[Interval, ...]
     char_poly: tuple[int, ...]
-    alpha_exact: Fraction | None = None
 
     @property
     def alpha_mid(self) -> Fraction:
@@ -123,13 +122,12 @@ class PerronResult:
 
 @dataclass
 class DimensionResult:
-    """log_{m+1}(alpha) as a rational enclosure; under a verified dominant
-    eigenvalue this equals both the expansion-set dimension and the growth
-    rate of prefix counts."""
+    """log_{m+1}(alpha) as a rational enclosure.  `dimension` builds one only
+    under a verified dominant eigenvalue, where this equals both the
+    expansion-set dimension and the growth rate of prefix counts."""
 
     dim: Interval
     status: DominanceStatus
-    certified: bool
 
 
 _BRACKET_STEPS = 8  # powers B^t . 1 behind each Collatz-Wielandt bracket
@@ -304,7 +302,7 @@ def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> Pe
     lo, hi = polys.refine_to_width(chi_sf, *isolations[-1], tol)
     vec = _adjugate_eigenvector(chi, _adjugate_row_sums(matrix, chi), chi_sf, (lo, hi), tol)
     result = PerronResult(alpha=(lo, hi), eigenvector=_normalize_eigenvector(vec),
-                          char_poly=chi, alpha_exact=lo if lo == hi else None)
+                          char_poly=chi)
 
     # Perron row-sum bounds must bracket the enclosure
     row_sums = matrix.mul_vec([1] * matrix.size)
@@ -453,5 +451,4 @@ def dimension(m: int, perron: PerronResult, dominance: DominanceReport) -> Dimen
     return DimensionResult(
         dim=(dlo, dhi),
         status=dominance.status,
-        certified=dominance.verified,
     )

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -92,6 +93,16 @@ def test_orbit_divergence_exit(capsys):
 def test_orbit_outside_interval(capsys):
     code, _, err = run(capsys, "orbit", "--minpoly", GOLDEN, "-m", "1", "-x", "0-1")
     assert code == 65
+
+
+def test_point_with_a_leading_minus_is_a_value_not_an_option(capsys):
+    # -x -1+b is the point b - 1, as -x b-1 and -x=-1+b are
+    code, out, err = run(capsys, *POINT_ARGS, "-1+b")
+    assert (code, out.splitlines()[0], err) == (0, "k = 4", "")
+    assert run(capsys, *POINT_ARGS, "b-1") == (code, out, err)
+    code, out, err = run(capsys, *POINT_ARGS, "-1/3")
+    assert (code, out) == (65, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "outside" in err
 
 
 def test_orbit_writes_files(tmp_path, capsys):
@@ -372,3 +383,56 @@ def test_every_public_name_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(betaorbit, name), name
+
+
+def test_the_lazy_package_root_behaves_like_eager_imports():
+    assert set(betaorbit.__all__) <= set(dir(betaorbit))
+    with pytest.raises(AttributeError, match=r"^module 'betaorbit' has no attribute 'no_such_name'$"):
+        betaorbit.no_such_name
+    namespace = {}
+    exec("from betaorbit import *", namespace)
+    assert set(betaorbit.__all__) <= set(namespace)
+    for name, submodule in betaorbit._SUBMODULE.items():
+        owner = importlib.import_module(f"betaorbit.{submodule}")
+        assert namespace[name] is getattr(owner, name) is getattr(betaorbit, name), name
+
+
+SHARED = {"betaorbit", "betaorbit.cli", "betaorbit.errors", "betaorbit.expr", "betaorbit.field",
+          "betaorbit.polys"}
+CLI_MODULES = {
+    "pisot": (("pisot", "--minpoly", QUINTIC), set()),
+    "spectrum": (("spectrum", "--minpoly", GOLDEN, "--nmax", "6"), {"spacing"}),
+    "expand": (("expand", "--minpoly", GOLDEN, "-x", "1"), {"dynamics"}),
+    "orbit": (("orbit", "--minpoly", GOLDEN, "-x", "1", "--out", "{out}"), {"dynamics", "orbit"}),
+    "count": (("count", "--minpoly", GOLDEN, "-x", "1", "-n", "6"), {"dynamics", "orbit"}),
+    "dimension": (("dimension", "--minpoly", QUINTIC, "-x", "1/(b^2-1)", "--format", "json"),
+                  {"dynamics", "orbit", "spectral"}),
+}
+
+
+def _modules_after(code: str, *argv: str) -> set[str]:
+    """The betaorbit modules loaded in a fresh interpreter after `code` runs
+    with sys.argv[1:] == argv."""
+    env = dict(os.environ, PYTHONPATH=str(Path(betaorbit.__file__).parents[1]))
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'betaorbit')),"
+             " file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert _modules_after("import betaorbit") == {"betaorbit"}
+
+
+@pytest.mark.parametrize("command", list(CLI_MODULES))
+def test_each_command_imports_only_the_modules_it_runs(command, tmp_path):
+    # every CLI call is a fresh interpreter: an import that the command never
+    # runs is start-up time on every invocation
+    argv, extra = CLI_MODULES[command]
+    argv = [a.replace("{out}", str(tmp_path / "run")) for a in argv]
+    loaded = _modules_after("import sys\nfrom betaorbit.cli import main\n"
+                            "assert main(sys.argv[1:]) == 0", *argv)
+    assert loaded == SHARED | {f"betaorbit.{m}" for m in extra}

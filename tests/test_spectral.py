@@ -80,8 +80,7 @@ def test_char_poly_permutation_invariant(quintic_params, quintic_x):
 
 def test_perron_all_ones():
     pr = perron_eigenvalue(_mat([[1, 1], [1, 1]]))
-    assert pr.alpha == (F(2), F(2))
-    assert pr.alpha_exact == 2
+    assert pr.alpha == (F(2), F(2))  # a rational root stays an exact point
     lo0, hi0 = pr.eigenvector[0]
     lo1, hi1 = pr.eigenvector[1]
     inv_sqrt2 = 0.7071067811865476
@@ -232,7 +231,7 @@ def test_dimension_quintic(quintic_params, quintic_x):
     mat = transition_matrix(g)
     res = dimension(1, perron_eigenvalue(mat), check_dominance(mat))
     lo, hi = res.dim
-    assert res.certified
+    assert res.status is DominanceStatus.VERIFIED_PRIMITIVE
     assert hi - lo < F(1, 10 ** 9)
     target = F(405685231375, 10 ** 12)  # log2 of the plastic number
     assert lo - F(1, 10 ** 9) <= target <= hi + F(1, 10 ** 9)
@@ -548,7 +547,7 @@ def test_single_path_matches_number_field_route(minpoly, m, point):
     tol = F(1, 10 ** 12)
     alpha, boxes = _number_field_route(mat, tol)
     pr = perron_eigenvalue(mat, tol)
-    assert pr.alpha_exact is None and pr.alpha == alpha
+    assert pr.alpha[0] < pr.alpha[1] and pr.alpha == alpha
     chi = pr.char_poly
     vec = _adjugate_eigenvector(chi, _adjugate_row_sums(mat, chi),
                                 polys.squarefree_part_int(chi), pr.alpha, tol)
