@@ -1,10 +1,10 @@
 """Command-line front end: pisot | orbit | dimension | expand | count | spectrum.
 
 Outputs are deterministic (identical configs produce byte-identical output).
-Exit codes: 0 success; 2 not Pisot; 3 Pisot status unknown; 4 orbit hit a cap;
-5 dominant eigenvalue not verified (alpha still reported); 6 count-method
-mismatch; 7 no period within the step budget; 64 usage/parse errors;
-65 point outside the expansion interval.
+Exit codes: 0 success; 2 not Pisot; 3 Pisot status unknown; 4 the orbit
+search or a brute-force count hit a cap; 5 dominant eigenvalue not verified
+(alpha still reported); 6 count-method mismatch; 7 no period within the
+step budget; 64 usage/parse errors; 65 point outside the expansion interval.
 
 Every invocation is a fresh interpreter, so start-up pays for each module
 imported.  The top level imports only what the parser and every command
@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .errors import BetaOrbitError, OutsideInterval
+from .errors import BetaOrbitError, CapHit, OutsideInterval
 from .expr import MAX_EXPONENT, fraction
 from .field import IntPolynomial, NumberField
 from .polys import MAX_HALVINGS, decimal_str
@@ -76,6 +76,16 @@ def _build_params(args) -> tuple["ExpansionParams", "FieldElement"]:
     params = ExpansionParams(field, args.m)
     x = params.parse_point(args.x)
     return params, x
+
+
+def _closed_orbit(args, params, x) -> "OrbitGraph":
+    """The orbit graph of x; a cap hit raises CapHit (exit 4 in main)."""
+    from .orbit import DivergenceReport, compute_orbit
+
+    result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
+    if isinstance(result, DivergenceReport):
+        raise CapHit(result.states_found, result.cap_hit)
+    return result
 
 
 def build_parser() -> _Parser:
@@ -146,13 +156,10 @@ def cmd_pisot(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    from .orbit import DivergenceReport, compute_orbit, transition_matrix
+    from .orbit import transition_matrix
 
     params, x = _build_params(args)
-    result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
-    if isinstance(result, DivergenceReport):
-        print(f"diverged: {result.states_found} states found, {result.cap_hit} cap hit")
-        return EXIT_DIVERGED
+    result = _closed_orbit(args, params, x)
     print(f"k = {result.size}")
     if args.format == "json":
         result.write_json(sys.stdout)
@@ -176,15 +183,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    from .orbit import DivergenceReport, compute_orbit, transition_matrix
+    from .orbit import transition_matrix
     from .spectral import check_dominance, dimension, log_base_interval, perron_eigenvalue
 
     tol = fraction(args.tol)  # a malformed width exits 64 before the BFS
     params, x = _build_params(args)
-    result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
-    if isinstance(result, DivergenceReport):
-        print(f"diverged: {result.states_found} states found, {result.cap_hit} cap hit")
-        return EXIT_DIVERGED
+    result = _closed_orbit(args, params, x)
     mat = transition_matrix(result)
     perron = perron_eigenvalue(mat, tol=tol)
     dom = check_dominance(mat)
@@ -245,22 +249,17 @@ def cmd_expand(args) -> int:
 
 def cmd_count(args) -> int:
     from .dynamics import count_prefixes_bruteforce
-    from .orbit import DivergenceReport, compute_orbit, count_prefixes_matrix, \
-        transition_matrix
+    from .orbit import count_prefixes_matrix, transition_matrix
 
     params, x = _build_params(args)
     if args.n < 0:
         raise _UsageError("n must be nonnegative")
     results = {}
     if args.method in ("matrix", "both"):
-        closure = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
-        if isinstance(closure, DivergenceReport):
-            print(f"diverged: {closure.states_found} states found, {closure.cap_hit} cap hit")
-            return EXIT_DIVERGED
-        mat = transition_matrix(closure)
+        mat = transition_matrix(_closed_orbit(args, params, x))
         results["matrix"] = count_prefixes_matrix(mat, 0, args.n)
     if args.method in ("brute", "both"):
-        results["brute"] = count_prefixes_bruteforce(params, x, args.n)
+        results["brute"] = count_prefixes_bruteforce(params, x, args.n, state_cap=args.state_cap)
     for name in ("matrix", "brute"):
         if name in results:
             print(f"{name}: {results[name]}")
@@ -313,6 +312,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
+    except CapHit as exc:
+        print(f"diverged: {exc}")
+        return EXIT_DIVERGED
     except OutsideInterval as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OUTSIDE

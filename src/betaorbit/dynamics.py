@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidRule, OutsideInterval
+from .errors import CapHit, InvalidRule, OutsideInterval
 from .field import FieldElement, NumberField
 from .polys import Interval
 
@@ -231,7 +231,8 @@ def is_prefix(params: ExpansionParams, x: FieldElement, word: Sequence[int]) -> 
     return True
 
 
-def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int) -> int:
+def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int,
+                              state_cap: int | None = None) -> int:
     """Exact number of admissible length-n digit words from x, by counting
     the branching tree level by level.
 
@@ -242,7 +243,9 @@ def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int) 
     computed once per distinct point and kept.  This is the independent
     oracle for the transition-matrix counts: it builds no orbit graph and no
     matrix, and it needs no recursion, so n is not bounded by the stack.
-    For a base that is not Pisot the levels can keep growing with n.
+    For a base that is not Pisot the levels can keep growing with n.  Each
+    level point is an orbit state, so a level of more than state_cap points
+    proves the orbit search would hit that cap, and raises CapHit.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -258,6 +261,8 @@ def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int) 
                 children[y] = kids
             for z in kids:
                 nxt[z] = nxt.get(z, 0) + mult
+            if state_cap is not None and len(nxt) > state_cap:
+                raise CapHit(len(nxt), "state")
         level = nxt
     return sum(level.values())
 

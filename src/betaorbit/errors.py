@@ -33,10 +33,19 @@ class RefinementBudgetExceeded(BetaOrbitError):
     """
 
 
-# --- dynamics ---
+# --- dynamics and orbits ---
 
 class OutsideInterval(BetaOrbitError):
     """The point lies outside the expansion interval [0, m/(beta-1)]."""
+
+
+class CapHit(BetaOrbitError):
+    """An orbit search or a brute-force count passed its "state" or "depth"
+    cap before the orbit closed."""
+
+    def __init__(self, states_found: int, cap_hit: str):
+        super().__init__(f"{states_found} states found, {cap_hit} cap hit")
+        self.states_found, self.cap_hit = states_found, cap_hit
 
 
 class InvalidRule(BetaOrbitError):

@@ -86,10 +86,6 @@ class IntPolynomial:
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "IntPolynomial":
-        return cls(tuple(int(c) for c in obj["coeffs"]))
-
     def __str__(self) -> str:
         return _format_terms(reversed(list(enumerate(self.coeffs))), "z")
 
@@ -209,11 +205,6 @@ class NumberField:
         q = value if isinstance(value, (int, Fraction)) else Fraction(value)
         return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
-    def element_from_poly(self, coeffs: Sequence[Fraction]) -> "FieldElement":
-        """Reduce an arbitrary-degree coefficient vector modulo the defining
-        polynomial."""
-        return self._reduce(*polys.common_denominator([Fraction(c) for c in coeffs]))
-
     def _reduce(self, nums: list[int], den: int) -> "FieldElement":
         """The element nums(beta) / den for an integer vector nums of length
         at most 2d - 1, reduced by the integer power rows."""
@@ -257,8 +248,8 @@ class NumberField:
         lo, hi = self.beta_interval()
         if lo == hi:
             return polys.sign_at(elem.nums, lo.numerator, lo.denominator) == 0
-        g = polys.gcd_poly(elem.coeffs, self.min_poly.coeffs)
-        if polys.degree(g) == 0:
+        g = polys.gcd_int(elem.nums, self.min_poly.coeffs)
+        if len(g) == 1:
             return False
         return polys.count_roots_in_interval(g, lo, hi) > 0
 
@@ -503,24 +494,35 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended euclidean algorithm on
-        (element polynomial, defining polynomial) over the rationals."""
+        """Multiplicative inverse by integer elimination.  Column j of the
+        integer matrix N holds the numerators of self * beta^j, all over den,
+        so the inverse y solves N y = den e_0.  Fraction-free Gauss-Jordan
+        elimination with row swaps (Bareiss 1968) divides every update
+        exactly by the previous pivot and ends with det(PN) on the diagonal
+        and det(PN) N^-1 e_0 in the last column.  A column without a pivot
+        makes N singular: self is a zero divisor of a reducible modulus."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        a = polys.normalize(self.coeffs)
-        m = self.field.min_poly.coeffs
-        r0, r1 = m, a
-        t0, t1 = (), (Fraction(1),)
-        while r1:
-            q, r = polys.divmod_poly(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, polys.add(t0, polys.negate(polys.mul(q, t1)))
-        if polys.degree(r0) > 0:
-            raise DivisionByZero(
-                "zero divisor: element shares a factor with the (reducible) defining polynomial"
-            )
-        g = r0[0]
-        return self.field.element_from_poly([c / g for c in t0])
+        field = self.field
+        d = field.degree
+        cols = [field._reduce([0] * j + list(self.nums), 1).nums for j in range(d)]
+        rows = [[*r, int(i == 0)] for i, r in enumerate(zip(*cols))]
+        prev = 1
+        for k in range(d):
+            piv = next((i for i in range(k, d) if rows[i][k]), None)
+            if piv is None:
+                raise DivisionByZero(
+                    "zero divisor: element shares a factor with the (reducible) defining polynomial"
+                )
+            rows[k], rows[piv] = rows[piv], rows[k]
+            pk, pivot = rows[k], rows[k][k]
+            for r in rows:
+                if r is not pk:
+                    c = r[k]
+                    r[k + 1:] = [(pivot * a - c * b) // prev for a, b in zip(r[k + 1:], pk[k + 1:])]
+            prev = pivot
+        sign = 1 if prev > 0 else -1
+        return _canonical(field, [sign * self.den * r[d] for r in rows], sign * prev)
 
     # -- ordering and approximation -------------------------------------------
 

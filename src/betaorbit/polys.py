@@ -1,20 +1,19 @@
 """Exact univariate polynomial arithmetic and certified root machinery.
 
-Polynomials are dense coefficient tuples, constant term first.  Everything in
-this module works over the rationals (fractions.Fraction) or the integers;
-nothing here touches floating point except the complex-root *proposal* step,
-whose output is certified afterwards by exact interval Newton contraction.
+Polynomials are dense coefficient tuples, constant term first, with integer
+coefficients (the Horner kernels and root isolation also take Fractions,
+brought to one common denominator), evaluated at rational points and
+intervals (fractions.Fraction).  Nothing here touches floating point except
+the complex-root *proposal* step, whose output is certified afterwards by
+exact interval Newton contraction.
 
-The real-root path runs on integers.  Signs at a rational point n/d are read
-by integer Horner on the coefficient numerators (sign_at), the Sturm chain is
-an integer primitive remainder sequence (Collins 1967, Brown & Traub 1971)
-whose members are positive multiples of the rational Sturm chain's, the
-integer roots come from Sturm counts on integer intervals of the same chain
-(integer_roots), and division by a monic integer polynomial stays in the
-integers (divmod_monic).  The rational divmod_poly and gcd_poly remain for
-field inverses and common factors; the rational evaluate, squarefree part
-and Sturm chain that the integer paths are checked against live with the
-tests.
+Signs at n/d are read by integer Horner on the numerators (sign_at).  The
+Sturm chain and the gcd are integer primitive remainder sequences (Collins
+1967, Brown & Traub 1971), the integer roots come from Sturm counts on
+integer intervals (integer_roots), and division by a monic integer
+polynomial stays in the integers (divmod_monic).  The rational polynomial
+ring, and the rational evaluate, squarefree part and Sturm chain these
+kernels are checked against, live with the tests.
 """
 
 from __future__ import annotations
@@ -134,65 +133,6 @@ def derivative(p: Sequence) -> tuple[Fraction, ...]:
     return normalize([i * p[i] for i in range(1, len(p))])
 
 
-def add(p: Sequence, q: Sequence) -> tuple[Fraction, ...]:
-    n = max(len(p), len(q))
-    return normalize([
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-        for i in range(n)
-    ])
-
-
-def negate(p: Sequence) -> tuple[Fraction, ...]:
-    return tuple(-c for c in p)
-
-
-def mul(p: Sequence, q: Sequence) -> tuple[Fraction, ...]:
-    if not p or not q:
-        return ()
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return normalize(out)
-
-
-def divmod_poly(p: Sequence, q: Sequence) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact euclidean division over the rationals."""
-    p = list(normalize(p))
-    q = normalize(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    dq, lead = degree(q), q[-1]
-    quot = [_ZERO] * max(len(p) - dq, 0)
-    while len(p) - 1 >= dq and p:
-        shift = len(p) - 1 - dq
-        factor = p[-1] / lead
-        quot[shift] = factor
-        for i in range(dq + 1):
-            p[shift + i] -= factor * q[i]
-        while p and p[-1] == 0:
-            p.pop()
-    return normalize(quot), tuple(p)
-
-
-def monic(p: Sequence) -> tuple[Fraction, ...]:
-    p = normalize(p)
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(c / lead for c in p)
-
-
-def gcd_poly(p: Sequence, q: Sequence) -> tuple[Fraction, ...]:
-    """Monic gcd over the rationals by the euclidean algorithm."""
-    a, b = normalize(p), normalize(q)
-    while b:
-        a, b = b, divmod_poly(a, b)[1]
-        b = monic(b) if b else b  # renormalize to tame coefficient growth
-    return monic(a)
-
-
 def is_squarefree(p: Sequence) -> bool:
     p = normalize(p)
     if degree(p) < 1:
@@ -207,9 +147,7 @@ def squarefree_part_int(p: Sequence[int]) -> tuple[int, ...]:
     gcd(p, p') made monic has integer coefficients (Gauss's lemma), so the
     primitive gcd that ends the integer Sturm chain is +-1 times it and
     divides p exactly over the integers."""
-    nums = [int(c) for c in p]
-    while nums and nums[-1] == 0:
-        nums.pop()
+    nums = _strip(p)
     if len(nums) < 2:
         return tuple(nums)
     if nums[-1] != 1:
@@ -253,20 +191,23 @@ def _primitive(nums: list[int]) -> list[int]:
     return [c // g for c in nums] if g > 1 else nums
 
 
-def sturm_chain_int(nums: Sequence[int]) -> list[list[int]]:
-    """Sturm chain of the polynomial p with integer coefficients nums (degree
-    >= 1, no trailing zeros) as a primitive remainder sequence (Collins
-    1967, Brown & Traub 1971): the primitive parts of p and p', then each
-    next member the primitive part of minus a pseudo-remainder of the two
-    before it.
+def _strip(p: Sequence) -> list[int]:
+    """The integer coefficients of p without trailing zeros."""
+    nums = [int(c) for c in p]
+    while nums and nums[-1] == 0:
+        nums.pop()
+    return nums
 
-    Each pseudo-division step replaces r by (|lc|/g) r - (sgn(lc) c/g) z^s q,
-    where c is the top coefficient of r, lc that of q and g = gcd(c, lc), so
-    the pseudo-remainder is a positive multiple of the rational remainder.
-    Every member is therefore a positive multiple of the rational Sturm
-    chain's member, the signs are the same, and the last member is
-    gcd(p, p') up to a constant."""
-    chain = [_primitive(list(nums)), _primitive([i * c for i, c in enumerate(nums)][1:])]
+
+def _prs(a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
+    """Primitive remainder sequence of the nonzero integer polynomials a and
+    b without trailing zeros: their primitive parts, then each next member
+    the primitive part of minus a pseudo-remainder of the two before it, so
+    the last member is gcd(a, b) up to a constant.  Each pseudo-division
+    step replaces r by (|lc|/g) r - (sgn(lc) c/g) z^s q, for c the top
+    coefficient of r, lc that of q and g = gcd(c, lc): the pseudo-remainder
+    is a positive multiple of the rational remainder."""
+    chain = [_primitive(list(a)), _primitive(list(b))]
     while True:
         r, q = list(chain[-2]), chain[-1]
         dq, lead = len(q) - 1, q[-1]
@@ -285,6 +226,24 @@ def sturm_chain_int(nums: Sequence[int]) -> list[list[int]]:
         if not r:
             return chain
         chain.append(_primitive([-x for x in r]))
+
+
+def sturm_chain_int(nums: Sequence[int]) -> list[list[int]]:
+    """Sturm chain of p with integer coefficients nums (degree >= 1, no
+    trailing zeros) as the primitive remainder sequence of p and p'.  Each
+    member is a positive multiple of the rational Sturm chain's, so the
+    signs are the same, and the last member is gcd(p, p') up to a constant."""
+    return _prs(nums, [i * c for i, c in enumerate(nums)][1:])
+
+
+def gcd_int(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """gcd of the integer polynomials p and q, primitive with a positive
+    leading coefficient: the last member of their primitive remainder
+    sequence.  gcd(p, 0) is p made so, and gcd(0, 0) is the zero
+    polynomial ()."""
+    a, b = _strip(p), _strip(q)
+    g = _prs(a, b)[-1] if a and b else _primitive(a or b)
+    return tuple(-c for c in g) if g and g[-1] < 0 else tuple(g)
 
 
 def _sign_variations(signs: Sequence[int]) -> int:
@@ -314,9 +273,7 @@ def integer_roots(p: Sequence[int]) -> list[int]:
     width is 1, and then b is tested by sign_at, so the cost grows with the
     bit size of the coefficients.  Raises NotSquarefree when p shares a root
     with p'."""
-    nums = [int(c) for c in p]
-    while nums and nums[-1] == 0:
-        nums.pop()
+    nums = _strip(p)
     if len(nums) < 2:
         return []
     chain = sturm_chain_int(nums)

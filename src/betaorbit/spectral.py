@@ -228,7 +228,7 @@ def _top_blocks(blocks: list[tuple[TransitionMatrix, int]]) -> list[tuple[Transi
     for i in range(1, len(roots)):
         (p, alo, ahi), (q, blo, bhi) = roots[i], roots[best[0]]
         lo, hi = max(alo, blo), min(ahi, bhi)
-        if lo <= hi and polys.count_roots_in_interval(polys.gcd_poly(p, q), lo, hi):
+        if lo <= hi and polys.count_roots_in_interval(polys.gcd_int(p, q), lo, hi):
             best.append(i)
             continue
         while alo <= bhi and blo <= ahi:
@@ -336,12 +336,11 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
         # there is one, else some entry is nonzero but tiny, so look closer
         t = chi_sf
         for p in reduced:
-            t = polys.gcd_poly(t, p)
+            t = polys.gcd_int(t, p)
         if polys.count_roots_in_interval(t, *alpha):
-            # t divides the monic integer chi_sf, so it is monic over Z
-            # (Gauss's lemma) and the division stays in the integers
-            assert all(c.denominator == 1 for c in t), "a monic factor of chi_sf is integral"
-            t = [int(c) for c in t]
+            # t divides the monic integer chi_sf, so it is monic (Gauss's
+            # lemma) and the division stays in the integers
+            assert t[-1] == 1, "a primitive factor of the monic chi_sf is monic"
             quots = [polys.divmod_monic(p, t) for p in [rest, *vec]]
             assert not any(rem for _, rem in quots), "common factor must divide every adjugate entry"
             rest, *vec = [q for q, _ in quots]
@@ -349,7 +348,7 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
             eps /= 2 ** 48
     if len(rest) < len(chi):
         # (alpha*I - A) P(alpha) = rest(alpha) . 1 must still vanish
-        assert polys.count_roots_in_interval(polys.gcd_poly(rest, chi_sf), *alpha), \
+        assert polys.count_roots_in_interval(polys.gcd_int(rest, chi_sf), *alpha), \
             "common-factor division removed the Perron root"
     sign = next(1 if lo > 0 else -1 for lo, hi in rough if lo > 0 or hi < 0)
     scale = max(max(abs(lo), abs(hi)) for lo, hi in rough)

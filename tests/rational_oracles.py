@@ -1,17 +1,83 @@
-"""Rational references for the integer kernels in betaorbit.polys.
+"""Rational references for the integer kernels in betaorbit.
 
 The package reads every sign by integer Horner (polys.sign_at), takes the
 squarefree part of a monic integer polynomial in the integers
-(polys.squarefree_part_int) and builds the Sturm chain as a primitive
-remainder sequence (polys.sturm_chain_int).  The textbook rational forms
-below are what the tests compare those kernels against; the package itself
-never calls them.
+(polys.squarefree_part_int), builds the Sturm chain and the gcd as
+primitive remainder sequences (polys.sturm_chain_int, polys.gcd_int) and
+inverts a field element by fraction-free elimination
+(FieldElement.inverse).  The textbook rational forms below, the polynomial
+ring over Q and the extended euclidean inverse included, are what the tests
+compare those kernels against; the package itself never calls them.
 """
 
 from fractions import Fraction
 
 from betaorbit import polys
+from betaorbit.errors import DivisionByZero
 
+
+# --- the polynomial ring over Q (normalized Fraction tuples) ---
+
+def add(p, q) -> tuple[Fraction, ...]:
+    n = max(len(p), len(q))
+    return polys.normalize([
+        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+        for i in range(n)
+    ])
+
+
+def negate(p) -> tuple[Fraction, ...]:
+    return tuple(-c for c in p)
+
+
+def mul(p, q) -> tuple[Fraction, ...]:
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return polys.normalize(out)
+
+
+def divmod_poly(p, q) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact euclidean division over the rationals."""
+    p = list(polys.normalize(p))
+    q = polys.normalize(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    dq, lead = polys.degree(q), q[-1]
+    quot = [Fraction(0)] * max(len(p) - dq, 0)
+    while len(p) - 1 >= dq and p:
+        shift = len(p) - 1 - dq
+        factor = p[-1] / lead
+        quot[shift] = factor
+        for i in range(dq + 1):
+            p[shift + i] -= factor * q[i]
+        while p and p[-1] == 0:
+            p.pop()
+    return polys.normalize(quot), tuple(p)
+
+
+def monic(p) -> tuple[Fraction, ...]:
+    p = polys.normalize(p)
+    if not p:
+        return p
+    lead = p[-1]
+    return tuple(c / lead for c in p)
+
+
+def gcd_poly(p, q) -> tuple[Fraction, ...]:
+    """Monic gcd over the rationals by the euclidean algorithm."""
+    a, b = polys.normalize(p), polys.normalize(q)
+    while b:
+        a, b = b, divmod_poly(a, b)[1]
+        b = monic(b) if b else b  # renormalize to tame coefficient growth
+    return monic(a)
+
+
+# --- evaluation, squarefree part, Sturm chain ---
 
 def evaluate(p, x: Fraction) -> Fraction:
     """p(x) by Horner's rule over the rationals."""
@@ -24,10 +90,10 @@ def evaluate(p, x: Fraction) -> Fraction:
 def squarefree_part(p) -> tuple[Fraction, ...]:
     """p / gcd(p, p'), monic."""
     p = polys.normalize(p)
-    g = polys.gcd_poly(p, polys.derivative(p))
+    g = gcd_poly(p, polys.derivative(p))
     if polys.degree(g) == 0:
-        return polys.monic(p)
-    return polys.monic(polys.divmod_poly(p, g)[0])
+        return monic(p)
+    return monic(divmod_poly(p, g)[0])
 
 
 def sturm_chain(p) -> list[tuple[Fraction, ...]]:
@@ -37,9 +103,31 @@ def sturm_chain(p) -> list[tuple[Fraction, ...]]:
     p = polys.normalize(p)
     chain = [p, polys.derivative(p)]
     while chain[-1]:
-        rem = polys.divmod_poly(chain[-2], chain[-1])[1]
+        rem = divmod_poly(chain[-2], chain[-1])[1]
         if not rem:
             break
         scale = abs(rem[-1])
         chain.append(tuple(-c / scale for c in rem))
     return [c for c in chain if c]
+
+
+# --- field inverse ---
+
+def inverse(elem):
+    """The inverse of a nonzero FieldElement by the extended euclidean
+    algorithm on (element polynomial, defining polynomial) over Q."""
+    if elem.is_zero():
+        raise DivisionByZero("inverse of zero")
+    r0, r1 = elem.field.min_poly.coeffs, polys.normalize(elem.coeffs)
+    t0, t1 = (), (Fraction(1),)
+    while r1:
+        q, r = divmod_poly(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, add(t0, negate(mul(q, t1)))
+    if polys.degree(r0) > 0:
+        raise DivisionByZero(
+            "zero divisor: element shares a factor with the (reducible) defining polynomial"
+        )
+    g = r0[0]
+    # deg t0 < deg of the defining polynomial, so no reduction is needed
+    return elem.field.element([c / g for c in t0])

@@ -223,6 +223,33 @@ def test_count_brute_word_length_beyond_the_recursion_limit(capsys):
     assert out.strip() == "brute: 1"
 
 
+def test_count_brute_on_a_non_pisot_base_exits_4_at_the_state_cap(capsys):
+    # base sqrt2: the brute-force levels of 1/3 grow about 4x every 4 words
+    # (149 169 points at n = 36), so n = 60 ends only through the cap
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--minpoly", "-2,0,1", "-m", "1", "-x", "1/3",
+                       "-n", "60", "--method", "brute", "--state-cap", "1000")
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert out == "diverged: 1002 states found, state cap hit\n"
+
+
+def test_count_brute_within_the_state_cap_is_unchanged(capsys):
+    # the quintic orbit of 1/(b^2-1) has 10 states, so no level holds more
+    for cap in ("10", "100000"):
+        code, out, _ = run(capsys, "count", "--minpoly", QUINTIC, "-m", "1", "-x", "1/(b^2-1)",
+                           "-n", "10", "--method", "brute", "--state-cap", cap)
+        assert (code, out) == (0, "brute: 26\n")
+
+
+@pytest.mark.parametrize("argv", [["orbit"], ["dimension"], ["count", "-n", "5"],
+                                  ["count", "-n", "5", "--method", "matrix"]])
+def test_every_orbit_command_prints_the_same_diverged_line(capsys, argv):
+    code, out, err = run(capsys, *argv, "--minpoly", "-2,0,1", "-m", "1", "-x", "1",
+                         "--state-cap", "200")
+    assert (code, out, err) == (4, "diverged: 201 states found, state cap hit\n", "")
+
+
 # === spectrum ===
 
 def test_spectrum_stdout_and_file(tmp_path, capsys):

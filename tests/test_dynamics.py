@@ -23,7 +23,7 @@ from betaorbit import (
     verify_expansion,
 )
 from betaorbit import DivergenceReport, compute_orbit, dynamics
-from betaorbit.errors import InvalidRule, OutsideInterval
+from betaorbit.errors import CapHit, InvalidRule, OutsideInterval
 
 F = Fraction
 
@@ -125,6 +125,25 @@ def test_count_bruteforce_runs_past_the_recursion_limit(golden_params):
     golden = golden_params.field
     assert count_prefixes_bruteforce(golden_params, golden.zero, 5000) == 1
     assert count_prefixes_bruteforce(golden_params, golden.one, 5000) == 5001
+
+
+def test_count_bruteforce_state_cap(golden_params):
+    # every level point is an orbit state: golden 1/3 closes with 16 states,
+    # so a cap of 16 changes no count, and a cap of 1 is passed by the first
+    # level with two points; the levels of 1/3 in base sqrt2 keep growing
+    # and pass a cap of 1000 before n = 24
+    golden = golden_params.field
+    x = golden.from_rational(F(1, 3))
+    for n in range(40):
+        assert count_prefixes_bruteforce(golden_params, x, n, state_cap=16) == \
+            count_prefixes_bruteforce(golden_params, x, n)
+    with pytest.raises(CapHit) as info:
+        count_prefixes_bruteforce(golden_params, x, 40, state_cap=1)
+    assert (info.value.states_found, info.value.cap_hit) == (2, "state")
+    sqrt2 = NumberField(IntPolynomial((-2, 0, 1)))
+    with pytest.raises(CapHit, match="^1002 states found, state cap hit$"):
+        count_prefixes_bruteforce(ExpansionParams(sqrt2, 1), sqrt2.from_rational(F(1, 3)), 60,
+                                  state_cap=1000)
 
 
 def test_branch_consistency_random(golden_params):

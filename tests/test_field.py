@@ -13,7 +13,7 @@ from betaorbit.errors import (
     NotSquarefree,
     RefinementBudgetExceeded,
 )
-from rational_oracles import evaluate
+from rational_oracles import evaluate, inverse as oracle_inverse
 
 F = Fraction
 
@@ -515,6 +515,56 @@ def test_reducible_modulus_zero_test_after_65_refinements():
     assert refines[0] == 65
 
 
+# === differential: the Bareiss inverse vs the rational Euclid oracle ===
+
+# z^2 - z - 2 = (z - 2)(z + 1) and z^3 - 2z^2 - z + 2 = (z - 2)(z - 1)(z + 1),
+# each presented at its root 2, with the proper factors whose multiples are
+# the zero divisors of the quotient ring
+_REDUCIBLE = [(NumberField(IntPolynomial((-2, -1, 1))), [(-2, 1), (1, 1)]),
+              (NumberField(IntPolynomial((2, -1, -2, 1))),
+               [(-2, 1), (-1, 1), (1, 1), (2, -3, 1), (-2, -1, 1), (-1, 0, 1)])]
+_INVERSE_FIELDS = [NumberField(IntPolynomial(p)) for p in _CONFTEST_POLYS] \
+    + [f for f, _ in _REDUCIBLE]
+
+
+def _inverse_or_message(x, invert):
+    try:
+        y = invert(x)
+    except DivisionByZero as exc:
+        return str(exc)
+    _assert_canonical(y)
+    return y.nums, y.den
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_INVERSE_FIELDS).flatmap(lambda f: st.tuples(
+    st.just(f), st.lists(_coeff, min_size=f.degree, max_size=f.degree))))
+@example((_REDUCIBLE[0][0], [1, 1]))  # b + 1, a zero divisor
+@example((_INVERSE_FIELDS[2], [F(-3, 4)]))  # degree 1
+def test_inverse_matches_euclid_oracle(case):
+    field, vec = case
+    x = field.element(vec)
+    if x.is_zero():
+        with pytest.raises(DivisionByZero, match="inverse of zero"):
+            x.inverse()
+        return
+    assert _inverse_or_message(x, type(x).inverse) == _inverse_or_message(x, oracle_inverse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_REDUCIBLE).flatmap(lambda fr: st.tuples(
+    st.just(fr[0]), st.sampled_from(fr[1]),
+    st.lists(_coeff, min_size=fr[0].degree, max_size=fr[0].degree))))
+def test_zero_divisors_raise_like_the_euclid_oracle(case):
+    field, factor, vec = case
+    x = field.element(factor) * field.element(vec)
+    if x.is_zero():
+        return
+    message = _inverse_or_message(x, oracle_inverse)
+    assert isinstance(message, str) and message.startswith("zero divisor")
+    assert _inverse_or_message(x, type(x).inverse) == message
+
+
 # === random fields: construction succeeds and encloses the root ===
 
 def test_random_small_fields_enclose_their_root():
@@ -701,7 +751,7 @@ def test_element_json_roundtrip(golden):
 
 def test_intpolynomial_json_roundtrip():
     p = IntPolynomial((-1, -1, -1, -1, 0, 1))
-    assert IntPolynomial.from_json(p.to_json()) == p
+    assert p.to_json() == {"coeffs": ["-1", "-1", "-1", "-1", "0", "1"]}
     assert str(p) == "z^5 - z^3 - z^2 - z - 1"
 
 

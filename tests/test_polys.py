@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -7,7 +8,9 @@ from betaorbit import polys
 from betaorbit.errors import NotSquarefree, RefinementBudgetExceeded
 from betaorbit.orbit import TransitionMatrix
 from betaorbit.spectral import char_polynomial
-from rational_oracles import evaluate, squarefree_part, sturm_chain
+from rational_oracles import (
+    add, divmod_poly, evaluate, gcd_poly, monic, mul, squarefree_part, sturm_chain,
+)
 
 
 F = Fraction
@@ -68,18 +71,40 @@ def test_evaluate_interval_edge_cases():
 def test_divmod_roundtrip():
     p = polys.normalize([1, 2, 0, 5, 1])
     q = polys.normalize([-1, 3, 1])
-    quot, rem = polys.divmod_poly(p, q)
-    assert polys.add(polys.mul(quot, q), rem) == p
+    quot, rem = divmod_poly(p, q)
+    assert add(mul(quot, q), rem) == p
     assert polys.degree(rem) < polys.degree(q)
 
 
 def test_gcd_and_squarefree():
     # (z-1)^2 (z+2) is not squarefree; its squarefree part is (z-1)(z+2)
-    sq = polys.mul(polys.mul((F(-1), F(1)), (F(-1), F(1))), (F(2), F(1)))
+    sq = mul(mul((F(-1), F(1)), (F(-1), F(1))), (F(2), F(1)))
     assert not polys.is_squarefree(sq)
     part = squarefree_part(sq)
-    assert part == polys.monic(polys.mul((F(-1), F(1)), (F(2), F(1))))
+    assert part == monic(mul((F(-1), F(1)), (F(2), F(1))))
     assert polys.is_squarefree(polys.normalize([-1, -1, 1]))
+
+
+_small_ints = st.lists(st.integers(-9, 9), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_ints, _small_ints, _small_ints)
+@example([1], [1], [])             # gcd(0, 0) is the zero polynomial
+@example([], [2, 1], [-3, 6])      # gcd(0, q) is q made primitive and positive
+@example([1], [0, 1], [-4])        # constants: the gcd is 1
+@example([5], [1], [2, 4, -6])     # a non-monic common factor
+@example([1, 1], [-1, 1], [-2, 0, 1])  # a nontrivial common factor, monic
+@example([0, 0, 3], [6, 2], [1, -1, 2])  # the larger degree second
+def test_gcd_int_matches_rational_gcd(p, q, common):
+    a = [int(c) for c in mul(polys.normalize(p), polys.normalize(common))]
+    b = [int(c) for c in mul(polys.normalize(q), polys.normalize(common))]
+    g = polys.gcd_int(a, b)
+    assert monic(g) == gcd_poly(a, b)
+    assert all(type(c) is int for c in g)
+    assert not g or (g[-1] > 0 and gcd(*g) == 1)
+    # trailing zeros are ignored, and the order of the arguments does not matter
+    assert polys.gcd_int(b + [0, 0], a + [0]) == g
 
 
 def test_isolate_real_roots_quadratic():
@@ -92,14 +117,14 @@ def test_isolate_real_roots_quadratic():
 
 def test_isolate_handles_exact_integer_roots():
     # (z-2)(z^2+z+1): one real root, exactly 2
-    p = polys.mul((F(-2), F(1)), (F(1), F(1), F(1)))
+    p = mul((F(-2), F(1)), (F(1), F(1), F(1)))
     roots = polys.isolate_real_roots(p)
     assert roots == [(F(2), F(2))]
 
 
 def test_isolate_mixed_exact_and_irrational():
     # (z-1)(z^2-2): roots -sqrt2, 1, sqrt2, pairwise isolated
-    p = polys.mul((F(-1), F(1)), (F(-2), F(0), F(1)))
+    p = mul((F(-1), F(1)), (F(-2), F(0), F(1)))
     roots = polys.isolate_real_roots(p)
     assert len(roots) == 3
     assert (F(1), F(1)) in roots
@@ -132,8 +157,8 @@ def test_isolate_endpoints_avoid_deflated_roots():
 def _poly_with_integer_roots(roots, cofactor, lead):
     p = (F(lead),)
     for r in roots:
-        p = polys.mul(p, (F(-r), F(1)))
-    return [int(c) for c in polys.mul(p, polys.normalize(cofactor) or (F(1),))]
+        p = mul(p, (F(-r), F(1)))
+    return [int(c) for c in mul(p, polys.normalize(cofactor) or (F(1),))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,7 +175,7 @@ def test_integer_roots_match_brute_force(roots, cofactor, lead):
     bound = 1 + max(abs(c) for c in p)
     brute = [x for x in range(-bound, bound + 1) if sum(c * x ** i for i, c in enumerate(p)) == 0]
     assert set(roots) <= set(brute)
-    if polys.degree(polys.gcd_poly(p, polys.derivative(p))) > 0:
+    if polys.degree(gcd_poly(p, polys.derivative(p))) > 0:
         with pytest.raises(NotSquarefree):
             polys.integer_roots(p)
     else:
@@ -175,7 +200,7 @@ def test_isolate_endpoints_are_sign_changes_on_char_polys(rows):
     _assert_isolation(sf)
     # the integer kernel against the rational one (helpers below)
     assert sf == squarefree_part(chi)
-    assert polys.is_squarefree(chi) == (polys.degree(polys.gcd_poly(chi, polys.derivative(chi))) == 0)
+    assert polys.is_squarefree(chi) == (polys.degree(gcd_poly(chi, polys.derivative(chi))) == 0)
     _assert_chain_is_positive_multiple(sf)
     assert polys.isolate_real_roots(sf) == _isolate_oracle(sf)
 
@@ -274,7 +299,7 @@ def test_sign_at_matches_fraction_evaluate(p, x):
 def test_divmod_monic_matches_divmod_poly(p, low):
     q = low + [1]
     quot, rem = polys.divmod_monic(p, q)
-    fquot, frem = polys.divmod_poly(p, q)
+    fquot, frem = divmod_poly(p, q)
     assert tuple(rem) == frem
     assert tuple(polys.normalize(quot)) == fquot
     assert all(type(c) is int for c in quot + rem)
@@ -301,7 +326,7 @@ def _isolate_oracle(p):
     if all(c.denominator == 1 for c in p) and p[-1] == 1:
         for r in polys.integer_roots([c.numerator for c in p]):
             exact.append(F(r))
-            work = polys.divmod_poly(work, (F(-r), F(1)))[0]
+            work = divmod_poly(work, (F(-r), F(1)))[0]
     intervals = []
     if polys.degree(work) >= 1:
         chain = sturm_chain(work)
@@ -339,7 +364,7 @@ def _assert_chain_is_positive_multiple(p):
 def test_isolation_matches_rational_sturm_oracle(low, make_monic):
     p = polys.normalize(low + [1] if make_monic else low)
     assume(polys.degree(p) >= 1)
-    assume(polys.degree(polys.gcd_poly(p, polys.derivative(p))) == 0)
+    assume(polys.degree(gcd_poly(p, polys.derivative(p))) == 0)
     assert polys.is_squarefree(p)
     _assert_chain_is_positive_multiple(p)
     assert polys.isolate_real_roots(p) == _isolate_oracle(p)
