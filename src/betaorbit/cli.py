@@ -4,7 +4,8 @@ Outputs are deterministic (identical configs produce byte-identical output).
 Exit codes: 0 success; 2 not Pisot; 3 Pisot status unknown; 4 the orbit
 search or a brute-force count hit a cap; 5 dominant eigenvalue not verified
 (alpha still reported); 6 count-method mismatch; 7 no period within the
-step budget; 64 usage/parse errors; 65 point outside the expansion interval.
+step budget; 64 usage/parse errors; 65 point outside the expansion interval;
+141 the reader closed stdout early (128 + SIGPIPE).
 
 Every invocation is a fresh interpreter, so start-up pays for each module
 imported.  The top level imports only what the parser and every command
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import BetaOrbitError, CapHit, OutsideInterval
@@ -34,6 +36,7 @@ EXIT_COUNT_MISMATCH = 6
 EXIT_NO_PERIOD = 7
 EXIT_USAGE = 64
 EXIT_OUTSIDE = 65
+EXIT_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -301,6 +304,8 @@ def _fold_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
+        sys.set_int_max_str_digits(0)  # exact counts may have any number of digits
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -310,6 +315,22 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): send what is still buffered to
+        # devnull, so the flush at interpreter exit cannot raise again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_BROKEN_PIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_BROKEN_PIPE
+
+
+def _run(args) -> int:
     try:
         return args.handler(args)
     except CapHit as exc:

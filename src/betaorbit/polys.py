@@ -1,11 +1,11 @@
 """Exact univariate polynomial arithmetic and certified root machinery.
 
-Polynomials are dense coefficient tuples, constant term first, with integer
-coefficients (the Horner kernels and root isolation also take Fractions,
-brought to one common denominator), evaluated at rational points and
-intervals (fractions.Fraction).  Nothing here touches floating point except
-the complex-root *proposal* step, whose output is certified afterwards by
-exact interval Newton contraction.
+A polynomial is a sequence of Python ints, constant term first (_strip
+reads them by operator.index, so a Fraction or float raises TypeError),
+evaluated at rational points and intervals (fractions.Fraction); root
+isolation takes monic ones.  Nothing here touches floating point except the
+complex-root *proposal* step, whose output is certified afterwards by exact
+interval Newton contraction.
 
 Signs at n/d are read by integer Horner on the numerators (sign_at).  The
 Sturm chain and the gcd are integer primitive remainder sequences (Collins
@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import ceil, gcd, lcm, pi
+from operator import index
 from typing import Sequence
 
 from .errors import NotSquarefree, RefinementBudgetExceeded
@@ -30,25 +31,22 @@ Interval = tuple[Fraction, Fraction]
 Box = tuple[Interval, Interval]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _ABERTH_SWEEPS = 500
+# outward rounding keeps this many bits below an interval's width
+_ROUND_OUT_BITS = 32
 
 
 # ---------------------------------------------------------------------------
 # basic arithmetic
 # ---------------------------------------------------------------------------
 
-def normalize(coeffs: Sequence) -> tuple[Fraction, ...]:
-    """Coerce to Fractions and strip trailing zero coefficients."""
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def degree(p: Sequence) -> int:
-    """Degree of a normalized polynomial; the zero polynomial has degree -1."""
-    return len(p) - 1
+def _strip(p: Sequence[int]) -> list[int]:
+    """The coefficients of p without trailing zeros, each read by
+    operator.index: a Fraction or a float raises TypeError."""
+    nums = list(map(index, p))
+    while nums and nums[-1] == 0:
+        nums.pop()
+    return nums
 
 
 def common_denominator(cs: Sequence) -> tuple[list[int], int]:
@@ -113,32 +111,29 @@ def _sign(nums: Sequence[int], x: Fraction) -> int:
     return sign_at(nums, x.numerator, x.denominator)
 
 
-def evaluate_interval(p: Sequence, lo: Fraction, hi: Fraction) -> Interval:
+def evaluate_interval(p: Sequence[int], lo: Fraction, hi: Fraction) -> Interval:
     """Enclosure of p([lo, hi]) by interval Horner evaluation.
 
-    The coefficients (ints or Fractions) are brought to one common
-    denominator D and the endpoints to another, so horner_interval_int runs
-    the steps on integers; the result is exactly the interval that rational
-    interval Horner gives.
+    The endpoints are brought to one common denominator, so
+    horner_interval_int runs the steps on integers; the result is exactly
+    the interval that rational interval Horner gives.
     """
-    if not p:
+    nums = _strip(p)
+    if not nums:
         return _ZERO, _ZERO
-    nums, den = common_denominator(p)
     alo, ahi, scale = horner_interval_int(nums, *integer_endpoints(lo, hi))
-    den *= scale
-    return Fraction(alo, den), Fraction(ahi, den)
+    return Fraction(alo, scale), Fraction(ahi, scale)
 
 
-def derivative(p: Sequence) -> tuple[Fraction, ...]:
-    return normalize([i * p[i] for i in range(1, len(p))])
+def derivative(p: Sequence[int]) -> list[int]:
+    """p' without trailing zeros."""
+    return [i * c for i, c in enumerate(_strip(p))][1:]
 
 
-def is_squarefree(p: Sequence) -> bool:
-    p = normalize(p)
-    if degree(p) < 1:
-        return True
+def is_squarefree(p: Sequence[int]) -> bool:
+    nums = _strip(p)
     # the last member of the Sturm chain is gcd(p, p') up to a constant
-    return len(sturm_chain_int(common_denominator(p)[0])[-1]) == 1
+    return len(nums) < 2 or len(sturm_chain_int(nums)[-1]) == 1
 
 
 def squarefree_part_int(p: Sequence[int]) -> tuple[int, ...]:
@@ -191,14 +186,6 @@ def _primitive(nums: list[int]) -> list[int]:
     return [c // g for c in nums] if g > 1 else nums
 
 
-def _strip(p: Sequence) -> list[int]:
-    """The integer coefficients of p without trailing zeros."""
-    nums = [int(c) for c in p]
-    while nums and nums[-1] == 0:
-        nums.pop()
-    return nums
-
-
 def _prs(a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
     """Primitive remainder sequence of the nonzero integer polynomials a and
     b without trailing zeros: their primitive parts, then each next member
@@ -233,7 +220,7 @@ def sturm_chain_int(nums: Sequence[int]) -> list[list[int]]:
     trailing zeros) as the primitive remainder sequence of p and p'.  Each
     member is a positive multiple of the rational Sturm chain's, so the
     signs are the same, and the last member is gcd(p, p') up to a constant."""
-    return _prs(nums, [i * c for i, c in enumerate(nums)][1:])
+    return _prs(nums, derivative(nums))
 
 
 def gcd_int(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -258,11 +245,10 @@ def count_roots_between(chain: list[Sequence[int]], a: Fraction, b: Fraction) ->
     return va - vb
 
 
-def root_bound(p: Sequence) -> Fraction:
+def root_bound(p: Sequence[int]) -> Fraction:
     """Cauchy bound: all complex roots have modulus strictly below the bound."""
-    p = normalize(p)
-    lead = p[-1]
-    return _ONE + max(abs(c / lead) for c in p)
+    nums = _strip(p)
+    return 1 + Fraction(max(map(abs, nums)), abs(nums[-1]))
 
 
 def integer_roots(p: Sequence[int]) -> list[int]:
@@ -311,8 +297,9 @@ def _integer_roots(chain: list[list[int]]) -> list[int]:
     return roots
 
 
-def isolate_real_roots(p: Sequence) -> list[Interval]:
-    """Isolating intervals for every real root of a squarefree polynomial.
+def isolate_real_roots(p: Sequence[int]) -> list[Interval]:
+    """Isolating intervals for every real root of a squarefree monic
+    integer polynomial.
 
     Returns ascending intervals [lo, hi], each containing exactly one real
     root of p; exact rational roots come back as degenerate [r, r].  For
@@ -320,26 +307,24 @@ def isolate_real_roots(p: Sequence) -> list[Interval]:
     across the interval, so plain bisection refines them.  Adjacent
     intervals may share an endpoint, which is then not a root.
     """
-    p = normalize(p)
-    if degree(p) < 1:
+    work = _strip(p)
+    if len(work) < 2:
         return []
-    work = common_denominator(p)[0]
+    if work[-1] != 1:
+        raise ValueError("isolate_real_roots needs a monic integer polynomial")
     chain = sturm_chain_int(work)
     if len(chain[-1]) > 1:
         raise NotSquarefree("root isolation requires a squarefree polynomial")
 
-    # Exact rational roots of a monic integer polynomial are integers.  The
-    # fields built here always have monic integer defining polynomials, so
-    # peeling integer roots off first leaves a polynomial with no dyadic
-    # roots at all, making every bisection midpoint sign-safe.
-    exact: list[Fraction] = []
-    if all(c.denominator == 1 for c in p) and p[-1] == 1:
-        for r in _integer_roots(chain):
-            exact.append(Fraction(r))
-            work, rem = divmod_monic(work, (-r, 1))
-            assert not rem, "deflation by a non-root"
-        if exact and len(work) > 1:
-            chain = sturm_chain_int(work)
+    # Exact rational roots of a monic integer polynomial are integers, so
+    # peeling them off first leaves a polynomial with no dyadic roots at
+    # all, making every bisection midpoint sign-safe.
+    exact = _integer_roots(chain)
+    for r in exact:
+        work, rem = divmod_monic(work, (-r, 1))
+        assert not rem, "deflation by a non-root"
+    if exact and len(work) > 1:
+        chain = sturm_chain_int(work)
 
     intervals: list[Interval] = []
     if len(work) > 1:
@@ -347,34 +332,26 @@ def isolate_real_roots(p: Sequence) -> list[Interval]:
         stack = [(-bound, bound, count_roots_between(chain, -bound, bound))]
         while stack:
             lo, hi, n = stack.pop()
-            if n == 0:
-                continue
             if n == 1:
+                # shrink until no deflated exact root lies in [lo, hi], so both
+                # endpoints are non-roots of p (work has no rational roots, so
+                # its root here is never one of them)
+                while any(lo <= r <= hi for r in exact):
+                    lo, hi = bisect_step(work, lo, hi)
                 intervals.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            left = count_roots_between(chain, lo, mid)
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, n - left))
+            elif n > 1:
+                mid = (lo + hi) / 2
+                left = count_roots_between(chain, lo, mid)
+                stack += [(lo, mid, left), (mid, hi, n - left)]
 
-        # shrink until no deflated exact root lies in the closed interval, so
-        # both endpoints are non-roots of p (work has no rational roots, so
-        # its root in the interval is never one of them)
-        shrunk = []
-        for lo, hi in intervals:
-            while any(lo <= r <= hi for r in exact):
-                lo, hi = bisect_step(work, lo, hi)
-            shrunk.append((lo, hi))
-        intervals = shrunk
-
-    out = intervals + [(r, r) for r in exact]
+    out = intervals + [(Fraction(r),) * 2 for r in exact]
     out.sort(key=lambda iv: iv[0] + iv[1])
     return out
 
 
-def bisect_step(p: Sequence, lo: Fraction, hi: Fraction) -> Interval:
-    """One bisection step on a sign-change bracket of a squarefree polynomial
-    with integer or rational coefficients (sign_at is exact for both)."""
+def bisect_step(p: Sequence[int], lo: Fraction, hi: Fraction) -> Interval:
+    """One bisection step on a sign-change bracket of a squarefree integer
+    polynomial without trailing zeros (sign_at reads the signs exactly)."""
     if lo == hi:
         return lo, hi
     mid = (lo + hi) / 2
@@ -390,7 +367,7 @@ def bisect_step(p: Sequence, lo: Fraction, hi: Fraction) -> Interval:
 MAX_HALVINGS = 4096
 
 
-def refine_to_width(p: Sequence, lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
+def refine_to_width(p: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
     """Bisect [lo, hi] to width at most `width`.  The number of halvings,
     ceil(log2((hi - lo) / width)), is known up front: above MAX_HALVINGS
     this raises RefinementBudgetExceeded before the first step."""
@@ -406,12 +383,11 @@ def refine_to_width(p: Sequence, lo: Fraction, hi: Fraction, width: Fraction) ->
     return lo, hi
 
 
-def count_roots_in_interval(p: Sequence, lo: Fraction, hi: Fraction) -> int:
+def count_roots_in_interval(p: Sequence[int], lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of squarefree p in [lo, hi] (endpoint-exact)."""
-    p = normalize(p)
-    if degree(p) < 1:
+    nums = _strip(p)
+    if len(nums) < 2:
         return 0
-    nums = common_denominator(p)[0]
     at_lo = _sign(nums, lo) == 0
     if lo == hi:
         return 1 if at_lo else 0
@@ -463,14 +439,14 @@ def round_up(x: Fraction, bits: int) -> Fraction:
     return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
 
 
-def round_out_interval(iv: Interval, extra_bits: int = 32) -> Interval:
-    """Outward-round an interval to dyadics whose granularity is extra_bits
-    finer than the interval width, keeping coordinate sizes bounded."""
+def round_out_interval(iv: Interval) -> Interval:
+    """Outward-round an interval to dyadics _ROUND_OUT_BITS finer than its
+    width, keeping coordinate sizes bounded."""
     lo, hi = iv
     width = hi - lo
     if width <= 0:
         return iv
-    bits = max(0, width.denominator.bit_length() - width.numerator.bit_length()) + extra_bits
+    bits = max(0, width.denominator.bit_length() - width.numerator.bit_length()) + _ROUND_OUT_BITS
     return round_down(lo, bits), round_up(hi, bits)
 
 
@@ -534,21 +510,21 @@ def box_div(a: Box, b: Box) -> Box:
     return interval_div(num[0], m2), interval_div(num[1], m2)
 
 
-def eval_poly_box(p: Sequence, z: Box) -> Box:
+def eval_poly_box(p: Sequence[int], z: Box) -> Box:
     acc = box_from_point(_ZERO, _ZERO)
     for c in reversed(p):
-        acc = box_add(box_mul(acc, z), box_from_point(Fraction(c), _ZERO))
+        acc = box_add(box_mul(acc, z), box_from_point(c, _ZERO))
     return acc
 
 
-def eval_poly_complex_point(p: Sequence, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
+def eval_poly_complex_point(p: Sequence[int], re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
     are, aim = _ZERO, _ZERO
     for c in reversed(p):
-        are, aim = are * re - aim * im + Fraction(c), are * im + aim * re
+        are, aim = are * re - aim * im + c, are * im + aim * re
     return are, aim
 
 
-def newton_box_step(p: Sequence, dp: Sequence, b: Box) -> Box | None:
+def newton_box_step(p: Sequence[int], dp: Sequence[int], b: Box) -> Box | None:
     """One interval Newton step N(b) = mid(b) - p(mid)/p'(b), or None when
     the derivative box contains the origin."""
     dpb = eval_poly_box(dp, b)
@@ -574,7 +550,7 @@ def _box_intersect(a: Box, b: Box) -> Box | None:
     return (rlo, rhi), (ilo, ihi)
 
 
-def certify_box(p: Sequence, dp: Sequence, b: Box) -> Box | None:
+def certify_box(p: Sequence[int], dp: Sequence[int], b: Box) -> Box | None:
     """Certify that b contains exactly one root of p.
 
     Returns a (possibly smaller) certified box when the interval Newton
@@ -597,11 +573,11 @@ def certify_box(p: Sequence, dp: Sequence, b: Box) -> Box | None:
     return shrunk if shrunk is not None else nb
 
 
-def round_out_box(b: Box, extra_bits: int = 32) -> Box:
-    return round_out_interval(b[0], extra_bits), round_out_interval(b[1], extra_bits)
+def round_out_box(b: Box) -> Box:
+    return round_out_interval(b[0]), round_out_interval(b[1])
 
 
-def refine_certified_box(p: Sequence, dp: Sequence, b: Box) -> Box:
+def refine_certified_box(p: Sequence[int], dp: Sequence[int], b: Box) -> Box:
     """Shrink a certified box; outward rounding after the Newton step keeps
     coordinate sizes bounded, and intersecting with the old box keeps the
     contained root and the exactly-one-root certificate."""
@@ -637,7 +613,7 @@ def _aberth_roots(p: Sequence[int]) -> list[complex]:
     raise RefinementBudgetExceeded(f"Aberth iteration did not settle in {_ABERTH_SWEEPS} sweeps")
 
 
-def _separate_boxes(p: Sequence, dp: Sequence, boxes: list[Box], cap: int = 64) -> list[Box]:
+def _separate_boxes(p: Sequence[int], dp: Sequence[int], boxes: list[Box], cap: int = 64) -> list[Box]:
     """Refine certified boxes of p, pair by pair in index order, until no
     two intersect; each round refines both boxes of the pair.  Raises
     RefinementBudgetExceeded when a pair still meets after cap rounds (two
@@ -654,7 +630,7 @@ def _separate_boxes(p: Sequence, dp: Sequence, boxes: list[Box], cap: int = 64) 
     return boxes
 
 
-def propose_and_certify_complex_roots(p_int: Sequence[int], n_pairs: int) -> list[Box]:
+def propose_and_certify_complex_roots(p: Sequence[int], n_pairs: int) -> list[Box]:
     """n_pairs pairwise disjoint certified boxes, one for each non-real root
     of p with positive imaginary part.  An Aberth iteration on floats
     proposes, exact rational Newton polishes, interval Newton certifies, and
@@ -664,9 +640,8 @@ def propose_and_certify_complex_roots(p_int: Sequence[int], n_pairs: int) -> lis
     if n_pairs == 0:
         return []
 
-    p = normalize(p_int)
     dp = derivative(p)
-    approx = _aberth_roots(p_int)
+    approx = _aberth_roots(p)
     cands = sorted(
         (z for z in approx if z.imag > 1e-12),
         key=lambda z: (z.real, z.imag),

@@ -12,15 +12,31 @@ compare those kernels against; the package itself never calls them.
 
 from fractions import Fraction
 
-from betaorbit import polys
 from betaorbit.errors import DivisionByZero
 
 
 # --- the polynomial ring over Q (normalized Fraction tuples) ---
 
+def normalize(coeffs) -> tuple[Fraction, ...]:
+    """Coerce to Fractions and strip trailing zero coefficients."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def degree(p) -> int:
+    """Degree of a normalized polynomial; the zero polynomial has degree -1."""
+    return len(p) - 1
+
+
+def derivative(p) -> tuple[Fraction, ...]:
+    return normalize([i * p[i] for i in range(1, len(p))])
+
+
 def add(p, q) -> tuple[Fraction, ...]:
     n = max(len(p), len(q))
-    return polys.normalize([
+    return normalize([
         (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
         for i in range(n)
     ])
@@ -38,16 +54,16 @@ def mul(p, q) -> tuple[Fraction, ...]:
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return polys.normalize(out)
+    return normalize(out)
 
 
 def divmod_poly(p, q) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact euclidean division over the rationals."""
-    p = list(polys.normalize(p))
-    q = polys.normalize(q)
+    p = list(normalize(p))
+    q = normalize(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    dq, lead = polys.degree(q), q[-1]
+    dq, lead = degree(q), q[-1]
     quot = [Fraction(0)] * max(len(p) - dq, 0)
     while len(p) - 1 >= dq and p:
         shift = len(p) - 1 - dq
@@ -57,11 +73,11 @@ def divmod_poly(p, q) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
             p[shift + i] -= factor * q[i]
         while p and p[-1] == 0:
             p.pop()
-    return polys.normalize(quot), tuple(p)
+    return normalize(quot), tuple(p)
 
 
 def monic(p) -> tuple[Fraction, ...]:
-    p = polys.normalize(p)
+    p = normalize(p)
     if not p:
         return p
     lead = p[-1]
@@ -70,7 +86,7 @@ def monic(p) -> tuple[Fraction, ...]:
 
 def gcd_poly(p, q) -> tuple[Fraction, ...]:
     """Monic gcd over the rationals by the euclidean algorithm."""
-    a, b = polys.normalize(p), polys.normalize(q)
+    a, b = normalize(p), normalize(q)
     while b:
         a, b = b, divmod_poly(a, b)[1]
         b = monic(b) if b else b  # renormalize to tame coefficient growth
@@ -89,9 +105,9 @@ def evaluate(p, x: Fraction) -> Fraction:
 
 def squarefree_part(p) -> tuple[Fraction, ...]:
     """p / gcd(p, p'), monic."""
-    p = polys.normalize(p)
-    g = gcd_poly(p, polys.derivative(p))
-    if polys.degree(g) == 0:
+    p = normalize(p)
+    g = gcd_poly(p, derivative(p))
+    if degree(g) == 0:
         return monic(p)
     return monic(divmod_poly(p, g)[0])
 
@@ -100,8 +116,8 @@ def sturm_chain(p) -> list[tuple[Fraction, ...]]:
     """Sturm chain of a squarefree polynomial over the rationals, each
     remainder negated and divided by the absolute value of its leading
     coefficient (a positive scaling keeps the sign-variation counts)."""
-    p = polys.normalize(p)
-    chain = [p, polys.derivative(p)]
+    p = normalize(p)
+    chain = [p, derivative(p)]
     while chain[-1]:
         rem = divmod_poly(chain[-2], chain[-1])[1]
         if not rem:
@@ -118,13 +134,13 @@ def inverse(elem):
     algorithm on (element polynomial, defining polynomial) over Q."""
     if elem.is_zero():
         raise DivisionByZero("inverse of zero")
-    r0, r1 = elem.field.min_poly.coeffs, polys.normalize(elem.coeffs)
+    r0, r1 = elem.field.min_poly.coeffs, normalize(elem.coeffs)
     t0, t1 = (), (Fraction(1),)
     while r1:
         q, r = divmod_poly(r0, r1)
         r0, r1 = r1, r
         t0, t1 = t1, add(t0, negate(mul(q, t1)))
-    if polys.degree(r0) > 0:
+    if degree(r0) > 0:
         raise DivisionByZero(
             "zero divisor: element shares a factor with the (reducible) defining polynomial"
         )

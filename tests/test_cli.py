@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -20,6 +21,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _env() -> dict:
+    """The environment of a fresh interpreter that imports this betaorbit."""
+    return dict(os.environ, PYTHONPATH=str(Path(betaorbit.__file__).parents[1]))
 
 
 # === pisot ===
@@ -242,6 +248,19 @@ def test_count_brute_within_the_state_cap_is_unchanged(capsys):
         assert (code, out) == (0, "brute: 26\n")
 
 
+def test_count_prints_counts_beyond_the_int_to_str_digit_limit():
+    # the golden-ratio count of 1/3 at n = 50000 has more than 4300 digits,
+    # the interpreter's default limit for str() of an int.  A fresh
+    # interpreter, so the limit starts at that default.
+    proc = subprocess.run([sys.executable, "-m", "betaorbit", "count", "--minpoly", GOLDEN,
+                           "-m", "1", "-x", "1/3", "-n", "50000", "--method", "both"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(_env(), PYTHONINTMAXSTRDIGITS="4300"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = dict(line.split(": ") for line in proc.stdout.splitlines())
+    assert lines["matrix"] == lines["brute"] and len(lines["matrix"]) > 4300
+
+
 @pytest.mark.parametrize("argv", [["orbit"], ["dimension"], ["count", "-n", "5"],
                                   ["count", "-n", "5", "--method", "matrix"]])
 def test_every_orbit_command_prints_the_same_diverged_line(capsys, argv):
@@ -370,9 +389,8 @@ def test_malformed_input_exits_64_with_one_error_line(capsys, argv):
 def test_huge_tol_exponent_exits_64_without_expanding_it():
     # Fraction("1e-9999999999") would build 10**9999999999; the exponent is
     # refused first.  A fresh interpreter, so a hang fails on the timeout.
-    env = dict(os.environ, PYTHONPATH=str(Path(betaorbit.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "betaorbit", *REFERENCE, "1e-9999999999"],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=60, env=_env())
     assert proc.returncode == 64 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
@@ -381,14 +399,35 @@ def test_huge_tol_exponent_exits_64_without_expanding_it():
 def test_huge_powers_exit_64_quickly(point):
     # each would take minutes or never finish if computed; the power budget
     # refuses it first.  A fresh interpreter, so a hang fails on the timeout.
-    env = dict(os.environ, PYTHONPATH=str(Path(betaorbit.__file__).parents[1]))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "betaorbit", "orbit", "--minpoly", QUINTIC,
                            "-m", "1", "-x", point], capture_output=True, text=True, timeout=60,
-                          env=env)
+                          env=_env())
     assert proc.returncode == 64 and proc.stdout == ""
     assert proc.stderr.startswith("error: power beyond") and proc.stderr.count("\n") == 1
     assert time.perf_counter() - t0 < 10
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_141_without_a_traceback():
+    # as in `betaorbit spectrum ... | head -0`: stdout is closed before the
+    # first write, so every write fails with EPIPE
+    proc = subprocess.Popen([sys.executable, "-m", "betaorbit", "spectrum", "--minpoly", GOLDEN,
+                             "-m", "1", "--nmax", "12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_a_broken_pipe_on_a_stdout_without_a_descriptor_exits_141(monkeypatch):
+    class ClosedPipe(io.StringIO):  # fileno() raises io.UnsupportedOperation
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["spectrum", "--minpoly", GOLDEN, "--nmax", "4"]) == 141
 
 
 def test_a_500_term_sum_parses(capsys):
@@ -440,12 +479,11 @@ CLI_MODULES = {
 def _modules_after(code: str, *argv: str) -> set[str]:
     """The betaorbit modules loaded in a fresh interpreter after `code` runs
     with sys.argv[1:] == argv."""
-    env = dict(os.environ, PYTHONPATH=str(Path(betaorbit.__file__).parents[1]))
     probe = (f"{code}\nimport json, sys\n"
              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'betaorbit')),"
              " file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=60, env=_env())
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stderr.splitlines()[-1]))
 

@@ -13,7 +13,7 @@ from betaorbit.errors import (
     NotSquarefree,
     RefinementBudgetExceeded,
 )
-from rational_oracles import evaluate, inverse as oracle_inverse
+from rational_oracles import evaluate, inverse as oracle_inverse, normalize
 
 F = Fraction
 
@@ -252,7 +252,7 @@ def _ladder(field):
 def _ref_compare(field, a, b):
     """Sign of a - b by the Fraction-coefficient route over the shared
     ladder, walked from the coarsest rung."""
-    p = polys.normalize([x - y for x, y in zip(a, b)])
+    p = normalize([x - y for x, y in zip(a, b)])
     if not p:
         return 0
     for lo, hi in _ladder(field):
@@ -267,7 +267,7 @@ def _ref_compare(field, a, b):
 
 
 def _ref_approx(field, a, eps):
-    p = polys.normalize(a)
+    p = normalize(a)
     if not p:
         return F(0), F(0)
     for lo, hi in _ladder(field):

@@ -9,21 +9,29 @@ from betaorbit.errors import NotSquarefree, RefinementBudgetExceeded
 from betaorbit.orbit import TransitionMatrix
 from betaorbit.spectral import char_polynomial
 from rational_oracles import (
-    add, divmod_poly, evaluate, gcd_poly, monic, mul, squarefree_part, sturm_chain,
+    add, degree, derivative, divmod_poly, evaluate, gcd_poly, monic, mul, normalize,
+    squarefree_part, sturm_chain,
 )
 
 
 F = Fraction
 
 
+def _ints(p):
+    """The integer coefficient list of a Fraction polynomial with integral
+    coefficients."""
+    assert all(c.denominator == 1 for c in p)
+    return [int(c) for c in p]
+
+
 def test_evaluate_horner():
-    p = polys.normalize([-1, -1, 1])  # z^2 - z - 1
+    p = normalize([-1, -1, 1])  # z^2 - z - 1
     assert evaluate(p, F(2)) == 1
     assert evaluate(p, F(0)) == -1
 
 
 def test_evaluate_interval_contains_point_values():
-    p = polys.normalize([3, -2, 0, 1])
+    p = (3, -2, 0, 1)
     lo, hi = F(-1), F(2)
     vlo, vhi = polys.evaluate_interval(p, lo, hi)
     for t in range(0, 13):
@@ -41,7 +49,8 @@ def _evaluate_interval_ref(p, lo, hi):
 
 
 _rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
-_polys = st.lists(st.one_of(_rationals, st.integers(-20, 20)), max_size=9)
+_polys = st.lists(st.integers(-60, 60), max_size=9)
+_rational_polys = st.lists(st.one_of(_rationals, st.integers(-20, 20)), max_size=9)
 
 
 @settings(max_examples=300, deadline=None)
@@ -62,27 +71,45 @@ def test_evaluate_interval_point_is_exact(p, x):
 def test_evaluate_interval_edge_cases():
     assert polys.evaluate_interval((), F(-1), F(2)) == (0, 0)
     assert polys.evaluate_interval((0, 0, 0), F(-1, 3), F(1, 3)) == (0, 0)
-    p = (F(1, 3), -2, F(5, 7), 0, F(-3, 2))
+    p = (3, -2, 5, 0, -7)
     for lo, hi in [(F(-3), F(-1, 2)), (F(-1, 2), F(1, 3)), (F(0), F(5, 4)),
                    (F(1, 8), F(1, 8)), (F(-7, 9), F(-7, 9))]:
         assert polys.evaluate_interval(p, lo, hi) == _evaluate_interval_ref(p, lo, hi)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: polys.gcd_int(p, [0, 1]),
+    polys.squarefree_part_int,
+    polys.isolate_real_roots,
+    lambda p: polys.count_roots_in_interval(p, F(0), F(2)),
+    polys.is_squarefree,
+    lambda p: polys.evaluate_interval(p, F(0), F(2)),
+], ids=["gcd_int", "squarefree_part_int", "isolate_real_roots", "count_roots_in_interval",
+        "is_squarefree", "evaluate_interval"])
+@pytest.mark.parametrize("p", [[F(-3, 2), 0, 1], [-2, 0, F(1)], [-2.0, 0, 1]],
+                         ids=["fraction", "integral-fraction", "float"])
+def test_a_non_int_coefficient_raises_type_error(call, p):
+    # int() would truncate -3/2 to -1 and answer for z^2 - 1
+    with pytest.raises(TypeError):
+        call(p)
+
+
 def test_divmod_roundtrip():
-    p = polys.normalize([1, 2, 0, 5, 1])
-    q = polys.normalize([-1, 3, 1])
+    p = normalize([1, 2, 0, 5, 1])
+    q = normalize([-1, 3, 1])
     quot, rem = divmod_poly(p, q)
     assert add(mul(quot, q), rem) == p
-    assert polys.degree(rem) < polys.degree(q)
+    assert degree(rem) < degree(q)
 
 
 def test_gcd_and_squarefree():
     # (z-1)^2 (z+2) is not squarefree; its squarefree part is (z-1)(z+2)
     sq = mul(mul((F(-1), F(1)), (F(-1), F(1))), (F(2), F(1)))
-    assert not polys.is_squarefree(sq)
+    assert not polys.is_squarefree(_ints(sq))
     part = squarefree_part(sq)
     assert part == monic(mul((F(-1), F(1)), (F(2), F(1))))
-    assert polys.is_squarefree(polys.normalize([-1, -1, 1]))
+    assert tuple(polys.squarefree_part_int(_ints(sq))) == part
+    assert polys.is_squarefree([-1, -1, 1])
 
 
 _small_ints = st.lists(st.integers(-9, 9), max_size=5)
@@ -97,8 +124,8 @@ _small_ints = st.lists(st.integers(-9, 9), max_size=5)
 @example([1, 1], [-1, 1], [-2, 0, 1])  # a nontrivial common factor, monic
 @example([0, 0, 3], [6, 2], [1, -1, 2])  # the larger degree second
 def test_gcd_int_matches_rational_gcd(p, q, common):
-    a = [int(c) for c in mul(polys.normalize(p), polys.normalize(common))]
-    b = [int(c) for c in mul(polys.normalize(q), polys.normalize(common))]
+    a = _ints(mul(normalize(p), normalize(common)))
+    b = _ints(mul(normalize(q), normalize(common)))
     g = polys.gcd_int(a, b)
     assert monic(g) == gcd_poly(a, b)
     assert all(type(c) is int for c in g)
@@ -108,7 +135,7 @@ def test_gcd_int_matches_rational_gcd(p, q, common):
 
 
 def test_isolate_real_roots_quadratic():
-    roots = polys.isolate_real_roots(polys.normalize([-1, -1, 1]))
+    roots = polys.isolate_real_roots([-1, -1, 1])
     assert len(roots) == 2
     (alo, ahi), (blo, bhi) = roots
     assert alo <= F(-618, 1000) <= ahi or alo <= F(-6181, 10000) <= ahi
@@ -118,14 +145,14 @@ def test_isolate_real_roots_quadratic():
 def test_isolate_handles_exact_integer_roots():
     # (z-2)(z^2+z+1): one real root, exactly 2
     p = mul((F(-2), F(1)), (F(1), F(1), F(1)))
-    roots = polys.isolate_real_roots(p)
+    roots = polys.isolate_real_roots(_ints(p))
     assert roots == [(F(2), F(2))]
 
 
 def test_isolate_mixed_exact_and_irrational():
     # (z-1)(z^2-2): roots -sqrt2, 1, sqrt2, pairwise isolated
     p = mul((F(-1), F(1)), (F(-2), F(0), F(1)))
-    roots = polys.isolate_real_roots(p)
+    roots = polys.isolate_real_roots(_ints(p))
     assert len(roots) == 3
     assert (F(1), F(1)) in roots
     for lo, hi in roots:
@@ -134,7 +161,6 @@ def test_isolate_mixed_exact_and_irrational():
 
 
 def _assert_isolation(p):
-    p = polys.normalize(p)
     for lo, hi in polys.isolate_real_roots(p):
         if lo == hi:
             assert evaluate(p, lo) == 0
@@ -145,7 +171,7 @@ def _assert_isolation(p):
 
 def test_isolate_endpoints_avoid_deflated_roots():
     # z^3 - z^2 - z = z (z^2 - z - 1): no interval may end at the exact root 0
-    p = polys.normalize([0, -1, -1, 1])
+    p = (0, -1, -1, 1)
     roots = polys.isolate_real_roots(p)
     assert len(roots) == 3 and (F(0), F(0)) in roots
     _assert_isolation(p)
@@ -158,7 +184,7 @@ def _poly_with_integer_roots(roots, cofactor, lead):
     p = (F(lead),)
     for r in roots:
         p = mul(p, (F(-r), F(1)))
-    return [int(c) for c in mul(p, polys.normalize(cofactor) or (F(1),))]
+    return _ints(mul(p, normalize(cofactor) or (F(1),)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,7 +201,7 @@ def test_integer_roots_match_brute_force(roots, cofactor, lead):
     bound = 1 + max(abs(c) for c in p)
     brute = [x for x in range(-bound, bound + 1) if sum(c * x ** i for i, c in enumerate(p)) == 0]
     assert set(roots) <= set(brute)
-    if polys.degree(gcd_poly(p, polys.derivative(p))) > 0:
+    if degree(gcd_poly(p, derivative(normalize(p)))) > 0:
         with pytest.raises(NotSquarefree):
             polys.integer_roots(p)
     else:
@@ -200,20 +226,20 @@ def test_isolate_endpoints_are_sign_changes_on_char_polys(rows):
     _assert_isolation(sf)
     # the integer kernel against the rational one (helpers below)
     assert sf == squarefree_part(chi)
-    assert polys.is_squarefree(chi) == (polys.degree(gcd_poly(chi, polys.derivative(chi))) == 0)
+    assert polys.is_squarefree(chi) == (degree(gcd_poly(chi, derivative(normalize(chi)))) == 0)
     _assert_chain_is_positive_multiple(sf)
     assert polys.isolate_real_roots(sf) == _isolate_oracle(sf)
 
 
 def test_count_roots_in_interval():
-    p = polys.normalize([-2, 0, 1])  # z^2 - 2
+    p = (-2, 0, 1)  # z^2 - 2
     assert polys.count_roots_in_interval(p, F(0), F(2)) == 1
     assert polys.count_roots_in_interval(p, F(-2), F(2)) == 2
     assert polys.count_roots_in_interval(p, F(2), F(3)) == 0
 
 
 def test_refine_to_width():
-    p = polys.normalize([-2, 0, 1])
+    p = (-2, 0, 1)
     lo, hi = polys.refine_to_width(p, F(1), F(2), F(1, 10 ** 6))
     assert hi - lo <= F(1, 10 ** 6)
     assert lo * lo < 2 < hi * hi
@@ -237,15 +263,15 @@ def test_complex_certification_quintic():
     p = [-1, -1, -1, -1, 0, 1]
     boxes = polys.propose_and_certify_complex_roots(p, 2)
     assert len(boxes) == 2
-    pq = polys.normalize(p)
-    dp = polys.derivative(pq)
+    dp = polys.derivative(p)
+    assert dp == [-1, -2, -3, 0, 5]
     for box in boxes:
         assert box[1][0] > 0  # strictly above the real axis
-        again = polys.certify_box(pq, dp, box)
+        again = polys.certify_box(p, dp, box)
         assert again is not None
     # two copies of one root never separate
     with pytest.raises(RefinementBudgetExceeded):
-        polys._separate_boxes(pq, dp, [boxes[0], boxes[0]], cap=4)
+        polys._separate_boxes(p, dp, [boxes[0], boxes[0]], cap=4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,11 +283,10 @@ def test_complex_proposals_certify_every_pair(low):
     n_pairs = (len(low) - len(polys.isolate_real_roots(p))) // 2
     boxes = polys.propose_and_certify_complex_roots(p, n_pairs)
     assert len(boxes) == n_pairs
-    pq = polys.normalize(p)
-    dp = polys.derivative(pq)
+    dp = polys.derivative(p)
     for i, box in enumerate(boxes):
         assert box[1][0] > 0  # strictly above the real axis
-        assert polys.certify_box(pq, dp, box) is not None
+        assert polys.certify_box(p, dp, box) is not None
         assert all(polys._box_intersect(box, other) is None for other in boxes[i + 1:])
 
 
@@ -281,7 +306,7 @@ def _sign(v):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_polys, _rationals)
+@given(_rational_polys, _rationals)
 @example([F(1, 3), -2, F(5, 7)], F(0))
 @example([2, -3, 1], F(1))  # a root
 @example([], F(-7, 3))
@@ -301,14 +326,15 @@ def test_divmod_monic_matches_divmod_poly(p, low):
     quot, rem = polys.divmod_monic(p, q)
     fquot, frem = divmod_poly(p, q)
     assert tuple(rem) == frem
-    assert tuple(polys.normalize(quot)) == fquot
+    assert normalize(quot) == fquot
     assert all(type(c) is int for c in quot + rem)
 
 
 def _isolate_oracle(p):
-    """isolate_real_roots as it was built on the rational Sturm chain and
-    rational Horner: the differential reference for the integer kernel."""
-    p = polys.normalize(p)
+    """isolate_real_roots of a monic integer polynomial as it was built on
+    the rational Sturm chain and rational Horner: the differential
+    reference for the integer kernel."""
+    p = normalize(p)
 
     def variations(chain, x):
         signs = [_sign(evaluate(c, x)) for c in chain]
@@ -322,15 +348,15 @@ def _isolate_oracle(p):
             return mid, mid
         return (lo, mid) if (evaluate(q, lo) > 0) != (vm > 0) else (mid, hi)
 
+    assert p[-1] == 1
     work, exact = p, []
-    if all(c.denominator == 1 for c in p) and p[-1] == 1:
-        for r in polys.integer_roots([c.numerator for c in p]):
-            exact.append(F(r))
-            work = divmod_poly(work, (F(-r), F(1)))[0]
+    for r in polys.integer_roots(_ints(p)):
+        exact.append(F(r))
+        work = divmod_poly(work, (F(-r), F(1)))[0]
     intervals = []
-    if polys.degree(work) >= 1:
+    if degree(work) >= 1:
         chain = sturm_chain(work)
-        bound = polys.root_bound(work)
+        bound = 1 + max(abs(c / work[-1]) for c in work)  # Cauchy
         stack = [(-bound, bound, variations(chain, -bound) - variations(chain, bound))]
         while stack:
             lo, hi, n = stack.pop()
@@ -348,8 +374,7 @@ def _isolate_oracle(p):
 
 
 def _assert_chain_is_positive_multiple(p):
-    nums = polys.common_denominator(polys.normalize(p))[0]
-    ints, fracs = polys.sturm_chain_int(nums), sturm_chain(p)
+    ints, fracs = polys.sturm_chain_int(p), sturm_chain(p)
     assert len(ints) == len(fracs)
     for a, b in zip(ints, fracs):
         assert len(a) == len(b)
@@ -361,13 +386,18 @@ def _assert_chain_is_positive_multiple(p):
 @given(st.lists(st.integers(-12, 12), min_size=2, max_size=8), st.booleans())
 @example([0, -1, -1, 1], True)  # z (z^2 - z - 1): an exact root at 0
 @example([-2, 1, -2, 1], True)  # (z - 2)(z^2 + 1)
+@example([-1, 0, 2], False)  # 2z^2 - 1: not monic
 def test_isolation_matches_rational_sturm_oracle(low, make_monic):
-    p = polys.normalize(low + [1] if make_monic else low)
-    assume(polys.degree(p) >= 1)
-    assume(polys.degree(gcd_poly(p, polys.derivative(p))) == 0)
+    p = _ints(normalize(low + [1] if make_monic else low))
+    assume(degree(p) >= 1)
+    assume(degree(gcd_poly(p, derivative(normalize(p)))) == 0)
     assert polys.is_squarefree(p)
     _assert_chain_is_positive_multiple(p)
-    assert polys.isolate_real_roots(p) == _isolate_oracle(p)
+    if p[-1] == 1:
+        assert polys.isolate_real_roots(p) == _isolate_oracle(p)
+    else:  # isolation takes monic polynomials only
+        with pytest.raises(ValueError, match="monic"):
+            polys.isolate_real_roots(p)
 
 
 def test_refine_to_width_budget_is_checked_before_bisecting(monkeypatch):

@@ -628,8 +628,10 @@ def _dense_dominance_status(rows):
     def above(a, b):
         lo, hi = max(a[0][0], b[0][0]), min(a[0][1], b[0][1])
         if lo <= hi:
-            g = gcd_poly(a[1], b[1])
-            assert polys.count_roots_in_interval(g, lo, hi), "enclosures too wide to separate"
+            g = gcd_poly(a[1], b[1])  # monic over Z by Gauss's lemma
+            assert all(c.denominator == 1 for c in g)
+            assert polys.count_roots_in_interval([c.numerator for c in g], lo, hi), \
+                "enclosures too wide to separate"
             return False
         return a[0][0] > b[0][1]
 
