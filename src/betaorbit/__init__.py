@@ -4,7 +4,7 @@ For an algebraic base beta in (1, m+1] and a point x of Q(beta), this
 package computes the orbit of x under the digit maps x -> beta*x - i
 exactly, builds the 0/1 transition matrix on the orbit, certifies the
 dominant eigenvalue, and evaluates the dimension and growth rate of the set
-of expansions, log_{m+1}(alpha).  It also generates greedy/lazy/custom
+of expansions, log_{m+1}(alpha).  It also generates greedy/lazy/alternating
 expansions with exact periodicity detection, counts admissible digit words
 both by enumeration and by matrix powers, certifies Pisot bases, and
 enumerates power-sum spectrum gaps.
@@ -23,7 +23,7 @@ _SUBMODULE = {
     **dict.fromkeys((
         "ExpansionParams", "ExpansionRule", "ExpansionRun",
         "count_prefixes_bruteforce", "digits_to_text", "expansion_value",
-        "generate_expansion", "is_prefix", "text_to_digits", "verify_expansion",
+        "generate_expansion",
     ), "dynamics"),
     **dict.fromkeys((
         "FieldElement", "IntPolynomial", "NumberField", "PisotCertificate",

@@ -9,10 +9,10 @@ step budget; 64 usage/parse errors; 65 point outside the expansion interval;
 
 Every invocation is a fresh interpreter, so start-up pays for each module
 imported.  The top level imports only what the parser and every command
-share (errors, expr, field, polys); each cmd_* imports the rest in its body:
-`pisot` loads nothing more, `spectrum` adds spacing, `expand` adds dynamics,
-`orbit` and `count` add dynamics and orbit, and `dimension` adds those two
-and spectral.
+share (errors, field, polys); each cmd_* imports the rest in its body:
+`pisot` loads nothing more, `spectrum` adds spacing, `expand` adds dynamics
+and expr, `orbit` and `count` add dynamics, expr and orbit, and
+`dimension` adds those three and spectral.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ import os
 import sys
 
 from .errors import BetaOrbitError, CapHit, OutsideInterval
-from .expr import MAX_EXPONENT, fraction
 from .field import IntPolynomial, NumberField
-from .polys import MAX_HALVINGS, decimal_str
+from .polys import MAX_EXPONENT, MAX_HALVINGS, decimal_str
 
 EXIT_OK = 0
 EXIT_NOT_PISOT = 2
@@ -186,6 +185,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_dimension(args) -> int:
+    from .expr import fraction
     from .orbit import transition_matrix
     from .spectral import check_dominance, dimension, log_base_interval, perron_eigenvalue
 

@@ -1,10 +1,10 @@
 """The dynamical layer: digit maps x -> beta*x - i on [0, m/(beta-1)].
 
-Provides membership and branch-set queries, prefix checks, brute-force
-prefix counting (the level-by-level oracle the matrix method is checked
-against), expansion generation under greedy/lazy/alternating/interval-table
-rules with exact periodicity detection, and residual verification of digit
-strings.
+Provides membership and branch-set queries, brute-force prefix counting
+(the level-by-level oracle the matrix method is checked against),
+expansion generation under the greedy, lazy and alternating rules with
+exact periodicity detection, and the exact value of an eventually periodic
+digit word.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapHit, InvalidRule, OutsideInterval
+from .errors import CapHit, OutsideInterval
 from .field import FieldElement, NumberField
-from .polys import Interval
 
 DigitWord = tuple[int, ...]
 
@@ -89,10 +88,6 @@ class ExpansionParams:
         branches); an empty set raises OutsideInterval."""
         return tuple(i for i, _ in self.branches(x))
 
-    def _require_inside(self, x: FieldElement) -> None:
-        if not self.contains(x):
-            raise OutsideInterval(f"{x!r} lies outside [0, m/(beta-1)]")
-
     def parse_point(self, text: str) -> FieldElement:
         """Parse a point given either as FieldElement JSON or as an expression
         in b (see expr module)."""
@@ -101,23 +96,17 @@ class ExpansionParams:
 
 
 class ExpansionRule:
-    """Digit selector iterated to generate one specific expansion.
-
-    Built-ins pick the largest admissible digit (greedy), the smallest
-    (lazy), or alternate between the two per step.  A finite interval table
-    assigns one digit to each piece of a partition of the interval;
-    validation checks the pieces tile the interval exactly and that each
-    piece's digit is admissible throughout the piece.
-    """
+    """Digit selector iterated to generate one specific expansion: the
+    largest admissible digit (greedy), the smallest (lazy), or the two in
+    turn, greedy on even steps (alternating).  Greedy and lazy read the
+    point alone; alternating also reads the parity of the step."""
 
     GREEDY = "greedy"
     LAZY = "lazy"
     ALTERNATING = "alternating"
-    TABLE = "table"
 
-    def __init__(self, kind: str, pieces=None):
+    def __init__(self, kind: str):
         self.kind = kind
-        self.pieces = pieces
 
     @classmethod
     def greedy(cls) -> "ExpansionRule":
@@ -129,65 +118,25 @@ class ExpansionRule:
 
     @classmethod
     def alternating(cls) -> "ExpansionRule":
-        """Alternates greedy and lazy choices per step (an extension beyond
-        the built-in pair, useful for exercising periodicity)."""
         return cls(cls.ALTERNATING)
 
-    @classmethod
-    def interval_table(cls, params: ExpansionParams,
-                       pieces: Sequence[tuple[FieldElement, FieldElement, int]]) -> "ExpansionRule":
-        """Table of (lo, hi, digit) pieces covering [0, m/(beta-1)].
-
-        Pieces are half-open [lo, hi) except the last, which is closed.  The
-        digit of a piece must keep every point of the piece inside the
-        interval, which reduces to two endpoint checks per piece:
-        beta*lo - digit >= 0 and beta*hi - digit <= m/(beta-1).
-        """
-        if not pieces:
-            raise InvalidRule("empty interval table")
-        zero = params.field.zero
-        ordered = sorted(pieces, key=lambda t: t[0])
-        if ordered[0][0] != zero:
-            raise InvalidRule("table must start at 0")
-        for (lo, hi, digit) in ordered:
-            if not 0 <= digit <= params.m:
-                raise InvalidRule(f"digit {digit} outside 0..{params.m}")
-            if not lo < hi:
-                raise InvalidRule("piece endpoints must be strictly increasing")
-            if (params.beta * lo - digit).compare(zero) < 0:
-                raise InvalidRule(f"digit {digit} leaves the interval at the low end of a piece")
-            if (params.beta * hi - digit).compare(params.right_endpoint) > 0:
-                raise InvalidRule(f"digit {digit} leaves the interval at the high end of a piece")
-        for (_, hi, _), (lo2, _, _) in zip(ordered, ordered[1:]):
-            if hi != lo2:
-                raise InvalidRule("pieces must tile the interval without gaps or overlaps")
-        if ordered[-1][1] != params.right_endpoint:
-            raise InvalidRule("table must end at m/(beta-1)")
-        return cls(cls.TABLE, tuple(ordered))
-
-    def choose(self, params: ExpansionParams, x: FieldElement, step: int,
-               branch: tuple[int, ...]) -> int:
+    def choose(self, step: int, branch: tuple[int, ...]) -> int:
+        """The digit taken at this step from the ascending admissible digits."""
         if self.kind == self.GREEDY:
             return branch[-1]
         if self.kind == self.LAZY:
             return branch[0]
-        if self.kind == self.ALTERNATING:
-            return branch[-1] if step % 2 == 0 else branch[0]
-        # interval table: last piece is closed on the right
-        for idx, (lo, hi, digit) in enumerate(self.pieces):
-            last = idx == len(self.pieces) - 1
-            if x.compare(lo) >= 0 and (x.compare(hi) < 0 or (last and x.compare(hi) <= 0)):
-                assert digit in branch
-                return digit
-        raise InvalidRule(f"no table piece contains {x!r}")
+        return branch[-1] if step % 2 == 0 else branch[0]
 
 
 @dataclass
 class ExpansionRun:
     """Digit output of an iterated rule, split into preperiod and one period.
 
-    When no exact state recurrence appeared within the step budget,
-    period_length is None and digits holds every generated digit.
+    states_visited holds the point before each digit.  When no recurrence
+    appeared within the step budget, period_length is None, digits holds
+    every generated digit, and states_visited ends with the point after the
+    last one.
     """
 
     digits: DigitWord
@@ -217,20 +166,6 @@ class ExpansionRun:
         }
 
 
-def is_prefix(params: ExpansionParams, x: FieldElement, word: Sequence[int]) -> bool:
-    """True when applying the word's digit maps in order keeps every
-    intermediate point inside the interval."""
-    params._require_inside(x)
-    cur = x
-    for d in word:
-        if not 0 <= d <= params.m:
-            return False
-        cur = params.apply(d, cur)
-        if not params.contains(cur):
-            return False
-    return True
-
-
 def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int,
                               state_cap: int | None = None) -> int:
     """Exact number of admissible length-n digit words from x, by counting
@@ -249,7 +184,8 @@ def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    params._require_inside(x)
+    if not params.contains(x):
+        raise OutsideInterval(f"{x!r} lies outside [0, m/(beta-1)]")
     children: dict = {}
     level = {x: 1}
     for _ in range(n):
@@ -269,31 +205,42 @@ def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int,
 
 def generate_expansion(params: ExpansionParams, x: FieldElement, rule: ExpansionRule,
                        max_steps: int = 10_000) -> ExpansionRun:
-    """Iterate the rule from x, recording digits until an exact state
-    recurrence (canonical-form lookup, no numeric hashing) or max_steps.
-    A point outside the interval raises OutsideInterval at its first
-    branches."""
+    """Iterate the rule from x, recording digits until an exact recurrence
+    (canonical-form lookup, no numeric hashing) or max_steps.  A point
+    outside the interval raises OutsideInterval at its first branches.
+
+    The next digit depends on the point and, for the alternating rule, on
+    the parity of the step, so the recurrence is keyed on that pair.  The
+    first pair that recurs marks the least preperiod, since the digit tail
+    from a step determines the point there.  An alternating recurrence has
+    even length p, and its least period is p or p/2: p/2 exactly when the
+    two halves of the period agree."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    seen = {x: 0}
+    phases = 2 if rule.kind == ExpansionRule.ALTERNATING else 1
+    seen = {(x, 0): 0}
     states = [x]
     digits: list[int] = []
     cur = x
     for step in range(max_steps):
         pairs = params.branches(cur)
-        d = rule.choose(params, cur, step, tuple(i for i, _ in pairs))
+        d = rule.choose(step, tuple(i for i, _ in pairs))
         digits.append(d)
         cur = dict(pairs)[d]
-        hit = seen.get(cur)
+        key = (cur, (step + 1) % phases)
+        hit = seen.get(key)
         if hit is not None:
             period = step + 1 - hit
+            half = period // 2
+            if period % 2 == 0 and digits[hit: hit + half] == digits[hit + half:]:
+                period = half
             return ExpansionRun(
                 digits=tuple(digits[: hit + period]),
                 preperiod_length=hit,
                 period_length=period,
-                states_visited=states,
+                states_visited=states[: hit + period],
             )
-        seen[cur] = step + 1
+        seen[key] = step + 1
         states.append(cur)
     return ExpansionRun(
         digits=tuple(digits),
@@ -301,15 +248,6 @@ def generate_expansion(params: ExpansionParams, x: FieldElement, rule: Expansion
         period_length=None,
         states_visited=states,
     )
-
-
-def verify_expansion(params: ExpansionParams, x: FieldElement, word: Sequence[int],
-                     eps=Fraction(1, 10 ** 30)) -> Interval:
-    """Enclosure of |x - sum_i digit_i * beta^(-i)| for a finite digit word.
-
-    For an admissible prefix the residual is at most (m/(beta-1)) * beta^(-n).
-    """
-    return (x - _word_value(word, params.beta.inverse())).abs_enclosure(eps)
 
 
 def _word_value(word: Sequence[int], inv_beta: FieldElement) -> FieldElement:
@@ -343,17 +281,3 @@ def digits_to_text(word: Sequence[int], m: int, period: Sequence[int] | None = N
     if period is None:
         return head
     return head + "(" + sep.join(str(d) for d in period) + ")"
-
-
-def text_to_digits(text: str, m: int) -> DigitWord:
-    text = text.strip()
-    if not text:
-        return ()
-    if m <= 9 and "," not in text:
-        word = tuple(int(ch) for ch in text)
-    else:
-        word = tuple(int(part) for part in text.split(","))
-    for d in word:
-        if not 0 <= d <= m:
-            raise ValueError(f"digit {d} outside 0..{m}")
-    return word

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, grouped by the layer that
+raises them."""
 
 
 class BetaOrbitError(Exception):
@@ -46,10 +47,6 @@ class CapHit(BetaOrbitError):
     def __init__(self, states_found: int, cap_hit: str):
         super().__init__(f"{states_found} states found, {cap_hit} cap hit")
         self.states_found, self.cap_hit = states_found, cap_hit
-
-
-class InvalidRule(BetaOrbitError):
-    """An interval-table expansion rule failed validation."""
 
 
 # --- spectral ---

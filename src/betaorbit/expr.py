@@ -29,8 +29,8 @@ import re
 from fractions import Fraction
 
 from .field import FieldElement
+from .polys import MAX_EXPONENT
 
-MAX_EXPONENT = 100_000  # largest |E| read from a decimal such as 1e-E
 # largest |E| times the base's bit size (its widest numerator or denominator)
 # in a power x^E; the result's coefficients grow about that wide
 MAX_POWER_BITS = 200_000

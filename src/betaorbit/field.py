@@ -642,14 +642,6 @@ class FieldElement:
         lo, hi = self.approx(Fraction(1, 10 ** 17))
         return float((lo + hi) / 2)
 
-    def abs_enclosure(self, eps=Fraction(1, 10 ** 12)) -> Interval:
-        """Enclosure of |value| of width <= eps."""
-        if self.is_zero():
-            return Fraction(0), Fraction(0)
-        sign = self.compare(self.field.zero)
-        lo, hi = self.approx(eps)
-        return (lo, hi) if sign > 0 else (-hi, -lo)
-
     # -- presentation -----------------------------------------------------------
 
     def __repr__(self):

@@ -365,6 +365,8 @@ def bisect_step(p: Sequence[int], lo: Fraction, hi: Fraction) -> Interval:
 
 # refine_to_width refuses a request that needs more halvings than this
 MAX_HALVINGS = 4096
+# expr.fraction refuses a decimal such as 1e-E with |E| larger than this
+MAX_EXPONENT = 100_000
 
 
 def refine_to_width(p: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> Interval:

@@ -463,16 +463,16 @@ def test_the_lazy_package_root_behaves_like_eager_imports():
         assert namespace[name] is getattr(owner, name) is getattr(betaorbit, name), name
 
 
-SHARED = {"betaorbit", "betaorbit.cli", "betaorbit.errors", "betaorbit.expr", "betaorbit.field",
-          "betaorbit.polys"}
+SHARED = {"betaorbit", "betaorbit.cli", "betaorbit.errors", "betaorbit.field", "betaorbit.polys"}
 CLI_MODULES = {
     "pisot": (("pisot", "--minpoly", QUINTIC), set()),
     "spectrum": (("spectrum", "--minpoly", GOLDEN, "--nmax", "6"), {"spacing"}),
-    "expand": (("expand", "--minpoly", GOLDEN, "-x", "1"), {"dynamics"}),
-    "orbit": (("orbit", "--minpoly", GOLDEN, "-x", "1", "--out", "{out}"), {"dynamics", "orbit"}),
-    "count": (("count", "--minpoly", GOLDEN, "-x", "1", "-n", "6"), {"dynamics", "orbit"}),
+    "expand": (("expand", "--minpoly", GOLDEN, "-x", "1"), {"dynamics", "expr"}),
+    "orbit": (("orbit", "--minpoly", GOLDEN, "-x", "1", "--out", "{out}"),
+              {"dynamics", "expr", "orbit"}),
+    "count": (("count", "--minpoly", GOLDEN, "-x", "1", "-n", "6"), {"dynamics", "expr", "orbit"}),
     "dimension": (("dimension", "--minpoly", QUINTIC, "-x", "1/(b^2-1)", "--format", "json"),
-                  {"dynamics", "orbit", "spectral"}),
+                  {"dynamics", "expr", "orbit", "spectral"}),
 }
 
 

@@ -18,12 +18,9 @@ from betaorbit import (
     digits_to_text,
     expansion_value,
     generate_expansion,
-    is_prefix,
-    text_to_digits,
-    verify_expansion,
 )
 from betaorbit import DivergenceReport, compute_orbit, dynamics
-from betaorbit.errors import CapHit, InvalidRule, OutsideInterval
+from betaorbit.errors import CapHit, OutsideInterval
 
 F = Fraction
 
@@ -70,11 +67,14 @@ def test_branch_digits(golden_params):
         golden_params.branch_digits(-golden.one)
 
 
-def test_is_prefix(golden_params):
-    golden = golden_params.field
-    assert is_prefix(golden_params, golden.one, (1, 0))
-    assert is_prefix(golden_params, golden.one, ())
-    assert not is_prefix(golden_params, golden.zero, (1,))
+def _admissible(params, x, word):
+    """True when the word's digit maps, applied in order, keep every point
+    inside the interval."""
+    for d in word:
+        x = params.apply(d, x)
+        if not params.contains(x):
+            return False
+    return True
 
 
 def test_count_bruteforce_golden(golden_params):
@@ -92,12 +92,12 @@ def test_count_monotone(quintic_params, quintic_x):
 
 
 def test_prefix_count_matches_exhaustive_enumeration(golden_params):
-    # every digit word of length <= 8 checked against is_prefix directly
+    # every digit word of length <= 8 walked through the digit maps directly
     one = golden_params.field.one
     for n in range(9):
         by_enum = sum(
             1 for w in itertools.product(range(2), repeat=n)
-            if is_prefix(golden_params, one, w)
+            if _admissible(golden_params, one, w)
         )
         assert by_enum == count_prefixes_bruteforce(golden_params, one, n)
 
@@ -115,9 +115,18 @@ def test_level_counts_match_exhaustive_enumeration(minpoly, m):
     for n in range(8):
         by_enum = sum(
             1 for w in itertools.product(range(m + 1), repeat=n)
-            if is_prefix(params, x, w)
+            if _admissible(params, x, w)
         )
         assert by_enum == count_prefixes_bruteforce(params, x, n)
+
+
+def test_count_bruteforce_refuses_a_point_outside_the_interval(golden_params):
+    # n = 0 takes no branch, so the membership check alone must refuse
+    golden = golden_params.field
+    for x in (-golden.one, golden_params.right_endpoint + F(1, 10 ** 9)):
+        for n in (0, 3):
+            with pytest.raises(OutsideInterval):
+                count_prefixes_bruteforce(golden_params, x, n)
 
 
 def test_count_bruteforce_runs_past_the_recursion_limit(golden_params):
@@ -343,6 +352,43 @@ def test_periodic_expansions_evaluate_back_to_x(minpoly, m, kind, x):
         assert expansion_value(params, run.preperiod_digits, run.period_digits) == point
 
 
+# the digit each rule takes at a step from the ascending admissible digits,
+# written out apart from ExpansionRule.choose
+_CHOICE = {"greedy": lambda step, branch: branch[-1],
+           "lazy": lambda step, branch: branch[0],
+           "alternating": lambda step, branch: branch[-1] if step % 2 == 0 else branch[0]}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_CONFTEST_BASES), st.integers(1, 2),
+       st.sampled_from(["greedy", "lazy", "alternating"]),
+       st.integers(1, 15).flatmap(lambda q: st.integers(0, 4 * q).map(lambda a: F(a, q))))
+def test_printed_word_is_the_rules_own_expansion(minpoly, m, kind, x):
+    # replaying the rule for preperiod + 2*period steps gives the preperiod
+    # and the period twice, and neither is longer than it needs to be; the
+    # run's states are the points before its digits
+    field = _FIELDS.setdefault(minpoly, NumberField(IntPolynomial(minpoly)))
+    if field.beta > m + 1:
+        return
+    params = ExpansionParams(field, m)
+    point = field.from_rational(x)
+    if not params.contains(point):
+        return
+    run = generate_expansion(params, point, getattr(ExpansionRule, kind)(), max_steps=400)
+    if not run.is_periodic:
+        return
+    pre, per = run.preperiod_digits, run.period_digits
+    replay, points, cur = [], [], point
+    for step in range(len(pre) + 2 * len(per)):
+        points.append(cur)
+        replay.append(_CHOICE[kind](step, params.branch_digits(cur)))
+        cur = params.apply(replay[-1], cur)
+    assert tuple(replay) == pre + per + per
+    assert run.states_visited == points[: len(pre) + len(per)]
+    assert all(per[q:] + per[:q] != per for q in range(1, len(per)))
+    assert not pre or pre[-1] != per[-1]
+
+
 def test_no_period_within_budget(golden_params):
     run = generate_expansion(golden_params, golden_params.field.one,
                              ExpansionRule.greedy(), max_steps=1)
@@ -351,86 +397,7 @@ def test_no_period_within_budget(golden_params):
     assert len(run.digits) == 1
 
 
-# === interval table rules ===
-
-def test_interval_table_greedy_equivalent(golden_params):
-    golden = golden_params.field
-    b = golden.beta
-    binv = b.inverse()
-    # pieces of the greedy selector for m=1: digit 0 on [0, 1/beta),
-    # digit 1 on [1/beta, right endpoint]
-    rule = ExpansionRule.interval_table(golden_params, [
-        (golden.zero, binv, 0),
-        (binv, golden_params.right_endpoint, 1),
-    ])
-    x = golden.one
-    table_run = generate_expansion(golden_params, x, rule)
-    greedy_run = generate_expansion(golden_params, x, ExpansionRule.greedy())
-    assert table_run.digits == greedy_run.digits
-
-
-@pytest.mark.parametrize("bad_pieces", [
-    "empty",
-    "gap",          # gap between pieces
-    "wrong_start",  # does not start at 0
-    "bad_digit",    # digit inadmissible on its piece
-])
-def test_interval_table_validation(golden_params, bad_pieces):
-    golden = golden_params.field
-    b = golden.beta
-    binv = b.inverse()
-    right = golden_params.right_endpoint
-    pieces = {
-        "gap": [(golden.zero, binv, 0), (binv + F(1, 100), right, 1)],
-        "wrong_start": [(golden.from_rational(F(1, 10)), right, 1)],
-        "bad_digit": [(golden.zero, right, 1)],  # digit 1 fails near 0
-    }.get(bad_pieces, [])
-    with pytest.raises(InvalidRule):
-        ExpansionRule.interval_table(golden_params, pieces)
-
-
-def test_interval_table_custom_rule_periodic(quintic_params, quintic_x):
-    # a genuinely custom selector: digit 1 as soon as it is admissible except
-    # on a middle band where digit 0 is forced; differs from greedy and lazy
-    field = quintic_params.field
-    b = field.beta
-    right = quintic_params.right_endpoint
-    binv = b.inverse()
-    band_hi = binv + F(1, 4)
-    rule = ExpansionRule.interval_table(quintic_params, [
-        (field.zero, binv, 0),       # digit 1 not admissible yet
-        (binv, band_hi, 0),          # both admissible: pick 0 here
-        (band_hi, right, 1),
-    ])
-    run = generate_expansion(quintic_params, quintic_x, rule, max_steps=10_000)
-    assert run.is_periodic
-    assert expansion_value(quintic_params, run.preperiod_digits, run.period_digits) == quintic_x
-    greedy = generate_expansion(quintic_params, quintic_x, ExpansionRule.greedy())
-    lazy = generate_expansion(quintic_params, quintic_x, ExpansionRule.lazy())
-    assert run.digits != greedy.digits
-    assert run.digits != lazy.digits
-
-
-# === residual verification and closed forms ===
-
-def test_verify_expansion_examples(golden_params):
-    golden = golden_params.field
-    lo, hi = verify_expansion(golden_params, golden.zero, (0, 0, 0))
-    assert (lo, hi) == (F(0), F(0))
-    lo, hi = verify_expansion(golden_params, golden.one, (1, 1))
-    assert (lo, hi) == (F(0), F(0))  # 1/b + 1/b^2 = 1 exactly
-
-
-def test_verify_expansion_prefix_bound(golden_params):
-    # any admissible prefix leaves a residual of at most R * beta^-n
-    golden = golden_params.field
-    x = golden.one
-    word = (1, 0, 1, 0, 1, 0, 1, 0)
-    assert is_prefix(golden_params, x, word)
-    lo, hi = verify_expansion(golden_params, x, word)
-    blo, bhi = (golden_params.right_endpoint * golden_params.beta ** -8).approx(F(1, 10 ** 9))
-    assert hi <= bhi + F(1, 10 ** 9)
-
+# === closed forms ===
 
 def test_expansion_value_geometric(golden_params):
     golden = golden_params.field
@@ -447,7 +414,3 @@ def test_expansion_value_geometric(golden_params):
 def test_digit_text_forms():
     assert digits_to_text((1, 1), 1, (0,)) == "11(0)"
     assert digits_to_text((10, 3), 12, (0, 1)) == "10,3(0,1)"
-    assert text_to_digits("110", 1) == (1, 1, 0)
-    assert text_to_digits("10,3", 12) == (10, 3)
-    with pytest.raises(ValueError):
-        text_to_digits("7", 1)

@@ -4,8 +4,9 @@ Each case runs `betaorbit.cli.main` in-process and compares the exit code,
 stdout and every file written under `--out` with the copies frozen in
 `tests/data/golden/<case>/`.  The cases are the README quick-start commands,
 `orbit --format table|json|dot` on two bases, `spectrum --nmax 12` on a
-Pisot and a non-Pisot base, divergence and not-Pisot exits, and
-`dimension --format json` on the benchmark's certify inputs.
+Pisot and a non-Pisot base, divergence and not-Pisot exits,
+`dimension --format json` on the benchmark's certify inputs, and an
+alternating expansion whose period is read with the step parity.
 
 Regenerate the frozen copies (only when an output change is intended) with
 
@@ -43,6 +44,8 @@ CASES = {
     "readme_dimension": ["dimension", "--minpoly", QUINTIC, "-m", "1", "-x", REF_X,
                          "--format", "json"],
     "readme_expand": ["expand", "--minpoly", GOLDEN, "-m", "1", "-x", "1", "--rule", "greedy"],
+    "expand_golden_half_alternating": ["expand", "--minpoly", GOLDEN, "-m", "1", "-x", "1/2",
+                                       "--rule", "alternating"],
     "readme_count": ["count", "--minpoly", QUINTIC, "-m", "1", "-x", REF_X, "-n", "10",
                      "--method", "both"],
     "readme_spectrum": ["spectrum", "--minpoly", GOLDEN, "-m", "1", "--nmax", "12",
