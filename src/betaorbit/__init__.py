@@ -30,9 +30,8 @@ _SUBMODULE = {
         "format_element", "sort_elements",
     ), "field"),
     **dict.fromkeys((
-        "DivergenceReport", "OrbitGraph", "TransitionMatrix", "compute_orbit",
-        "count_prefixes_matrix", "count_profile_matrix", "matrix_power",
-        "transition_matrix",
+        "OrbitGraph", "TransitionMatrix", "compute_orbit", "count_prefixes_matrix",
+        "count_profile_matrix", "matrix_power", "transition_matrix",
     ), "orbit"),
     **dict.fromkeys((
         "GapStats", "SeparationReport", "SpectrumLevel", "enumerate_spectrum",

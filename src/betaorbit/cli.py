@@ -28,7 +28,7 @@ from .polys import MAX_EXPONENT, MAX_HALVINGS, decimal_str
 
 EXIT_OK = 0
 EXIT_NOT_PISOT = 2
-EXIT_PISOT_UNKNOWN = 3
+EXIT_PISOT_UNDECIDED = 3
 EXIT_DIVERGED = 4
 EXIT_NO_DOMINANCE = 5
 EXIT_COUNT_MISMATCH = 6
@@ -66,6 +66,11 @@ def _add_point_args(sub):
                      help="point: expression in b (e.g. '1/(b^2-1)') or FieldElement JSON")
 
 
+def _add_cap_args(sub):
+    sub.add_argument("--state-cap", type=int, default=100_000)
+    sub.add_argument("--depth-cap", type=int, default=1_000)
+
+
 def _build_field(args) -> NumberField:
     coeffs = tuple(int(c.strip()) for c in args.minpoly.split(","))
     return NumberField(IntPolynomial(coeffs), root_rank=args.root_rank)
@@ -78,16 +83,6 @@ def _build_params(args) -> tuple["ExpansionParams", "FieldElement"]:
     params = ExpansionParams(field, args.m)
     x = params.parse_point(args.x)
     return params, x
-
-
-def _closed_orbit(args, params, x) -> "OrbitGraph":
-    """The orbit graph of x; a cap hit raises CapHit (exit 4 in main)."""
-    from .orbit import DivergenceReport, compute_orbit
-
-    result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
-    if isinstance(result, DivergenceReport):
-        raise CapHit(result.states_found, result.cap_hit)
-    return result
 
 
 def build_parser() -> _Parser:
@@ -104,16 +99,14 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("orbit", help="compute the branching orbit closure of x")
     _add_point_args(p)
-    p.add_argument("--state-cap", type=int, default=100_000)
-    p.add_argument("--depth-cap", type=int, default=1_000)
+    _add_cap_args(p)
     p.add_argument("--out", help="write OUT.json, OUT.dot, OUT.matrix.json, OUT.matrix.csv")
     p.add_argument("--format", choices=["table", "json", "dot"], default="table")
     p.set_defaults(handler=cmd_orbit)
 
     p = subs.add_parser("dimension", help="dominant eigenvalue and expansion-set dimension")
     _add_point_args(p)
-    p.add_argument("--state-cap", type=int, default=100_000)
-    p.add_argument("--depth-cap", type=int, default=1_000)
+    _add_cap_args(p)
     p.add_argument("--tol", default="1e-12",
                    help=f"width of the alpha enclosure; a width that takes more than {MAX_HALVINGS} "
                         "halvings of alpha's isolating interval, or a decimal exponent beyond "
@@ -132,8 +125,7 @@ def build_parser() -> _Parser:
     _add_point_args(p)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--method", choices=["matrix", "brute", "both"], default="both")
-    p.add_argument("--state-cap", type=int, default=100_000)
-    p.add_argument("--depth-cap", type=int, default=1_000)
+    _add_cap_args(p)
     p.set_defaults(handler=cmd_count)
 
     p = subs.add_parser("spectrum", help="power-sum spectrum gap statistics per level")
@@ -154,14 +146,14 @@ def cmd_pisot(args) -> int:
         return EXIT_OK
     if cert.status == "not_pisot":
         return EXIT_NOT_PISOT
-    return EXIT_PISOT_UNKNOWN
+    return EXIT_PISOT_UNDECIDED
 
 
 def cmd_orbit(args) -> int:
-    from .orbit import transition_matrix
+    from .orbit import compute_orbit, transition_matrix
 
     params, x = _build_params(args)
-    result = _closed_orbit(args, params, x)
+    result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
     print(f"k = {result.size}")
     if args.format == "json":
         result.write_json(sys.stdout)
@@ -186,12 +178,12 @@ def cmd_orbit(args) -> int:
 
 def cmd_dimension(args) -> int:
     from .expr import fraction
-    from .orbit import transition_matrix
+    from .orbit import compute_orbit, transition_matrix
     from .spectral import check_dominance, dimension, log_base_interval, perron_eigenvalue
 
     tol = fraction(args.tol)  # a malformed width exits 64 before the BFS
     params, x = _build_params(args)
-    result = _closed_orbit(args, params, x)
+    result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
     mat = transition_matrix(result)
     perron = perron_eigenvalue(mat, tol=tol)
     dom = check_dominance(mat)
@@ -233,12 +225,7 @@ def cmd_expand(args) -> int:
     from .dynamics import ExpansionRule, digits_to_text, generate_expansion
 
     params, x = _build_params(args)
-    rule = {
-        "greedy": ExpansionRule.greedy,
-        "lazy": ExpansionRule.lazy,
-        "alternating": ExpansionRule.alternating,
-    }[args.rule]()
-    run = generate_expansion(params, x, rule, max_steps=args.steps)
+    run = generate_expansion(params, x, ExpansionRule(args.rule), max_steps=args.steps)
     if args.format == "json":
         print(json.dumps(run.to_json(), indent=2))
     elif run.is_periodic:
@@ -252,14 +239,15 @@ def cmd_expand(args) -> int:
 
 def cmd_count(args) -> int:
     from .dynamics import count_prefixes_bruteforce
-    from .orbit import count_prefixes_matrix, transition_matrix
+    from .orbit import compute_orbit, count_prefixes_matrix, transition_matrix
 
     params, x = _build_params(args)
     if args.n < 0:
         raise _UsageError("n must be nonnegative")
     results = {}
     if args.method in ("matrix", "both"):
-        mat = transition_matrix(_closed_orbit(args, params, x))
+        graph = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
+        mat = transition_matrix(graph)
         results["matrix"] = count_prefixes_matrix(mat, 0, args.n)
     if args.method in ("brute", "both"):
         results["brute"] = count_prefixes_bruteforce(params, x, args.n, state_cap=args.state_cap)

@@ -20,10 +20,16 @@ its evaluated base exceeds MAX_POWER_BITS, refused before it is computed,
 and an expression deeper than Python's parser allows (200 nested
 parentheses) or than the recursion limit allows (a little under 1000
 chained operators).
+
+The point itself is bounded in either form: a digit run longer than
+MAX_DIGITS is refused before int() reads it (n digits cost about n^2), and
+any evaluated node or JSON point wider than MAX_POWER_BITS bits as soon as
+it is built, so no product or inverse runs on it.
 """
 
 import ast
 import json
+import math
 import operator
 import re
 from fractions import Fraction
@@ -34,6 +40,8 @@ from .polys import MAX_EXPONENT
 # largest |E| times the base's bit size (its widest numerator or denominator)
 # in a power x^E; the result's coefficients grow about that wide
 MAX_POWER_BITS = 200_000
+# the number of decimal digits of 2^MAX_POWER_BITS
+MAX_DIGITS = math.floor(MAX_POWER_BITS * math.log10(2)) + 1
 
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
         ast.Div: operator.truediv, ast.USub: operator.neg, ast.UAdd: lambda x: x}
@@ -56,31 +64,54 @@ def fraction(value) -> Fraction:
         raise ExprError(f"not a rational number: {str(value)[:80]!r}") from None
 
 
+def _bits(value: FieldElement) -> int:
+    """The bit size of a point: that of its widest numerator or denominator."""
+    return max(n.bit_length() for n in (*value.nums, value.den))
+
+
+def _bounded(value: FieldElement, where) -> FieldElement:
+    """value, unless its bit size exceeds MAX_POWER_BITS; where() is the text
+    that names it in the error."""
+    if _bits(value) > MAX_POWER_BITS:
+        raise ExprError(f"point beyond {MAX_POWER_BITS} bits (its widest numerator or "
+                        f"denominator) at {where()[:60]!r}")
+    return value
+
+
+def _source(node) -> str:
+    return ast.unparse(node).replace("**", "^")
+
+
 def _evaluate(params, node) -> FieldElement:
     match node:
         case ast.Constant(value=int(n)):
-            return params.field.from_rational(n)
+            value = params.field.from_rational(n)
         case ast.Name(id="b"):
-            return params.beta
+            value = params.beta
         case ast.BinOp(x, ast.Pow(), ast.Constant() | ast.UnaryOp(ast.USub(), ast.Constant()) as e):
             base, exponent = _evaluate(params, x), ast.literal_eval(e)
-            bits = max(n.bit_length() for n in (*base.nums, base.den))
+            bits = _bits(base)
             if abs(exponent) * bits > MAX_POWER_BITS:
                 raise ExprError(f"power beyond {MAX_POWER_BITS} bits (|exponent| times the base's "
-                                f"bit size {bits}) in {ast.unparse(node).replace('**', '^')[:60]!r}")
-            return base ** exponent
+                                f"bit size {bits}) in {_source(node)[:60]!r}")
+            value = base ** exponent
         case ast.UnaryOp(op, x) if type(op) in _OPS:
-            return _OPS[type(op)](_evaluate(params, x))
+            value = _OPS[type(op)](_evaluate(params, x))
         case ast.BinOp(x, op, y) if type(op) in _OPS:
-            return _OPS[type(op)](_evaluate(params, x), _evaluate(params, y))
-    raise ExprError(f"unexpected {ast.unparse(node).replace('**', '^')[:80]!r}")
+            value = _OPS[type(op)](_evaluate(params, x), _evaluate(params, y))
+        case _:
+            raise ExprError(f"unexpected {_source(node)[:80]!r}")
+    return _bounded(value, lambda: _source(node))
 
 
 def parse_point(params, text: str) -> FieldElement:
+    if re.search(rf"\d{{{MAX_DIGITS + 1}}}", text):
+        raise ExprError(f"a digit run longer than {MAX_DIGITS} digits in {text[:60]!r}...")
     if text.lstrip().startswith("{"):
         match json.loads(text.strip()):
             case {"coeffs": list(coeffs)}:
-                return params.field.element([fraction(c) for c in coeffs])
+                point = params.field.element([fraction(c) for c in coeffs])
+                return _bounded(point, text.strip)
         raise ExprError(f'FieldElement JSON needs a "coeffs" list: {text.strip()[:80]!r}')
     text = re.sub(r"\d+", lambda run: str(int(run.group())), " ".join(text.split()))
     if refused := re.search(r"[^0-9b()+\-*/^ ]|\*\*|\^(?! ?-? ?\d)|\db", text):

@@ -3,7 +3,7 @@
 The orbit of x is the set of points reachable from x by admissible digit
 maps.  BFS with exact deduplication either closes (every admissible image of
 every state is again a state) and yields the orbit graph, or hits a cap and
-yields a divergence report.  The transition matrix drives exact big-integer
+raises CapHit.  The transition matrix drives exact big-integer
 prefix counting by matrix powers; the brute-force count in dynamics is the
 independent oracle for it.
 """
@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dynamics import ExpansionParams
+from .errors import CapHit
 from .field import FieldElement
 
 
@@ -79,16 +80,6 @@ def _json_list(items, indent: int) -> str:
     lays it out with its items at this indent."""
     pad = "\n" + " " * indent
     return f"[{pad}{(',' + pad).join(items)}\n{' ' * (indent - 2)}]"
-
-
-@dataclass
-class DivergenceReport:
-    """BFS hit a cap before closure could be certified."""
-
-    params: ExpansionParams
-    states_found: int
-    cap_hit: str  # "state" or "depth"
-    sample_new_states: list
 
 
 @dataclass(frozen=True)
@@ -170,11 +161,12 @@ class TransitionMatrix:
 
 
 def compute_orbit(params: ExpansionParams, x: FieldElement,
-                  state_cap: int = 100_000, depth_cap: int = 1_000) -> OrbitGraph | DivergenceReport:
+                  state_cap: int = 100_000, depth_cap: int = 1_000) -> OrbitGraph:
     """BFS from x over admissible digits with exact deduplication.
 
     Deterministic: discovery order and edge order are fixed by FIFO expansion
-    with digits ascending.
+    with digits ascending.  A state to expand at depth depth_cap, or a new
+    state beyond state_cap, raises CapHit with the number of states found.
     """
     if state_cap < 1 or depth_cap < 1:
         raise ValueError("caps must be at least 1")
@@ -186,24 +178,14 @@ def compute_orbit(params: ExpansionParams, x: FieldElement,
     qpos = 0
     while qpos < len(states):
         if depth[qpos] >= depth_cap:
-            return DivergenceReport(
-                params=params,
-                states_found=len(states),
-                cap_hit="depth",
-                sample_new_states=states[qpos: qpos + 5],
-            )
+            raise CapHit(len(states), "depth")
         cur = states[qpos]
         seen_targets = set()
         for digit, img in params.branches(cur):
             j = index.get(img)
             if j is None:
                 if len(states) >= state_cap:
-                    return DivergenceReport(
-                        params=params,
-                        states_found=len(states) + 1,
-                        cap_hit="state",
-                        sample_new_states=[img],
-                    )
+                    raise CapHit(len(states) + 1, "state")
                 j = len(states)
                 index[img] = j
                 states.append(img)

@@ -11,13 +11,15 @@ vector 1, yields P(z) = adj(zI - A) . 1, whose value at the Perron root is
 a nonnegative eigenvector (after exact division by any common factor
 vanishing there, a monic integer polynomial); its rows are divided and
 reduced mod the monic squarefree part by integer elimination, and its
-entries are evaluated by interval Horner at one enclosure of the root that
-they all share, bisected further on the squarefree part while an entry is
-too wide.  A rational root is the exact point [r, r] and evaluates exactly.
-Dominance is decided from the strongly connected components: their periods
-(from the depth-first depths of the same Tarjan walk that finds them),
-Collatz-Wielandt brackets of their Perron roots, and exact root comparisons
-where the brackets overlap.  Floating point appears only in display values.
+entries are evaluated in turn by interval Horner at an enclosure of the
+root that is bisected further on the squarefree part while an entry is too
+wide, each entry starting from the enclosure the last one left.  A rational
+root is the exact point [r, r] and evaluates exactly.  Dominance is decided
+by one rule for every graph, from the strongly connected components: their
+periods (from the depth-first depths of the same Tarjan walk that finds
+them), Collatz-Wielandt brackets of their Perron roots, and exact root
+comparisons where the brackets overlap.  Floating point appears only in
+display values.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ class DominanceStatus(Enum):
     VERIFIED_PRIMITIVE = "VerifiedPrimitive"
     VERIFIED_SPECTRAL_GAP = "VerifiedSpectralGap"
     FAILED_PERIPHERAL_SPECTRUM = "FailedPeripheralSpectrum"
-    UNKNOWN = "Unknown"
 
 
 _VERIFIED = (DominanceStatus.VERIFIED_PRIMITIVE, DominanceStatus.VERIFIED_SPECTRAL_GAP)
@@ -248,26 +249,17 @@ def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
     root of an irreducible block of period p shares its modulus with
     exactly p of the block's eigenvalues.  So dominance holds iff exactly
     one SCC attains the largest Perron root and its period is 1.  One
-    Tarjan pass (_sccs) finds the SCCs with their periods, and both
-    branches below read those periods.  One SCC covering every state is
-    VerifiedPrimitive (period 1) or FailedPeripheralSpectrum.  Otherwise
-    each SCC with a cycle (period > 0) gets a Collatz-Wielandt bracket of
-    its Perron root, and the SCCs whose bracket reaches the largest lower
-    bound are ranked exactly (_top_blocks).  One winner of period 1 is
-    VerifiedSpectralGap; a tie, a larger period or a graph without cycles
-    is FailedPeripheralSpectrum.  Only the zero matrix is Unknown.
+    Tarjan pass (_sccs) finds the SCCs with their periods.  Each SCC with a
+    cycle (period > 0) gets a Collatz-Wielandt bracket of its Perron root,
+    and the SCCs whose bracket reaches the largest lower bound are ranked
+    exactly (_top_blocks).  One winner of period 1 is VerifiedPrimitive when
+    it is the only SCC and VerifiedSpectralGap otherwise; a tie, a larger
+    period or a graph without cycles is FailedPeripheralSpectrum.  The zero
+    matrix has no positive eigenvalue to dominate and raises ZeroMatrix.
     """
     if not any(matrix.succ):
-        # no positive eigenvalue exists at all; nothing to dominate
-        return DominanceReport(DominanceStatus.UNKNOWN, False, None)
-    adj = [[j for j, _ in terms] for terms in matrix.succ]
-    comps = _sccs(adj)
-    if len(comps) == 1:
-        period = comps[0][1]
-        if period > 1:
-            return DominanceReport(DominanceStatus.FAILED_PERIPHERAL_SPECTRUM, True, period)
-        return DominanceReport(DominanceStatus.VERIFIED_PRIMITIVE, True, 1)
-
+        raise ZeroMatrix("transition matrix has no nonzero entry")
+    comps = _sccs([[j for j, _ in terms] for terms in matrix.succ])
     blocks = _cycle_blocks(matrix, comps)
     brackets = [_cw_bracket(b) for b, _ in blocks]
     # without any cycle there is no winner: every eigenvalue is 0
@@ -275,9 +267,11 @@ def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
     winners = [b for b, (_, hi) in zip(blocks, brackets) if hi >= top]
     if len(winners) > 1:
         winners = _top_blocks(winners)
+    connected = len(comps) == 1
     gap = len(winners) == 1 and winners[0][1] == 1
-    status = DominanceStatus.VERIFIED_SPECTRAL_GAP if gap else DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
-    return DominanceReport(status, False, None)
+    verified = DominanceStatus.VERIFIED_PRIMITIVE if connected else DominanceStatus.VERIFIED_SPECTRAL_GAP
+    status = verified if gap else DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
+    return DominanceReport(status, connected, comps[0][1] if connected else None)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +320,7 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
     """
     vec, rest = adj_one, list(chi)
     eps = Fraction(1, 2 ** 48)
-    at = alpha  # one enclosure of alpha shared by every evaluation below
+    at = alpha  # each evaluation below narrows it and hands it on
     while True:
         reduced = [polys.divmod_monic(p, chi_sf)[1] for p in vec]
         rough, at = _evaluate_at_root(reduced, chi_sf, at, eps)
@@ -410,18 +404,22 @@ def _normalize_eigenvector(intervals: list[Interval]) -> tuple[Interval, ...]:
 # ---------------------------------------------------------------------------
 
 def _ln_bounds(x: Fraction, prec: int = 50) -> Interval:
-    """Directed-rounding enclosure of ln(x) for x > 0 via the decimal module."""
+    """Enclosure of ln(x) for x > 0 via the decimal module.  The quotient is
+    rounded outward, but Decimal.ln rounds half-even whatever the context's
+    rounding, so its result is stepped one unit outward.  ln(1) = 0 is exact
+    and kept; the log of any other rational is irrational (Lindemann), so
+    its rounding is never exact."""
     if x <= 0:
         raise ValueError("ln of a nonpositive value")
-    with localcontext() as ctx:
-        ctx.prec = prec
-        ctx.rounding = ROUND_FLOOR
-        lo = (Decimal(x.numerator) / Decimal(x.denominator)).ln()
-    with localcontext() as ctx:
-        ctx.prec = prec
-        ctx.rounding = ROUND_CEILING
-        hi = (Decimal(x.numerator) / Decimal(x.denominator)).ln()
-    return Fraction(lo), Fraction(hi)
+    bounds = []
+    for rounding, step in ((ROUND_FLOOR, Decimal.next_minus), (ROUND_CEILING, Decimal.next_plus)):
+        with localcontext() as ctx:
+            ctx.prec = prec
+            ctx.rounding = rounding
+            q = Decimal(x.numerator) / Decimal(x.denominator)
+            ln = q.ln()
+            bounds.append(Fraction(ln if q == 1 else step(ln)))
+    return bounds[0], bounds[1]
 
 
 def log_base_interval(alpha: Interval, base: int) -> Interval:
@@ -442,11 +440,10 @@ def dimension(m: int, perron: PerronResult, dominance: DominanceReport) -> Dimen
     lo, hi = perron.alpha
     if lo < 1:
         raise ValueError("alpha enclosure extends below 1; refine it first")
-    dlo, dhi = log_base_interval((lo, hi), m + 1)
-    dlo = max(dlo, Fraction(0))
+    if lo > m + 1:
+        raise ValueError(f"alpha enclosure lies above m + 1 = {m + 1}")
+    dlo, dhi = log_base_interval((lo, hi), m + 1)  # lo >= 1 gives dlo >= 0
     dhi = min(dhi, Fraction(1))
-    if dlo > dhi:
-        dlo = dhi
     return DimensionResult(
         dim=(dlo, dhi),
         status=dominance.status,

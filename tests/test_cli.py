@@ -408,6 +408,21 @@ def test_huge_powers_exit_64_quickly(point):
     assert time.perf_counter() - t0 < 10
 
 
+@pytest.mark.parametrize("point,error", [
+    ("1/" + "7" * 100_000, "error: a digit run longer than"),
+    ("1/(2^99999*2^99999*2^99999)", "error: point beyond 200000 bits"),
+], ids=["long-literal", "wide-product"])
+def test_points_beyond_the_bit_budget_exit_64_quickly(capsys, point, error):
+    # parsing alone took 17 s and 13 s before the point budget: the literal
+    # is refused before int() reads it, and the product of three 100000-bit
+    # powers as soon as it is built, before its inverse
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "orbit", "--minpoly", QUINTIC, "-m", "1", "-x", point)
+    assert time.perf_counter() - t0 < 1
+    assert code == 64 and out == ""
+    assert err.startswith(error) and err.count("\n") == 1
+
+
 def test_a_reader_that_closes_stdout_early_gets_exit_141_without_a_traceback():
     # as in `betaorbit spectrum ... | head -0`: stdout is closed before the
     # first write, so every write fails with EPIPE

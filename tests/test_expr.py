@@ -4,6 +4,7 @@ bounded rational reader behind JSON coefficients and `--tol`."""
 
 import json
 import operator
+import sys
 import time
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from betaorbit import ExpansionParams, IntPolynomial, NumberField
 from betaorbit.errors import DivisionByZero
-from betaorbit.expr import MAX_EXPONENT, MAX_POWER_BITS, ExprError, fraction, parse_point
+from betaorbit.expr import (MAX_DIGITS, MAX_EXPONENT, MAX_POWER_BITS, ExprError, fraction,
+                            parse_point)
 
 PARAMS = [ExpansionParams(NumberField(IntPolynomial(c)), 1)
           for c in ((-1, -1, 1), (-1, -1, -1, -1, 0, 1), (-2, 1), (-1, -1, 0, 1))]
@@ -147,6 +149,32 @@ def test_powers_beyond_the_bit_budget_are_refused():
                  "(b^1000)^1000"):
         with pytest.raises(ExprError, match="power beyond"):
             parse_point(quintic, text)
+
+
+def test_points_beyond_the_bit_budget_are_refused():
+    # a digit run is refused by its length before int() reads it; MAX_DIGITS
+    # nines pass that check but make a 200001-bit constant, refused as soon
+    # as it is built, and so are a product and a JSON point of that size
+    quintic = PARAMS[1]
+    assert 10 ** (MAX_DIGITS - 1) <= 2 ** MAX_POWER_BITS < 10 ** MAX_DIGITS
+    nines = "9" * MAX_DIGITS
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as the command line does
+    try:
+        for text, error in [("1/" + nines + "9", "a digit run"),
+                            (f'{{"coeffs": ["1/{nines}9"]}}', "a digit run"),
+                            ("1/" + nines, "point beyond"),
+                            (f'{{"coeffs": [0, "1/{nines}"]}}', "point beyond"),
+                            ("1/(2^99999*2^99999*2^99999)", "point beyond")]:
+            t0 = time.perf_counter()
+            with pytest.raises(ExprError, match=error):
+                parse_point(quintic, text)
+            assert time.perf_counter() - t0 < 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # the README's example stays inside the budget: b^-100000 has 23602 bits
+    point = parse_point(quintic, "b^-100000")
+    assert max(n.bit_length() for n in (*point.nums, point.den)) == 23602
 
 
 # === FieldElement JSON ===

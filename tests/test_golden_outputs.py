@@ -6,7 +6,9 @@ stdout and every file written under `--out` with the copies frozen in
 `orbit --format table|json|dot` on two bases, `spectrum --nmax 12` on a
 Pisot and a non-Pisot base, divergence and not-Pisot exits,
 `dimension --format json` on the benchmark's certify inputs, and an
-alternating expansion whose period is read with the step parity.
+alternating expansion whose period is read with the step parity.  Each
+`dimension` case also runs in the default table format, which must print the
+strings of its JSON report.
 
 Regenerate the frozen copies (only when an output change is intended) with
 
@@ -100,6 +102,25 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert sorted(files) == meta["files"]
     for fname, blob in files.items():
         assert blob == (case / "files" / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items() if argv[0] == "dimension"))
+def test_dimension_table_matches_the_json_golden(name, tmp_path):
+    # the default table format prints the k, alpha, condition1 and dim (or
+    # dim upper bound) strings of the frozen JSON report, with its exit code
+    case = DATA / name
+    report = json.loads((case / "stdout").read_text())
+    argv = CASES[name]
+    assert argv[-2:] == ["--format", "json"]
+    code, stdout, _ = _run(argv[:-2], tmp_path)
+    assert code == json.loads((case / "meta.json").read_text())["exit"]
+    want = [f"k = {report['k']}", "alpha in [{}, {}]".format(*report["alpha"]),
+            f"condition1: {report['condition1']}"]
+    if report["dim"] is not None:
+        want.append("dim in [{}, {}] (certified)".format(*report["dim"]))
+    else:
+        want.append(f"dim <= {report['dim_upper_bound'][1]} (dominance not verified)")
+    assert stdout == "\n".join(want) + "\n"
 
 
 def _regenerate() -> None:

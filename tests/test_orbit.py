@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from betaorbit import (
-    DivergenceReport,
     ExpansionParams,
     IntPolynomial,
     NumberField,
@@ -19,7 +18,7 @@ from betaorbit import (
     sort_elements,
     transition_matrix,
 )
-from betaorbit.errors import OutsideInterval
+from betaorbit.errors import CapHit, OutsideInterval
 from betaorbit.orbit import TransitionMatrix
 
 F = Fraction
@@ -71,26 +70,35 @@ def test_outside_interval_rejected(golden_params):
 
 
 def test_state_cap_divergence(golden_params):
-    report = compute_orbit(golden_params, golden_params.field.one, state_cap=2)
-    assert isinstance(report, DivergenceReport)
-    assert report.cap_hit == "state"
-    assert report.states_found == 3
-    assert report.sample_new_states
+    with pytest.raises(CapHit) as hit:
+        compute_orbit(golden_params, golden_params.field.one, state_cap=2)
+    assert hit.value.cap_hit == "state"
+    assert hit.value.states_found == 3
 
 
 def test_depth_cap_divergence(golden_params):
-    report = compute_orbit(golden_params, golden_params.field.one, depth_cap=1)
-    assert isinstance(report, DivergenceReport)
-    assert report.cap_hit == "depth"
+    with pytest.raises(CapHit) as hit:
+        compute_orbit(golden_params, golden_params.field.one, depth_cap=1)
+    assert hit.value.cap_hit == "depth"
 
 
 def test_non_pisot_point_diverges():
     # sqrt(2) is not Pisot; the orbit of 1 keeps producing new points
     field = NumberField(IntPolynomial((-2, 0, 1)))
     params = ExpansionParams(field, 1)
-    report = compute_orbit(params, field.one, state_cap=300)
-    assert isinstance(report, DivergenceReport)
-    assert report.cap_hit == "state"
+    with pytest.raises(CapHit) as hit:
+        compute_orbit(params, field.one, state_cap=300)
+    assert hit.value.cap_hit == "state"
+
+
+def test_a_diverging_orbit_never_reaches_the_matrix():
+    # compute_orbit has one return type, so a cap hit cannot flow on into
+    # transition_matrix as a graph without states
+    field = NumberField(IntPolynomial((-2, 0, 1)))
+    params = ExpansionParams(field, 1)
+    with pytest.raises(CapHit) as hit:
+        transition_matrix(compute_orbit(params, field.one, state_cap=50))
+    assert (hit.value.states_found, hit.value.cap_hit) == (51, "state")
 
 
 # === levels ===

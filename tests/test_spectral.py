@@ -28,8 +28,7 @@ from betaorbit import (
 )
 from betaorbit import polys, spectral
 from betaorbit.cli import main
-from betaorbit.errors import DominanceNotEstablished, ZeroMatrix
-from betaorbit.orbit import DivergenceReport
+from betaorbit.errors import CapHit, DominanceNotEstablished, ZeroMatrix
 from betaorbit.polys import interval_mul
 from betaorbit.spectral import _adjugate_eigenvector, _adjugate_row_sums
 from rational_oracles import divmod_poly, evaluate, gcd_poly
@@ -262,6 +261,40 @@ def test_dimension_slope_chain(quintic_params, quintic_x):
     assert last < first
 
 
+@pytest.mark.parametrize("m,exact", [(3, F(1, 2)), (7, F(1, 3))])
+def test_dimension_of_alpha_two_contains_its_exact_log(m, exact):
+    # log_4 2 = 1/2 and log_8 2 = 1/3: both were missed while Decimal.ln
+    # rounded half-even under a directed context
+    mat = _mat([[1, 1], [1, 1]])
+    lo, hi = dimension(m, perron_eigenvalue(mat), check_dominance(mat)).dim
+    assert lo <= exact <= hi
+
+
+def test_dimension_refuses_alpha_above_m_plus_one():
+    # alpha = 3 with m = 1 has log2 3 ~ 1.585, not a certified [1, 1]
+    mat = _mat([[3]])
+    with pytest.raises(ValueError, match="above m \\+ 1"):
+        dimension(1, perron_eigenvalue(mat), check_dominance(mat))
+
+
+def test_log_enclosures_contain_the_mpmath_logs():
+    # differential test against 100-digit logs: ln on the rationals n/7 and
+    # on a few wide ones, and log_{m+1} 2 for every m in 2..7
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(v):  # the 100-digit decimal of v, within 1e-99 of it
+        return F(mpmath.nstr(v, 100, strip_zeros=False))
+
+    with mpmath.workdps(100):
+        xs = [F(n, 7) for n in range(1, 3000)] + [F(3 ** 200, 2 ** 300), F(1, 10 ** 60) + 1]
+        for x in xs:
+            lo, hi = spectral._ln_bounds(x)
+            assert lo <= exact(mpmath.log(mpmath.mpf(x.numerator) / x.denominator)) <= hi, x
+        for m in range(2, 8):
+            lo, hi = spectral.log_base_interval((F(2), F(2)), m + 1)
+            assert lo <= exact(mpmath.log(2) / mpmath.log(m + 1)) <= hi, m
+
+
 # === adjugate eigenvector and sparse Faddeev-LeVerrier ===
 
 def _dense_faddeev_leverrier(rows):
@@ -325,8 +358,6 @@ def _dense_dominance_oracle(rows):
     """Reference for check_dominance's graph data from dense boolean powers:
     (strongly_connected, cycle_gcd, the least t with A^t positive)."""
     k = len(rows)
-    if not any(map(any, rows)):
-        return False, None, None  # the zero matrix is reported as not connected
     a = [[v > 0 for v in r] for r in rows]
 
     def mul(x, y):
@@ -358,7 +389,12 @@ def _dense_dominance_oracle(rows):
 @example([[0, 2, 0], [0, 0, 1], [1, 0, 0]])  # period 3
 @example([[0, 1, 2, 0], [1, 0, 0, 1], [2, 0, 0, 1], [0, 1, 1, 0]])  # bipartite
 @example([[0, 2], [1, 1]])
+@example([[0]])  # the zero matrix
 def test_dominance_graph_data_matches_dense_oracle(rows):
+    if not any(map(any, rows)):  # nothing to dominate, as in perron_eigenvalue
+        with pytest.raises(ZeroMatrix):
+            check_dominance(_mat(rows))
+        return
     rep = check_dominance(_mat(rows))
     connected, cycle_gcd, exponent = _dense_dominance_oracle(rows)
     assert (rep.strongly_connected, rep.cycle_gcd) == (connected, cycle_gcd)
@@ -611,8 +647,6 @@ def _dense_dominance_status(rows):
     oracle, and its Perron root from perron_eigenvalue; two roots whose
     enclosures meet are equal exactly when the gcd of the blocks' dense
     characteristic polynomials has a root where the enclosures meet."""
-    if not any(map(any, rows)):
-        return DominanceStatus.UNKNOWN
     comps, reach = _dense_sccs(rows)
     if len(comps) == 1:
         g = _dense_dominance_oracle(rows)[1]
@@ -646,9 +680,13 @@ def _dense_dominance_status(rows):
     st.lists(st.sampled_from((0, 0, 0, 0, 1, 2)), min_size=k, max_size=k),
     min_size=k, max_size=k)))
 @example([[0, 1, 1], [0, 0, 1], [0, 0, 0]])  # edges but no cycle: every eigenvalue is 0
-@example([[0, 0], [0, 0]])  # the zero matrix: Unknown
+@example([[0, 0], [0, 0]])  # the zero matrix: ZeroMatrix
 @example([[1, 0, 0], [0, 0, 1], [0, 1, 0]])  # a loop and a 2-cycle tie at 1
 def test_dominance_matches_dense_oracle(rows):
+    if not any(map(any, rows)):  # nothing to dominate, as in perron_eigenvalue
+        with pytest.raises(ZeroMatrix):
+            check_dominance(_mat(rows))
+        return
     assert check_dominance(_mat(rows)).status == _dense_dominance_status(rows)
 
 
@@ -746,8 +784,9 @@ def test_perron_path_makes_no_rational_evaluate_or_sturm_chain(
 def test_cw_bracket_contains_the_perron_root_of_every_block(minpoly, m, x):
     # the conftest bases; x in [0, 1] lies in [0, m/(beta-1)] for each
     params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
-    graph = compute_orbit(params, params.field.from_rational(x), state_cap=80)
-    if isinstance(graph, DivergenceReport):
+    try:
+        graph = compute_orbit(params, params.field.from_rational(x), state_cap=80)
+    except CapHit:
         return
     mat = transition_matrix(graph)
     comps = spectral._sccs([[j for j, _ in terms] for terms in mat.succ])
