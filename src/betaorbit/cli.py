@@ -179,13 +179,18 @@ def cmd_orbit(args) -> int:
 def cmd_dimension(args) -> int:
     from .expr import fraction
     from .orbit import compute_orbit, transition_matrix
-    from .spectral import check_dominance, dimension, log_base_interval, perron_eigenvalue
+    from .spectral import (PerronResult, _perron_root, check_dominance, dimension,
+                           log_base_interval, perron_eigenvalue)
 
     tol = fraction(args.tol)  # a malformed width exits 64 before the BFS
     params, x = _build_params(args)
     result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
     mat = transition_matrix(result)
-    perron = perron_eigenvalue(mat, tol=tol)
+    if args.format == "json":
+        perron = perron_eigenvalue(mat, tol=tol)
+    else:  # the table prints no eigenvector, so only the root stage runs
+        chi, _, alpha = _perron_root(mat, tol)
+        perron = PerronResult(alpha=alpha, eigenvector=(), char_poly=chi)
     dom = check_dominance(mat)
 
     report = {

@@ -32,6 +32,7 @@ import json
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 from .field import FieldElement
@@ -105,8 +106,23 @@ def _evaluate(params, node) -> FieldElement:
 
 
 def parse_point(params, text: str) -> FieldElement:
+    """The point that text names in Q(beta) of params.  MAX_DIGITS bounds
+    every digit run, so Python's own limit on decimal int/str conversions
+    (sys.get_int_max_str_digits, process-wide) is lifted while the point is
+    read, and a library caller reads the same points as the command line."""
     if re.search(rf"\d{{{MAX_DIGITS + 1}}}", text):
         raise ExprError(f"a digit run longer than {MAX_DIGITS} digits in {text[:60]!r}...")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _read_point(params, text)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _read_point(params, text: str) -> FieldElement:
     if text.lstrip().startswith("{"):
         match json.loads(text.strip()):
             case {"coeffs": list(coeffs)}:

@@ -500,11 +500,20 @@ class FieldElement:
         elimination with row swaps (Bareiss 1968) divides every update
         exactly by the previous pivot and ends with det(PN) on the diagonal
         and det(PN) N^-1 e_0 in the last column.  A column without a pivot
-        makes N singular: self is a zero divisor of a reducible modulus."""
+        makes N singular: self is a zero divisor of a reducible modulus.
+
+        A rational n0/den (every coordinate past the constant one is zero)
+        has the diagonal N = n0 I, on which the elimination would build
+        entries of about n0^d, so its inverse den/n0 is read off directly;
+        gcd(den, n0) = 1 already."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         field = self.field
         d = field.degree
+        n0 = self.nums[0]
+        if not any(self.nums[1:]):
+            sign = 1 if n0 > 0 else -1
+            return FieldElement(field, (sign * self.den,) + (0,) * (d - 1), sign * n0)
         cols = [field._reduce([0] * j + list(self.nums), 1).nums for j in range(d)]
         rows = [[*r, int(i == 0)] for i, r in enumerate(zip(*cols))]
         prev = 1

@@ -402,10 +402,10 @@ def count_roots_in_interval(p: Sequence[int], lo: Fraction, hi: Fraction) -> int
 
 def decimal_str(x: Fraction, places: int, direction: int) -> str:
     """Directed decimal rendering: direction < 0 rounds down, > 0 rounds up,
-    so rendered [lo, hi] pairs remain true enclosures."""
-    scaled = x * 10 ** places
-    n = scaled.numerator // scaled.denominator
-    if direction > 0 and n * scaled.denominator != scaled.numerator:
+    so rendered [lo, hi] pairs remain true enclosures.  One floor division
+    of x's numerator times 10^places by its denominator gives the digits."""
+    n, rem = divmod(x.numerator * 10 ** places, x.denominator)
+    if direction > 0 and rem:
         n += 1
     sign = "-" if n < 0 else ""
     intpart, fracpart = divmod(abs(n), 10 ** places)
@@ -453,17 +453,27 @@ def round_out_interval(iv: Interval) -> Interval:
 
 
 def sqrt_bounds(value: Fraction, iters: int = 4) -> Interval:
-    """Rational enclosure of sqrt(value) for value >= 0, by Heron iteration
-    from the arithmetic-mean upper bound (iterates rounded outward so sizes
-    stay bounded; the bound directions are preserved)."""
+    """Rational enclosure of sqrt(value) for value >= 0 (sqrt_bounds_int)."""
     if value < 0:
         raise ValueError("sqrt of a negative rational")
     if value == 0:
         return _ZERO, _ZERO
-    hi = round_up((value + 1) / 2, 96)
+    lo, hi = sqrt_bounds_int(value.numerator, value.denominator, iters)
+    return Fraction(lo, 1 << 96), Fraction(hi, 1 << 96)
+
+
+def sqrt_bounds_int(p: int, q: int, iters: int = 4) -> tuple[int, int]:
+    """(lo, hi) with lo/2^96 <= sqrt(p/q) <= hi/2^96, for p >= 0 and q > 0
+    (need not be coprime), by Heron iteration from the arithmetic-mean upper
+    bound (p/q + 1)/2.  Each iterate is rounded up to a multiple of 2^-96,
+    so sizes stay bounded and it stays an upper bound (AM-GM); the lower
+    bound is p/q over the last one, rounded down.  Every step is one integer
+    floor division, so no gcd runs on p and q."""
+    one = 1 << 96
+    hi = -(-(p + q) * one // (2 * q))
     for _ in range(iters):
-        hi = round_up((hi + value / hi) / 2, 96)
-    return round_down(value / hi, 96), hi
+        hi = -(-(q * hi * hi + p * one * one) // (2 * q * hi))
+    return p * one * one // (q * hi), hi
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,19 @@ vector 1, yields P(z) = adj(zI - A) . 1, whose value at the Perron root is
 a nonnegative eigenvector (after exact division by any common factor
 vanishing there, a monic integer polynomial); its rows are divided and
 reduced mod the monic squarefree part by integer elimination, and its
-entries are evaluated in turn by interval Horner at an enclosure of the
-root that is bisected further on the squarefree part while an entry is too
-wide, each entry starting from the enclosure the last one left.  A rational
-root is the exact point [r, r] and evaluates exactly.  Dominance is decided
-by one rule for every graph, from the strongly connected components: their
-periods (from the depth-first depths of the same Tarjan walk that finds
-them), Collatz-Wielandt brackets of their Perron roots, and exact root
-comparisons where the brackets overlap.  Floating point appears only in
-display values.
+entries are evaluated in turn by integer interval Horner at an enclosure of
+the root that is bisected further on the squarefree part while an entry is
+too wide, each entry starting from the enclosure the last one left.  Every
+enclosure stays integer numerators over a denominator through evaluation
+and normalisation, and becomes a reduced Fraction only in the PerronResult;
+the rationals are those of Fraction arithmetic.  A rational root is the
+exact point [r, r] and evaluates exactly.  perron_eigenvalue runs a root
+stage and then the eigenvector stage, and table-format `dimension` runs only
+the first.  Dominance is decided by one rule for every graph, from the
+strongly connected components: their periods (from the depth-first depths
+of the same Tarjan walk that finds them), Collatz-Wielandt brackets of
+their Perron roots, and exact root comparisons where the brackets overlap.
+Floating point appears only in display values.
 """
 
 from __future__ import annotations
@@ -110,7 +114,9 @@ class DominanceReport:
 class PerronResult:
     """Certified enclosure of the largest real eigenvalue with a nonnegative
     eigenvector taken from the adjugate adj(alpha*I - A) . 1, entries as
-    rational intervals that enclose the unit-euclidean-norm vector."""
+    rational intervals that enclose the unit-euclidean-norm vector.  Every
+    endpoint is a reduced Fraction, built once from the integer numerators
+    the stages carry."""
 
     alpha: Interval
     eigenvector: tuple[Interval, ...]
@@ -280,8 +286,20 @@ def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
 
 def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> PerronResult:
     """Isolate the largest real root of the characteristic polynomial to
-    width <= tol and take a nonnegative eigenvector from the adjugate."""
+    width <= tol and take a nonnegative eigenvector from the adjugate: the
+    root stage (_perron_root), then the eigenvector stage, which encloses
+    adj(alpha*I - A) . 1 and scales it to unit norm."""
     tol = Fraction(tol)
+    chi, chi_sf, alpha = _perron_root(matrix, tol)
+    vec = _adjugate_eigenvector(chi, _adjugate_row_sums(matrix, chi), chi_sf, alpha, tol)
+    return PerronResult(alpha=alpha, eigenvector=_normalize_eigenvector(vec), char_poly=chi)
+
+
+def _perron_root(matrix: TransitionMatrix,
+                 tol: Fraction) -> tuple[tuple[int, ...], tuple[int, ...], Interval]:
+    """The root stage: the characteristic polynomial chi, its squarefree part
+    and the enclosure of width <= tol of its largest real root, checked
+    against the Perron row-sum bracket."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not any(matrix.succ):
@@ -294,21 +312,22 @@ def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> Pe
         raise ZeroMatrix("no real eigenvalue found for a nonnegative matrix")
     # a rational root comes back as the exact point [r, r], which bisection keeps
     lo, hi = polys.refine_to_width(chi_sf, *isolations[-1], tol)
-    vec = _adjugate_eigenvector(chi, _adjugate_row_sums(matrix, chi), chi_sf, (lo, hi), tol)
-    result = PerronResult(alpha=(lo, hi), eigenvector=_normalize_eigenvector(vec),
-                          char_poly=chi)
 
-    # Perron row-sum bounds must bracket the enclosure
     row_sums = matrix.mul_vec([1] * matrix.size)
-    assert result.alpha[0] <= max(row_sums) and result.alpha[1] >= min(row_sums), \
+    assert lo <= max(row_sums) and hi >= min(row_sums), \
         "dominant root escaped the row-sum bracket"
-    return result
+    return chi, chi_sf, (lo, hi)
+
+
+# an enclosure [lo/s, hi/s] as the integers (lo, hi, s) with s > 0
+IntInterval = tuple[int, int, int]
 
 
 def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
                           chi_sf: tuple[int, ...], alpha: Interval,
-                          tol: Fraction) -> list[Interval]:
-    """Enclosures of P(alpha) for P = adj(zI - A) . 1, sign-fixed nonnegative.
+                          tol: Fraction) -> list[IntInterval]:
+    """Enclosures of P(alpha) for P = adj(zI - A) . 1, sign-fixed nonnegative,
+    each as integers (lo, hi, s) for [lo/s, hi/s].
 
     (alpha*I - A) P(alpha) = chi(alpha) . 1 = 0, so P(alpha) is an eigenvector
     once it is nonzero.  When every P_i vanishes at alpha (possible only at
@@ -320,11 +339,11 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
     """
     vec, rest = adj_one, list(chi)
     eps = Fraction(1, 2 ** 48)
-    at = alpha  # each evaluation below narrows it and hands it on
+    at = polys.integer_endpoints(*alpha)  # each evaluation below narrows it and hands it on
     while True:
         reduced = [polys.divmod_monic(p, chi_sf)[1] for p in vec]
         rough, at = _evaluate_at_root(reduced, chi_sf, at, eps)
-        if any(lo > 0 or hi < 0 for lo, hi in rough):
+        if any(lo > 0 or hi < 0 for lo, hi, _ in rough):
             break
         # every enclosure meets 0: divide out a common factor at alpha if
         # there is one, else some entry is nonzero but tiny, so look closer
@@ -344,59 +363,97 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]],
         # (alpha*I - A) P(alpha) = rest(alpha) . 1 must still vanish
         assert polys.count_roots_in_interval(polys.gcd_int(rest, chi_sf), *alpha), \
             "common-factor division removed the Perron root"
-    sign = next(1 if lo > 0 else -1 for lo, hi in rough if lo > 0 or hi < 0)
-    scale = max(max(abs(lo), abs(hi)) for lo, hi in rough)
-    ivs, _ = _evaluate_at_root(reduced, chi_sf, at, tol * scale)
+    sign = next(1 if lo > 0 else -1 for lo, hi, _ in rough if lo > 0 or hi < 0)
+    # the largest |endpoint| n/d, compared by cross-multiplying
+    n, d = 0, 1
+    for lo, hi, s in rough:
+        m = max(-lo, hi)  # max(|lo|, |hi|), as lo <= hi
+        if m * d > n * s:
+            n, d = m, s
+    ivs, _ = _evaluate_at_root(reduced, chi_sf, at, tol * Fraction(n, d))
     if sign < 0:
-        ivs = [(-hi, -lo) for lo, hi in ivs]
-    assert all(hi >= 0 for _, hi in ivs), "adjugate eigenvector is not nonnegative"
+        ivs = [(-hi, -lo, s) for lo, hi, s in ivs]
+    assert all(hi >= 0 for _, hi, _ in ivs), "adjugate eigenvector is not nonnegative"
     return ivs
 
 
-def _evaluate_at_root(ps: list[list[int]], chi_sf: tuple[int, ...],
-                      at: Interval, eps: Fraction) -> tuple[list[Interval], Interval]:
-    """Enclose p(alpha) to width <= eps for each p by interval Horner at an
-    enclosure `at` of a root alpha of chi_sf, bisecting `at` on chi_sf while
-    an entry is too wide (an exact point [r, r] evaluates exactly).  Returns
-    the enclosures and the narrowed `at` for the next call."""
-    lo, hi = at
+def _evaluate_at_root(ps: list[list[int]], chi_sf: tuple[int, ...], at: IntInterval,
+                      eps: Fraction) -> tuple[list[IntInterval], IntInterval]:
+    """Enclose p(alpha) to width <= eps for each p by integer interval Horner
+    (polys.horner_interval_int) at an enclosure [a/e, b/e] = `at` of a root
+    alpha of chi_sf, bisecting `at` on chi_sf while an entry is too wide (an
+    exact point [r, r] evaluates exactly).  Returns the enclosures as
+    integers (lo, hi, s) for [lo/s, hi/s] and the narrowed `at` for the next
+    call.
+
+    The width test cross-multiplies, and a bisection step doubles e and
+    keeps the numerators, so every endpoint is the rational that Fraction
+    bisection and rational interval Horner give.  Bisection keeps the sign
+    of chi_sf at the left end (it moves that end only to a point of the same
+    sign), so that sign is read once."""
+    a, b, e = at
+    left_pos = polys.sign_at(chi_sf, a, e) > 0
     out = []
     for p in ps:
-        vlo, vhi = polys.evaluate_interval(p, lo, hi)
+        if not p:
+            out.append((0, 0, 1))
+            continue
+        vlo, vhi, s = polys.horner_interval_int(p, a, b, e)
         rounds = 0
-        while vhi - vlo > eps:
+        while (vhi - vlo) * eps.denominator > eps.numerator * s:
             if rounds == 100_000:
                 raise RefinementBudgetExceeded("eigenvector entry did not reach the requested width")
-            lo, hi = polys.bisect_step(chi_sf, lo, hi)
-            vlo, vhi = polys.evaluate_interval(p, lo, hi)
+            mid, a, b, e = a + b, 2 * a, 2 * b, 2 * e
+            sm = polys.sign_at(chi_sf, mid, e)
+            if sm == 0:  # only possible for rational roots, which are exact points here
+                a = b = mid
+            elif (sm > 0) != left_pos:
+                b = mid
+            else:
+                a = mid
+            vlo, vhi, s = polys.horner_interval_int(p, a, b, e)
             rounds += 1
-        out.append((vlo, vhi))
-    return out, (lo, hi)
+        out.append((vlo, vhi, s))
+    return out, (a, b, e)
 
 
-def _normalize_eigenvector(intervals: list[Interval]) -> tuple[Interval, ...]:
+def _normalize_eigenvector(intervals: list[IntInterval]) -> tuple[Interval, ...]:
     """Scale the largest entry's midpoint to 1, then rescale to unit
     euclidean norm, dividing by an enclosure of the norm over the whole box
     (all in exact rational interval arithmetic).
 
-    The endpoints are taken over one common denominator D as [a/D, b/D];
-    with T = max |a + b| the scaled entries are [2a/T, 2b/T] and the
-    squared-norm bounds are integer sums of squares over T^2/4, the same
-    rationals as term-by-term Fraction sums without their per-term gcds."""
-    nums, _ = polys.common_denominator([x for iv in intervals for x in iv])
-    pairs = list(zip(nums[::2], nums[1::2]))
+    The entries [lo/s, hi/s] are taken over one common denominator D as
+    [a/D, b/D]; with T = max |a + b| the scaled entries are [2a/T, 2b/T] and
+    the squared-norm bounds are integer sums of squares over T^2/4.  The norm
+    enclosure [nlo, nhi] is positive, so each quotient bound is one
+    division picked by the sign of its numerator: a/nhi for a >= 0, else
+    a/nlo, and b/nlo for b >= 0, else b/nhi, the bounds the four-quotient
+    interval division gives.  Each endpoint becomes a reduced Fraction once,
+    at the end."""
+    den = math.lcm(*(s for _, _, s in intervals))
+    pairs = [(lo * (den // s), hi * (den // s)) for lo, hi, s in intervals]
     top = max(abs(a + b) for a, b in pairs)
     if top == 0:
-        return tuple(intervals)
-    sq_lo = Fraction(4 * sum(0 if a <= 0 <= b else min(a * a, b * b) for a, b in pairs), top * top)
-    sq_hi = Fraction(4 * sum(max(a * a, b * b) for a, b in pairs), top * top)
-    intervals = [(Fraction(2 * a, top), Fraction(2 * b, top)) for a, b in pairs]
+        return tuple((Fraction(a, den), Fraction(b, den)) for a, b in pairs)
+    sq_lo = sq_hi = 0
+    for a, b in pairs:
+        a2, b2 = a * a, b * b
+        sq_lo += 0 if a <= 0 <= b else min(a2, b2)
+        sq_hi += max(a2, b2)
     # Heron from (v+1)/2 needs about log2(v)/2 halving steps to reach
     # sqrt(v) <= sqrt(k), then converges quadratically
-    iters = 6 + len(intervals).bit_length()
-    nlo = polys.sqrt_bounds(sq_lo, iters)[0]
-    nhi = polys.sqrt_bounds(sq_hi, iters)[1]
-    return tuple(polys.interval_div(iv, (nlo, nhi)) for iv in intervals)
+    iters = 6 + len(pairs).bit_length()
+    # the norm lies in [nlo, nhi] / 2^96
+    nlo = polys.sqrt_bounds_int(4 * sq_lo, top * top, iters)[0]
+    nhi = polys.sqrt_bounds_int(4 * sq_hi, top * top, iters)[1]
+    if nlo <= 0:
+        raise ZeroDivisionError("interval divisor contains zero")
+
+    def quotient(x: int, norm: int) -> Fraction:  # (2x/T) / (norm/2^96)
+        return Fraction(x << 97, top * norm)
+
+    return tuple((quotient(a, nhi if a >= 0 else nlo), quotient(b, nlo if b >= 0 else nhi))
+                 for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------

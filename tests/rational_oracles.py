@@ -3,16 +3,21 @@
 The package reads every sign by integer Horner (polys.sign_at), takes the
 squarefree part of a monic integer polynomial in the integers
 (polys.squarefree_part_int), builds the Sturm chain and the gcd as
-primitive remainder sequences (polys.sturm_chain_int, polys.gcd_int) and
+primitive remainder sequences (polys.sturm_chain_int, polys.gcd_int),
 inverts a field element by fraction-free elimination
-(FieldElement.inverse).  The textbook rational forms below, the polynomial
-ring over Q and the extended euclidean inverse included, are what the tests
-compare those kernels against; the package itself never calls them.
+(FieldElement.inverse), and keeps the Perron eigenvector's enclosures as
+integer numerators over one denominator until they are printed
+(spectral._evaluate_at_root, spectral._normalize_eigenvector,
+polys.sqrt_bounds, polys.decimal_str).  The textbook rational forms below,
+the polynomial ring over Q, the extended euclidean inverse and the
+Fraction eigenvector routines included, are what the tests compare those
+kernels against; the package itself never calls them.
 """
 
 from fractions import Fraction
 
-from betaorbit.errors import DivisionByZero
+from betaorbit import polys
+from betaorbit.errors import DivisionByZero, RefinementBudgetExceeded
 
 
 # --- the polynomial ring over Q (normalized Fraction tuples) ---
@@ -147,3 +152,66 @@ def inverse(elem):
     g = r0[0]
     # deg t0 < deg of the defining polynomial, so no reduction is needed
     return elem.field.element([c / g for c in t0])
+
+
+# --- the Perron eigenvector in Fraction arithmetic ---
+
+def evaluate_at_root(ps, chi_sf, at, eps):
+    """Enclose p(alpha) to width <= eps for each p by rational interval
+    Horner at an enclosure `at` = (lo, hi) of a root alpha of chi_sf,
+    bisecting `at` on chi_sf while an entry is too wide.  Returns the
+    enclosures and the narrowed `at`."""
+    lo, hi = at
+    out = []
+    for p in ps:
+        vlo, vhi = polys.evaluate_interval(p, lo, hi)
+        rounds = 0
+        while vhi - vlo > eps:
+            if rounds == 100_000:
+                raise RefinementBudgetExceeded("eigenvector entry did not reach the requested width")
+            lo, hi = polys.bisect_step(chi_sf, lo, hi)
+            vlo, vhi = polys.evaluate_interval(p, lo, hi)
+            rounds += 1
+        out.append((vlo, vhi))
+    return out, (lo, hi)
+
+
+def normalize_eigenvector(intervals):
+    """Scale the largest entry's midpoint to 1, then divide every entry by
+    an enclosure of the euclidean norm over the whole box, by the
+    four-quotient interval division."""
+    nums, _ = polys.common_denominator([x for iv in intervals for x in iv])
+    pairs = list(zip(nums[::2], nums[1::2]))
+    top = max(abs(a + b) for a, b in pairs)
+    if top == 0:
+        return tuple(intervals)
+    sq_lo = Fraction(4 * sum(0 if a <= 0 <= b else min(a * a, b * b) for a, b in pairs), top * top)
+    sq_hi = Fraction(4 * sum(max(a * a, b * b) for a, b in pairs), top * top)
+    intervals = [(Fraction(2 * a, top), Fraction(2 * b, top)) for a, b in pairs]
+    iters = 6 + len(intervals).bit_length()
+    nlo = sqrt_bounds(sq_lo, iters)[0]
+    nhi = sqrt_bounds(sq_hi, iters)[1]
+    return tuple(polys.interval_div(iv, (nlo, nhi)) for iv in intervals)
+
+
+def sqrt_bounds(value: Fraction, iters: int = 4):
+    """Enclosure of sqrt(value) for value >= 0 by Heron iteration in
+    Fractions, each iterate rounded up to a multiple of 2^-96."""
+    if value == 0:
+        return Fraction(0), Fraction(0)
+    hi = polys.round_up((value + 1) / 2, 96)
+    for _ in range(iters):
+        hi = polys.round_up((hi + value / hi) / 2, 96)
+    return polys.round_down(value / hi, 96), hi
+
+
+def decimal_str(x: Fraction, places: int, direction: int) -> str:
+    """Directed decimal rendering through a Fraction product: direction < 0
+    rounds down, > 0 rounds up."""
+    scaled = x * 10 ** places
+    n = scaled.numerator // scaled.denominator
+    if direction > 0 and n * scaled.denominator != scaled.numerator:
+        n += 1
+    sign = "-" if n < 0 else ""
+    intpart, fracpart = divmod(abs(n), 10 ** places)
+    return f"{sign}{intpart}.{str(fracpart).zfill(places)}"

@@ -177,6 +177,24 @@ def test_points_beyond_the_bit_budget_are_refused():
     assert max(n.bit_length() for n in (*point.nums, point.den)) == 23602
 
 
+def test_library_reads_long_digit_runs_under_the_default_limit():
+    # Python refuses decimal int/str conversions beyond 4300 digits by
+    # default; parse_point reads what the command line reads and leaves the
+    # caller's limit as it was
+    quintic = PARAMS[1]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        want = quintic.field.from_rational(Fraction(3, 10 ** 5000 - 1))  # 1/33...3
+        assert parse_point(quintic, "1/" + "3" * 5000) == want
+        assert parse_point(quintic, f'{{"coeffs": ["1/{"3" * 5000}"]}}') == want
+        with pytest.raises(ExprError, match="power beyond"):
+            parse_point(quintic, f"({'3' * 5000})^100")
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # === FieldElement JSON ===
 
 @pytest.mark.parametrize("text", [

@@ -565,6 +565,28 @@ def test_zero_divisors_raise_like_the_euclid_oracle(case):
     assert _inverse_or_message(x, type(x).inverse) == message
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_INVERSE_FIELDS).flatmap(lambda f: st.tuples(
+    st.just(f), _coeff.filter(bool), st.lists(_coeff, min_size=f.degree, max_size=f.degree))))
+@example((_INVERSE_FIELDS[1], -3, [F(1, 2), 1, 0, 0, 0]))  # a negative rational on the quintic
+def test_rational_inverse_matches_the_bareiss_path(case):
+    # a rational r skips the elimination; r*y for y outside Q takes the
+    # Bareiss path, and (r*y)^-1 * y = r^-1 (r*y is invertible exactly when y is)
+    field, r, vec = case
+    x, y = field.from_rational(r), field.element(vec)
+    inv = x.inverse()
+    _assert_canonical(inv)
+    assert inv == field.from_rational(1 / F(r))
+    assert _inverse_or_message(x, type(x).inverse) == _inverse_or_message(x, oracle_inverse)
+    if any(y.nums[1:]):
+        message = _inverse_or_message(y, type(y).inverse)
+        if isinstance(message, str):  # y is a zero divisor of a reducible modulus, so is r*y
+            assert _inverse_or_message(x * y, type(x).inverse) == message
+        else:
+            assert (x * y).inverse() * y == inv
+
+
 # === random fields: construction succeeds and encloses the root ===
 
 def test_random_small_fields_enclose_their_root():

@@ -9,8 +9,8 @@ from betaorbit.errors import NotSquarefree, RefinementBudgetExceeded
 from betaorbit.orbit import TransitionMatrix
 from betaorbit.spectral import char_polynomial
 from rational_oracles import (
-    add, degree, derivative, divmod_poly, evaluate, gcd_poly, monic, mul, normalize,
-    squarefree_part, sturm_chain,
+    add, decimal_str, degree, derivative, divmod_poly, evaluate, gcd_poly, monic, mul, normalize,
+    sqrt_bounds, squarefree_part, sturm_chain,
 )
 
 
@@ -253,6 +253,14 @@ def test_sqrt_bounds():
             assert hi - lo < F(1, 10 ** 6)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(0, max_denominator=10 ** 30), st.integers(0, 12))
+@example(F(0), 4)
+def test_sqrt_bounds_matches_the_fraction_heron(value, iters):
+    # integer Heron steps with ceiling and floor divisions give the Fraction iterates
+    assert polys.sqrt_bounds(value, iters) == sqrt_bounds(value, iters)
+
+
 def test_interval_division_rejects_zero():
     with pytest.raises(ZeroDivisionError):
         polys.interval_div((F(1), F(2)), (F(-1), F(1)))
@@ -297,6 +305,16 @@ def test_decimal_str_directed():
     assert polys.decimal_str(F(-1, 3), 4, -1) == "-0.3334"
     assert polys.decimal_str(F(-1, 3), 4, +1) == "-0.3333"
     assert polys.decimal_str(F(5, 2), 2, +1) == "2.50"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions(), st.fractions(-10, 10, max_denominator=10 ** 40)),
+       st.integers(0, 40), st.sampled_from([-1, 1]))
+@example(F(-7, 2), 0, 1)
+@example(F(-1, 10 ** 30), 30, -1)
+def test_decimal_str_matches_the_fraction_rendering(x, places, direction):
+    # one floor division of the numerator gives the digits of the Fraction product
+    assert polys.decimal_str(x, places, direction) == decimal_str(x, places, direction)
 
 
 # === the integer sign kernel, the integer Sturm chain and monic division ===

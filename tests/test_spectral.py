@@ -31,7 +31,9 @@ from betaorbit.cli import main
 from betaorbit.errors import CapHit, DominanceNotEstablished, ZeroMatrix
 from betaorbit.polys import interval_mul
 from betaorbit.spectral import _adjugate_eigenvector, _adjugate_row_sums
-from rational_oracles import divmod_poly, evaluate, gcd_poly
+from rational_oracles import (
+    divmod_poly, evaluate, evaluate_at_root, gcd_poly, normalize_eigenvector,
+)
 
 F = Fraction
 
@@ -587,7 +589,8 @@ def test_single_path_matches_number_field_route(minpoly, m, point):
     chi = pr.char_poly
     vec = _adjugate_eigenvector(chi, _adjugate_row_sums(mat, chi),
                                 polys.squarefree_part_int(chi), pr.alpha, tol)
-    for a, b in zip(vec, boxes):
+    for (lo, hi, s), b in zip(vec, boxes):
+        a = F(lo, s), F(hi, s)
         assert max(a[0], b[0]) <= min(a[1], b[1])
 
 
@@ -618,6 +621,78 @@ def test_perron_isolates_once_without_number_field(rows, quintic_params, quintic
     monkeypatch.setattr(NumberField, "__init__", counting_init)
     _assert_perron_eigenvector(mat, perron_eigenvalue(mat))
     assert calls == {"isolate": 1, "field": 0}
+
+
+# === the eigenvector stage in integers, against its Fraction copies ===
+
+def _assert_stage_matches_the_fraction_oracles(mat, tol=F(1, 10 ** 12)):
+    """The integer _evaluate_at_root and _normalize_eigenvector return
+    exactly (==) the rationals of the Fraction routines in rational_oracles,
+    and narrow alpha's enclosure to the same interval."""
+    chi, chi_sf, alpha = spectral._perron_root(mat, tol)
+    adj_one = _adjugate_row_sums(mat, chi)
+    reduced = [polys.divmod_monic(p, chi_sf)[1] for p in adj_one]
+    for eps in (F(1, 2 ** 48), tol):
+        got, (a, b, e) = spectral._evaluate_at_root(
+            reduced, chi_sf, polys.integer_endpoints(*alpha), eps)
+        want, at = evaluate_at_root(reduced, chi_sf, alpha, eps)
+        assert [(F(lo, s), F(hi, s)) for lo, hi, s in got] == want
+        assert (F(a, e), F(b, e)) == at
+    vec = _adjugate_eigenvector(chi, adj_one, chi_sf, alpha, tol)
+    unit = spectral._normalize_eigenvector(vec)
+    assert unit == normalize_eigenvector([(F(lo, s), F(hi, s)) for lo, hi, s in vec])
+    assert unit == perron_eigenvalue(mat, tol).eigenvector
+
+
+@settings(max_examples=40, deadline=None)
+@given(_nonneg_matrices(12))
+def test_integer_eigenvector_stage_matches_fractions_on_random_matrices(rows):
+    if any(map(any, rows)):
+        _assert_stage_matches_the_fraction_oracles(_mat(rows))
+
+
+@pytest.mark.parametrize("minpoly,m,point", _ORBIT_CASES)
+def test_integer_eigenvector_stage_matches_fractions_on_orbit_matrices(minpoly, m, point):
+    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
+    _assert_stage_matches_the_fraction_oracles(
+        transition_matrix(compute_orbit(params, params.parse_point(point))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 40), st.integers(1, 12)),
+                min_size=1, max_size=12))
+@example([(0, 0, 1)])  # all entries symmetric about 0: returned unscaled
+@example([(-1, 2, 1)])  # a norm box that reaches 0
+def test_normalize_picks_each_quotient_bound_by_sign(entries):
+    # signed boxes reach every branch: each bound's sign, a zero top, a zero norm
+    ivs = [(lo, lo + w, s) for lo, w, s in entries]
+    try:
+        want = normalize_eigenvector([(F(lo, s), F(hi, s)) for lo, hi, s in ivs])
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            spectral._normalize_eigenvector(ivs)
+        return
+    assert spectral._normalize_eigenvector(ivs) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ("--minpoly", "-1,-1,-1,-1,0,1", "-m", "1", "-x", "1/(b^2-1)"),  # verified, exit 0
+    ("--minpoly", "-1,-1,1", "-m", "1", "-x", "1/3"),  # period 8, exit 5
+])
+def test_table_dimension_never_enters_the_eigenvector_stage(argv, capsys, monkeypatch):
+    calls = []
+    for name in ("_adjugate_row_sums", "_adjugate_eigenvector", "_evaluate_at_root",
+                 "_normalize_eigenvector"):
+        monkeypatch.setattr(spectral, name,
+                            lambda *a, _name=name, _real=getattr(spectral, name):
+                            calls.append(_name) or _real(*a))
+    code = main(["dimension", *argv])
+    table = capsys.readouterr().out
+    assert calls == []
+    assert main(["dimension", *argv, "--format", "json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert "_adjugate_eigenvector" in calls and len(report["eigenvector"]) == report["k"]
+    assert f"alpha in [{report['alpha'][0]}, {report['alpha'][1]}]" in table
 
 
 # === exact dominance rule for graphs that are not strongly connected ===
