@@ -42,7 +42,7 @@ class OutsideInterval(BetaOrbitError):
 
 class CapHit(BetaOrbitError):
     """An orbit search or a brute-force count passed its "state" or "depth"
-    cap before the orbit closed."""
+    cap, or an orbit search its "bits" cap, before the orbit closed."""
 
     def __init__(self, states_found: int, cap_hit: str):
         super().__init__(f"{states_found} states found, {cap_hit} cap hit")

@@ -2,8 +2,9 @@
 
 The orbit of x is the set of points reachable from x by admissible digit
 maps.  BFS with exact deduplication either closes (every admissible image of
-every state is again a state) and yields the orbit graph, or hits a cap and
-raises CapHit.  The transition matrix drives exact big-integer
+every state is again a state) and yields the orbit graph, or hits a cap (on
+the states, the depth, or the total bit size of the states) and raises
+CapHit.  The transition matrix drives exact big-integer
 prefix counting by matrix powers; the brute-force count in dynamics is the
 independent oracle for it.
 """
@@ -160,13 +161,23 @@ class TransitionMatrix:
         return "\n".join(self._dense_text(",")) + "\n"
 
 
+# compute_orbit raises CapHit(..., "bits") once its states hold more than
+# this many bits of numerators and denominators in all (16 MiB)
+MAX_ORBIT_BITS = 1 << 27
+
+
+def _bits(y: FieldElement) -> int:
+    return sum(map(int.bit_length, y.nums), y.den.bit_length())
+
+
 def compute_orbit(params: ExpansionParams, x: FieldElement,
                   state_cap: int = 100_000, depth_cap: int = 1_000) -> OrbitGraph:
     """BFS from x over admissible digits with exact deduplication.
 
     Deterministic: discovery order and edge order are fixed by FIFO expansion
-    with digits ascending.  A state to expand at depth depth_cap, or a new
-    state beyond state_cap, raises CapHit with the number of states found.
+    with digits ascending.  A state to expand at depth depth_cap, a new
+    state beyond state_cap, or a new state that takes the states' total
+    size past MAX_ORBIT_BITS raises CapHit with the number of states found.
     """
     if state_cap < 1 or depth_cap < 1:
         raise ValueError("caps must be at least 1")
@@ -174,6 +185,7 @@ def compute_orbit(params: ExpansionParams, x: FieldElement,
     states = [x]
     index = {x: 0}
     depth = [0]
+    bits = _bits(x)
     edges: list[tuple[int, int, int]] = []
     qpos = 0
     while qpos < len(states):
@@ -186,6 +198,9 @@ def compute_orbit(params: ExpansionParams, x: FieldElement,
             if j is None:
                 if len(states) >= state_cap:
                     raise CapHit(len(states) + 1, "state")
+                bits += _bits(img)
+                if bits > MAX_ORBIT_BITS:
+                    raise CapHit(len(states) + 1, "bits")
                 j = len(states)
                 index[img] = j
                 states.append(img)

@@ -363,26 +363,10 @@ def bisect_step(p: Sequence[int], lo: Fraction, hi: Fraction) -> Interval:
     return mid, hi
 
 
-# refine_to_width refuses a request that needs more halvings than this
+# spectral refines alpha's enclosure only when it takes at most this many halvings
 MAX_HALVINGS = 4096
 # expr.fraction refuses a decimal such as 1e-E with |E| larger than this
 MAX_EXPONENT = 100_000
-
-
-def refine_to_width(p: Sequence[int], lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
-    """Bisect [lo, hi] to width at most `width`.  The number of halvings,
-    ceil(log2((hi - lo) / width)), is known up front: above MAX_HALVINGS
-    this raises RefinementBudgetExceeded before the first step."""
-    if hi - lo > width:
-        ratio = (hi - lo) / width
-        halvings = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
-        if halvings > MAX_HALVINGS:
-            raise RefinementBudgetExceeded(
-                f"the requested width takes {halvings} halvings of the isolating "
-                f"interval, over the budget of {MAX_HALVINGS}")
-    while hi - lo > width:
-        lo, hi = bisect_step(p, lo, hi)
-    return lo, hi
 
 
 def count_roots_in_interval(p: Sequence[int], lo: Fraction, hi: Fraction) -> int:

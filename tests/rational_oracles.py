@@ -12,11 +12,19 @@ polys.sqrt_bounds, polys.decimal_str).  The textbook rational forms below,
 the polynomial ring over Q, the extended euclidean inverse and the
 Fraction eigenvector routines included, are what the tests compare those
 kernels against; the package itself never calls them.
+
+The package also builds the characteristic polynomial from the blocks of
+the strongly connected components, bisects alpha in integers
+(spectral._refine) and, on a graph that is one component of period p > 1,
+isolates alpha on B0's polynomial and spreads B0's eigenvector over the
+cyclic classes.  The whole-matrix routes it replaced there
+(Faddeev-LeVerrier on all of A, isolation on sf(chi_A), Fraction
+bisection, and the adjugate of A) are kept below as oracles.
 """
 
 from fractions import Fraction
 
-from betaorbit import polys
+from betaorbit import polys, spectral
 from betaorbit.errors import DivisionByZero, RefinementBudgetExceeded
 
 
@@ -215,3 +223,33 @@ def decimal_str(x: Fraction, places: int, direction: int) -> str:
     sign = "-" if n < 0 else ""
     intpart, fracpart = divmod(abs(n), 10 ** places)
     return f"{sign}{intpart}.{str(fracpart).zfill(places)}"
+
+
+# --- the whole-matrix Perron route ---
+
+def refine_to_width(p, lo, hi, width):
+    """Fraction bisection of [lo, hi] on p (polys.bisect_step) to width at
+    most `width`."""
+    while hi - lo > width:
+        lo, hi = polys.bisect_step(p, lo, hi)
+    return lo, hi
+
+
+def whole_matrix_perron_root(matrix, tol):
+    """(chi, sf(chi), alpha) by Faddeev-LeVerrier on the whole matrix, one
+    isolation of the largest real root of sf(chi) and bisection to width
+    tol."""
+    chi = spectral._faddeev_leverrier(matrix)
+    chi_sf = polys.squarefree_part_int(chi)
+    alpha = refine_to_width(chi_sf, *polys.isolate_real_roots(chi_sf)[-1], tol)
+    return chi, chi_sf, alpha
+
+
+def whole_matrix_eigenvector(matrix, tol):
+    """alpha and the unit eigenvector from the adjugate adj(alpha*I - A) . 1
+    of the whole matrix, each entry at most tol times the largest wide
+    before normalisation."""
+    chi, chi_sf, alpha = whole_matrix_perron_root(matrix, tol)
+    vec = spectral._adjugate_eigenvector(chi, spectral._adjugate_row_sums(matrix, chi),
+                                         spectral._PerronRoot(chi_sf, list(alpha)), alpha, tol)
+    return alpha, spectral._normalize_eigenvector(vec)

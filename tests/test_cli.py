@@ -333,17 +333,18 @@ def test_dimension_tol_flag(capsys):
 
 def test_dimension_tol_beyond_the_halving_budget_exits_64_before_bisecting(capsys, monkeypatch):
     # 1e-3000 takes about 9960 halvings of alpha's isolating interval; no
-    # bisection may run on the characteristic polynomial (degree 10 here,
-    # while the field's own refinements run on the quintic)
+    # halving of it may run, on a primitive graph or on one SCC of period 8
+    from betaorbit import spectral
     steps = []
-    bisect = polys.bisect_step
-    monkeypatch.setattr(polys, "bisect_step", lambda p, lo, hi: steps.append(len(p)) or bisect(p, lo, hi))
-    code, out, err = run(capsys, "dimension", "--minpoly", QUINTIC, "-m", "1",
-                         "-x", "1/(b^2-1)", "--tol", "1e-3000")
-    assert code == 64 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"budget of {polys.MAX_HALVINGS}" in err
-    assert all(n <= 6 for n in steps)
+    halve = spectral._halve
+    monkeypatch.setattr(spectral, "_halve", lambda *a: steps.append(1) or halve(*a))
+    for minpoly, point in ((QUINTIC, "1/(b^2-1)"), (GOLDEN, "1/3")):
+        code, out, err = run(capsys, "dimension", "--minpoly", minpoly, "-m", "1",
+                             "-x", point, "--tol", "1e-3000")
+        assert code == 64 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"budget of {polys.MAX_HALVINGS}" in err
+    assert steps == []
 
 
 def test_dimension_tol_within_the_halving_budget(capsys):
@@ -421,6 +422,19 @@ def test_points_beyond_the_bit_budget_exit_64_quickly(capsys, point, error):
     assert time.perf_counter() - t0 < 1
     assert code == 64 and out == ""
     assert err.startswith(error) and err.count("\n") == 1
+
+
+def test_an_orbit_of_wide_states_hits_the_bits_cap():
+    # each state of this orbit holds about 23 KB; at the default state cap of
+    # 100000 the states alone would take gigabytes, and the bits cap stops
+    # the search near 16 MiB
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "betaorbit", "orbit", "--minpoly", GOLDEN,
+                           "-m", "1", "-x", "1/" + "7" * 60_000],
+                          capture_output=True, text=True, timeout=120, env=_env())
+    assert proc.returncode == 4 and proc.stderr == ""
+    assert proc.stdout.startswith("diverged: ") and proc.stdout.endswith(" states found, bits cap hit\n")
+    assert time.perf_counter() - t0 < 30
 
 
 def test_a_reader_that_closes_stdout_early_gets_exit_141_without_a_traceback():

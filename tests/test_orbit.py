@@ -19,6 +19,7 @@ from betaorbit import (
     transition_matrix,
 )
 from betaorbit.errors import CapHit, OutsideInterval
+from betaorbit import orbit as orbit_module
 from betaorbit.orbit import TransitionMatrix
 
 F = Fraction
@@ -74,6 +75,29 @@ def test_state_cap_divergence(golden_params):
         compute_orbit(golden_params, golden_params.field.one, state_cap=2)
     assert hit.value.cap_hit == "state"
     assert hit.value.states_found == 3
+
+
+def test_bits_cap_counts_the_states_as_they_are_added(golden_params, monkeypatch):
+    # golden x = 1 closes with the states 1, beta, beta - 1 and 0, of 2, 2, 3
+    # and 1 bits with their denominators: 8 bits in all
+    monkeypatch.setattr(orbit_module, "MAX_ORBIT_BITS", 6)
+    with pytest.raises(CapHit) as hit:
+        compute_orbit(golden_params, golden_params.field.one)
+    assert (hit.value.states_found, hit.value.cap_hit) == (3, "bits")
+    monkeypatch.setattr(orbit_module, "MAX_ORBIT_BITS", 8)
+    assert compute_orbit(golden_params, golden_params.field.one).size == 4
+
+
+@pytest.mark.parametrize("minpoly,m,point", [
+    ((-1, -1, 0, 1), 1, "1/3"), ((-1, -1, 0, 1), 1, "1/5"), ((-1, 0, -1, 1), 2, "b/(b+2)"),
+    ((-1, -1, -1, -1, 0, 1), 1, "1/3"), ((-1, -1, -1, -1, 0, 1), 1, "1/(b^2-1)"),
+    ((-1, -1, 1), 1, "1/7"), ((-1, -1, -1, -1, 1), 2, "2/b^2"),
+])
+def test_benchmark_orbits_stay_far_below_the_bits_cap(minpoly, m, point):
+    # the perfbench orbits and a golden one use under 1% of the budget
+    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
+    graph = compute_orbit(params, params.parse_point(point))
+    assert sum(map(orbit_module._bits, graph.states)) < orbit_module.MAX_ORBIT_BITS // 100
 
 
 def test_depth_cap_divergence(golden_params):

@@ -4,13 +4,13 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from betaorbit import polys
+from betaorbit import polys, spectral
 from betaorbit.errors import NotSquarefree, RefinementBudgetExceeded
 from betaorbit.orbit import TransitionMatrix
 from betaorbit.spectral import char_polynomial
 from rational_oracles import (
     add, decimal_str, degree, derivative, divmod_poly, evaluate, gcd_poly, monic, mul, normalize,
-    sqrt_bounds, squarefree_part, sturm_chain,
+    refine_to_width, sqrt_bounds, squarefree_part, sturm_chain,
 )
 
 
@@ -177,7 +177,7 @@ def test_isolate_endpoints_avoid_deflated_roots():
     _assert_isolation(p)
     lo, hi = roots[-1]
     assert polys.bisect_step(p, lo, hi) != (lo, hi)
-    assert polys.refine_to_width(p, lo, hi, F(1, 2 ** 20))[0] > F(1618, 1000)
+    assert refine_to_width(p, lo, hi, F(1, 2 ** 20))[0] > F(1618, 1000)
 
 
 def _poly_with_integer_roots(roots, cofactor, lead):
@@ -239,10 +239,13 @@ def test_count_roots_in_interval():
 
 
 def test_refine_to_width():
+    # alpha's enclosure is bisected in integers (spectral._refine), to the
+    # rationals Fraction bisection gives
     p = (-2, 0, 1)
-    lo, hi = polys.refine_to_width(p, F(1), F(2), F(1, 10 ** 6))
+    lo, hi = spectral._refine(spectral._PerronRoot(p, [F(1), F(2)]), F(1), F(2), F(1, 10 ** 6))
     assert hi - lo <= F(1, 10 ** 6)
     assert lo * lo < 2 < hi * hi
+    assert (lo, hi) == refine_to_width(p, F(1), F(2), F(1, 10 ** 6))
 
 
 def test_sqrt_bounds():
@@ -420,12 +423,13 @@ def test_isolation_matches_rational_sturm_oracle(low, make_monic):
 
 def test_refine_to_width_budget_is_checked_before_bisecting(monkeypatch):
     p = (-2, 0, 1)  # z^2 - 2 on [1, 2]: width 1
+    root = spectral._PerronRoot(p, [F(1), F(2)])
     steps = []
-    bisect = polys.bisect_step
-    monkeypatch.setattr(polys, "bisect_step", lambda *a: steps.append(1) or bisect(*a))
+    halve = spectral._halve
+    monkeypatch.setattr(spectral, "_halve", lambda *a: steps.append(1) or halve(*a))
     with pytest.raises(RefinementBudgetExceeded, match="halvings"):
-        polys.refine_to_width(p, F(1), F(2), F(1, 2 ** polys.MAX_HALVINGS + 1))
+        spectral._refine(root, F(1), F(2), F(1, 2 ** polys.MAX_HALVINGS + 1))
     assert steps == []
-    lo, hi = polys.refine_to_width(p, F(1), F(2), F(1, 2 ** polys.MAX_HALVINGS))
+    lo, hi = spectral._refine(root, F(1), F(2), F(1, 2 ** polys.MAX_HALVINGS))
     assert hi - lo == F(1, 2 ** polys.MAX_HALVINGS) and len(steps) == polys.MAX_HALVINGS
     assert lo * lo < 2 < hi * hi

@@ -33,6 +33,7 @@ from betaorbit.polys import interval_mul
 from betaorbit.spectral import _adjugate_eigenvector, _adjugate_row_sums
 from rational_oracles import (
     divmod_poly, evaluate, evaluate_at_root, gcd_poly, normalize_eigenvector,
+    whole_matrix_eigenvector, whole_matrix_perron_root,
 )
 
 F = Fraction
@@ -427,16 +428,20 @@ def _dense_sccs(rows):
 @example([[0, 0], [0, 0]])
 def test_scc_periods_match_dense_cycle_gcd(rows):
     # each SCC's period from the Tarjan walk is the cycle gcd of its diagonal
-    # block, and 0 for a single state without a loop
+    # block, and 0 for a single state without a loop; every edge inside an
+    # SCC of period p steps its cyclic class by 1 mod p
     comps = spectral._sccs([[j for j, v in enumerate(r) if v] for r in rows])
-    assert {tuple(sorted(comp)) for comp, _ in comps} == _dense_sccs(rows)[0]
-    assert sum(len(comp) for comp, _ in comps) == len(rows)
-    for comp, period in comps:
+    assert {tuple(sorted(comp)) for comp, _, _ in comps} == _dense_sccs(rows)[0]
+    assert sum(len(comp) for comp, _, _ in comps) == len(rows)
+    for comp, period, phase in comps:
         sub = [[rows[i][j] for j in comp] for i in comp]
         if len(comp) == 1 and not sub[0][0]:
             assert period == 0
         else:
             assert period == _dense_dominance_oracle(sub)[1] > 0
+        for (u, cu), (v, cv) in [(a, b) for a in zip(comp, phase) for b in zip(comp, phase)]:
+            if rows[u][v]:
+                assert cv == (cu + 1) % period if period > 1 else cu == cv == 0
 
 
 def _assert_perron_eigenvector(mat, pr):
@@ -588,7 +593,8 @@ def test_single_path_matches_number_field_route(minpoly, m, point):
     assert pr.alpha[0] < pr.alpha[1] and pr.alpha == alpha
     chi = pr.char_poly
     vec = _adjugate_eigenvector(chi, _adjugate_row_sums(mat, chi),
-                                polys.squarefree_part_int(chi), pr.alpha, tol)
+                                spectral._PerronRoot(polys.squarefree_part_int(chi), list(pr.alpha)),
+                                pr.alpha, tol)
     for (lo, hi, s), b in zip(vec, boxes):
         a = F(lo, s), F(hi, s)
         assert max(a[0], b[0]) <= min(a[1], b[1])
@@ -599,19 +605,27 @@ def test_single_path_matches_number_field_route(minpoly, m, point):
     [[1, 1], [1, 1]],
     _block_diag(_GOLD, _GOLD),
     [[2, 1], [0, 2]],
-], ids=["quintic", "ones", "two-golden-blocks", "jordan-2"])
-def test_perron_isolates_once_without_number_field(rows, quintic_params, quintic_x, monkeypatch):
+    "1/3",  # golden 1/3: one SCC of period 8, |C_0| = 2
+    "1/5",  # golden 1/5: one SCC of period 20, |C_0| = 1
+], ids=["quintic", "ones", "two-golden-blocks", "jordan-2", "golden-third", "golden-fifth"])
+def test_perron_isolates_once_without_number_field(rows, quintic_params, quintic_x,
+                                                   golden_params, monkeypatch):
+    # one isolation, of sf(chi_A), or of g (degree <= |C_0|) on one SCC of period > 1
     if rows is None:
         mat = transition_matrix(compute_orbit(quintic_params, quintic_x))
+    elif isinstance(rows, str):
+        mat = transition_matrix(compute_orbit(golden_params, golden_params.parse_point(rows)))
     else:
         mat = _mat(rows)
     calls = {"isolate": 0, "field": 0}
+    degrees = []
     isolate = polys.isolate_real_roots
     field_init = NumberField.__init__
 
-    def counting_isolate(*args, **kwargs):
+    def counting_isolate(p, *args, **kwargs):
         calls["isolate"] += 1
-        return isolate(*args, **kwargs)
+        degrees.append(len(p) - 1)
+        return isolate(p, *args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
         calls["field"] += 1
@@ -619,29 +633,47 @@ def test_perron_isolates_once_without_number_field(rows, quintic_params, quintic
 
     monkeypatch.setattr(polys, "isolate_real_roots", counting_isolate)
     monkeypatch.setattr(NumberField, "__init__", counting_init)
-    _assert_perron_eigenvector(mat, perron_eigenvalue(mat))
+    pr = perron_eigenvalue(mat)
+    _assert_perron_eigenvector(mat, pr)
     assert calls == {"isolate": 1, "field": 0}
+    if _one_cyclic_scc(mat):
+        assert degrees[0] <= len(spectral._structure(mat).blocks[0].classes[0])
+    else:
+        assert degrees == [len(polys.squarefree_part_int(pr.char_poly)) - 1]
 
 
 # === the eigenvector stage in integers, against its Fraction copies ===
 
+def _one_cyclic_scc(mat):
+    structure = spectral._structure(mat)
+    return len(structure.comps) == 1 and structure.blocks[0].period > 1
+
+
 def _assert_stage_matches_the_fraction_oracles(mat, tol=F(1, 10 ** 12)):
-    """The integer _evaluate_at_root and _normalize_eigenvector return
-    exactly (==) the rationals of the Fraction routines in rational_oracles,
-    and narrow alpha's enclosure to the same interval."""
-    chi, chi_sf, alpha = spectral._perron_root(mat, tol)
+    """The integer _evaluate_at_root and _normalize_eigenvector, on the whole
+    matrix's adjugate, return exactly (==) the rationals of the Fraction
+    routines in rational_oracles, and narrow alpha's enclosure to the same
+    interval; perron_eigenvalue returns that vector unless the graph is one
+    SCC of period > 1, whose vector comes from B0 and must meet it."""
+    chi, chi_sf, alpha = whole_matrix_perron_root(mat, tol)
+    root = spectral._PerronRoot(chi_sf, list(alpha))
     adj_one = _adjugate_row_sums(mat, chi)
     reduced = [polys.divmod_monic(p, chi_sf)[1] for p in adj_one]
     for eps in (F(1, 2 ** 48), tol):
         got, (a, b, e) = spectral._evaluate_at_root(
-            reduced, chi_sf, polys.integer_endpoints(*alpha), eps)
+            reduced, root, polys.integer_endpoints(*alpha), eps)
         want, at = evaluate_at_root(reduced, chi_sf, alpha, eps)
         assert [(F(lo, s), F(hi, s)) for lo, hi, s in got] == want
         assert (F(a, e), F(b, e)) == at
-    vec = _adjugate_eigenvector(chi, adj_one, chi_sf, alpha, tol)
+    vec = _adjugate_eigenvector(chi, adj_one, root, alpha, tol)
     unit = spectral._normalize_eigenvector(vec)
     assert unit == normalize_eigenvector([(F(lo, s), F(hi, s)) for lo, hi, s in vec])
-    assert unit == perron_eigenvalue(mat, tol).eigenvector
+    pr = perron_eigenvalue(mat, tol)
+    assert pr.alpha == alpha
+    if _one_cyclic_scc(mat):
+        assert all(max(x[0], y[0]) <= min(x[1], y[1]) for x, y in zip(pr.eigenvector, unit))
+    else:
+        assert unit == pr.eigenvector
 
 
 @settings(max_examples=40, deadline=None)
@@ -675,14 +707,16 @@ def test_normalize_picks_each_quotient_bound_by_sign(entries):
     assert spectral._normalize_eigenvector(ivs) == want
 
 
-@pytest.mark.parametrize("argv", [
-    ("--minpoly", "-1,-1,-1,-1,0,1", "-m", "1", "-x", "1/(b^2-1)"),  # verified, exit 0
-    ("--minpoly", "-1,-1,1", "-m", "1", "-x", "1/3"),  # period 8, exit 5
-])
-def test_table_dimension_never_enters_the_eigenvector_stage(argv, capsys, monkeypatch):
+@pytest.mark.parametrize("argv,stage", [
+    # verified, exit 0
+    (("--minpoly", "-1,-1,-1,-1,0,1", "-m", "1", "-x", "1/(b^2-1)"), "_adjugate_eigenvector"),
+    # period 8, exit 5
+    (("--minpoly", "-1,-1,1", "-m", "1", "-x", "1/3"), "_cyclic_eigenvector"),
+], ids=["argv0", "argv1"])
+def test_table_dimension_never_enters_the_eigenvector_stage(argv, stage, capsys, monkeypatch):
     calls = []
-    for name in ("_adjugate_row_sums", "_adjugate_eigenvector", "_evaluate_at_root",
-                 "_normalize_eigenvector"):
+    for name in ("_adjugate_row_sums", "_adjugate_eigenvector", "_cyclic_eigenvector", "_spread",
+                 "_evaluate_at_root", "_normalize_eigenvector"):
         monkeypatch.setattr(spectral, name,
                             lambda *a, _name=name, _real=getattr(spectral, name):
                             calls.append(_name) or _real(*a))
@@ -691,7 +725,7 @@ def test_table_dimension_never_enters_the_eigenvector_stage(argv, capsys, monkey
     assert calls == []
     assert main(["dimension", *argv, "--format", "json"]) == code
     report = json.loads(capsys.readouterr().out)
-    assert "_adjugate_eigenvector" in calls and len(report["eigenvector"]) == report["k"]
+    assert stage in calls and len(report["eigenvector"]) == report["k"]
     assert f"alpha in [{report['alpha'][0]}, {report['alpha'][1]}]" in table
 
 
@@ -772,7 +806,7 @@ def test_brackets_rank_the_certify_graphs(minpoly, m, point, monkeypatch):
     params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
     mat = transition_matrix(compute_orbit(params, params.parse_point(point)))
     calls = []
-    monkeypatch.setattr(spectral, "char_polynomial", lambda b: calls.append(b))
+    monkeypatch.setattr(spectral, "_top_blocks", lambda b: calls.append(b))
     rep = check_dominance(mat)
     assert rep.status == DominanceStatus.VERIFIED_SPECTRAL_GAP
     assert not rep.strongly_connected and calls == []
@@ -843,12 +877,18 @@ def test_perron_path_makes_no_rational_evaluate_or_sturm_chain(
     assert not any(hasattr(polys, n) for n in (
         "evaluate", "sturm_chain", "squarefree_part",
         "add", "negate", "mul", "divmod_poly", "monic", "gcd_poly"))
-    calls = []
-    gcd_int = polys.gcd_int
+    calls, chains = [], []
+    gcd_int, sturm_chain_int = polys.gcd_int, polys.sturm_chain_int
     monkeypatch.setattr(polys, "gcd_int", lambda *a: calls.append(1) or gcd_int(*a))
+    monkeypatch.setattr(polys, "sturm_chain_int",
+                        lambda p: chains.append(len(p) - 1) or sturm_chain_int(p))
     pr = perron_eigenvalue(mat)
     assert (len(calls) > 0) == isinstance(case, list)
     _assert_perron_eigenvector(mat, pr)
+    # the Sturm chains have at most the degree of B0 on one SCC of period > 1
+    cyclic = _one_cyclic_scc(mat)
+    assert cyclic == (case == "golden-fifth")
+    assert max(chains) <= (len(spectral._structure(mat).blocks[0].classes[0]) if cyclic else mat.size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -864,8 +904,8 @@ def test_cw_bracket_contains_the_perron_root_of_every_block(minpoly, m, x):
     except CapHit:
         return
     mat = transition_matrix(graph)
-    comps = spectral._sccs([[j for j, _ in terms] for terms in mat.succ])
-    for block, period in spectral._cycle_blocks(mat, comps):
+    for blk in spectral._structure(mat).blocks:
+        block, period = blk.matrix, blk.period
         assert period > 0
         # rows list their columns ascending, so the dense writers can slice them
         assert all([j for j, _ in t] == sorted(j for j, _ in t) for t in block.succ)
@@ -873,3 +913,196 @@ def test_cw_bracket_contains_the_perron_root_of_every_block(minpoly, m, x):
         lo, hi = spectral._cw_bracket(block)
         alo, ahi = perron_eigenvalue(block).alpha
         assert lo <= alo and ahi <= hi
+
+
+# === one structure: blocks, cyclic classes, the replayed root and B0's vector ===
+
+def _cyclic_rows(rng, p, sizes, density, max_weight):
+    """A random single SCC whose edges go from class c to class c+1 mod p,
+    states shuffled: a closed walk through every state (class c, state
+    r mod |C_c| at step c + p r) makes it strongly connected, and random
+    edges of the same kind are added.  Its period is a multiple of p."""
+    start = [sum(sizes[:c]) for c in range(p)]
+    k = sum(sizes)
+    rows = [[0] * k for _ in range(k)]
+    laps = math.lcm(*sizes)
+    walk = [start[t % p] + (t // p) % sizes[t % p] for t in range(p * laps)]
+    for u, v in zip(walk, walk[1:] + walk[:1]):
+        rows[u][v] = rng.randint(1, max_weight)
+    for c in range(p):
+        for i in range(start[c], start[c] + sizes[c]):
+            nxt = (c + 1) % p
+            for j in range(start[nxt], start[nxt] + sizes[nxt]):
+                if rng.random() < density:
+                    rows[i][j] = rng.randint(1, max_weight)
+    perm = list(range(k))
+    rng.shuffle(perm)
+    return [[rows[perm[i]][perm[j]] for j in range(k)] for i in range(k)]
+
+
+def _random_cyclic(seed, max_p=6, max_size=4):
+    rng = random.Random(seed)
+    p = rng.randint(2, max_p)
+    sizes = [rng.randint(1, max_size) for _ in range(p)]
+    return _cyclic_rows(rng, p, sizes, rng.choice((0.0, 0.3, 1.0)), rng.choice((1, 1, 2, 3)))
+
+
+def _random_mixed(seed, max_k=60):
+    """Diagonal blocks of every kind (an imprimitive SCC, a random sparse
+    weighted matrix, a nilpotent upper-triangular part), joined by random
+    edges from earlier blocks to later ones, states shuffled, k <= max_k."""
+    rng = random.Random(seed)
+    blocks = [_random_cyclic(rng.randrange(2 ** 32), max_p=5, max_size=3)]
+    n = rng.randint(1, 12)
+    blocks.append([[rng.choice((0, 0, 0, 1, 2)) for _ in range(n)] for _ in range(n)])
+    n = rng.randint(1, 6)
+    blocks.append([[rng.randint(0, 1) if j > i else 0 for j in range(n)] for i in range(n)])
+    rng.shuffle(blocks)
+    rows = _block_diag(*blocks)
+    k = min(len(rows), max_k)
+    rows = [r[:k] for r in rows[:k]]
+    for i in range(k):
+        for j in range(i + 1, k):
+            if not rows[i][j] and rng.random() < 0.05:
+                rows[i][j] = 1
+    perm = list(range(k))
+    rng.shuffle(perm)
+    return [[rows[perm[i]][perm[j]] for j in range(k)] for i in range(k)]
+
+
+def _orbit_matrix(minpoly, m, point):
+    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
+    return transition_matrix(compute_orbit(params, params.parse_point(point)))
+
+
+# golden 1/3, 1/5 and 1/7 and cubic 1/3: each one SCC of period > 1
+_CYCLIC_ORBITS = [
+    ((-1, -1, 1), 1, "1/3"),
+    ((-1, -1, 1), 1, "1/5"),
+    ((-1, -1, 1), 1, "1/7"),
+    ((-1, 0, -1, 1), 1, "1/3"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    _nonneg_matrices(20),
+    st.integers(0, 2 ** 32).map(_random_cyclic),
+    st.integers(0, 2 ** 32).map(_random_mixed),
+))
+@example(_SOURCE_FEEDS_TWO_GOLDEN)
+@example([[0, 1, 1], [0, 0, 1], [0, 0, 0]])  # no cycle: chi = z^3
+def test_block_char_poly_matches_whole_matrix_faddeev_leverrier(rows):
+    mat = _mat(rows)
+    assert char_polynomial(mat) == spectral._faddeev_leverrier(mat)
+    # every edge inside an SCC of period p goes from class c to class c + 1 mod p
+    for block in spectral._structure(mat).blocks:
+        cls = {i: c for c, members in enumerate(block.classes) for i in members}
+        assert sorted(cls) == list(range(block.matrix.size))
+        assert len(block.classes[0]) == min(map(len, block.classes))
+        for i, terms in enumerate(block.matrix.succ):
+            assert all(cls[j] == (cls[i] + 1) % block.period for j, _ in terms)
+
+
+@pytest.mark.parametrize("minpoly,m,point", _ORBIT_CASES + _CYCLIC_ORBITS)
+def test_block_char_poly_matches_whole_matrix_on_orbit_matrices(minpoly, m, point):
+    mat = _orbit_matrix(minpoly, m, point)
+    assert char_polynomial(mat) == spectral._faddeev_leverrier(mat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32).map(_random_cyclic),
+       st.sampled_from([F(1, 10 ** 12), F(1, 3), F(5), F(1, 2 ** 90)]))
+@example([[0, 1], [1, 0]], F(1, 10 ** 12))  # alpha = 1, an exact point
+@example([[0, 2], [2, 0]], F(1, 10 ** 12))  # alpha = 2, an exact point
+@example([[0, 1], [2, 0]], F(1, 10 ** 12))  # alpha = sqrt 2 from the integer root 2 of g
+# A01 = I, A10 = [[2, 1], [1, 2]]: chi = (z^2 - 3)(z^2 - 1), alpha = sqrt 3
+# isolated after the integer roots -1 and 1 are deflated
+@example([[0, 0, 1, 0], [0, 0, 0, 1], [2, 1, 0, 0], [1, 2, 0, 0]], F(1, 10 ** 12))
+@example([[0, 0, 1, 0], [0, 0, 0, 1], [2, 1, 0, 0], [1, 2, 0, 0]], F(5))
+def test_replayed_alpha_matches_the_whole_matrix_route(rows, tol):
+    mat = _mat(rows)
+    assert _one_cyclic_scc(mat)
+    chi, root, alpha = spectral._perron_root(mat, tol)
+    assert root.p > 1
+    assert (chi, alpha) == whole_matrix_perron_root(mat, tol)[::2]
+
+
+@pytest.mark.parametrize("minpoly,m,point", _CYCLIC_ORBITS)
+@pytest.mark.parametrize("tol", [F(1, 10 ** 12), F(1, 10 ** 40)])
+def test_replayed_alpha_matches_the_whole_matrix_route_on_orbits(minpoly, m, point, tol):
+    mat = _orbit_matrix(minpoly, m, point)
+    assert _one_cyclic_scc(mat)
+    chi, root, alpha = spectral._perron_root(mat, tol)
+    assert (chi, alpha) == whole_matrix_perron_root(mat, tol)[::2]
+
+
+def _assert_meets_the_whole_matrix_adjugate(mat, tol=F(1, 10 ** 12)):
+    pr = perron_eigenvalue(mat, tol)
+    alpha, unit = whole_matrix_eigenvector(mat, tol)
+    assert pr.alpha == alpha
+    for new, old in zip(pr.eigenvector, unit, strict=True):
+        assert max(new[0], old[0]) <= min(new[1], old[1])
+    _assert_perron_eigenvector(mat, pr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32).map(_random_cyclic))
+@example([[0, 1], [1, 0]])  # alpha = 1: every enclosure is exact
+@example([[0, 0, 1, 0], [0, 0, 0, 1], [2, 1, 0, 0], [1, 2, 0, 0]])  # alpha = sqrt 3
+def test_cyclic_eigenvector_meets_the_whole_matrix_adjugate(rows):
+    _assert_meets_the_whole_matrix_adjugate(_mat(rows))
+
+
+@pytest.mark.parametrize("minpoly,m,point", _CYCLIC_ORBITS)
+def test_cyclic_eigenvector_meets_the_whole_matrix_adjugate_on_orbits(minpoly, m, point):
+    _assert_meets_the_whole_matrix_adjugate(_orbit_matrix(minpoly, m, point))
+
+
+def test_cyclic_eigenvector_entries_stay_within_the_width_bound():
+    # before normalisation every entry is at most tol times the largest wide
+    mat = _orbit_matrix((-1, -1, 1), 1, "1/5")
+    tol = F(1, 10 ** 12)
+    _, root, alpha = spectral._perron_root(mat, tol)
+    vec = spectral._cyclic_eigenvector(spectral._structure(mat).blocks[0], root, alpha, tol)
+    top = max(F(hi, s) for _, hi, s in vec)
+    assert all(F(hi - lo, s) <= tol * top for lo, hi, s in vec)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--minpoly", "-1,-1,1", "-m", "1", "-x", "1/5"),  # one SCC of period 20
+    ("--minpoly", "-1,-1,-1,-1,0,1", "-m", "1", "-x", "1/(b^2-1)"),  # primitive
+    ("--minpoly", "-1,-1,0,1", "-m", "1", "-x", "1/(b^3-1)"),  # not strongly connected
+    ("--minpoly", "-1,-1,-1,-1,1", "-m", "2", "-x", "2/b^2"),  # not strongly connected
+])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_dimension_builds_the_structure_once(argv, fmt, capsys, monkeypatch):
+    # one Tarjan walk per run, and Faddeev-LeVerrier once per period-1 block
+    # and once per B0, on the block's B0 only
+    walks, kernels = [], []
+    sccs, kernel = spectral._sccs, spectral._faddeev_leverrier
+    monkeypatch.setattr(spectral, "_sccs", lambda n: walks.append(1) or sccs(n))
+    monkeypatch.setattr(spectral, "_faddeev_leverrier", lambda b: kernels.append(b) or kernel(b))
+    structures = []
+    structure = spectral._structure
+    monkeypatch.setattr(spectral, "_structure", lambda m: structures.append(m) or structure(m))
+    main(["dimension", *argv, "--format", fmt])
+    capsys.readouterr()
+    assert walks == [1]
+    blocks = structure(structures[0]).blocks
+    assert len({id(m) for m in structures}) == 1
+    assert [id(b) for b in kernels] == [id(b.core) for b in blocks]
+    assert all(b.core.size == len(b.classes[0]) for b in blocks)
+
+
+def test_ranking_reuses_the_block_polynomials(monkeypatch):
+    # two equal golden blocks fed by a source: the brackets tie, so
+    # _top_blocks ranks them, from the polynomials the char poly already built
+    kernels, ranked = [], []
+    kernel, top_blocks = spectral._faddeev_leverrier, spectral._top_blocks
+    monkeypatch.setattr(spectral, "_faddeev_leverrier", lambda b: kernels.append(b) or kernel(b))
+    monkeypatch.setattr(spectral, "_top_blocks", lambda b: ranked.append(b) or top_blocks(b))
+    mat = _mat(_SOURCE_FEEDS_TWO_GOLDEN)
+    perron_eigenvalue(mat)
+    assert check_dominance(mat).status == DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
+    assert len(ranked) == 1 and len(kernels) == 2
