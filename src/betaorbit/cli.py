@@ -94,7 +94,7 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=96,
                    help="precision in bits: a conjugate whose squared-modulus enclosure "
                         "still straddles 1 stops refining once it is narrower than "
-                        "2^-BUDGET (default 96)")
+                        f"2^-BUDGET (default 96, at most {MAX_HALVINGS})")
     p.set_defaults(handler=cmd_pisot)
 
     p = subs.add_parser("orbit", help="compute the branching orbit closure of x")

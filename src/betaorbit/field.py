@@ -242,16 +242,14 @@ class NumberField:
 
     def evaluates_to_zero(self, elem: "FieldElement") -> bool:
         """Exact test for elem(beta) == 0, sound even when the defining
-        polynomial is reducible (the vector test alone is not, then)."""
+        polynomial is reducible (the vector test alone is not, then).
+        elem(beta) = 0 iff g = gcd(elem, min_poly) vanishes at beta, and g
+        divides the squarefree min_poly, whose isolating interval of beta
+        the field keeps, so two signs decide (polys.vanishes_at_root)."""
         if elem.is_zero():
             return True
         lo, hi = self.beta_interval()
-        if lo == hi:
-            return polys.sign_at(elem.nums, lo.numerator, lo.denominator) == 0
-        g = polys.gcd_int(elem.nums, self.min_poly.coeffs)
-        if len(g) == 1:
-            return False
-        return polys.count_roots_in_interval(g, lo, hi) > 0
+        return polys.vanishes_at_root(polys.gcd_int(elem.nums, self.min_poly.coeffs), lo, hi)
 
     # -- conjugates and the Pisot test --------------------------------------
 
@@ -310,10 +308,13 @@ class NumberField:
 
         budget is in bits: an enclosure of squared modulus narrower than
         2**-budget that still straddles 1 stops refining (a conjugate exactly
-        on the unit circle can never be resolved).
+        on the unit circle can never be resolved).  A budget above
+        polys.MAX_HALVINGS raises ValueError before any refinement.
         """
         if budget < 0:
             raise ValueError("budget must be nonnegative")
+        if budget > polys.MAX_HALVINGS:
+            raise ValueError(f"budget must be at most {polys.MAX_HALVINGS}")
         with self._lock:
             while self._beta_lo <= 1:
                 self.refine_beta()

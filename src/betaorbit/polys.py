@@ -11,9 +11,11 @@ Signs at n/d are read by integer Horner on the numerators (sign_at).  The
 Sturm chain and the gcd are integer primitive remainder sequences (Collins
 1967, Brown & Traub 1971), the integer roots come from Sturm counts on
 integer intervals (integer_roots), and division by a monic integer
-polynomial stays in the integers (divmod_monic).  The rational polynomial
-ring, and the rational evaluate, squarefree part and Sturm chain these
-kernels are checked against, live with the tests.
+polynomial stays in the integers (divmod_monic).  Sturm counts run only
+inside isolation: whether a factor of an isolated polynomial vanishes at
+the isolated root is two signs (vanishes_at_root).  The rational
+polynomial ring, and the rational evaluate, squarefree part, Sturm chain
+and root count these kernels are checked against, live with the tests.
 """
 
 from __future__ import annotations
@@ -363,21 +365,27 @@ def bisect_step(p: Sequence[int], lo: Fraction, hi: Fraction) -> Interval:
     return mid, hi
 
 
-# spectral refines alpha's enclosure only when it takes at most this many halvings
+# spectral refines alpha's enclosure only when it takes at most this many
+# halvings, and NumberField.is_pisot refines to at most 2^-MAX_HALVINGS
 MAX_HALVINGS = 4096
 # expr.fraction refuses a decimal such as 1e-E with |E| larger than this
 MAX_EXPONENT = 100_000
 
 
-def count_roots_in_interval(p: Sequence[int], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of squarefree p in [lo, hi] (endpoint-exact)."""
+def vanishes_at_root(p: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether p vanishes at the root that [lo, hi] isolates: on a point
+    [r, r], whether p(r) = 0, else whether p changes sign across [lo, hi].
+
+    [lo, hi] isolates a root of a squarefree polynomial q, as
+    isolate_real_roots and bisect_step leave it: an exact point, or an
+    interval with one root of q and no root of q at either end.  The
+    precondition is that p's roots in [lo, hi] are simple and are roots
+    of q, as holds for every factor of q.  Then p has no root at either
+    end and at most one inside, q's, where its sign flips."""
     nums = _strip(p)
-    if len(nums) < 2:
-        return 0
-    at_lo = _sign(nums, lo) == 0
     if lo == hi:
-        return 1 if at_lo else 0
-    return at_lo + count_roots_between(sturm_chain_int(nums), lo, hi)
+        return _sign(nums, lo) == 0
+    return _sign(nums, lo) * _sign(nums, hi) < 0
 
 
 # ---------------------------------------------------------------------------

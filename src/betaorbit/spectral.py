@@ -38,10 +38,12 @@ through evaluation and normalisation, and becomes a reduced Fraction only
 in the PerronResult.  A rational root is the exact point [r, r] and
 evaluates exactly.  perron_eigenvalue runs a root stage and then the
 eigenvector stage, and table-format `dimension` runs only the first.
-Dominance is decided by one rule for every graph from the same SCCs: their
-periods, Collatz-Wielandt brackets of their Perron roots, and exact root
-comparisons where the brackets overlap.  Floating point appears only in
-display values.
+alpha's isolation (chi_A, the _PerronRoot and the isolating interval) is
+made once per matrix (_isolation) and kept next to the structure.
+Dominance reads the same SCCs: a graph that is one SCC is decided by its
+period, and on any other graph the SCCs that attain alpha are those whose
+chi_B changes sign across alpha's isolating interval.  Floating point
+appears only in display values.
 """
 
 from __future__ import annotations
@@ -319,48 +321,6 @@ class DimensionResult:
     status: DominanceStatus
 
 
-_BRACKET_STEPS = 8  # powers B^t . 1 behind each Collatz-Wielandt bracket
-
-
-def _cw_bracket(block: TransitionMatrix) -> Interval:
-    """Collatz-Wielandt bracket of the Perron root of an irreducible block
-    B (Collatz 1942, Wielandt 1950): for a positive v, rho(B) lies between
-    the least and the largest ratio (Bv)_i / v_i.  Intersects the brackets
-    for v = B^t . 1 (positive: no row of B is zero), t < _BRACKET_STEPS."""
-    brackets = []
-    v = [1] * block.size
-    for _ in range(_BRACKET_STEPS):
-        w = block.mul_vec(v)
-        ratios = [Fraction(a, b) for a, b in zip(w, v)]
-        brackets.append((min(ratios), max(ratios)))
-        v = w
-    return max(lo for lo, _ in brackets), min(hi for _, hi in brackets)
-
-
-def _top_blocks(blocks: list[_Block]) -> list[_Block]:
-    """The blocks whose Perron root, the largest real root of the block's
-    squarefree characteristic polynomial, is the largest.  Two roots are
-    equal when the gcd of their polynomials has a root where their isolating
-    intervals meet; otherwise bisection pulls the intervals apart."""
-    roots = []
-    for block in blocks:
-        sf = polys.squarefree_part_int(block.chi)
-        roots.append((sf, *polys.isolate_real_roots(sf)[-1]))
-    best = [0]
-    for i in range(1, len(roots)):
-        (p, alo, ahi), (q, blo, bhi) = roots[i], roots[best[0]]
-        lo, hi = max(alo, blo), min(ahi, bhi)
-        if lo <= hi and polys.count_roots_in_interval(polys.gcd_int(p, q), lo, hi):
-            best.append(i)
-            continue
-        while alo <= bhi and blo <= ahi:
-            alo, ahi = polys.bisect_step(p, alo, ahi)
-            blo, bhi = polys.bisect_step(q, blo, bhi)
-        if alo > bhi:
-            best = [i]
-    return [blocks[i] for i in best]
-
-
 def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
     """Decide exactly whether the dominant eigenvalue strictly exceeds all
     other eigenvalue moduli.
@@ -369,31 +329,32 @@ def check_dominance(matrix: TransitionMatrix) -> DominanceReport:
     connected components (SCCs) with a cycle, plus zeros, and the Perron
     root of an irreducible block of period p shares its modulus with
     exactly p of the block's eigenvalues.  So dominance holds iff exactly
-    one SCC attains the largest Perron root and its period is 1.  The
-    SCCs, their periods and their blocks come from the matrix's structure
-    (_structure), shared with the Perron route.  Each SCC with a
-    cycle (period > 0) gets a Collatz-Wielandt bracket of its Perron root,
-    and the SCCs whose bracket reaches the largest lower bound are ranked
-    exactly (_top_blocks).  One winner of period 1 is VerifiedPrimitive when
-    it is the only SCC and VerifiedSpectralGap otherwise; a tie, a larger
-    period or a graph without cycles is FailedPeripheralSpectrum.  The zero
-    matrix has no positive eigenvalue to dominate and raises ZeroMatrix.
+    one SCC attains alpha, the largest Perron root, and its period is 1.
+    A graph that is one SCC attains it alone and is decided by its period:
+    VerifiedPrimitive at period 1, else FailedPeripheralSpectrum.  On any
+    other graph a block B attains alpha iff chi_B vanishes there, and the
+    sign of chi_B at the ends of alpha's isolating interval on sf(chi_A)
+    (_isolation, shared with the root stage) decides it
+    (polys.vanishes_at_root): every root of chi_B is a root of sf(chi_A),
+    and a root alpha = rho(A) >= rho(B) of chi_B is rho(B), the Perron root
+    of the irreducible B, a simple root of chi_B (Horn & Johnson, Matrix
+    Analysis, Thm 8.4.4).  One winner of period 1 is VerifiedSpectralGap;
+    a tie, a larger period or a graph without cycles is
+    FailedPeripheralSpectrum.  The zero matrix has no positive eigenvalue
+    to dominate and raises ZeroMatrix.
     """
     if not any(matrix.succ):
         raise ZeroMatrix("transition matrix has no nonzero entry")
     structure = _structure(matrix)
-    blocks, comps = structure.blocks, structure.comps
-    brackets = [_cw_bracket(b.matrix) for b in blocks]
-    # without any cycle there is no winner: every eigenvalue is 0
-    top = max((lo for lo, _ in brackets), default=None)
-    winners = [b for b, (_, hi) in zip(blocks, brackets) if hi >= top]
-    if len(winners) > 1:
-        winners = _top_blocks(winners)
-    connected = len(comps) == 1
+    connected = len(structure.comps) == 1
+    winners = structure.blocks
+    if not connected:
+        _, _, (lo, hi) = _isolation(matrix)
+        winners = [b for b in winners if polys.vanishes_at_root(b.chi, lo, hi)]
     gap = len(winners) == 1 and winners[0].period == 1
     verified = DominanceStatus.VERIFIED_PRIMITIVE if connected else DominanceStatus.VERIFIED_SPECTRAL_GAP
     status = verified if gap else DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
-    return DominanceReport(status, connected, comps[0][1] if connected else None)
+    return DominanceReport(status, connected, structure.comps[0][1] if connected else None)
 
 
 # ---------------------------------------------------------------------------
@@ -461,29 +422,41 @@ def _above(g: tuple[int, ...], iv: list[Fraction], y: Fraction) -> bool:
     return y < iv[0] or y == iv[0] < iv[1]
 
 
+def _isolation(matrix: TransitionMatrix) -> tuple[tuple[int, ...], _PerronRoot, Interval]:
+    """alpha's isolation, made once per matrix and kept next to its
+    structure (_structure) in the matrix's __dict__: the characteristic
+    polynomial chi, the Perron root with its squarefree polynomial, and the
+    isolating interval of alpha that polys.isolate_real_roots gives on
+    sf(chi_A).  On one SCC of period p > 1 that isolation is replayed on
+    B0's polynomial (_cyclic_root).  Every comparison of the root is exact,
+    so its results do not depend on how far earlier ones have narrowed the
+    root's `w`."""
+    memo = matrix.__dict__
+    if "_spectral_isolation" not in memo:
+        chi = char_polynomial(matrix)
+        structure = _structure(matrix)
+        if len(structure.comps) == 1 and structure.blocks[0].period > 1:
+            root, iv = _cyclic_root(structure.blocks[0])
+        else:
+            chi_sf = polys.squarefree_part_int(chi)
+            iv = polys.isolate_real_roots(chi_sf)[-1]  # rho(A) is a real root
+            root = _PerronRoot(chi_sf, list(iv))
+        memo["_spectral_isolation"] = chi, root, iv
+    return memo["_spectral_isolation"]
+
+
 def _perron_root(matrix: TransitionMatrix,
                  tol: Fraction) -> tuple[tuple[int, ...], _PerronRoot, Interval]:
     """The root stage: the characteristic polynomial chi, the Perron root
     with its squarefree polynomial, and the enclosure of width <= tol of the
-    largest real root, checked against the Perron row-sum bracket.  On one
-    SCC of period p > 1 the isolation is replayed on B0's polynomial
-    (_cyclic_root) and gives the same enclosure."""
+    largest real root, refined from alpha's isolation (_isolation) and
+    checked against the Perron row-sum bracket."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if not any(matrix.succ):
         raise ZeroMatrix("transition matrix has no nonzero entry")
 
-    chi = char_polynomial(matrix)
-    structure = _structure(matrix)
-    if len(structure.comps) == 1 and structure.blocks[0].period > 1:
-        root, (lo, hi) = _cyclic_root(structure.blocks[0])
-    else:
-        chi_sf = polys.squarefree_part_int(chi)
-        isolations = polys.isolate_real_roots(chi_sf)
-        if not isolations:
-            raise ZeroMatrix("no real eigenvalue found for a nonnegative matrix")
-        lo, hi = isolations[-1]
-        root = _PerronRoot(chi_sf, [lo, hi])
+    chi, root, (lo, hi) = _isolation(matrix)
     # a rational root comes back as the exact point [r, r], which bisection keeps
     lo, hi = _refine(root, lo, hi, tol)
 
@@ -616,11 +589,12 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]], root: 
         if any(lo > 0 or hi < 0 for lo, hi, _ in rough):
             break
         # every enclosure meets 0: divide out a common factor at alpha if
-        # there is one, else some entry is nonzero but tiny, so look closer
+        # there is one, else some entry is nonzero but tiny, so look closer;
+        # t divides chi_sf, whose root `alpha` isolates, so two signs decide
         t = chi_sf
         for p in reduced:
             t = polys.gcd_int(t, p)
-        if polys.count_roots_in_interval(t, *alpha):
+        if polys.vanishes_at_root(t, *alpha):
             # t divides the monic integer chi_sf, so it is monic (Gauss's
             # lemma) and the division stays in the integers
             assert t[-1] == 1, "a primitive factor of the monic chi_sf is monic"
@@ -631,7 +605,7 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]], root: 
             eps /= 2 ** 48
     if len(rest) < len(chi):
         # (alpha*I - A) P(alpha) = rest(alpha) . 1 must still vanish
-        assert polys.count_roots_in_interval(polys.gcd_int(rest, chi_sf), *alpha), \
+        assert polys.vanishes_at_root(polys.gcd_int(rest, chi_sf), *alpha), \
             "common-factor division removed the Perron root"
     sign = next(1 if lo > 0 else -1 for lo, hi, _ in rough if lo > 0 or hi < 0)
     # the largest |endpoint| n/d, compared by cross-multiplying

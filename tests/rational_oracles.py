@@ -11,7 +11,10 @@ integer numerators over one denominator until they are printed
 polys.sqrt_bounds, polys.decimal_str).  The textbook rational forms below,
 the polynomial ring over Q, the extended euclidean inverse and the
 Fraction eigenvector routines included, are what the tests compare those
-kernels against; the package itself never calls them.
+kernels against; the package itself never calls them.  Whether a factor
+of an isolated polynomial vanishes at the isolated root is read from two
+signs in the package (polys.vanishes_at_root); the Sturm count of roots in
+an interval is kept here as its oracle.
 
 The package also builds the characteristic polynomial from the blocks of
 the strongly connected components, bisects alpha in integers
@@ -138,6 +141,19 @@ def sturm_chain(p) -> list[tuple[Fraction, ...]]:
         scale = abs(rem[-1])
         chain.append(tuple(-c / scale for c in rem))
     return [c for c in chain if c]
+
+
+def count_roots_in_interval(p, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of the squarefree integer polynomial p in
+    [lo, hi], endpoints included, by a Sturm count (polys.sturm_chain_int):
+    the oracle of polys.vanishes_at_root, which reads two signs."""
+    nums = polys._strip(p)
+    if len(nums) < 2:
+        return 0
+    at_lo = polys.sign_at(nums, lo.numerator, lo.denominator) == 0
+    if lo == hi:
+        return int(at_lo)
+    return at_lo + polys.count_roots_between(polys.sturm_chain_int(nums), lo, hi)
 
 
 # --- field inverse ---

@@ -69,6 +69,17 @@ def test_pisot_negative_budget_exits_64(capsys):
     assert err == "error: budget must be nonnegative\n"
 
 
+def test_pisot_budget_above_the_halving_bound_exits_64(capsys):
+    # a budget of 10^9 once ran for minutes on the Salem quartic, building
+    # 1 << budget and refining towards it; the bound is the one --tol has
+    code, out, err = run(capsys, "pisot", "--minpoly", "1,-1,-1,-1,1",
+                         "--budget", str(polys.MAX_HALVINGS + 1))
+    assert code == 64
+    assert out == ""
+    assert err == f"error: budget must be at most {polys.MAX_HALVINGS}\n"
+    assert run(capsys, "pisot", "--minpoly", "1,-1,-1,-1,1", "--budget", "4000")[0] == 3
+
+
 # === orbit ===
 
 def test_orbit_prints_k(capsys):

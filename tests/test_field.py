@@ -637,6 +637,15 @@ def test_pisot_unknown_on_salem_like():
     assert cert.status == "unknown"
 
 
+def test_pisot_budget_above_the_halving_bound_is_refused_before_refining(monkeypatch):
+    field = NumberField(IntPolynomial((1, -1, -1, -1, 1)))
+    monkeypatch.setattr(NumberField, "_refine_conjugate",
+                        lambda self, i: pytest.fail("refined past the refusal"))
+    for budget in (polys.MAX_HALVINGS + 1, 10 ** 9):
+        with pytest.raises(ValueError, match=f"at most {polys.MAX_HALVINGS}"):
+            field.is_pisot(budget=budget)
+
+
 def test_conjugate_enclosures_structure(quintic):
     boxes = quintic.conjugate_enclosures
     assert len(boxes) == 4  # two conjugate pairs

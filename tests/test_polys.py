@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -9,8 +10,8 @@ from betaorbit.errors import NotSquarefree, RefinementBudgetExceeded
 from betaorbit.orbit import TransitionMatrix
 from betaorbit.spectral import char_polynomial
 from rational_oracles import (
-    add, decimal_str, degree, derivative, divmod_poly, evaluate, gcd_poly, monic, mul, normalize,
-    refine_to_width, sqrt_bounds, squarefree_part, sturm_chain,
+    add, count_roots_in_interval, decimal_str, degree, derivative, divmod_poly, evaluate, gcd_poly,
+    monic, mul, normalize, refine_to_width, sqrt_bounds, squarefree_part, sturm_chain,
 )
 
 
@@ -81,11 +82,12 @@ def test_evaluate_interval_edge_cases():
     lambda p: polys.gcd_int(p, [0, 1]),
     polys.squarefree_part_int,
     polys.isolate_real_roots,
-    lambda p: polys.count_roots_in_interval(p, F(0), F(2)),
+    lambda p: count_roots_in_interval(p, F(0), F(2)),
+    lambda p: polys.vanishes_at_root(p, F(0), F(2)),
     polys.is_squarefree,
     lambda p: polys.evaluate_interval(p, F(0), F(2)),
 ], ids=["gcd_int", "squarefree_part_int", "isolate_real_roots", "count_roots_in_interval",
-        "is_squarefree", "evaluate_interval"])
+        "vanishes_at_root", "is_squarefree", "evaluate_interval"])
 @pytest.mark.parametrize("p", [[F(-3, 2), 0, 1], [-2, 0, F(1)], [-2.0, 0, 1]],
                          ids=["fraction", "integral-fraction", "float"])
 def test_a_non_int_coefficient_raises_type_error(call, p):
@@ -166,7 +168,7 @@ def _assert_isolation(p):
             assert evaluate(p, lo) == 0
         else:
             assert evaluate(p, lo) * evaluate(p, hi) < 0
-            assert polys.count_roots_in_interval(p, lo, hi) == 1
+            assert count_roots_in_interval(p, lo, hi) == 1
 
 
 def test_isolate_endpoints_avoid_deflated_roots():
@@ -233,9 +235,29 @@ def test_isolate_endpoints_are_sign_changes_on_char_polys(rows):
 
 def test_count_roots_in_interval():
     p = (-2, 0, 1)  # z^2 - 2
-    assert polys.count_roots_in_interval(p, F(0), F(2)) == 1
-    assert polys.count_roots_in_interval(p, F(-2), F(2)) == 2
-    assert polys.count_roots_in_interval(p, F(2), F(3)) == 0
+    assert count_roots_in_interval(p, F(0), F(2)) == 1
+    assert count_roots_in_interval(p, F(-2), F(2)) == 2
+    assert count_roots_in_interval(p, F(2), F(3)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=3), min_size=1, max_size=4),
+       st.integers(0, 15), st.sampled_from((1, -1, 2, -3)))
+@example([[-1, -1], [-2, 0]], 1, 1)  # z^2 - z - 1 beside z^2 - 2: the golden factor
+@example([[0], [-1], [1, 0]], 2, -1)  # z, z - 1, z^2 + 1: an integer root is a point
+def test_vanishes_at_root_matches_the_sturm_count(factors, subset, scale):
+    # q = sf(product of monic factors) is isolated; p, the squarefree part
+    # of a sub-product times a nonzero integer, divides it, so the sign rule
+    # must agree with the Sturm count at every isolating interval of q and
+    # after each of five bisection steps
+    monics = [tuple(c) + (1,) for c in factors]
+    q = polys.squarefree_part_int(_ints(reduce(mul, monics, (F(1),))))
+    chosen = [f for i, f in enumerate(monics) if subset >> i & 1]
+    p = [scale * c for c in polys.squarefree_part_int(_ints(reduce(mul, chosen, (F(1),))))]
+    for lo, hi in polys.isolate_real_roots(q):
+        for _ in range(6):
+            assert polys.vanishes_at_root(p, lo, hi) == (count_roots_in_interval(p, lo, hi) > 0)
+            lo, hi = polys.bisect_step(q, lo, hi)
 
 
 def test_refine_to_width():

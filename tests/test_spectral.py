@@ -28,12 +28,12 @@ from betaorbit import (
 )
 from betaorbit import polys, spectral
 from betaorbit.cli import main
-from betaorbit.errors import CapHit, DominanceNotEstablished, ZeroMatrix
+from betaorbit.errors import DominanceNotEstablished, ZeroMatrix
 from betaorbit.polys import interval_mul
 from betaorbit.spectral import _adjugate_eigenvector, _adjugate_row_sums
 from rational_oracles import (
-    divmod_poly, evaluate, evaluate_at_root, gcd_poly, normalize_eigenvector,
-    whole_matrix_eigenvector, whole_matrix_perron_root,
+    count_roots_in_interval, divmod_poly, evaluate, evaluate_at_root, gcd_poly,
+    normalize_eigenvector, whole_matrix_eigenvector, whole_matrix_perron_root,
 )
 
 F = Fraction
@@ -773,7 +773,7 @@ def _dense_dominance_status(rows):
         if lo <= hi:
             g = gcd_poly(a[1], b[1])  # monic over Z by Gauss's lemma
             assert all(c.denominator == 1 for c in g)
-            assert polys.count_roots_in_interval([c.numerator for c in g], lo, hi), \
+            assert count_roots_in_interval([c.numerator for c in g], lo, hi), \
                 "enclosures too wide to separate"
             return False
         return a[0][0] > b[0][1]
@@ -791,25 +791,20 @@ def _dense_dominance_status(rows):
 @example([[0, 1, 1], [0, 0, 1], [0, 0, 0]])  # edges but no cycle: every eigenvalue is 0
 @example([[0, 0], [0, 0]])  # the zero matrix: ZeroMatrix
 @example([[1, 0, 0], [0, 0, 1], [0, 1, 0]])  # a loop and a 2-cycle tie at 1
+@example(_SOURCE_FEEDS_TWO_GOLDEN)  # two golden blocks tie at phi
+@example([[0, 2, 1], [2, 0, 0], [0, 0, 1]])  # the only top SCC has period 2
+# golden [[1, 1], [1, 0]] on {0, 1} beside a period-2 SCC, C0 = {2, 3} and
+# C1 = {4, 5, 6}, whose B0 = [[2, 1], [1, 1]] has Perron root phi^2: both
+# attain phi, an irrational tie
+@example([[1, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 1, 1, 0],
+          [0, 0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0],
+          [0, 0, 0, 1, 0, 0, 0]])
 def test_dominance_matches_dense_oracle(rows):
     if not any(map(any, rows)):  # nothing to dominate, as in perron_eigenvalue
         with pytest.raises(ZeroMatrix):
             check_dominance(_mat(rows))
         return
     assert check_dominance(_mat(rows)).status == _dense_dominance_status(rows)
-
-
-@pytest.mark.parametrize("minpoly,m,point", _ORBIT_CASES[1:4])
-def test_brackets_rank_the_certify_graphs(minpoly, m, point, monkeypatch):
-    # plastic 1/(b^3-1), cubic 2/b^2 and tetranacci m2 2/b^2 are not strongly
-    # connected; the Collatz-Wielandt brackets alone single out the top SCC
-    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
-    mat = transition_matrix(compute_orbit(params, params.parse_point(point)))
-    calls = []
-    monkeypatch.setattr(spectral, "_top_blocks", lambda b: calls.append(b))
-    rep = check_dominance(mat)
-    assert rep.status == DominanceStatus.VERIFIED_SPECTRAL_GAP
-    assert not rep.strongly_connected and calls == []
 
 
 # each command runs with numpy blocked: an import of it raises ImportError
@@ -889,30 +884,6 @@ def test_perron_path_makes_no_rational_evaluate_or_sturm_chain(
     cyclic = _one_cyclic_scc(mat)
     assert cyclic == (case == "golden-fifth")
     assert max(chains) <= (len(spectral._structure(mat).blocks[0].classes[0]) if cyclic else mat.size)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(-1, -1, 1), (-1, -1, -1, -1, 0, 1), (-2, 1), (-1, -1, 0, 1),
-                        (-1, 0, -1, 1), (-1, -1, -1, -1, 1), (-2, 0, 1), (-3, 0, 1)]),
-       st.integers(1, 2),
-       st.integers(1, 12).flatmap(lambda q: st.integers(0, q).map(lambda a: F(a, q))))
-def test_cw_bracket_contains_the_perron_root_of_every_block(minpoly, m, x):
-    # the conftest bases; x in [0, 1] lies in [0, m/(beta-1)] for each
-    params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
-    try:
-        graph = compute_orbit(params, params.field.from_rational(x), state_cap=80)
-    except CapHit:
-        return
-    mat = transition_matrix(graph)
-    for blk in spectral._structure(mat).blocks:
-        block, period = blk.matrix, blk.period
-        assert period > 0
-        # rows list their columns ascending, so the dense writers can slice them
-        assert all([j for j, _ in t] == sorted(j for j, _ in t) for t in block.succ)
-        assert block.to_csv() == "\n".join(",".join(map(str, r)) for r in block.rows) + "\n"
-        lo, hi = spectral._cw_bracket(block)
-        alo, ahi = perron_eigenvalue(block).alpha
-        assert lo <= alo and ahi <= hi
 
 
 # === one structure: blocks, cyclic classes, the replayed root and B0's vector ===
@@ -1002,6 +973,10 @@ def test_block_char_poly_matches_whole_matrix_faddeev_leverrier(rows):
         assert len(block.classes[0]) == min(map(len, block.classes))
         for i, terms in enumerate(block.matrix.succ):
             assert all(cls[j] == (cls[i] + 1) % block.period for j, _ in terms)
+        # rows list their columns ascending, so the dense writers can slice them
+        assert all([j for j, _ in t] == sorted(j for j, _ in t) for t in block.matrix.succ)
+        assert block.matrix.to_csv() == "".join(
+            ",".join(map(str, r)) + "\n" for r in block.matrix.rows)
 
 
 @pytest.mark.parametrize("minpoly,m,point", _ORBIT_CASES + _CYCLIC_ORBITS)
@@ -1069,40 +1044,69 @@ def test_cyclic_eigenvector_entries_stay_within_the_width_bound():
     assert all(F(hi - lo, s) <= tol * top for lo, hi, s in vec)
 
 
+def _counting(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends its first argument to
+    calls."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda p, *a: calls.append(p) or real(p, *a))
+
+
 @pytest.mark.parametrize("argv", [
     ("--minpoly", "-1,-1,1", "-m", "1", "-x", "1/5"),  # one SCC of period 20
     ("--minpoly", "-1,-1,-1,-1,0,1", "-m", "1", "-x", "1/(b^2-1)"),  # primitive
     ("--minpoly", "-1,-1,0,1", "-m", "1", "-x", "1/(b^3-1)"),  # not strongly connected
     ("--minpoly", "-1,-1,-1,-1,1", "-m", "2", "-x", "2/b^2"),  # not strongly connected
+    ("--minpoly", "-1,0,-1,1", "-m", "1", "-x", "2/b^2"),  # not strongly connected
 ])
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_dimension_builds_the_structure_once(argv, fmt, capsys, monkeypatch):
-    # one Tarjan walk per run, and Faddeev-LeVerrier once per period-1 block
-    # and once per B0, on the block's B0 only
-    walks, kernels = [], []
-    sccs, kernel = spectral._sccs, spectral._faddeev_leverrier
-    monkeypatch.setattr(spectral, "_sccs", lambda n: walks.append(1) or sccs(n))
-    monkeypatch.setattr(spectral, "_faddeev_leverrier", lambda b: kernels.append(b) or kernel(b))
-    structures = []
+    # one Tarjan walk per run, Faddeev-LeVerrier once per period-1 block
+    # and once per B0, on the block's B0 only, and one isolation of alpha,
+    # which the root stage and the dominance verdict share: on sf(chi_A),
+    # or one _cyclic_root on one SCC of period p > 1
+    walks, kernels, structures, isolated, cyclic, chis = [], [], [], [], [], []
     structure = spectral._structure
-    monkeypatch.setattr(spectral, "_structure", lambda m: structures.append(m) or structure(m))
-    main(["dimension", *argv, "--format", fmt])
+    _counting(monkeypatch, spectral, "_sccs", walks)
+    _counting(monkeypatch, spectral, "_faddeev_leverrier", kernels)
+    _counting(monkeypatch, spectral, "_structure", structures)
+    _counting(monkeypatch, polys, "isolate_real_roots", isolated)
+    _counting(monkeypatch, spectral, "_cyclic_root", cyclic)
+    _counting(monkeypatch, spectral, "char_polynomial", chis)
+    code = main(["dimension", *argv, "--format", fmt])
     capsys.readouterr()
-    assert walks == [1]
-    blocks = structure(structures[0]).blocks
-    assert len({id(m) for m in structures}) == 1
+    mat = structures[0]
+    blocks = structure(mat).blocks
+    assert len(walks) == 1 and len({id(m) for m in structures}) == 1
     assert [id(b) for b in kernels] == [id(b.core) for b in blocks]
     assert all(b.core.size == len(b.classes[0]) for b in blocks)
+    assert len(chis) == 1
+    # the run's NumberField isolates beta on its minimal polynomial first
+    assert len(isolated) == 2 and tuple(isolated[0]) == tuple(map(int, argv[1].split(",")))
+    assert len(cyclic) == _one_cyclic_scc(mat)
+    assert code == (5 if cyclic else 0)  # every other graph here is verified
+    if not cyclic:
+        assert tuple(isolated[1]) == polys.squarefree_part_int(char_polynomial(mat))
 
 
-def test_ranking_reuses_the_block_polynomials(monkeypatch):
-    # two equal golden blocks fed by a source: the brackets tie, so
-    # _top_blocks ranks them, from the polynomials the char poly already built
-    kernels, ranked = [], []
-    kernel, top_blocks = spectral._faddeev_leverrier, spectral._top_blocks
-    monkeypatch.setattr(spectral, "_faddeev_leverrier", lambda b: kernels.append(b) or kernel(b))
-    monkeypatch.setattr(spectral, "_top_blocks", lambda b: ranked.append(b) or top_blocks(b))
-    mat = _mat(_SOURCE_FEEDS_TWO_GOLDEN)
-    perron_eigenvalue(mat)
-    assert check_dominance(mat).status == DominanceStatus.FAILED_PERIPHERAL_SPECTRUM
-    assert len(ranked) == 1 and len(kernels) == 2
+@pytest.mark.parametrize("case,period", [(_CYCLIC_ORBITS[0], 8), (_ORBIT_CASES[0], 1)],
+                         ids=["golden-third", "quintic"])
+def test_dominance_of_one_scc_reads_its_period_alone(case, period, monkeypatch):
+    mat = _orbit_matrix(*case)
+    for module, name in [(polys, "isolate_real_roots"), (spectral, "_cyclic_root"),
+                         (spectral, "char_polynomial"), (spectral, "_faddeev_leverrier")]:
+        monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    rep = check_dominance(mat)
+    assert rep.strongly_connected and rep.cycle_gcd == period
+    assert rep.status == (DominanceStatus.VERIFIED_PRIMITIVE if period == 1
+                          else DominanceStatus.FAILED_PERIPHERAL_SPECTRUM)
+
+
+@pytest.mark.parametrize("minpoly,m,point", _CYCLIC_ORBITS[:2] + _ORBIT_CASES[1:2])
+def test_a_second_perron_call_matches_a_fresh_matrix(minpoly, m, point):
+    # the isolation is kept on the matrix, and on the cyclic route every
+    # comparison narrows the kept root's interval of alpha^p in place; a
+    # later call at another tol must still give a fresh matrix's answer
+    mat = _orbit_matrix(minpoly, m, point)
+    for tol in (F(1, 10 ** 40), F(1, 10 ** 12), F(1, 10 ** 60)):
+        assert perron_eigenvalue(mat, tol) == perron_eigenvalue(_orbit_matrix(minpoly, m, point), tol)
+
