@@ -182,7 +182,9 @@ def cmd_dimension(args) -> int:
     from .spectral import (PerronResult, _perron_root, check_dominance, dimension,
                            log_base_interval, perron_eigenvalue)
 
-    tol = fraction(args.tol)  # a malformed width exits 64 before the BFS
+    tol = fraction(args.tol)  # a malformed or nonpositive width exits 64 before the BFS
+    if tol <= 0:
+        raise _UsageError("tol must be positive")
     params, x = _build_params(args)
     result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
     mat = transition_matrix(result)

@@ -31,12 +31,13 @@ its upper root (polys.propose_and_certify_complex_roots), refined by
 interval Newton.
 
 All values are immutable after construction.  The mutable state is the
-per-field enclosure cache (beta's isolating interval, the ladder, and the
-conjugate boxes), whose refinement is monotone narrowing and guarded by a
-lock, so any snapshot a concurrent reader sees is a valid enclosure; the
-ladder list is replaced, never changed in place, so compare and approx read
-it without the lock.  The per-width rung hint is advisory: any hint gives
-the same interval, so it needs no lock either.
+per-field enclosure cache: the ladder, whose last rung is beta's only
+stored enclosure, and the conjugate boxes.  Their refinement is monotone
+narrowing and guarded by a lock, so any snapshot a concurrent reader sees
+is a valid enclosure; the ladder list is replaced, never changed in place,
+so compare, approx and beta_interval read it without the lock.  The
+per-width rung hint is advisory: any hint gives the same interval, so it
+needs no lock either.
 """
 
 from __future__ import annotations
@@ -129,10 +130,10 @@ class NumberField:
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self.root_rank = root_rank
-        if not polys.is_squarefree(min_poly.coeffs):
-            raise NotSquarefree(f"{min_poly} shares a root with its derivative")
-
-        isolations = polys.isolate_real_roots(min_poly.coeffs)
+        try:
+            isolations = polys.isolate_real_roots(min_poly.coeffs)
+        except NotSquarefree:
+            raise NotSquarefree(f"{min_poly} shares a root with its derivative") from None
         self._real_root_intervals = isolations
         by_rank = list(reversed(isolations))  # largest first
         if root_rank < 0 or root_rank >= len(by_rank):
@@ -149,7 +150,6 @@ class NumberField:
                 f"selected root of {min_poly} lies in [{lo}, {hi}], not above 1"
             )
         self._chosen_index = isolations.index(by_rank[root_rank])
-        self._beta_lo, self._beta_hi = lo, hi
         # the one enclosure ladder, as integer endpoints (a, b, e) for
         # [a/e, b/e]: the first _ladder_len entries are rungs, each at least
         # 256 times narrower than the one before, and the last entry is
@@ -185,7 +185,8 @@ class NumberField:
     # -- presentation -----------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"NumberField({self.min_poly}, root in [{float(self._beta_lo):.6f}, {float(self._beta_hi):.6f}])"
+        lo, hi = self.beta_interval()
+        return f"NumberField({self.min_poly}, root in [{float(lo):.6f}, {float(hi):.6f}])"
 
     @property
     def beta(self) -> "FieldElement":
@@ -221,24 +222,24 @@ class NumberField:
     # -- enclosure management ---------------------------------------------
 
     def beta_interval(self) -> Interval:
-        with self._lock:
-            return self._beta_lo, self._beta_hi
+        """Beta's current enclosure, the last rung, as Fractions."""
+        a, b, e = self._rungs[-1]
+        return Fraction(a, e), Fraction(b, e)
 
     def refine_beta(self, rounds: int = 1) -> Interval:
         with self._lock:
+            lo, hi = self.beta_interval()
             for _ in range(rounds):
-                if self._beta_lo == self._beta_hi:
+                if lo == hi:
                     break
-                lo, hi = self._beta_lo, self._beta_hi = polys.bisect_step(
-                    self.min_poly.coeffs, self._beta_lo, self._beta_hi
-                )
+                lo, hi = polys.bisect_step(self.min_poly.coeffs, lo, hi)
                 keep = self._ladder_len
                 a, b, e = self._rungs[keep - 1]
                 cur = polys.integer_endpoints(lo, hi)
                 if (b - a) * cur[2] >= 256 * (cur[1] - cur[0]) * e:
                     self._ladder_len = keep + 1
                 self._rungs = self._rungs[:keep] + [cur]
-            return self._beta_lo, self._beta_hi
+            return lo, hi
 
     def evaluates_to_zero(self, elem: "FieldElement") -> bool:
         """Exact test for elem(beta) == 0, sound even when the defining
@@ -265,8 +266,10 @@ class NumberField:
                                 if i != self._chosen_index]
             n_real = len(self._real_root_intervals)
             assert (self.degree - n_real) % 2 == 0
-            n_pairs = (self.degree - n_real) // 2
-            boxes += polys.propose_and_certify_complex_roots(self.min_poly.coeffs, n_pairs)
+            boxes += polys.propose_and_certify_complex_roots(self.min_poly.coeffs,
+                                                             (self.degree - n_real) // 2)
+            # the d-1 conjugates: a real one is its own box, a pair its upper box
+            assert sum(2 if box[1][1] else 1 for box in boxes) == self.degree - 1
             self._conjugates = boxes
             return boxes
 
@@ -316,11 +319,9 @@ class NumberField:
         if budget > polys.MAX_HALVINGS:
             raise ValueError(f"budget must be at most {polys.MAX_HALVINGS}")
         with self._lock:
-            while self._beta_lo <= 1:
-                self.refine_beta()
-            while self._beta_hi - self._beta_lo > Fraction(1, 1 << 20):
-                self.refine_beta()
-            beta_lo, beta_hi = self._beta_lo, self._beta_hi
+            beta_lo, beta_hi = self.beta_interval()
+            while beta_lo <= 1 or beta_hi - beta_lo > Fraction(1, 1 << 20):
+                beta_lo, beta_hi = self.refine_beta()
 
             cutoff = Fraction(1, 1 << budget)
             worst = Fraction(0)
@@ -344,7 +345,8 @@ class NumberField:
                             break
                         prev_width = width
                         box = self._refine_conjugate(i)
-            max_mod_upper = polys.sqrt_bounds(worst)[1] if worst else Fraction(0)
+            num, den = worst.numerator, worst.denominator
+            max_mod_upper = Fraction(polys.sqrt_bounds_int(num, den)[1] if num else 0, 1 << 96)
             return PisotCertificate(
                 status=status,
                 beta_lower=beta_lo,

@@ -10,7 +10,7 @@ interval Newton contraction.
 Signs at n/d are read by integer Horner on the numerators (sign_at).  The
 Sturm chain and the gcd are integer primitive remainder sequences (Collins
 1967, Brown & Traub 1971), the integer roots come from Sturm counts on
-integer intervals (integer_roots), and division by a monic integer
+integer intervals (_integer_roots), and division by a monic integer
 polynomial stays in the integers (divmod_monic).  Sturm counts run only
 inside isolation: whether a factor of an isolated polynomial vanishes at
 the isolated root is two signs (vanishes_at_root).  The rational
@@ -132,12 +132,6 @@ def derivative(p: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(_strip(p))][1:]
 
 
-def is_squarefree(p: Sequence[int]) -> bool:
-    nums = _strip(p)
-    # the last member of the Sturm chain is gcd(p, p') up to a constant
-    return len(nums) < 2 or len(sturm_chain_int(nums)[-1]) == 1
-
-
 def squarefree_part_int(p: Sequence[int]) -> tuple[int, ...]:
     """Squarefree part of a monic integer polynomial; stays monic over Z.
 
@@ -253,30 +247,17 @@ def root_bound(p: Sequence[int]) -> Fraction:
     return 1 + Fraction(max(map(abs, nums)), abs(nums[-1]))
 
 
-def integer_roots(p: Sequence[int]) -> list[int]:
-    """All integer roots of a squarefree integer polynomial, ascending.
+def _integer_roots(chain: list[list[int]]) -> list[int]:
+    """All integer roots, ascending, of the squarefree integer polynomial
+    chain[0], from its Sturm chain.
 
     Sturm counts on integer intervals: from (-B, B] with B the Cauchy bound
     rounded up, each interval (a, b] that holds a root is halved until its
     width is 1, and then b is tested by sign_at, so the cost grows with the
-    bit size of the coefficients.  Raises NotSquarefree when p shares a root
-    with p'."""
-    nums = _strip(p)
-    if len(nums) < 2:
-        return []
-    chain = sturm_chain_int(nums)
-    if len(chain[-1]) > 1:
-        raise NotSquarefree("integer_roots requires a squarefree polynomial")
-    return _integer_roots(chain)
-
-
-def _integer_roots(chain: list[list[int]]) -> list[int]:
-    """integer_roots from the Sturm chain of its squarefree polynomial.
-
-    V(a) - V(b) counts the roots in (a, b] even when a or b is a root: the
-    chain's first member p vanishes there and is dropped, while p' keeps its
-    sign, so V is continuous from the right at a root and drops by one
-    across it."""
+    bit size of the coefficients.  V(a) - V(b) counts the roots in (a, b]
+    even when a or b is a root: the chain's first member p vanishes there
+    and is dropped, while p' keeps its sign, so V is continuous from the
+    right at a root and drops by one across it."""
     p = chain[0]
     bound = ceil(root_bound(p))
 
@@ -442,16 +423,6 @@ def round_out_interval(iv: Interval) -> Interval:
         return iv
     bits = max(0, width.denominator.bit_length() - width.numerator.bit_length()) + _ROUND_OUT_BITS
     return round_down(lo, bits), round_up(hi, bits)
-
-
-def sqrt_bounds(value: Fraction, iters: int = 4) -> Interval:
-    """Rational enclosure of sqrt(value) for value >= 0 (sqrt_bounds_int)."""
-    if value < 0:
-        raise ValueError("sqrt of a negative rational")
-    if value == 0:
-        return _ZERO, _ZERO
-    lo, hi = sqrt_bounds_int(value.numerator, value.denominator, iters)
-    return Fraction(lo, 1 << 96), Fraction(hi, 1 << 96)
 
 
 def sqrt_bounds_int(p: int, q: int, iters: int = 4) -> tuple[int, int]:
@@ -639,25 +610,17 @@ def propose_and_certify_complex_roots(p: Sequence[int], n_pairs: int) -> list[Bo
     of p with positive imaginary part.  An Aberth iteration on floats
     proposes, exact rational Newton polishes, interval Newton certifies, and
     _separate_boxes makes the boxes disjoint; floats never enter the
-    certified result.
+    certified result.  The proposals are the n_pairs highest above the real
+    axis; a box is certified only strictly above it, so when the floats
+    leave an upper root without a proposal, RefinementBudgetExceeded is
+    raised rather than fewer boxes returned.
     """
     if n_pairs == 0:
         return []
 
     dp = derivative(p)
-    approx = _aberth_roots(p)
-    cands = sorted(
-        (z for z in approx if z.imag > 1e-12),
-        key=lambda z: (z.real, z.imag),
-    )
-    if len(cands) != n_pairs:
-        # fall back to the most-imaginary candidates if float noise blurred
-        # a nearly-real pair
-        cands = sorted(
-            (z for z in approx if z.imag > 0),
-            key=lambda z: -z.imag,
-        )[:n_pairs]
-        cands.sort(key=lambda z: (z.real, z.imag))
+    cands = sorted(_aberth_roots(p), key=lambda z: -z.imag)[:n_pairs]
+    cands.sort(key=lambda z: (z.real, z.imag))
 
     boxes: list[Box] = []
     for z in cands:

@@ -8,7 +8,7 @@ inverts a field element by fraction-free elimination
 (FieldElement.inverse), and keeps the Perron eigenvector's enclosures as
 integer numerators over one denominator until they are printed
 (spectral._evaluate_at_root, spectral._normalize_eigenvector,
-polys.sqrt_bounds, polys.decimal_str).  The textbook rational forms below,
+polys.sqrt_bounds_int, polys.decimal_str).  The textbook rational forms below,
 the polynomial ring over Q, the extended euclidean inverse and the
 Fraction eigenvector routines included, are what the tests compare those
 kernels against; the package itself never calls them.  Whether a factor

@@ -358,6 +358,15 @@ def test_dimension_tol_beyond_the_halving_budget_exits_64_before_bisecting(capsy
     assert steps == []
 
 
+def test_dimension_nonpositive_tol_exits_64_before_the_orbit_search(capsys, monkeypatch):
+    from betaorbit import orbit
+    monkeypatch.setattr(orbit, "compute_orbit", lambda *a, **k: pytest.fail("searched the orbit"))
+    for tol in ("0", "-1e-6", "0/7"):
+        code, out, err = run(capsys, "dimension", "--minpoly", QUINTIC, "-m", "1",
+                             "-x", "1/3", f"--tol={tol}")
+        assert (code, out, err) == (64, "", "error: tol must be positive\n")
+
+
 def test_dimension_tol_within_the_halving_budget(capsys):
     code, out, err = run(capsys, "dimension", "--minpoly", QUINTIC, "-m", "1",
                          "-x", "1/(b^2-1)", "--tol", "1e-300", "--format", "json")
@@ -372,7 +381,8 @@ def test_dimension_tol_within_the_halving_budget(capsys):
 def test_usage_errors_exit_64(capsys):
     assert run(capsys, "orbit", "--minpoly", GOLDEN, "-m", "1", "-x", "1/(q)")[0] == 64
     assert run(capsys, "orbit", "--minpoly", "1,1,notint", "-m", "1", "-x", "1")[0] == 64
-    assert run(capsys, "pisot", "--minpoly", "1,-2,1")[0] == 64  # not squarefree
+    code, _, err = run(capsys, "pisot", "--minpoly", "1,-2,1")  # not squarefree
+    assert code == 64 and "z^2 - 2*z + 1" in err
     assert run(capsys, "orbit", "--minpoly", GOLDEN, "-m", "0", "-x", "1")[0] == 64
 
 

@@ -58,8 +58,19 @@ def test_rejects_non_integer_coefficients():
 
 
 def test_rejects_non_squarefree():
-    with pytest.raises(NotSquarefree):
+    with pytest.raises(NotSquarefree, match="shares a root with its derivative"):
         NumberField(IntPolynomial((1, -2, 1)))  # (z-1)^2
+
+
+@pytest.mark.parametrize("coeffs", [(-1, -1, 1), (-1, -1, -1, -1, 0, 1)], ids=["golden", "quintic"])
+def test_construction_builds_one_sturm_chain(coeffs, monkeypatch):
+    # isolation checks squarefreeness on the chain it builds anyway; with no
+    # integer root to deflate, that is the only chain
+    calls = []
+    chain = polys.sturm_chain_int
+    monkeypatch.setattr(polys, "sturm_chain_int", lambda p: calls.append(tuple(p)) or chain(p))
+    NumberField(IntPolynomial(coeffs))
+    assert calls == [coeffs]
 
 
 def test_rejects_no_root_above_one():
@@ -652,6 +663,26 @@ def test_conjugate_enclosures_structure(quintic):
     uppers = [b for b in boxes if b[1][0] > 0]
     lowers = [b for b in boxes if b[1][1] < 0]
     assert len(uppers) == 2 and len(lowers) == 2
+
+
+def test_a_conjugate_pair_proposed_on_the_axis_is_refused(monkeypatch):
+    # floats that put one conjugate pair of the quintic on the real axis
+    # leave an upper root without a proposal: no box set short of a pair
+    # may come back, and no Pisot answer may skip two conjugates
+    p = [-1, -1, -1, -1, 0, 1]
+    aberth = polys._aberth_roots
+
+    def flattened(q):
+        zs = aberth(q)
+        top = max(zs, key=lambda z: z.imag)
+        return [complex(z.real) if z in (top, top.conjugate()) else z for z in zs]
+
+    monkeypatch.setattr(polys, "_aberth_roots", flattened)
+    assert sum(z.imag > 0 for z in flattened(p)) == 1
+    with pytest.raises(RefinementBudgetExceeded):
+        polys.propose_and_certify_complex_roots(p, 2)
+    with pytest.raises(RefinementBudgetExceeded):
+        NumberField(IntPolynomial(p)).is_pisot()
 
 
 def test_conjugate_budgets_raise_typed_errors(monkeypatch):

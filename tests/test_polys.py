@@ -84,10 +84,9 @@ def test_evaluate_interval_edge_cases():
     polys.isolate_real_roots,
     lambda p: count_roots_in_interval(p, F(0), F(2)),
     lambda p: polys.vanishes_at_root(p, F(0), F(2)),
-    polys.is_squarefree,
     lambda p: polys.evaluate_interval(p, F(0), F(2)),
 ], ids=["gcd_int", "squarefree_part_int", "isolate_real_roots", "count_roots_in_interval",
-        "vanishes_at_root", "is_squarefree", "evaluate_interval"])
+        "vanishes_at_root", "evaluate_interval"])
 @pytest.mark.parametrize("p", [[F(-3, 2), 0, 1], [-2, 0, F(1)], [-2.0, 0, 1]],
                          ids=["fraction", "integral-fraction", "float"])
 def test_a_non_int_coefficient_raises_type_error(call, p):
@@ -107,11 +106,11 @@ def test_divmod_roundtrip():
 def test_gcd_and_squarefree():
     # (z-1)^2 (z+2) is not squarefree; its squarefree part is (z-1)(z+2)
     sq = mul(mul((F(-1), F(1)), (F(-1), F(1))), (F(2), F(1)))
-    assert not polys.is_squarefree(_ints(sq))
+    with pytest.raises(NotSquarefree):
+        polys.isolate_real_roots(_ints(sq))
     part = squarefree_part(sq)
     assert part == monic(mul((F(-1), F(1)), (F(2), F(1))))
     assert tuple(polys.squarefree_part_int(_ints(sq))) == part
-    assert polys.is_squarefree([-1, -1, 1])
 
 
 _small_ints = st.lists(st.integers(-9, 9), max_size=5)
@@ -182,6 +181,16 @@ def test_isolate_endpoints_avoid_deflated_roots():
     assert refine_to_width(p, lo, hi, F(1, 2 ** 20))[0] > F(1618, 1000)
 
 
+def _exact_points(p):
+    """The exact points of isolate_real_roots(p): a monic integer
+    polynomial's rational roots, which are integers."""
+    return [lo for lo, hi in polys.isolate_real_roots(p) if lo == hi]
+
+
+def _is_squarefree(p):
+    return degree(gcd_poly(p, derivative(normalize(p)))) == 0
+
+
 def _poly_with_integer_roots(roots, cofactor, lead):
     p = (F(lead),)
     for r in roots:
@@ -203,20 +212,23 @@ def test_integer_roots_match_brute_force(roots, cofactor, lead):
     bound = 1 + max(abs(c) for c in p)
     brute = [x for x in range(-bound, bound + 1) if sum(c * x ** i for i, c in enumerate(p)) == 0]
     assert set(roots) <= set(brute)
-    if degree(gcd_poly(p, derivative(normalize(p)))) > 0:
-        with pytest.raises(NotSquarefree):
-            polys.integer_roots(p)
-    else:
-        assert polys.integer_roots(p) == brute
+    if p[-1] == 1:  # isolation peels the integer roots off as exact points
+        if _is_squarefree(p):
+            assert _exact_points(p) == brute
+        else:
+            with pytest.raises(NotSquarefree):
+                polys.isolate_real_roots(p)
+    elif _is_squarefree(p) and len(p) > 1:  # the kernel itself takes any leading coefficient
+        assert polys._integer_roots(polys.sturm_chain_int(p)) == brute
 
 
 def test_integer_roots_of_a_huge_constant_term():
     # z^2 - (2^64 + 1) has no integer root, z^2 - 2^64 has +-2^32; a divisor
     # search over the constant term would take hours
-    assert polys.integer_roots([-(2 ** 64 + 1), 0, 1]) == []
-    assert polys.integer_roots([-(2 ** 64), 0, 1]) == [-(2 ** 32), 2 ** 32]
-    assert polys.integer_roots([0, -(2 ** 64), 0, 1]) == [-(2 ** 32), 0, 2 ** 32]
-    assert polys.integer_roots([7]) == [] and polys.integer_roots([0, 0]) == []
+    assert _exact_points([-(2 ** 64 + 1), 0, 1]) == []
+    assert polys.isolate_real_roots([-(2 ** 64), 0, 1]) == [(-(2 ** 32),) * 2, (2 ** 32,) * 2]
+    assert _exact_points([0, -(2 ** 64), 0, 1]) == [-(2 ** 32), 0, 2 ** 32]
+    assert polys.isolate_real_roots([7]) == [] and polys.isolate_real_roots([0, 0]) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -228,7 +240,9 @@ def test_isolate_endpoints_are_sign_changes_on_char_polys(rows):
     _assert_isolation(sf)
     # the integer kernel against the rational one (helpers below)
     assert sf == squarefree_part(chi)
-    assert polys.is_squarefree(chi) == (degree(gcd_poly(chi, derivative(normalize(chi)))) == 0)
+    if not _is_squarefree(chi):
+        with pytest.raises(NotSquarefree):
+            polys.isolate_real_roots(chi)
     _assert_chain_is_positive_multiple(sf)
     assert polys.isolate_real_roots(sf) == _isolate_oracle(sf)
 
@@ -270,9 +284,14 @@ def test_refine_to_width():
     assert (lo, hi) == refine_to_width(p, F(1), F(2), F(1, 10 ** 6))
 
 
+def _sqrt_bounds(value, iters):
+    lo, hi = polys.sqrt_bounds_int(value.numerator, value.denominator, iters)
+    return F(lo, 1 << 96), F(hi, 1 << 96)
+
+
 def test_sqrt_bounds():
     for v in (F(2), F(1, 3), F(10, 7), F(0)):
-        lo, hi = polys.sqrt_bounds(v, iters=5)
+        lo, hi = _sqrt_bounds(v, iters=5)
         assert lo * lo <= v <= hi * hi
         if v:
             assert hi - lo < F(1, 10 ** 6)
@@ -282,8 +301,14 @@ def test_sqrt_bounds():
 @given(st.fractions(0, max_denominator=10 ** 30), st.integers(0, 12))
 @example(F(0), 4)
 def test_sqrt_bounds_matches_the_fraction_heron(value, iters):
-    # integer Heron steps with ceiling and floor divisions give the Fraction iterates
-    assert polys.sqrt_bounds(value, iters) == sqrt_bounds(value, iters)
+    # integer Heron steps with ceiling and floor divisions give the Fraction
+    # iterates, and p/q need not be in lowest terms
+    got = polys.sqrt_bounds_int(value.numerator, value.denominator, iters)
+    assert polys.sqrt_bounds_int(3 * value.numerator, 3 * value.denominator, iters) == got
+    if value:
+        assert _sqrt_bounds(value, iters) == sqrt_bounds(value, iters)
+    else:  # is_pisot reads a zero bound itself; the kernel's bounds still hold
+        assert got[0] == 0 <= got[1]
 
 
 def test_interval_division_rejects_zero():
@@ -312,7 +337,7 @@ def test_complex_certification_quintic():
 @example(low=[-1, 0, 0, 0])  # z^4 - 1: the polish lands on i, a point box
 def test_complex_proposals_certify_every_pair(low):
     p = low + [1]
-    assume(polys.is_squarefree(p))
+    assume(_is_squarefree(p))
     n_pairs = (len(low) - len(polys.isolate_real_roots(p))) // 2
     boxes = polys.propose_and_certify_complex_roots(p, n_pairs)
     assert len(boxes) == n_pairs
@@ -393,7 +418,8 @@ def _isolate_oracle(p):
 
     assert p[-1] == 1
     work, exact = p, []
-    for r in polys.integer_roots(_ints(p)):
+    bound = int(1 + max(abs(c) for c in p))  # Cauchy, so brute force finds every integer root
+    for r in (x for x in range(-bound, bound + 1) if evaluate(p, F(x)) == 0):
         exact.append(F(r))
         work = divmod_poly(work, (F(-r), F(1)))[0]
     intervals = []
@@ -433,8 +459,8 @@ def _assert_chain_is_positive_multiple(p):
 def test_isolation_matches_rational_sturm_oracle(low, make_monic):
     p = _ints(normalize(low + [1] if make_monic else low))
     assume(degree(p) >= 1)
-    assume(degree(gcd_poly(p, derivative(normalize(p)))) == 0)
-    assert polys.is_squarefree(p)
+    assume(_is_squarefree(p))
+    assert len(polys.sturm_chain_int(p)[-1]) == 1  # the chain ends in a constant gcd(p, p')
     _assert_chain_is_positive_multiple(p)
     if p[-1] == 1:
         assert polys.isolate_real_roots(p) == _isolate_oracle(p)
