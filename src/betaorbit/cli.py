@@ -12,7 +12,9 @@ imported.  The top level imports only what the parser and every command
 share (errors, field, polys); each cmd_* imports the rest in its body:
 `pisot` loads nothing more, `spectrum` adds spacing, `expand` adds dynamics
 and expr, `orbit` and `count` add dynamics, expr and orbit, and
-`dimension` adds those three and spectral.
+`dimension` adds those three and spectral.  A call builds the subparser of
+its own command only (build_parser), and no module on any command path
+imports dataclasses, which loads inspect, dis and tokenize.
 """
 
 from __future__ import annotations
@@ -85,26 +87,22 @@ def _build_params(args) -> tuple["ExpansionParams", "FieldElement"]:
     return params, x
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="betaorbit", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("pisot", help="certify whether the base is a Pisot number")
+def _add_pisot_args(p):
     _add_field_args(p)
     p.add_argument("--budget", type=int, default=96,
                    help="precision in bits: a conjugate whose squared-modulus enclosure "
                         "still straddles 1 stops refining once it is narrower than "
                         f"2^-BUDGET (default 96, at most {MAX_HALVINGS})")
-    p.set_defaults(handler=cmd_pisot)
 
-    p = subs.add_parser("orbit", help="compute the branching orbit closure of x")
+
+def _add_orbit_args(p):
     _add_point_args(p)
     _add_cap_args(p)
     p.add_argument("--out", help="write OUT.json, OUT.dot, OUT.matrix.json, OUT.matrix.csv")
     p.add_argument("--format", choices=["table", "json", "dot"], default="table")
-    p.set_defaults(handler=cmd_orbit)
 
-    p = subs.add_parser("dimension", help="dominant eigenvalue and expansion-set dimension")
+
+def _add_dimension_args(p):
     _add_point_args(p)
     _add_cap_args(p)
     p.add_argument("--tol", default="1e-12",
@@ -112,29 +110,52 @@ def build_parser() -> _Parser:
                         "halvings of alpha's isolating interval, or a decimal exponent beyond "
                         f"{MAX_EXPONENT} in size, is refused (exit 64)")
     p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(handler=cmd_dimension)
 
-    p = subs.add_parser("expand", help="generate one expansion and detect its period")
+
+def _add_expand_args(p):
     _add_point_args(p)
     p.add_argument("--rule", choices=["greedy", "lazy", "alternating"], default="greedy")
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(handler=cmd_expand)
 
-    p = subs.add_parser("count", help="count admissible digit words of length n")
+
+def _add_count_args(p):
     _add_point_args(p)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--method", choices=["matrix", "brute", "both"], default="both")
     _add_cap_args(p)
-    p.set_defaults(handler=cmd_count)
 
-    p = subs.add_parser("spectrum", help="power-sum spectrum gap statistics per level")
+
+def _add_spectrum_args(p):
     _add_field_args(p)
     p.add_argument("-m", type=int, default=1)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(handler=cmd_spectrum)
 
+
+# name -> (help, the arguments it adds to its subparser); its handler is cmd_<name>
+_COMMANDS = {
+    "pisot": ("certify whether the base is a Pisot number", _add_pisot_args),
+    "orbit": ("compute the branching orbit closure of x", _add_orbit_args),
+    "dimension": ("dominant eigenvalue and expansion-set dimension", _add_dimension_args),
+    "expand": ("generate one expansion and detect its period", _add_expand_args),
+    "count": ("count admissible digit words of length n", _add_count_args),
+    "spectrum": ("power-sum spectrum gap statistics per level", _add_spectrum_args),
+}
+
+
+def build_parser(argv=()) -> _Parser:
+    """Only the subparser of the command argv[0] names, or all of them when
+    it names none (no arguments, -h, an unknown command), so usage, help and
+    errors keep their text.  Handlers are looked up when the parser is
+    built, so a replaced cmd_* is the one that runs."""
+    parser = _Parser(prog="betaorbit", description=__doc__.splitlines()[0])
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        help_text, add_arguments = _COMMANDS[name]
+        p = subs.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(handler=globals()[f"cmd_{name}"])
     return parser
 
 
@@ -299,21 +320,17 @@ def _fold_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
-        sys.set_int_max_str_digits(0)  # exact counts may have any number of digits
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _fold_values(list(argv))
+    argv = _fold_values(list(sys.argv[1:] if argv is None else argv))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (before 3.10.7)
+    if limit:  # exact counts may have any number of digits; the caller's limit is restored
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        code = _run(args)
+        code = _run(build_parser(argv).parse_args(argv))
         sys.stdout.flush()
         return code
+    except _UsageError as exc:  # from the parser: _run reports the handlers' own
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # the reader stopped early (`| head`): send what is still buffered to
         # devnull, so the flush at interpreter exit cannot raise again
@@ -323,6 +340,9 @@ def main(argv=None) -> int:
             return EXIT_BROKEN_PIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return EXIT_BROKEN_PIPE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _run(args) -> int:

@@ -9,7 +9,6 @@ digit word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
 
@@ -129,7 +128,6 @@ class ExpansionRule:
         return branch[-1] if step % 2 == 0 else branch[0]
 
 
-@dataclass
 class ExpansionRun:
     """Digit output of an iterated rule, split into preperiod and one period.
 
@@ -139,10 +137,10 @@ class ExpansionRun:
     last one.
     """
 
-    digits: DigitWord
-    preperiod_length: int
-    period_length: int | None
-    states_visited: list = dc_field(default_factory=list)
+    def __init__(self, digits: DigitWord, preperiod_length: int, period_length: int | None,
+                 states_visited: list | None = None):
+        self.digits, self.preperiod_length, self.period_length = digits, preperiod_length, period_length
+        self.states_visited = [] if states_visited is None else states_visited
 
     @property
     def is_periodic(self) -> bool:

@@ -43,11 +43,10 @@ needs no lock either.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import polys
 from .errors import (
@@ -63,15 +62,13 @@ _CMP_BUDGET = 4096
 _ZERO_TEST_AFTER = 65  # refinements before suspecting a reducible modulus
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """Monic integer polynomial, constant term first."""
+    """Monic integer polynomial, constant term first; immutable, hashable
+    and equal by value."""
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
-        for c, n in zip(self.coeffs, cs):
+    def __init__(self, coeffs: tuple[int, ...]):
+        cs = tuple(int(c) for c in coeffs)
+        for c, n in zip(coeffs, cs):
             if c != n:
                 raise ValueError(f"coefficient {c} is not an integer")
         object.__setattr__(self, "coeffs", cs)
@@ -79,6 +76,21 @@ class IntPolynomial:
             raise DegreeZero("defining polynomial must have degree >= 1")
         if cs[-1] != 1:
             raise ValueError("defining polynomial must be monic")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntPolynomial is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"IntPolynomial is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is IntPolynomial else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
@@ -91,8 +103,7 @@ class IntPolynomial:
         return _format_terms(reversed(list(enumerate(self.coeffs))), "z")
 
 
-@dataclass(frozen=True)
-class PisotCertificate:
+class PisotCertificate(NamedTuple):
     """Outcome of the Pisot test: base bracket plus conjugate modulus bound.
 
     status is "pisot", "not_pisot", or "unknown" (refinement budget hit while

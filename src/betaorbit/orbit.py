@@ -11,7 +11,6 @@ independent oracle for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -20,15 +19,13 @@ from .errors import CapHit
 from .field import FieldElement
 
 
-@dataclass
 class OrbitGraph:
     """Closed orbit: states in BFS discovery order (state 0 is x), edges
     (from_index, digit, to_index) with digits explored ascending."""
 
-    params: ExpansionParams
-    states: list
-    edges: list[tuple[int, int, int]]
-    discovery_depth: list[int]
+    def __init__(self, params: ExpansionParams, states: list, edges: list[tuple[int, int, int]],
+                 discovery_depth: list[int]):
+        self.params, self.states, self.edges, self.discovery_depth = params, states, edges, discovery_depth
 
     @property
     def size(self) -> int:
@@ -83,15 +80,31 @@ def _json_list(items, indent: int) -> str:
     return f"[{pad}{(',' + pad).join(items)}\n{' ' * (indent - 2)}]"
 
 
-@dataclass(frozen=True)
 class TransitionMatrix:
     """Nonnegative integer matrix stored as successor lists: succ[q] holds
     the pairs (j, v) with entry (q, j) = v > 0, j ascending.  Entries are
     weights, not only 0/1; an orbit graph's matrix is 0/1 with at most m+1
     entries a row (distinct digits reach distinct states).  Dense rows are
-    built only for the exports and matrix powers."""
+    built only for the exports and matrix powers.  Immutable, hashable and
+    equal by value; spectral keeps its memos in the instance's __dict__."""
 
-    succ: tuple[tuple[tuple[int, int], ...], ...]
+    def __init__(self, succ: tuple[tuple[tuple[int, int], ...], ...]):
+        object.__setattr__(self, "succ", succ)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TransitionMatrix is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TransitionMatrix is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        return self.succ == other.succ if type(other) is TransitionMatrix else NotImplemented
+
+    def __hash__(self):
+        return hash(self.succ)
+
+    def __repr__(self):
+        return f"TransitionMatrix(succ={self.succ!r})"
 
     @classmethod
     def from_rows(cls, rows) -> TransitionMatrix:

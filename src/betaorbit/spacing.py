@@ -23,10 +23,10 @@ separation report form and order only those.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from operator import add, itemgetter, sub
+from typing import NamedTuple
 
 from .errors import TooFewPoints, TooLarge
 from .field import FieldElement, NumberField, PisotCertificate
@@ -36,7 +36,6 @@ _MEMORY_GUARD = 10_000_000
 _KEY_BITS = 64  # P: a key approximates 2^P times its point's value
 
 
-@dataclass
 class SpectrumLevel:
     """All distinct digit-polynomial values at depth n, strictly ascending.
 
@@ -44,18 +43,15 @@ class SpectrumLevel:
     P = _KEY_BITS; one slack bounds the key error of the whole level.
     """
 
-    n: int
-    values: list
-    keys: list
-    slack: int
+    def __init__(self, n: int, values: list, keys: list, slack: int):
+        self.n, self.values, self.keys, self.slack = n, values, keys, slack
 
     @property
     def count(self) -> int:
         return len(self.values)
 
 
-@dataclass
-class GapStats:
+class GapStats(NamedTuple):
     min_gap: Interval
     max_gap: Interval
     gap_histogram: list  # (enclosure, multiplicity), ascending by gap
@@ -63,8 +59,7 @@ class GapStats:
     max_gap_element: FieldElement = None
 
 
-@dataclass
-class SeparationReport:
+class SeparationReport(NamedTuple):
     """Per-level minimum gaps and whether they have stabilized.
 
     delta_upper_bound is the final level's minimum gap, an upper bound on the

@@ -49,12 +49,12 @@ appears only in display values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import count
+from typing import NamedTuple
 
 from . import polys
 from .errors import DominanceNotEstablished, RefinementBudgetExceeded, ZeroMatrix
@@ -188,17 +188,15 @@ def _sccs(nbrs: list[list[int]]) -> list[tuple[list[int], int, list[int]]]:
     return comps
 
 
-@dataclass
 class _Block:
     """The diagonal block of one SCC with a cycle.  `matrix` numbers the
     SCC's states in the order of `states` (each row column-ascending, as
     TransitionMatrix requires); `classes` lists the local indices of the
     cyclic classes C_0, ..., C_{p-1}, C_0 the smallest, each ascending."""
 
-    states: list[int]
-    period: int
-    matrix: TransitionMatrix
-    classes: list[list[int]]
+    def __init__(self, states: list[int], period: int, matrix: TransitionMatrix,
+                 classes: list[list[int]]):
+        self.states, self.period, self.matrix, self.classes = states, period, matrix, classes
 
     @cached_property
     def core(self) -> TransitionMatrix:
@@ -238,8 +236,7 @@ class _Block:
         return tuple(chi)
 
 
-@dataclass
-class _Structure:
+class _Structure(NamedTuple):
     comps: list[tuple[list[int], int, list[int]]]
     blocks: list[_Block]  # the SCCs with a cycle, in the order of comps
     acyclic: int  # the number of states on no cycle
@@ -283,8 +280,7 @@ class DominanceStatus(Enum):
 _VERIFIED = (DominanceStatus.VERIFIED_PRIMITIVE, DominanceStatus.VERIFIED_SPECTRAL_GAP)
 
 
-@dataclass
-class DominanceReport:
+class DominanceReport(NamedTuple):
     status: DominanceStatus
     strongly_connected: bool
     cycle_gcd: int | None
@@ -294,8 +290,7 @@ class DominanceReport:
         return self.status in _VERIFIED
 
 
-@dataclass
-class PerronResult:
+class PerronResult(NamedTuple):
     """Certified enclosure of the largest real eigenvalue with a nonnegative
     eigenvector taken from the adjugate adj(alpha*I - A) . 1, entries as
     rational intervals that enclose the unit-euclidean-norm vector.  Every
@@ -311,8 +306,7 @@ class PerronResult:
         return (self.alpha[0] + self.alpha[1]) / 2
 
 
-@dataclass
-class DimensionResult:
+class DimensionResult(NamedTuple):
     """log_{m+1}(alpha) as a rational enclosure.  `dimension` builds one only
     under a verified dominant eigenvalue, where this equals both the
     expansion-set dimension and the growth rate of prefix counts."""
@@ -376,7 +370,6 @@ def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> Pe
     return PerronResult(alpha=alpha, eigenvector=_normalize_eigenvector(vec), char_poly=chi)
 
 
-@dataclass
 class _PerronRoot:
     """The Perron root alpha, the largest real root of sf(chi_A), with an
     exact comparison of a rational against it.
@@ -390,14 +383,9 @@ class _PerronRoot:
     With p > 1 a point x > 0 is placed by x^p against w, which each
     comparison bisects on g, in place, only as far as it must."""
 
-    g: tuple[int, ...]
-    w: list[Fraction]
-    p: int = 1
-    eps: int = 0
-    left_pos: bool = field(init=False)
-
-    def __post_init__(self):
-        self.left_pos = polys.sign_at(self.g, self.w[0].numerator, self.w[0].denominator) > 0
+    def __init__(self, g: tuple[int, ...], w: list[Fraction], p: int = 1, eps: int = 0):
+        self.g, self.w, self.p, self.eps = g, w, p, eps
+        self.left_pos = polys.sign_at(g, w[0].numerator, w[0].denominator) > 0
 
     def compare(self, n: int, d: int) -> int:
         """The sign of n/d - alpha, for d > 0 (and n/d in w when p = 1)."""

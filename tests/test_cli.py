@@ -1,7 +1,10 @@
+import contextlib
 import importlib
+import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import betaorbit
-from betaorbit import polys
+from betaorbit import cli, polys
 from betaorbit.cli import main
 
 GOLDEN = "-1,-1,1"
@@ -526,12 +529,17 @@ CLI_MODULES = {
 }
 
 
+# standard-library modules that take milliseconds to import and that no
+# command runs: `dataclasses` loads the other three
+HEAVY = ("dataclasses", "inspect", "dis", "tokenize")
+
+
 def _modules_after(code: str, *argv: str) -> set[str]:
-    """The betaorbit modules loaded in a fresh interpreter after `code` runs
-    with sys.argv[1:] == argv."""
+    """The betaorbit modules, and those of HEAVY, loaded in a fresh
+    interpreter after `code` runs with sys.argv[1:] == argv."""
     probe = (f"{code}\nimport json, sys\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'betaorbit')),"
-             " file=sys.stderr)")
+             "print(json.dumps(sorted(m for m in sys.modules"
+             f" if m.split('.')[0] == 'betaorbit' or m in {HEAVY!r})), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                           timeout=60, env=_env())
     assert proc.returncode == 0, proc.stderr
@@ -551,3 +559,127 @@ def test_each_command_imports_only_the_modules_it_runs(command, tmp_path):
     loaded = _modules_after("import sys\nfrom betaorbit.cli import main\n"
                             "assert main(sys.argv[1:]) == 0", *argv)
     assert loaded == SHARED | {f"betaorbit.{m}" for m in extra}
+
+
+def test_the_library_layers_load_no_heavy_standard_module():
+    loaded = _modules_after("import betaorbit.spectral, betaorbit.spacing, betaorbit.orbit")
+    assert loaded == {f"betaorbit.{m}" for m in ("errors", "polys", "field", "dynamics", "orbit",
+                                                  "spectral", "spacing")} | {"betaorbit"}
+
+
+# === the parser: one subparser per call ===
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the README's CLI quick start."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Quick start (CLI)")[1].split("```sh")[1].split("```")[0]
+    lines = [shlex.split(line.split("#")[0])[1:] for line in block.splitlines() if line.strip()]
+    assert len(lines) == 6
+    return lines
+
+
+def _benchmark_commands() -> list[list[str]]:
+    """Every argument list of every benchmark workload, any seed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tasks.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tasks", path)
+    tasks = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(tasks)
+    return [list(t.expand("out")) for w in ("certify", "orbit", "spectrum", "cli")
+            for t in tasks.all_tasks(w)]
+
+
+USAGE_ERRORS = [
+    ["orbit", "--minpoly", GOLDEN, "-m", "1"],                          # no -x
+    ["dimension", "--minpoly", GOLDEN, "-x", "1", "--format", "dot"],   # a bad choice
+    ["count", "--minpoly", GOLDEN, "-x", "1", "-n", "ten"],             # -n not an int
+    ["pisot", "--minpoly", GOLDEN, "--no-such-option"],
+    ["spectrum", "--minpoly", GOLDEN],                                  # no --nmax
+    ["expand"], ["pisot", "-x"], ["nope", "--minpoly", GOLDEN], ["--minpoly", GOLDEN], [],
+]
+
+
+def _parse(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except cli._UsageError as exc:
+        return f"error: {exc}"
+
+
+def _help(parser, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", _readme_commands() + _benchmark_commands() + USAGE_ERRORS)
+def test_the_one_command_parser_parses_as_the_full_parser(argv):
+    argv = cli._fold_values(argv)
+    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize("command", list(CLI_MODULES))
+def test_each_command_help_reads_as_from_the_full_parser(command):
+    argv = [command, "-h"]
+    text = _help(cli.build_parser(argv), argv)
+    assert text == _help(cli.build_parser(), argv) and text.startswith(f"usage: betaorbit {command}")
+
+
+def _subparsers_built(monkeypatch, argv) -> int:
+    built = []
+    init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    cli.build_parser(cli._fold_values(argv))
+    monkeypatch.undo()
+    assert built[0] == "betaorbit"
+    return len(built) - 1
+
+
+@pytest.mark.parametrize("argv", [*_readme_commands(), ["pisot", "-h"]])
+def test_a_command_builds_only_its_own_subparser(monkeypatch, argv):
+    assert _subparsers_built(monkeypatch, argv) == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["nope"], ["--minpoly", GOLDEN, "pisot"]])
+def test_no_command_builds_every_subparser(monkeypatch, argv):
+    assert _subparsers_built(monkeypatch, argv) == len(CLI_MODULES) == 6
+
+
+def test_help_and_an_unknown_command_list_all_six(capsys):
+    listing = "{pisot,orbit,dimension,expand,count,spectrum}"
+    assert listing in _help(cli.build_parser(["-h"]), ["-h"])
+    code, out, err = run(capsys, "nope")
+    assert (code, out) == (64, "")
+    assert all(f"'{name}'" in err for name in CLI_MODULES)
+    assert run(capsys)[:2] == (64, "")
+
+
+def test_main_leaves_the_callers_int_digit_limit_as_it_was(capsys):
+    # main lifts Python's limit on decimal int/str conversions for exact
+    # counts; a caller in the same process gets its own limit back
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(capsys, "pisot", "--minpoly", GOLDEN)[0] == 0
+        assert sys.get_int_max_str_digits() == 4300
+        assert run(capsys, "orbit", "--minpoly", GOLDEN, "-m", "1")[0] == 64
+        assert sys.get_int_max_str_digits() == 4300
+        assert run(capsys, "orbit", "--minpoly", "-2,0,1", "-m", "1", "-x", "1",
+                   "--state-cap", "200")[0] == 4
+        assert sys.get_int_max_str_digits() == 4300
+        with pytest.raises(SystemExit):
+            main(["pisot", "-h"])
+        assert capsys.readouterr().out.startswith("usage: betaorbit pisot")
+        assert sys.get_int_max_str_digits() == 4300
+        code, out, _ = run(capsys, "count", "--minpoly", GOLDEN, "-m", "1", "-x", "1/3",
+                           "-n", "50000", "--method", "matrix")
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    count = out.removeprefix("matrix: ").rstrip("\n")
+    assert code == 0 and count.isdigit() and len(count) > 4300
