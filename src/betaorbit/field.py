@@ -237,19 +237,20 @@ class NumberField:
         a, b, e = self._rungs[-1]
         return Fraction(a, e), Fraction(b, e)
 
-    def refine_beta(self, rounds: int = 1) -> Interval:
+    def refine_beta(self) -> Interval:
+        """One bisection of beta's enclosure, kept as a rung too when it is
+        at least 256 times narrower than the last rung."""
         with self._lock:
             lo, hi = self.beta_interval()
-            for _ in range(rounds):
-                if lo == hi:
-                    break
-                lo, hi = polys.bisect_step(self.min_poly.coeffs, lo, hi)
-                keep = self._ladder_len
-                a, b, e = self._rungs[keep - 1]
-                cur = polys.integer_endpoints(lo, hi)
-                if (b - a) * cur[2] >= 256 * (cur[1] - cur[0]) * e:
-                    self._ladder_len = keep + 1
-                self._rungs = self._rungs[:keep] + [cur]
+            if lo == hi:
+                return lo, hi
+            lo, hi = polys.bisect_step(self.min_poly.coeffs, lo, hi)
+            keep = self._ladder_len
+            a, b, e = self._rungs[keep - 1]
+            cur = polys.integer_endpoints(lo, hi)
+            if (b - a) * cur[2] >= 256 * (cur[1] - cur[0]) * e:
+                self._ladder_len = keep + 1
+            self._rungs = self._rungs[:keep] + [cur]
             return lo, hi
 
     def evaluates_to_zero(self, elem: "FieldElement") -> bool:
@@ -292,26 +293,9 @@ class NumberField:
         if box[1][1] == 0:
             box = polys.bisect_step(p, *box[0]), box[1]
         else:
-            box = polys.refine_certified_box(p, polys.derivative(p), box)
+            box = polys.newton_box(p, polys.derivative(p), box)[0]
         self._conjugates[i] = box
         return box
-
-    @property
-    def conjugate_enclosures(self) -> list[Box]:
-        """Boxes for the d-1 roots other than beta; complex roots appear as a
-        box in the upper half plane followed by its mirror image.
-
-        A real conjugate's box is its closed isolating interval with zero
-        height.  Two such intervals may share an endpoint (a bisection
-        midpoint), which is never a root; the complex boxes are pairwise
-        disjoint as closed sets."""
-        out: list[Box] = []
-        for box in self._materialize_conjugates():
-            out.append(box)
-            re, (ilo, ihi) = box
-            if ihi:
-                out.append((re, (-ihi, -ilo)))
-        return out
 
     def is_pisot(self, budget: int = 96) -> PisotCertificate:
         """Refine each conjugate box until its modulus is certified below 1,

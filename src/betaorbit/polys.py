@@ -11,9 +11,13 @@ Signs at n/d are read by integer Horner on the numerators (sign_at).  The
 Sturm chain and the gcd are integer primitive remainder sequences (Collins
 1967, Brown & Traub 1971), the integer roots come from Sturm counts on
 integer intervals (_integer_roots), and division by a monic integer
-polynomial stays in the integers (divmod_monic).  Sturm counts run only
-inside isolation: whether a factor of an isolated polynomial vanishes at
-the isolated root is two signs (vanishes_at_root).  The rational
+polynomial stays in the integers (divmod_monic).  Isolation builds one
+Sturm chain, p's: after the integer roots are deflated, the deflated
+polynomial has as many roots in (lo, hi] as p has there, less the integer
+roots in (lo, hi].  Sturm counts run only inside isolation: whether a
+factor of an isolated polynomial vanishes at the isolated root is two
+signs (vanishes_at_root).  One interval Newton routine, newton_box, both
+certifies a complex root's box and refines it.  The rational
 polynomial ring, and the rational evaluate, squarefree part, Sturm chain
 and root count these kernels are checked against, live with the tests.
 """
@@ -235,7 +239,11 @@ def _sign_variations(signs: Sequence[int]) -> int:
 
 
 def count_roots_between(chain: list[Sequence[int]], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b]; endpoints must not be roots of chain[0]."""
+    """Number of real roots in (a, b] of the squarefree polynomial chain[0],
+    from its Sturm chain, as V(a) - V(b).  a or b may be a root: chain[0]
+    vanishes there and is dropped, while chain[1], a positive multiple of
+    its derivative, keeps its sign, so V is continuous from the right at a
+    root and drops by one across it."""
     va = _sign_variations([_sign(c, a) for c in chain])
     vb = _sign_variations([_sign(c, b) for c in chain])
     return va - vb
@@ -255,9 +263,7 @@ def _integer_roots(chain: list[list[int]]) -> list[int]:
     rounded up, each interval (a, b] that holds a root is halved until its
     width is 1, and then b is tested by sign_at, so the cost grows with the
     bit size of the coefficients.  V(a) - V(b) counts the roots in (a, b]
-    even when a or b is a root: the chain's first member p vanishes there
-    and is dropped, while p' keeps its sign, so V is continuous from the
-    right at a root and drops by one across it."""
+    even when a or b is a root (count_roots_between)."""
     p = chain[0]
     bound = ceil(root_bound(p))
 
@@ -306,13 +312,14 @@ def isolate_real_roots(p: Sequence[int]) -> list[Interval]:
     for r in exact:
         work, rem = divmod_monic(work, (-r, 1))
         assert not rem, "deflation by a non-root"
-    if exact and len(work) > 1:
-        chain = sturm_chain_int(work)
+
+    def count(lo: Fraction, hi: Fraction) -> int:  # roots of work in (lo, hi], on p's chain
+        return count_roots_between(chain, lo, hi) - sum(lo < r <= hi for r in exact)
 
     intervals: list[Interval] = []
     if len(work) > 1:
         bound = root_bound(work)
-        stack = [(-bound, bound, count_roots_between(chain, -bound, bound))]
+        stack = [(-bound, bound, count(-bound, bound))]
         while stack:
             lo, hi, n = stack.pop()
             if n == 1:
@@ -324,7 +331,7 @@ def isolate_real_roots(p: Sequence[int]) -> list[Interval]:
                 intervals.append((lo, hi))
             elif n > 1:
                 mid = (lo + hi) / 2
-                left = count_roots_between(chain, lo, mid)
+                left = count(lo, mid)
                 stack += [(lo, mid, left), (mid, hi, n - left)]
 
     out = intervals + [(Fraction(r),) * 2 for r in exact]
@@ -499,24 +506,6 @@ def eval_poly_complex_point(p: Sequence[int], re: Fraction, im: Fraction) -> tup
     return are, aim
 
 
-def newton_box_step(p: Sequence[int], dp: Sequence[int], b: Box) -> Box | None:
-    """One interval Newton step N(b) = mid(b) - p(mid)/p'(b), or None when
-    the derivative box contains the origin."""
-    dpb = eval_poly_box(dp, b)
-    if box_contains_zero(dpb):
-        return None
-    mre = (b[0][0] + b[0][1]) / 2
-    mim = (b[1][0] + b[1][1]) / 2
-    fre, fim = eval_poly_complex_point(p, mre, mim)
-    quot = box_div(box_from_point(fre, fim), dpb)
-    return interval_sub((mre, mre), quot[0]), interval_sub((mim, mim), quot[1])
-
-
-def _box_strictly_inside(inner: Box, outer: Box) -> bool:
-    return (outer[0][0] < inner[0][0] and inner[0][1] < outer[0][1]
-            and outer[1][0] < inner[1][0] and inner[1][1] < outer[1][1])
-
-
 def _box_intersect(a: Box, b: Box) -> Box | None:
     rlo, rhi = max(a[0][0], b[0][0]), min(a[0][1], b[0][1])
     ilo, ihi = max(a[1][0], b[1][0]), min(a[1][1], b[1][1])
@@ -525,42 +514,30 @@ def _box_intersect(a: Box, b: Box) -> Box | None:
     return (rlo, rhi), (ilo, ihi)
 
 
-def certify_box(p: Sequence[int], dp: Sequence[int], b: Box) -> Box | None:
-    """Certify that b contains exactly one root of p.
+def newton_box(p: Sequence[int], dp: Sequence[int], b: Box) -> tuple[Box, bool]:
+    """One interval Newton step N(b) = mid(b) - p(mid)/p'(b) on the box b
+    (Moore 1966), for dp = p': the contracted box and whether it proves
+    that b holds exactly one root of p, a simple one.
 
-    Returns a (possibly smaller) certified box when the interval Newton
-    operator maps b strictly into itself, which proves existence and
-    uniqueness of a simple root; returns None when certification fails.
-    A point box is certified by exact evaluation: it is returned when its
-    point is a simple root (the exact Newton polish can land on a
-    Gaussian-rational root, and then the certified box is that point).
-    """
+    The proof is N(b) strictly inside b.  N(b) is rounded outward to dyadics
+    (round_out_interval), which keeps coordinate sizes bounded, and then
+    intersected with b, so the box returned lies in b and keeps every root
+    that b holds, proved or not.  When p'(b) contains the origin, b comes
+    back unproved.  A point box is decided by exact evaluation: proved when
+    its point is a simple root (the exact Newton polish can land on a
+    Gaussian-rational root)."""
     (rlo, rhi), (ilo, ihi) = b
     if rlo == rhi and ilo == ihi:
-        simple_root = (not any(eval_poly_complex_point(p, rlo, ilo))
-                       and any(eval_poly_complex_point(dp, rlo, ilo)))
-        return b if simple_root else None
-    nb = newton_box_step(p, dp, b)
-    if nb is None or not _box_strictly_inside(nb, b):
-        return None
-    nb = round_out_box(nb)
-    shrunk = _box_intersect(nb, b)
-    return shrunk if shrunk is not None else nb
-
-
-def round_out_box(b: Box) -> Box:
-    return round_out_interval(b[0]), round_out_interval(b[1])
-
-
-def refine_certified_box(p: Sequence[int], dp: Sequence[int], b: Box) -> Box:
-    """Shrink a certified box; outward rounding after the Newton step keeps
-    coordinate sizes bounded, and intersecting with the old box keeps the
-    contained root and the exactly-one-root certificate."""
-    nb = newton_box_step(p, dp, b)
-    if nb is None:
-        return b
-    shrunk = _box_intersect(round_out_box(nb), b)
-    return shrunk if shrunk is not None else b
+        return b, not any(eval_poly_complex_point(p, rlo, ilo)) and any(
+            eval_poly_complex_point(dp, rlo, ilo))
+    dpb = eval_poly_box(dp, b)
+    if box_contains_zero(dpb):
+        return b, False
+    mre, mim = (rlo + rhi) / 2, (ilo + ihi) / 2
+    quot = box_div(box_from_point(*eval_poly_complex_point(p, mre, mim)), dpb)
+    nb = interval_sub((mre, mre), quot[0]), interval_sub((mim, mim), quot[1])
+    shrunk = _box_intersect((round_out_interval(nb[0]), round_out_interval(nb[1])), b)
+    return shrunk or b, rlo < nb[0][0] and nb[0][1] < rhi and ilo < nb[1][0] and nb[1][1] < ihi
 
 
 def _aberth_roots(p: Sequence[int]) -> list[complex]:
@@ -599,8 +576,8 @@ def _separate_boxes(p: Sequence[int], dp: Sequence[int], boxes: list[Box], cap: 
             while _box_intersect(boxes[i], boxes[j]):
                 if rounds >= cap:
                     raise RefinementBudgetExceeded("could not separate two conjugate enclosures")
-                boxes[i] = refine_certified_box(p, dp, boxes[i])
-                boxes[j] = refine_certified_box(p, dp, boxes[j])
+                boxes[i] = newton_box(p, dp, boxes[i])[0]
+                boxes[j] = newton_box(p, dp, boxes[j])[0]
                 rounds += 1
     return boxes
 
@@ -613,13 +590,22 @@ def propose_and_certify_complex_roots(p: Sequence[int], n_pairs: int) -> list[Bo
     certified result.  The proposals are the n_pairs highest above the real
     axis; a box is certified only strictly above it, so when the floats
     leave an upper root without a proposal, RefinementBudgetExceeded is
-    raised rather than fewer boxes returned.
+    raised rather than fewer boxes returned, and so it is when a coefficient
+    or an iterate leaves the float range.
     """
     if n_pairs == 0:
         return []
 
+    try:
+        zs = _aberth_roots(p)
+    except OverflowError:  # complex() of a coefficient, or abs() of an iterate
+        zs = None
+    if zs is None or not all(map(cmath.isfinite, zs)):
+        raise RefinementBudgetExceeded("the float proposer of complex roots cannot take this "
+                                       "polynomial: a coefficient or a root is beyond the float "
+                                       "range (about 1.8e308)")
     dp = derivative(p)
-    cands = sorted(_aberth_roots(p), key=lambda z: -z.imag)[:n_pairs]
+    cands = sorted(zs, key=lambda z: -z.imag)[:n_pairs]
     cands.sort(key=lambda z: (z.real, z.imag))
 
     boxes: list[Box] = []
@@ -638,17 +624,16 @@ def propose_and_certify_complex_roots(p: Sequence[int], n_pairs: int) -> list[Bo
             sim = (fim * dre - fre * dim) / den
             re = (re - sre).limit_denominator(10 ** 40)
             im = (im - sim).limit_denominator(10 ** 40)
-        certified = None
-        h = Fraction(1, 10 ** 12)
-        while certified is None and h < 1:
+        proved, h = False, Fraction(1, 10 ** 12)
+        while not proved and h < 1:
             box: Box = ((re - h, re + h), (im - h, im + h))
             if box[1][0] > 0:  # stay strictly above the real axis
-                certified = certify_box(p, dp, box)
+                box, proved = newton_box(p, dp, box)
             h *= 64
-        if certified is None:
+        if not proved:
             raise RefinementBudgetExceeded(
                 "failed to certify a complex root enclosure near "
                 f"{float(re):.6g}+{float(im):.6g}i"
             )
-        boxes.append(certified)
+        boxes.append(box)
     return _separate_boxes(p, dp, boxes)

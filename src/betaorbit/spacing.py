@@ -34,6 +34,7 @@ from .polys import Interval
 
 _MEMORY_GUARD = 10_000_000
 _KEY_BITS = 64  # P: a key approximates 2^P times its point's value
+_GAP_EPS = Fraction(1, 10 ** 15)  # width of every reported gap enclosure
 
 
 class SpectrumLevel:
@@ -158,7 +159,7 @@ def _extreme_gaps(field: NumberField, nums: list, keys: list, slack: int) -> tup
     return FieldElement(field, ordered[0]), FieldElement(field, ordered[-1])
 
 
-def gap_stats(level: SpectrumLevel, eps=Fraction(1, 10 ** 15)) -> GapStats:
+def gap_stats(level: SpectrumLevel) -> GapStats:
     """Exact consecutive differences with enclosures for reporting; gaps that
     are exactly equal as field elements share a histogram bucket."""
     if level.count < 2:
@@ -174,13 +175,12 @@ def gap_stats(level: SpectrumLevel, eps=Fraction(1, 10 ** 15)) -> GapStats:
     ordered, _ = _order(field, dict(zip(gaps, map(sub, keys[1:], keys))).items(), 4 * slack)
     distinct = [FieldElement(field, g) for g in ordered]
     min_gap, max_gap = distinct[0], distinct[-1]
-    return GapStats(min_gap=min_gap.approx(eps), max_gap=max_gap.approx(eps),
-                    gap_histogram=[(g.approx(eps), buckets[g.nums]) for g in distinct],
+    return GapStats(min_gap=min_gap.approx(_GAP_EPS), max_gap=max_gap.approx(_GAP_EPS),
+                    gap_histogram=[(g.approx(_GAP_EPS), buckets[g.nums]) for g in distinct],
                     min_gap_element=min_gap, max_gap_element=max_gap)
 
 
-def separation_evidence(field: NumberField, m: int, n_max: int,
-                        eps=Fraction(1, 10 ** 15)) -> SeparationReport:
+def separation_evidence(field: NumberField, m: int, n_max: int) -> SeparationReport:
     """Minimum gap per level up to n_max, with the field's Pisot certificate
     attached (non-Pisot fields are accepted; the contrast is the point)."""
     _check_depth(m, n_max)
@@ -188,22 +188,21 @@ def separation_evidence(field: NumberField, m: int, n_max: int,
     for nums, keys, slack in _levels(field, m, n_max):
         counts.append(len(nums))
         min_gaps.append(_extreme_gaps(field, nums, keys, slack)[0])
-    enclosures = [g.approx(eps) for g in min_gaps]
+    enclosures = [g.approx(_GAP_EPS) for g in min_gaps]
     stabilized = len(min_gaps) >= 2 and min_gaps[-1] == min_gaps[-2]
     return SeparationReport(m=m, n_max=n_max, level_counts=counts, min_gaps=min_gaps,
                             min_gap_enclosures=enclosures, stabilized=stabilized,
                             delta_upper_bound=enclosures[-1], pisot=field.is_pisot())
 
 
-def spectrum_csv(field: NumberField, m: int, n_max: int,
-                 eps=Fraction(1, 10 ** 15)) -> str:
+def spectrum_csv(field: NumberField, m: int, n_max: int) -> str:
     """CSV rows: level, count, min_gap_lo, min_gap_hi, max_gap_lo, max_gap_hi
     (gap bounds as directed decimals, so each pair is a true enclosure)."""
     from .polys import decimal_str
     _check_depth(m, n_max)
     lines = ["level,count,min_gap_lo,min_gap_hi,max_gap_lo,max_gap_hi"]
     for n, (nums, keys, slack) in enumerate(_levels(field, m, n_max), 1):
-        (a, b), (c, d) = (g.approx(eps) for g in _extreme_gaps(field, nums, keys, slack))
+        (a, b), (c, d) = (g.approx(_GAP_EPS) for g in _extreme_gaps(field, nums, keys, slack))
         lines.append(f"{n},{len(nums)},{decimal_str(a, 18, -1)},{decimal_str(b, 18, +1)},"
                      f"{decimal_str(c, 18, -1)},{decimal_str(d, 18, +1)}")
     return "\n".join(lines) + "\n"

@@ -767,18 +767,18 @@ def _normalize_eigenvector(intervals: list[IntInterval]) -> tuple[Interval, ...]
 # dimension and growth
 # ---------------------------------------------------------------------------
 
-def _ln_bounds(x: Fraction, prec: int = 50) -> Interval:
-    """Enclosure of ln(x) for x > 0 via the decimal module.  The quotient is
-    rounded outward, but Decimal.ln rounds half-even whatever the context's
-    rounding, so its result is stepped one unit outward.  ln(1) = 0 is exact
-    and kept; the log of any other rational is irrational (Lindemann), so
-    its rounding is never exact."""
+def _ln_bounds(x: Fraction) -> Interval:
+    """Enclosure of ln(x) for x > 0 via the decimal module at 50 digits.
+    The quotient is rounded outward, but Decimal.ln rounds half-even
+    whatever the context's rounding, so its result is stepped one unit
+    outward.  ln(1) = 0 is exact and kept; the log of any other rational is
+    irrational (Lindemann), so its rounding is never exact."""
     if x <= 0:
         raise ValueError("ln of a nonpositive value")
     bounds = []
     for rounding, step in ((ROUND_FLOOR, Decimal.next_minus), (ROUND_CEILING, Decimal.next_plus)):
         with localcontext() as ctx:
-            ctx.prec = prec
+            ctx.prec = 50
             ctx.rounding = rounding
             q = Decimal(x.numerator) / Decimal(x.denominator)
             ln = q.ln()

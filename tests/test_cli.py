@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import betaorbit
 from betaorbit import cli, polys
@@ -58,11 +59,38 @@ def test_pisot_prints_certificate_json(capsys):
 
 def test_pisot_exhausted_certification_budget_exits_64(capsys, monkeypatch):
     from betaorbit import polys
-    monkeypatch.setattr(polys, "certify_box", lambda p, dp, box: None)
+    monkeypatch.setattr(polys, "newton_box", lambda p, dp, box: (box, False))
     code, out, err = run(capsys, "pisot", "--minpoly", QUINTIC)
     assert code == 64
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: failed to certify")
+
+
+def test_pisot_coefficient_beyond_the_float_range_exits_64(capsys):
+    # z^3 - 10^400: the complex roots are proposed in floats, which cannot
+    # take the constant term; once an OverflowError traceback and exit 1
+    code, out, err = run(capsys, "pisot", "--minpoly", f"-{10 ** 400},0,0,1")
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "float range" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.integers(-6, 6), st.integers(-2 ** 1100, 2 ** 1100)), max_size=4),
+       st.booleans())
+@example([-10 ** 400, 0, 0], True)
+@example([-int(1.7e308), 0, 0, 0], True)  # in range, but the float iterates overflow
+def test_pisot_exits_only_with_documented_codes(low, monic):
+    # any integer coefficients, some beyond the float range (about 1.8e308):
+    # a certificate on stdout with 0, 2 or 3, or one error line with 64
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["pisot", "--minpoly", ",".join(map(str, low + [1] if monic else low))])
+    if code == 64:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+    else:
+        assert code in (0, 2, 3) and err.getvalue() == ""
+        assert json.loads(out.getvalue())["status"] == {0: "pisot", 2: "not_pisot", 3: "unknown"}[code]
 
 
 def test_pisot_negative_budget_exits_64(capsys):

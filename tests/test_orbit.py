@@ -147,9 +147,9 @@ def test_orbit_level_does_the_same_work_on_fresh_fields(monkeypatch):
         fields.append(field)  # keep each alive, so every id is new
         refine = field.refine_beta
 
-        def counting_refine(rounds=1, _refine=refine):
+        def counting_refine(_refine=refine):
             counts["refine"] += 1
-            return _refine(rounds)
+            return _refine()
 
         field.refine_beta = counting_refine
         counts.update(compare=0, refine=0)

@@ -3,7 +3,7 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from betaorbit import polys, spectral
 from betaorbit.errors import NotSquarefree, RefinementBudgetExceeded
@@ -325,8 +325,7 @@ def test_complex_certification_quintic():
     assert dp == [-1, -2, -3, 0, 5]
     for box in boxes:
         assert box[1][0] > 0  # strictly above the real axis
-        again = polys.certify_box(p, dp, box)
-        assert again is not None
+        assert polys.newton_box(p, dp, box)[1]
     # two copies of one root never separate
     with pytest.raises(RefinementBudgetExceeded):
         polys._separate_boxes(p, dp, [boxes[0], boxes[0]], cap=4)
@@ -344,8 +343,98 @@ def test_complex_proposals_certify_every_pair(low):
     dp = polys.derivative(p)
     for i, box in enumerate(boxes):
         assert box[1][0] > 0  # strictly above the real axis
-        assert polys.certify_box(p, dp, box) is not None
+        assert polys.newton_box(p, dp, box)[1]
         assert all(polys._box_intersect(box, other) is None for other in boxes[i + 1:])
+
+
+# === one interval Newton routine: contract, and prove when strictly inside ===
+
+def _mpf_fraction(x):
+    man, exp = x.man_exp
+    return F(man) * F(2) ** exp
+
+
+def _snap(x):
+    """x as a Fraction when it lies within 1e-60 of a rational with a
+    denominator up to 1000 (a root of a small integer polynomial that close
+    to one is that rational), else the mpf itself."""
+    q = _mpf_fraction(x).limit_denominator(1000)
+    return q if abs(x - q.numerator / x.context.mpf(q.denominator)) < x.context.mpf(10) ** -60 else x
+
+
+def _roots_at_80_digits(p, mpmath):
+    with mpmath.workdps(80):
+        try:
+            roots = mpmath.polyroots(p[::-1], maxsteps=400, extraprec=300)
+        except mpmath.libmp.NoConvergence:
+            return None
+        return [(_snap(mpmath.mpf(z.real)), _snap(mpmath.mpf(z.imag))) for z in map(mpmath.mpc, roots)]
+
+
+def _holds(box, z, mpmath):
+    """Whether the closed box holds the root z = (re, im); a coordinate that
+    is no snapped rational must lie at least 1e-60 from every edge."""
+    with mpmath.workdps(80):
+        tol = mpmath.mpf(10) ** -60
+        for (lo, hi), x in zip(box, z):
+            if isinstance(x, Fraction):
+                if not lo <= x <= hi:
+                    return False
+                continue
+            mlo, mhi = (mpmath.mpf(e.numerator) / e.denominator for e in (lo, hi))
+            assume(min(abs(x - mlo), abs(x - mhi)) > tol)
+            if not mlo < x < mhi:
+                return False
+        return True
+
+
+@st.composite
+def _boxes_near_a_root(draw):
+    """A squarefree integer polynomial of degree 2 to 6 and a box near one of
+    its roots: half-widths 2^-k (zero for a flat box or a point), the centre
+    the root rounded to 2^-(k+8) and moved by up to twice the half-widths,
+    so the box may hold that root, others, or none."""
+    mpmath = pytest.importorskip("mpmath")
+    p = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=6)) + [draw(st.sampled_from([1, 1, 2, -3]))]
+    assume(_is_squarefree(p))
+    roots = _roots_at_80_digits(p, mpmath)
+    assume(roots is not None)
+    z = draw(st.sampled_from(roots))
+    box = []
+    for x in z:
+        k = draw(st.integers(0, 40))
+        h = draw(st.sampled_from([F(1, 2 ** k), F(1, 2 ** k), F(0)]))
+        c = F(round((x if isinstance(x, Fraction) else _mpf_fraction(x)) * 2 ** (k + 8)), 2 ** (k + 8))
+        c += draw(st.integers(-32, 32)) * h / 16
+        box.append((c - h, c + h))
+    return p, tuple(box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_boxes_near_a_root())
+@example(([1, 0, 1], ((F(-1, 1000), F(1, 1000)), (F(999, 1000), F(1001, 1000)))))  # proved
+@example(([1, 0, 1], ((F(0), F(0)), (F(1), F(1)))))  # the point i: a simple root, proved
+@example(([1, 0, 1], ((F(1), F(1)), (F(1), F(1)))))  # the point 1 + i: no root
+@example(([-2, 0, 1], ((F(1), F(2)), (F(0), F(0)))))  # a flat box: never strictly inside
+@example(([-2, 0, 1], ((F(-2), F(2)), (F(-1), F(1)))))  # p' vanishes in the box
+def test_newton_box_keeps_every_root_and_proves_only_one(case):
+    mpmath = pytest.importorskip("mpmath")
+    p, box = case
+    roots = _roots_at_80_digits(p, mpmath)
+    assume(roots is not None)
+    out, proved = polys.newton_box(p, polys.derivative(p), box)
+    event(f"{'point' if box[0][0] == box[0][1] and box[1][0] == box[1][1] else 'box'}, "
+          f"{'proved' if proved else 'not proved'}")
+    assert all(lo <= olo <= ohi <= hi for (lo, hi), (olo, ohi) in zip(box, out))
+    held = [z for z in roots if _holds(box, z, mpmath)]
+    assert all(_holds(out, z, mpmath) for z in held)  # out lies in box, so exactly these
+    if proved:
+        assert len(held) == 1
+
+
+def test_newton_box_is_the_one_interval_newton_routine():
+    assert not any(hasattr(polys, n) for n in (
+        "certify_box", "refine_certified_box", "round_out_box", "newton_box_step"))
 
 
 def test_decimal_str_directed():
@@ -456,6 +545,8 @@ def _assert_chain_is_positive_multiple(p):
 @example([0, -1, -1, 1], True)  # z (z^2 - z - 1): an exact root at 0
 @example([-2, 1, -2, 1], True)  # (z - 2)(z^2 + 1)
 @example([-1, 0, 2], False)  # 2z^2 - 1: not monic
+@example([-15, 20, -8], True)  # (z - 3)(z^2 - 5z + 5): the walk splits (0, 6] at the root 3
+@example([-12, -9, -1], True)  # (z - 4)(z^2 + 3z + 3): the walk's (-4, 4] ends at the root 4
 def test_isolation_matches_rational_sturm_oracle(low, make_monic):
     p = _ints(normalize(low + [1] if make_monic else low))
     assume(degree(p) >= 1)
@@ -467,6 +558,18 @@ def test_isolation_matches_rational_sturm_oracle(low, make_monic):
     else:  # isolation takes monic polynomials only
         with pytest.raises(ValueError, match="monic"):
             polys.isolate_real_roots(p)
+
+
+@pytest.mark.parametrize("p", [[-15, 20, -8, 1], [-12, -9, -1, 1], [0, -1, -1, 1], [-1, -1, 1]],
+                         ids=["root-3", "root-4", "root-0", "golden"])
+def test_isolation_builds_one_sturm_chain(p, monkeypatch):
+    # the deflated polynomial's roots are counted on p's chain, less the
+    # integer roots, so no second chain is built after the deflation
+    calls = []
+    chain = polys.sturm_chain_int
+    monkeypatch.setattr(polys, "sturm_chain_int", lambda q: calls.append(tuple(q)) or chain(q))
+    assert polys.isolate_real_roots(p) == _isolate_oracle(p)
+    assert calls == [tuple(p)]
 
 
 def test_refine_to_width_budget_is_checked_before_bisecting(monkeypatch):

@@ -18,7 +18,7 @@ from betaorbit import (
     spacing,
     spectrum_csv,
 )
-from betaorbit.errors import TooFewPoints, TooLarge
+from betaorbit.errors import RefinementBudgetExceeded, TooFewPoints, TooLarge
 
 F = Fraction
 
@@ -112,6 +112,14 @@ def test_separation_contrast_sqrt2():
     assert report.min_gaps[13] == 99 * b - 140
     ratio = float(report.min_gaps[3]) / float(report.min_gaps[13])
     assert ratio >= 10
+
+
+def test_separation_beyond_the_float_range_raises_a_typed_error():
+    # the report attaches the field's Pisot certificate, whose conjugate
+    # pair of z^3 - 10^400 the float proposer cannot take
+    field = NumberField(IntPolynomial((-10 ** 400, 0, 0, 1)))
+    with pytest.raises(RefinementBudgetExceeded, match="float range"):
+        separation_evidence(field, 1, 3)
 
 
 def test_spectrum_csv_shape(base2):
