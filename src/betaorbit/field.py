@@ -197,7 +197,8 @@ class NumberField:
 
     def __repr__(self) -> str:
         lo, hi = self.beta_interval()
-        return f"NumberField({self.min_poly}, root in [{float(lo):.6f}, {float(hi):.6f}])"
+        return (f"NumberField({self.min_poly}, root in "
+                f"[{polys.decimal_str(lo, 6, -1)}, {polys.decimal_str(hi, 6, +1)}])")
 
     @property
     def beta(self) -> "FieldElement":

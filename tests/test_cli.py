@@ -350,6 +350,14 @@ def test_spectrum_far_beyond_the_guard_exits_64_quickly(capsys, m, nmax):
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_spectrum_on_a_reducible_base_exits_64(capsys):
+    # z^2 - 3z + 2 = (z - 1)(z - 2): beta = 2 and beta^2 = 3*beta - 2 are
+    # distinct numerator tuples of one value, so they meet in an exact run
+    code, out, err = run(capsys, "spectrum", "--minpoly", "2,-3,1", "-m", "1", "--nmax", "5")
+    assert (code, out) == (64, "")
+    assert "distinct representations coincide" in err and len(err.splitlines()) == 1
+
+
 def test_orbit_dot_format(capsys):
     code, out, _ = run(capsys, "orbit", "--minpoly", GOLDEN, "-m", "1", "-x", "1",
                        "--format", "dot")

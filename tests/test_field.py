@@ -715,6 +715,22 @@ def test_a_coefficient_beyond_the_float_range_raises_a_typed_error():
         field.is_pisot()
 
 
+def test_repr_prints_an_outward_rounded_enclosure_of_beta():
+    # the bounds are directed decimals, so they enclose the root even
+    # beyond the float range, where float() raised or rounded both ends
+    golden = NumberField(IntPolynomial((-1, -1, 1)))
+    assert repr(golden) == "NumberField(z^2 - z - 1, root in [1.000000, 2.000000])"
+    while golden.beta_interval()[1] - golden.beta_interval()[0] > F(1, 10 ** 9):
+        golden.refine_beta()
+    text = repr(golden)
+    lo, hi = (F(x) for x in text[text.index("[") + 1:-2].split(", "))
+    assert golden.beta.compare(lo) > 0 > golden.beta.compare(hi)
+    assert text.endswith("[1.618033, 1.618034])")
+    for coeffs, root in [((-10 ** 400, 1), 10 ** 400), ((-10 ** 400, 0, 1), 10 ** 200)]:
+        text = repr(NumberField(IntPolynomial(coeffs)))
+        assert text.endswith(f"root in [{root}.000000, {root}.000000])")
+
+
 def test_pisot_certificate_matches_mpmath_oracle():
     # differential test against 50-digit roots from mpmath.polyroots
     mpmath = pytest.importorskip("mpmath")

@@ -4,7 +4,8 @@ Each case runs `betaorbit.cli.main` in-process and compares the exit code,
 stdout and every file written under `--out` with the copies frozen in
 `tests/data/golden/<case>/`.  The cases are the README quick-start commands,
 `orbit --format table|json|dot` on two bases, `spectrum --nmax 12` on a
-Pisot and a non-Pisot base, divergence and not-Pisot exits,
+Pisot and a non-Pisot base, `spectrum -m 2` on a Pisot base and on a
+non-Pisot, non-unit base, divergence and not-Pisot exits,
 `dimension --format json` on the benchmark's certify inputs, and an
 alternating expansion whose period is read with the step parity.  Each
 `dimension` case also runs in the default table format, which must print the
@@ -33,6 +34,7 @@ DATA = Path(__file__).parent / "data" / "golden"
 QUINTIC = "-1,-1,-1,-1,0,1"
 GOLDEN = "-1,-1,1"
 SQRT2 = "-2,0,1"
+SQRT3 = "-3,0,1"
 PLASTIC = "-1,-1,0,1"
 CUBIC = "-1,0,-1,1"
 TETRA = "-1,-1,-1,-1,1"
@@ -68,6 +70,8 @@ CASES = {
                              "--state-cap", "200"],
     "spectrum_golden": ["spectrum", "--minpoly", GOLDEN, "-m", "1", "--nmax", "12"],
     "spectrum_sqrt2": ["spectrum", "--minpoly", SQRT2, "-m", "1", "--nmax", "12"],
+    "spectrum_plastic_m2": ["spectrum", "--minpoly", PLASTIC, "-m", "2", "--nmax", "9"],
+    "spectrum_sqrt3_m2": ["spectrum", "--minpoly", SQRT3, "-m", "2", "--nmax", "8"],
     "pisot_sqrt2": ["pisot", "--minpoly", SQRT2],
     "dimension_plastic": ["dimension", "--minpoly", PLASTIC, "-m", "1", "-x", "1/(b^3-1)",
                           "--format", "json"],

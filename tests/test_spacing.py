@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -187,15 +188,33 @@ def test_sweep_levels_and_picked_gaps_match_the_exact_oracle(name, m, data):
     # picked from the gap keys against all gaps ordered exactly
     n_max = data.draw(st.integers(1, 7 if m == 1 else 4))
     field = NumberField(IntPolynomial(FIELDS[name]))
-    for n, (nums, keys, slack) in enumerate(spacing._levels(field, m, n_max), 1):
+    for n, (nums, keys, slack, element) in enumerate(spacing._levels(field, m, n_max), 1):
         oracle = _oracle_level(field, m, n)
-        assert nums == [v.nums for v in oracle]
+        assert [element(x).nums for x in nums] == [v.nums for v in oracle]
         gaps = sorted({b - a for a, b in zip(oracle, oracle[1:])}, key=_by_compare)
-        least, greatest = spacing._extreme_gaps(field, nums, keys, slack)
+        least, greatest = spacing._extreme_gaps(nums, keys, slack, element)
         assert (least, greatest) == (gaps[0], gaps[-1])
         histogram = gap_stats(SpectrumLevel(n, oracle, keys, slack)).gap_histogram
         assert (least.approx(F(1, 10 ** 15)), greatest.approx(F(1, 10 ** 15))) == (
             histogram[0][0], histogram[-1][0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.sampled_from([1, 2, 3]), st.data())
+def test_packing_round_trips_every_point_and_gap(name, m, data):
+    # the width bound covers every coordinate of every level point and of
+    # every consecutive difference, so unpacking gives the oracle's tuples
+    n_max = data.draw(st.integers(1, {1: 8, 2: 5, 3: 4}[m]))
+    field = NumberField(IntPolynomial(FIELDS[name]))
+    powers = [field.beta ** i for i in range(1, n_max + 1)]
+    width, degree = spacing._width(m, powers), field.degree
+    word = sum(powers, field.zero) * m  # every digit m
+    assert all(2 * abs(c) < 1 << (width - 1) for c in word.nums)
+    for n, (nums, _, _, _) in enumerate(spacing._levels(field, m, n_max), 1):
+        oracle = [v.nums for v in _oracle_level(field, m, n)]
+        assert [spacing._unpack(x, width, degree) for x in nums] == oracle
+        assert [spacing._unpack(b - a, width, degree) for a, b in zip(nums, nums[1:])] == [
+            tuple(map(sub, b, a)) for a, b in zip(oracle, oracle[1:])]
 
 
 def _spectrum(minpoly, m, n):
@@ -271,17 +290,24 @@ def test_depth_validated_before_any_level(golden, monkeypatch):
                 run(golden, m, n_max)
 
 
-def _assert_moved_keys_change_nothing(level, shifts, unit):
+def _level_seven(name):
+    """Depth 7 at m = 1: the level, and the sweep's packed points with the
+    map from a packed point or gap to its FieldElement."""
+    field = NumberField(IntPolynomial(FIELDS[name]))
+    *_, (packed, _, _, element) = spacing._levels(field, 1, 7)
+    return enumerate_spectrum(field, 1, 7), packed, element
+
+
+def _assert_moved_keys_change_nothing(level, packed, element, shifts, unit):
     keys = [k + s for k, s in zip(level.keys, shifts)]
     slack = level.slack + unit
-    field = level.values[0].field
-    nums = [v.nums for v in level.values]
-    assert spacing._order(field, list(zip(nums, keys))[::-1], 2 * slack)[0] == nums
+    ordered = spacing._order(list(zip(packed, keys))[::-1], 2 * slack, element)[0]
+    assert [element(x) for x in ordered] == level.values
     moved = SpectrumLevel(level.n, level.values, keys, slack)
     stats = gap_stats(moved)
     assert stats == gap_stats(level)
-    assert spacing._extreme_gaps(field, nums, keys, slack) == (stats.min_gap_element,
-                                                               stats.max_gap_element)
+    assert spacing._extreme_gaps(packed, keys, slack, element) == (stats.min_gap_element,
+                                                                   stats.max_gap_element)
 
 
 @settings(max_examples=30, deadline=None)
@@ -289,11 +315,11 @@ def _assert_moved_keys_change_nothing(level, shifts, unit):
 def test_keys_off_by_the_slack_change_nothing(name, data):
     # push every key anywhere within a slack of up to 16 whole units: runs
     # get long, and the order and the gaps must stay as they are
-    level = enumerate_spectrum(NumberField(IntPolynomial(FIELDS[name])), 1, 7)
+    level, packed, element = _level_seven(name)
     unit = data.draw(st.sampled_from([1, 4, 16])) << spacing._KEY_BITS
     shifts = data.draw(st.lists(st.sampled_from([-unit, 0, unit]),
                                 min_size=level.count, max_size=level.count))
-    _assert_moved_keys_change_nothing(level, shifts, unit)
+    _assert_moved_keys_change_nothing(level, packed, element, shifts, unit)
 
 
 @pytest.mark.parametrize("name", ["golden", "plastic", "sqrt2", "sqrt3"])
@@ -302,7 +328,7 @@ def test_extreme_gaps_keyed_two_units_off_are_still_picked(name):
     # and every other point one unit down (up), so the keys of those gaps
     # rise (fall) by two units while the gaps after them fall (rise) by two;
     # units below the gap spread keep the extreme gap out of the other window
-    level = enumerate_spectrum(NumberField(IntPolynomial(FIELDS[name])), 1, 7)
+    level, packed, element = _level_seven(name)
     stats = gap_stats(level)
     gaps = [b - a for a, b in zip(level.values, level.values[1:])]
     for bits in (-4, -2, 0):
@@ -310,16 +336,16 @@ def test_extreme_gaps_keyed_two_units_off_are_still_picked(name):
         for extreme, sign in ((stats.min_gap_element, 1), (stats.max_gap_element, -1)):
             ends = {j + 1 for j, g in enumerate(gaps) if g == extreme}
             shifts = [sign * unit if j in ends else -sign * unit for j in range(level.count)]
-            _assert_moved_keys_change_nothing(level, shifts, unit)
+            _assert_moved_keys_change_nothing(level, packed, element, shifts, unit)
 
 
 @pytest.mark.parametrize("name", ["golden", "plastic", "sqrt2", "sqrt3"])
 def test_keys_pushed_towards_the_half_keep_order_and_gaps(name):
     # keys of points above half the range move down and the rest move up,
     # so neighbours across the middle draw together and need exact compares
-    level = enumerate_spectrum(NumberField(IntPolynomial(FIELDS[name])), 1, 7)
+    level, packed, element = _level_seven(name)
     half = level.values[-1] * F(1, 2)
     for units in (1, 4, 16):
         unit = units << spacing._KEY_BITS
         shifts = [-unit if v.compare(half) > 0 else unit for v in level.values]
-        _assert_moved_keys_change_nothing(level, shifts, unit)
+        _assert_moved_keys_change_nothing(level, packed, element, shifts, unit)
