@@ -26,7 +26,7 @@ import sys
 
 from .errors import BetaOrbitError, CapHit, OutsideInterval
 from .field import IntPolynomial, NumberField
-from .polys import MAX_EXPONENT, MAX_HALVINGS, decimal_str
+from .polys import MAX_EXPONENT, MAX_HALVINGS, decimal_str, decimal_str_int
 
 EXIT_OK = 0
 EXIT_NOT_PISOT = 2
@@ -182,17 +182,19 @@ def cmd_orbit(args) -> int:
     elif args.format == "dot":
         print(result.to_dot(), end="")
     else:
-        for j, mid in enumerate(result.label_midpoints, start=1):
-            print(f"  {j}: {decimal_str(mid, 5, -1)}  depth {result.discovery_depth[j - 1]}")
+        depth = result.discovery_depth
+        print("\n".join(f"  {j}: {decimal_str_int(num, den, 5, -1)}  depth {depth[j - 1]}"
+                        for j, (num, den) in enumerate(result.label_midpoints, start=1)))
     if args.out:
         mat = transition_matrix(result)
-        with open(args.out + ".json", "w") as fh:
+        # 64 KiB buffers: one write call per 64 KiB, not per 8 KiB matrix row
+        with open(args.out + ".json", "w", buffering=1 << 16) as fh:
             result.write_json(fh)
-        with open(args.out + ".dot", "w") as fh:
+        with open(args.out + ".dot", "w", buffering=1 << 16) as fh:
             fh.write(result.to_dot())
-        with open(args.out + ".matrix.json", "w") as fh:
+        with open(args.out + ".matrix.json", "w", buffering=1 << 16) as fh:
             mat.write_json(fh)
-        with open(args.out + ".matrix.csv", "w") as fh:
+        with open(args.out + ".matrix.csv", "w", buffering=1 << 16) as fh:
             fh.write(mat.to_csv())
     return EXIT_OK
 

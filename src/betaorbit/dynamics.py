@@ -5,20 +5,54 @@ Provides membership and branch-set queries, brute-force prefix counting
 expansion generation under the greedy, lazy and alternating rules with
 exact periodicity detection, and the exact value of an eventually periodic
 digit word.
+
+A point's digits are read on its reduced integer form (nums, den): beta*x
+is enclosed by one dot product with a fixed-point table of beta^j, j < d,
+that each ExpansionParams bisects once in integers without refining the
+field's ladder, and exact comparisons settle only the digits that
+enclosure leaves open.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence
 
+from . import polys
 from .errors import CapHit, OutsideInterval
 from .field import FieldElement, NumberField
 
 DigitWord = tuple[int, ...]
 
-# width of the enclosures of beta*x and R that branches decides digits by
+# width of the enclosure of R = m/(beta-1) that the digit bounds read
 _BRANCH_EPS = Fraction(1, 1 << 12)
+# the table of beta^j holds each power to within 2^-_TABLE_BITS
+_TABLE_BITS = 48
+
+
+def _power_table(field: NumberField, bits: int) -> tuple[int, ...]:
+    """Integers t_j, j < d, with |beta^j * 2^bits - t_j| <= 1.
+
+    Beta's isolating interval [lo/e, hi/e] (the field's first rung, lo/e >=
+    1, no root at either end) is bisected with polys.sign_at at its
+    midpoints until (d-1) H^(d-2) (hi - lo)/e < 2^-bits, H >= beta an
+    integer; by the mean value theorem the endpoints' powers j < d then
+    differ by less than 2^-bits, and 1 + floor(2^bits lo^j / e^j) lies
+    within 1 of 2^bits beta^j.  The ladder is read, never refined."""
+    p, k = field.min_poly.coeffs, field.degree - 1
+    lo, hi, e = field._rungs[0]
+    slope = k * (-(-hi // e)) ** max(k - 1, 0)
+    s_lo = polys.sign_at(p, lo, e)
+    while ((hi - lo) * slope) << bits >= e:
+        lo, hi, e = 2 * lo, 2 * hi, 2 * e
+        mid = (lo + hi) // 2
+        if polys.sign_at(p, mid, e) == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return tuple(((lo ** j) << bits) // e ** j + 1 for j in range(k + 1))
 
 
 class ExpansionParams:
@@ -38,6 +72,8 @@ class ExpansionParams:
         self.right_endpoint = m * (self.beta - 1).inverse()
         assert self.right_endpoint * (self.beta - 1) == field.from_rational(m)
         self._right_enclosure = self.right_endpoint.approx_int(_BRANCH_EPS)
+        self._bits = _TABLE_BITS
+        self._table = _power_table(field, _TABLE_BITS)
 
     def __repr__(self):
         return f"ExpansionParams(m={self.m}, {self.field!r})"
@@ -50,37 +86,56 @@ class ExpansionParams:
         """The digit map beta*x - digit (total; the image may leave the interval)."""
         return self.beta * x - digit
 
-    def branches(self, x: FieldElement) -> tuple[tuple[int, FieldElement], ...]:
-        """The pairs (i, beta*x - i), digits ascending, for the digits i
-        whose image stays inside the interval: the integers of [0, m] in
-        [beta*x - R, beta*x], R = m/(beta-1).
+    def _images(self, nums: tuple[int, ...], den: int) -> tuple[int, list]:
+        """(bden, [(i, numerators of beta*x - i over bden), ...]), digits
+        ascending, for the point x = nums/den in reduced form and the
+        digits i whose image stays inside the interval: the integers of
+        [0, m] in [beta*x - R, beta*x], R = m/(beta-1).
 
-        beta*x is formed once.  One integer enclosure of it settles every
+        beta*x = (n_{d-1} c_0, n_0 + n_{d-1} c_1, ...)/den, for beta^d =
+        sum_j c_j beta^j, is (b_0, b_1, ...)/bden after one gcd.  As
+        |beta^j 2^P - t_j| <= 1 for the table t, 2^P bden beta*x lies
+        within sum_j |b_j| of sum_j b_j t_j.  That enclosure settles every
         digit except a bound it cannot decide, which goes to an exact
-        comparison of the image.  With beta*x = (n_0, n_1, ...)/den
-        reduced, the image (n_0 - i*den, n_1, ...)/den is reduced too,
-        since gcd(den, n_0 - i*den, n_1, ...) = gcd(den, n_0, n_1, ...).
-        The set is empty exactly for points outside [0, R] (x < 0 makes
-        every beta*x - i negative; x > R gives beta*x - i >= beta*x - m >
+        comparison of the image.  The image (b_0 - i*bden, b_1, ...)/bden
+        is reduced too, since gcd(bden, b_0 - i*bden, b_1, ...) =
+        gcd(bden, b_0, b_1, ...).  The set is
+        empty exactly for points outside [0, R] (x < 0 makes every
+        beta*x - i negative; x > R gives beta*x - i >= beta*x - m >
         beta*R - m = R), so an empty set raises OutsideInterval."""
-        bx = self.beta * x
-        blo, bhi, bd = bx.approx_int(_BRANCH_EPS)  # beta*x in [blo, bhi]/bd
-        rlo, rhi, rd = self._right_enclosure        # R in [rlo, rhi]/rd
-        n0, rest, den = bx.nums[0], bx.nums[1:], bx.den
-        field, zero, right = self.field, self.field.zero, self.right_endpoint
+        field = self.field
+        top = nums[-1]
+        bx = [top * c + n for c, n in zip(field._power_rows[0], (0,) + nums[:-1])]
+        g = gcd(den, *bx)
+        bden = den // g
+        if g != 1:
+            bx = [n // g for n in bx]
+        centre, radius = sum(map(mul, bx, self._table)), sum(map(abs, bx))
+        blo, bhi, bd = centre - radius, centre + radius, bden << self._bits
+        rlo, rhi, rd = self._right_enclosure   # R in [rlo, rhi]/rd
+        n0, rest = bx[0], tuple(bx[1:])
         first = max(0, -((rhi * bd - blo * rd) // (bd * rd)))  # ceil(blo/bd - rhi/rd)
         last = min(self.m, bhi // bd)                           # floor(bhi/bd)
         out = []
         for i in range(first, last + 1):
-            img = FieldElement(field, (n0 - i * den,) + rest, den)
-            if i * bd > blo and img.compare(zero) < 0:
+            img = (n0 - i * bden,) + rest
+            if i * bd > blo and FieldElement(field, img, bden).compare(field.zero) < 0:
                 continue
-            if (bhi - i * bd) * rd > rlo * bd and img.compare(right) > 0:
+            if (bhi - i * bd) * rd > rlo * bd and \
+                    FieldElement(field, img, bden).compare(self.right_endpoint) > 0:
                 continue
             out.append((i, img))
         if not out:
+            x = FieldElement(field, nums, den)
             raise OutsideInterval(f"{x!r} lies outside [0, m/(beta-1)]")
-        return tuple(out)
+        return bden, out
+
+    def branches(self, x: FieldElement) -> tuple[tuple[int, FieldElement], ...]:
+        """The pairs (i, beta*x - i), digits ascending, for the digits i
+        whose image stays inside the interval (see _images); an empty set
+        raises OutsideInterval."""
+        den, out = self._images(x.nums, x.den)
+        return tuple((i, FieldElement(self.field, img, den)) for i, img in out)
 
     def branch_digits(self, x: FieldElement) -> tuple[int, ...]:
         """Ascending digits i with beta*x - i still inside the interval (see

@@ -22,7 +22,11 @@ returns the first rung, coarse to fine, whose enclosure is narrow enough
 last request with the same width returned, mostly checks that rung and the
 one before it, and walks on into refinement when no rung fits.  Its integer
 core, approx_int, returns the enclosure as integers (alo, ahi, den); approx
-builds Fractions only for the interval it returns.
+builds Fractions only for the interval it returns.  On the orbit path the
+ladder serves the exact compares, the enclosure of m/(beta-1) and the state
+labels.  beta*x is enclosed in dynamics from a table of powers of beta that
+reads the first rung and never refines the ladder: the ladder's state when
+the labels run picks the enclosure each label reads.
 
 The d-1 conjugates of beta are kept as one list of upper-half-plane boxes:
 a real conjugate is the zero-height box of its isolating interval, refined
@@ -197,8 +201,7 @@ class NumberField:
 
     def __repr__(self) -> str:
         lo, hi = self.beta_interval()
-        return (f"NumberField({self.min_poly}, root in "
-                f"[{polys.decimal_str(lo, 6, -1)}, {polys.decimal_str(hi, 6, +1)}])")
+        return f"NumberField({self.min_poly}, root in [{_bound_str(lo, -1)}, {_bound_str(hi, +1)}])"
 
     @property
     def beta(self) -> "FieldElement":
@@ -671,20 +674,52 @@ def format_element(elem: FieldElement) -> str:
     return _format_terms(enumerate(elem.coeffs), "b")
 
 
+# a number of at least _LONG prints in mantissa-exponent form: its integer
+# part has more digits than the least int-to-str limit Python allows (640)
+_LONG = 10 ** 600
+
+
+def _sci_str(x: int | Fraction, direction: int) -> str:
+    """x >= 1 as d.dddddde+E, six places rounded down (direction <= 0) or up
+    (direction > 0), by integer arithmetic on x's numerator and denominator
+    alone."""
+    n, d = x.numerator, x.denominator
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000  # about log10(x)
+    while n < d * 10 ** e:
+        e -= 1
+    while n >= d * 10 ** (e + 1):
+        e += 1
+    q, r = divmod(n * 10 ** 6, d * 10 ** e)  # 10^6 <= q < 10^7
+    if direction > 0 and r:
+        q += 1
+        if q == 10 ** 7:
+            q, e = 10 ** 6, e + 1
+    digits = str(q)
+    return f"{digits[0]}.{digits[1:]}e+{e}"
+
+
+def _bound_str(x: Fraction, direction: int) -> str:
+    """x >= 1 rounded down (direction < 0) or up (> 0): to six decimal
+    places, or in mantissa-exponent form from _LONG on."""
+    return polys.decimal_str(x, 6, direction) if x < _LONG else _sci_str(x, direction)
+
+
 def _format_terms(terms: Iterable[tuple[int, int | Fraction]], var: str) -> str:
     """The terms (exponent, coefficient), in the order given, as signed
     monomials in var, zero terms left out, e.g. 'z^2 - z - 1'; '0' when
-    every coefficient is zero."""
+    every coefficient is zero.  A coefficient of magnitude at least _LONG
+    prints in mantissa-exponent form, rounded towards zero."""
     parts = []
     for i, c in terms:
         if c == 0:
             continue
         mag = abs(c)
+        text = str(mag) if mag < _LONG else _sci_str(mag, -1)
         if i == 0:
-            body = str(mag)
+            body = text
         else:
             mono = var if i == 1 else f"{var}^{i}"
-            body = mono if mag == 1 else f"{mag}*{mono}"
+            body = mono if mag == 1 else f"{text}*{mono}"
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:

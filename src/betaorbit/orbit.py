@@ -4,9 +4,12 @@ The orbit of x is the set of points reachable from x by admissible digit
 maps.  BFS with exact deduplication either closes (every admissible image of
 every state is again a state) and yields the orbit graph, or hits a cap (on
 the states, the depth, or the total bit size of the states) and raises
-CapHit.  The transition matrix drives exact big-integer
-prefix counting by matrix powers; the brute-force count in dynamics is the
-independent oracle for it.
+CapHit.  The search keys each state by its reduced integer form (nums, den)
+and reads its digits and images from ExpansionParams._images; the states'
+FieldElements are built once it closes.  The table and DOT labels are
+formatted from each state's integer 1e-7 enclosure.  The transition matrix
+drives exact big-integer prefix counting by matrix powers; the brute-force
+count in dynamics is the independent oracle for it.
 """
 
 from __future__ import annotations
@@ -56,17 +59,18 @@ class OrbitGraph:
                  f'  "edges": {_json_list(edges, 4)}\n}}')
 
     @cached_property
-    def label_midpoints(self) -> list[Fraction]:
+    def label_midpoints(self) -> list[tuple[int, int]]:
         """Midpoint of each state's 1e-7 enclosure, the value that the
-        table and the DOT labels print."""
+        table and the DOT labels print, as integers (numerator,
+        denominator), not reduced."""
         eps = Fraction(1, 10 ** 7)
-        return [Fraction(lo + hi, 2 * den)
-                for lo, hi, den in (s.approx_int(eps) for s in self.states)]
+        return [(lo + hi, 2 * den) for lo, hi, den in (s.approx_int(eps) for s in self.states)]
 
     def to_dot(self) -> str:
         lines = ["digraph orbit {"]
-        for j, mid in enumerate(self.label_midpoints, start=1):
-            lines.append(f'  {j} [label="{j}: {float(mid):.5f}"];')
+        # int / int is the correctly rounded float, as float(Fraction) is
+        for j, (num, den) in enumerate(self.label_midpoints, start=1):
+            lines.append(f'  {j} [label="{j}: {num / den:.5f}"];')
         for (q, digit, j) in self.edges:
             lines.append(f'  {q + 1} -> {j + 1} [label="{digit}"];')
         lines.append("}")
@@ -194,34 +198,37 @@ def compute_orbit(params: ExpansionParams, x: FieldElement,
     """
     if state_cap < 1 or depth_cap < 1:
         raise ValueError("caps must be at least 1")
-    # a point outside [0, m/(beta-1)] has no digits: branches(x) raises
-    states = [x]
-    index = {x: 0}
+    # a point outside [0, m/(beta-1)] has no digits: _images(x) raises
+    keys = [(x.nums, x.den)]
+    index = {keys[0]: 0}
     depth = [0]
     bits = _bits(x)
     edges: list[tuple[int, int, int]] = []
     qpos = 0
-    while qpos < len(states):
+    while qpos < len(keys):
         if depth[qpos] >= depth_cap:
-            raise CapHit(len(states), "depth")
-        cur = states[qpos]
+            raise CapHit(len(keys), "depth")
+        den, images = params._images(*keys[qpos])
         seen_targets = set()
-        for digit, img in params.branches(cur):
-            j = index.get(img)
+        for digit, nums in images:
+            key = (nums, den)
+            j = index.get(key)
             if j is None:
-                if len(states) >= state_cap:
-                    raise CapHit(len(states) + 1, "state")
-                bits += _bits(img)
+                if len(keys) >= state_cap:
+                    raise CapHit(len(keys) + 1, "state")
+                bits += sum(map(int.bit_length, nums), den.bit_length())
                 if bits > MAX_ORBIT_BITS:
-                    raise CapHit(len(states) + 1, "bits")
-                j = len(states)
-                index[img] = j
-                states.append(img)
+                    raise CapHit(len(keys) + 1, "bits")
+                j = len(keys)
+                index[key] = j
+                keys.append(key)
                 depth.append(depth[qpos] + 1)
             assert j not in seen_targets, "distinct digits must reach distinct targets"
             seen_targets.add(j)
             edges.append((qpos, digit, j))
         qpos += 1
+    field = params.field
+    states = [x] + [FieldElement(field, nums, den) for nums, den in keys[1:]]
     return OrbitGraph(params=params, states=states, edges=edges, discovery_depth=depth)
 
 

@@ -382,9 +382,15 @@ def vanishes_at_root(p: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
 
 def decimal_str(x: Fraction, places: int, direction: int) -> str:
     """Directed decimal rendering: direction < 0 rounds down, > 0 rounds up,
-    so rendered [lo, hi] pairs remain true enclosures.  One floor division
-    of x's numerator times 10^places by its denominator gives the digits."""
-    n, rem = divmod(x.numerator * 10 ** places, x.denominator)
+    so rendered [lo, hi] pairs remain true enclosures."""
+    return decimal_str_int(x.numerator, x.denominator, places, direction)
+
+
+def decimal_str_int(num: int, den: int, places: int, direction: int) -> str:
+    """decimal_str of num/den, for integers num and den > 0 that need not
+    be coprime: one floor division of num times 10^places by den gives the
+    digits."""
+    n, rem = divmod(num * 10 ** places, den)
     if direction > 0 and rem:
         n += 1
     sign = "-" if n < 0 else ""

@@ -23,12 +23,18 @@ isolates alpha on B0's polynomial and spreads B0's eigenvector over the
 cyclic classes.  The whole-matrix routes it replaced there
 (Faddeev-LeVerrier on all of A, isolation on sf(chi_A), Fraction
 bisection, and the adjugate of A) are kept below as oracles.
+
+The orbit search runs on integer keys and encloses beta*x from a
+fixed-point table of powers of beta (ExpansionParams._images).  The
+FieldElement search it replaced, beta*x by field multiplication and
+enclosed on the field's ladder by approx_int, is kept below as its oracle.
 """
 
 from fractions import Fraction
 
-from betaorbit import polys, spectral
-from betaorbit.errors import DivisionByZero, RefinementBudgetExceeded
+from betaorbit import orbit, polys, spectral
+from betaorbit.errors import CapHit, DivisionByZero, OutsideInterval, RefinementBudgetExceeded
+from betaorbit.field import FieldElement
 
 
 # --- the polynomial ring over Q (normalized Fraction tuples) ---
@@ -269,3 +275,61 @@ def whole_matrix_eigenvector(matrix, tol):
     vec = spectral._adjugate_eigenvector(chi, spectral._adjugate_row_sums(matrix, chi),
                                          spectral._PerronRoot(chi_sf, list(alpha)), alpha, tol)
     return alpha, spectral._normalize_eigenvector(vec)
+
+
+# --- the orbit search on FieldElements ---
+
+BRANCH_EPS = Fraction(1, 1 << 12)
+
+
+def branches(params, x):
+    """The pairs (i, beta*x - i), digits ascending, for the digits i whose
+    image stays in [0, R]: beta*x is one field product, its 2^-12 enclosure
+    on the field's ladder settles every digit except a bound it cannot
+    decide, and that bound goes to an exact comparison."""
+    bx = params.beta * x
+    blo, bhi, bd = bx.approx_int(BRANCH_EPS)
+    rlo, rhi, rd = params._right_enclosure
+    n0, rest, den = bx.nums[0], bx.nums[1:], bx.den
+    field, zero, right = params.field, params.field.zero, params.right_endpoint
+    first = max(0, -((rhi * bd - blo * rd) // (bd * rd)))
+    last = min(params.m, bhi // bd)
+    out = []
+    for i in range(first, last + 1):
+        img = FieldElement(field, (n0 - i * den,) + rest, den)
+        if i * bd > blo and img.compare(zero) < 0:
+            continue
+        if (bhi - i * bd) * rd > rlo * bd and img.compare(right) > 0:
+            continue
+        out.append((i, img))
+    if not out:
+        raise OutsideInterval(f"{x!r} lies outside [0, m/(beta-1)]")
+    return tuple(out)
+
+
+def compute_orbit(params, x, state_cap=100_000, depth_cap=1_000):
+    """(states, edges, discovery depths) of the BFS from x over the digits
+    of branches, deduplicated on FieldElements, with orbit.compute_orbit's
+    caps and CapHit counts."""
+    states, index, depth = [x], {x: 0}, [0]
+    bits = orbit._bits(x)
+    edges = []
+    qpos = 0
+    while qpos < len(states):
+        if depth[qpos] >= depth_cap:
+            raise CapHit(len(states), "depth")
+        for digit, img in branches(params, states[qpos]):
+            j = index.get(img)
+            if j is None:
+                if len(states) >= state_cap:
+                    raise CapHit(len(states) + 1, "state")
+                bits += orbit._bits(img)
+                if bits > orbit.MAX_ORBIT_BITS:
+                    raise CapHit(len(states) + 1, "bits")
+                j = len(states)
+                index[img] = j
+                states.append(img)
+                depth.append(depth[qpos] + 1)
+            edges.append((qpos, digit, j))
+        qpos += 1
+    return states, edges, depth

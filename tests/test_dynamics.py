@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from betaorbit import (
 )
 from betaorbit import compute_orbit, dynamics
 from betaorbit.errors import CapHit, OutsideInterval
+from rational_oracles import compute_orbit as oracle_orbit
 
 F = Fraction
 
@@ -183,30 +185,32 @@ _BRANCH_PARAMS = [ExpansionParams(NumberField(IntPolynomial(p)), m) for p, m in 
     ((-1, -1, 0, 1), 1), ((-1, 0, -1, 1), 2), ((-1, -1, -1, -1, 1), 2), ((-1, -1, 1), 3))]
 
 
-# the default enclosure width, and wide ones that leave most digits to the
-# exact comparisons
-_EPS_CHOICES = [dynamics._BRANCH_EPS, F(1, 2), F(4)]
+# the precision 2^-bits of the table of powers of beta: the default, and
+# coarse ones (2^-4 and 2^0) that leave most digits to the exact comparisons
+_EPS_CHOICES = [F(1, 1 << dynamics._TABLE_BITS), F(1, 16), F(1)]
 
 
 def _agree(params, x, eps):
-    """branch_digits matches the exhaustive loop, and every pair of the fused
-    step branches(x) is (i, beta*x - i) in reduced form."""
-    with mock.patch.object(dynamics, "_BRANCH_EPS", eps):
-        try:
-            want = _branch_digits_ref(params, x)
-        except OutsideInterval:
-            with pytest.raises(OutsideInterval):
-                params.branch_digits(x)
-            with pytest.raises(OutsideInterval):
-                params.branches(x)
-            return
-        assert params.branch_digits(x) == want
-        pairs = params.branches(x)
-        assert tuple(i for i, _ in pairs) == want
-        bx = params.beta * x
-        for i, img in pairs:
-            assert img == bx - i
-            assert img.den > 0 and gcd(img.den, *img.nums) == 1
+    """branch_digits, on params rebuilt with their table of powers of beta
+    at precision eps = 2^-bits, matches the exhaustive loop, and every pair
+    of the fused step branches(x) is (i, beta*x - i) in reduced form."""
+    with mock.patch.object(dynamics, "_TABLE_BITS", eps.denominator.bit_length() - 1):
+        params = ExpansionParams(params.field, params.m)
+    try:
+        want = _branch_digits_ref(params, x)
+    except OutsideInterval:
+        with pytest.raises(OutsideInterval):
+            params.branch_digits(x)
+        with pytest.raises(OutsideInterval):
+            params.branches(x)
+        return
+    assert params.branch_digits(x) == want
+    pairs = params.branches(x)
+    assert tuple(i for i, _ in pairs) == want
+    bx = params.beta * x
+    for i, img in pairs:
+        assert img == bx - i
+        assert img.den > 0 and gcd(img.den, *img.nums) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -221,20 +225,101 @@ def test_branch_digits_match_exhaustive_loop(params, eps, data):
     _agree(params, params.right_endpoint * t + wiggle, eps)
 
 
+def _boundary_points(params):
+    """0, R, R/2, and the points where beta*x - i is exactly 0 or R."""
+    right, inv_beta = params.right_endpoint, params.beta.inverse()
+    points = [params.field.zero, right, right * F(1, 2)]
+    for i in range(params.m + 1):
+        points += [inv_beta * i, (right + i) * inv_beta]
+    return points
+
+
 @pytest.mark.parametrize("eps", _EPS_CHOICES)
 @pytest.mark.parametrize("params", _BRANCH_PARAMS)
 def test_branch_digits_on_boundary_points(params, eps):
-    # 0, R, and the points where beta*x - i is exactly 0 or R
     field, right = params.field, params.right_endpoint
-    inv_beta = params.beta.inverse()
-    points = [field.zero, right, right * F(1, 2)]
-    for i in range(params.m + 1):
-        points += [inv_beta * i, (right + i) * inv_beta]
-    for x in points:
+    for x in _boundary_points(params):
         for shift in (0, F(1, 10 ** 9), -F(1, 10 ** 9)):
             _agree(params, x + shift, eps)
     for x in (-field.one * F(1, 10 ** 9), right + F(1, 10 ** 9), -right, right * 2):
         _agree(params, x, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_BRANCH_PARAMS), st.integers(1, 80), st.integers(1, 30), st.data())
+def test_orbit_search_matches_the_field_element_oracle(params, state_cap, depth_cap, data):
+    # points inside [0, R] (with or without a wiggle off the rational
+    # multiples of R), outside it, and at the boundary points (shifted by 0
+    # or +-1e-9); the integer-key search gives the FieldElement
+    # search's states, edges and depths, or the same CapHit or
+    # OutsideInterval
+    field, right = params.field, params.right_endpoint
+    kind = data.draw(st.sampled_from(["inside", "outside", "boundary"]))
+    if kind == "boundary":
+        x = data.draw(st.sampled_from(_boundary_points(params)))
+        x += data.draw(st.sampled_from([0, F(1, 10 ** 9), -F(1, 10 ** 9)]))
+    else:
+        t = data.draw(st.fractions(F(1, 64), F(63, 64), max_denominator=64) if kind == "inside" else
+                      st.one_of(st.fractions(F(-1, 4), F(-1, 64), max_denominator=64),
+                                st.fractions(F(65, 64), F(5, 4), max_denominator=64)))
+        wiggle = field.element(data.draw(st.lists(
+            st.fractions(F(-1, 1000), F(1, 1000), max_denominator=1000),
+            min_size=field.degree, max_size=field.degree)))
+        x = right * t + (wiggle if kind == "inside" and data.draw(st.booleans()) else 0)
+    _assert_same_search(params, x, state_cap, depth_cap)
+
+
+@pytest.mark.parametrize("t", [F(1, 2), F(1, 3), F(1, 7), F(2, 5)])
+@pytest.mark.parametrize("params", _BRANCH_PARAMS)
+def test_closed_orbits_match_the_field_element_oracle(params, t):
+    # orbits of up to 2269 states, or the same state cap hit at 3000
+    _assert_same_search(params, params.right_endpoint * t, 3000, 1000)
+
+
+def _assert_same_search(params, x, state_cap, depth_cap):
+    """compute_orbit gives the FieldElement oracle's states, edges and
+    discovery depths, or raises the same CapHit or OutsideInterval."""
+    try:
+        want = oracle_orbit(params, x, state_cap=state_cap, depth_cap=depth_cap)
+    except (CapHit, OutsideInterval) as err:
+        with pytest.raises(type(err)) as got:
+            compute_orbit(params, x, state_cap=state_cap, depth_cap=depth_cap)
+        assert str(got.value) == str(err)
+        return
+    graph = compute_orbit(params, x, state_cap=state_cap, depth_cap=depth_cap)
+    assert (graph.states, graph.edges, graph.discovery_depth) == want
+
+
+_CONFTEST_BASES = [(-1, -1, 1), (-1, -1, -1, -1, 0, 1), (-2, 1), (-1, -1, 0, 1),
+                   (-1, 0, -1, 1), (-1, -1, -1, -1, 1), (-2, 0, 1), (-3, 0, 1)]
+_FIELDS = {}
+_MP_BETA = {}
+
+
+def _mp_beta(field):
+    """Beta to 80 digits: the real root of the minimal polynomial inside the
+    field's enclosure."""
+    if field.min_poly not in _MP_BETA:
+        with mpmath.workdps(80):
+            lo, hi = (mpmath.mpf(v.numerator) / v.denominator for v in field.beta_interval())
+            roots = mpmath.polyroots(field.min_poly.coeffs[::-1], maxsteps=200, extraprec=200)
+            _MP_BETA[field.min_poly] = next(
+                r.real for r in roots
+                if abs(r.imag) < mpmath.mpf(10) ** -70 and lo <= r.real <= hi)
+    return _MP_BETA[field.min_poly]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_CONFTEST_BASES), st.integers(0, 64))
+def test_power_table_encloses_the_powers_of_beta(minpoly, bits):
+    # |beta^j 2^bits - t_j| <= 1 for every j < d, against mpmath at 80 digits
+    field = _FIELDS.setdefault(minpoly, NumberField(IntPolynomial(minpoly)))
+    beta, ladder = _mp_beta(field), list(field._rungs)
+    table = dynamics._power_table(field, bits)
+    assert len(table) == field.degree and field._rungs == ladder  # the ladder is only read
+    with mpmath.workdps(80):
+        for j, t in enumerate(table):
+            assert abs(beta ** j * 2 ** bits - t) <= 1
 
 
 def _orbit_json_mismatch(graph):
@@ -328,11 +413,6 @@ def test_periodicity_for_field_points():
                 run = generate_expansion(params, x, rule, max_steps=10_000)
                 assert run.is_periodic
                 assert expansion_value(params, run.preperiod_digits, run.period_digits) == x
-
-
-_CONFTEST_BASES = [(-1, -1, 1), (-1, -1, -1, -1, 0, 1), (-2, 1), (-1, -1, 0, 1),
-                   (-1, 0, -1, 1), (-1, -1, -1, -1, 1), (-2, 0, 1), (-3, 0, 1)]
-_FIELDS = {}
 
 
 @settings(max_examples=80, deadline=None)

@@ -457,10 +457,10 @@ def test_orbit_approx_makes_about_two_kernel_evaluations(monkeypatch, tmp_path, 
             "--out", str(tmp_path / "run")]
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("k = 1372\n")
-    # one 2^-12 enclosure per state for its digits, one label midpoint per
-    # state shared by the table and the DOT file, and one for the right
-    # endpoint m/(beta-1)
-    assert counts["approx"] == 2 * 1372 + 1
+    # one label midpoint per state, shared by the table and the DOT file,
+    # and one for the right endpoint m/(beta-1); the digits read beta*x
+    # from ExpansionParams' own table of powers of beta, not from approx_int
+    assert counts["approx"] == 1372 + 1
     assert counts["kernel"] <= 2.2 * counts["approx"]
 
 
@@ -729,6 +729,21 @@ def test_repr_prints_an_outward_rounded_enclosure_of_beta():
     for coeffs, root in [((-10 ** 400, 1), 10 ** 400), ((-10 ** 400, 0, 1), 10 ** 200)]:
         text = repr(NumberField(IntPolynomial(coeffs)))
         assert text.endswith(f"root in [{root}.000000, {root}.000000])")
+
+
+def test_repr_of_a_root_past_the_int_to_str_limit_encloses_it():
+    # 10^5000 has more digits than Python converts to a string (4300 by
+    # default): the polynomial and both bounds print in mantissa-exponent
+    # form, rounded outward; z - 10^400 keeps its full decimal bytes
+    for coeffs in [(-10 ** 5000, 1), (-10 ** 5000 - 1, 1), (-2 * 10 ** 1300, 0, 1)]:
+        text = repr(NumberField(IntPolynomial(coeffs)))
+        lo, hi = (F(x) for x in text[text.index("[") + 1:-2].split(", "))
+        assert lo ** (len(coeffs) - 1) <= -coeffs[0] <= hi ** (len(coeffs) - 1)
+    assert repr(NumberField(IntPolynomial((-10 ** 5000, 1)))) == \
+        "NumberField(z - 1.000000e+5000, root in [1.000000e+5000, 1.000000e+5000])"
+    big = 10 ** 400
+    assert repr(NumberField(IntPolynomial((-big, 1)))) == \
+        f"NumberField(z - {big}, root in [{big}.000000, {big}.000000])"
 
 
 def test_pisot_certificate_matches_mpmath_oracle():

@@ -3,8 +3,9 @@
 Each case runs `betaorbit.cli.main` in-process and compares the exit code,
 stdout and every file written under `--out` with the copies frozen in
 `tests/data/golden/<case>/`.  The cases are the README quick-start commands,
-`orbit --format table|json|dot` on two bases, `spectrum --nmax 12` on a
-Pisot and a non-Pisot base, `spectrum -m 2` on a Pisot base and on a
+`orbit --format table|json|dot` on two bases, the labels of two larger
+orbits (plastic `1/5`, k = 554, and cubic `-m 2` `b/(b+2)`, k = 734),
+`spectrum --nmax 12` on a Pisot and a non-Pisot base, `spectrum -m 2` on a Pisot base and on a
 non-Pisot, non-unit base, divergence and not-Pisot exits,
 `dimension --format json` on the benchmark's certify inputs, and an
 alternating expansion whose period is read with the step parity.  Each
@@ -64,6 +65,10 @@ CASES = {
                            "--format", "json"],
     "orbit_quintic_dot": ["orbit", "--minpoly", QUINTIC, "-m", "1", "-x", REF_X,
                           "--format", "dot"],
+    "orbit_plastic_fifth_table": ["orbit", "--minpoly", PLASTIC, "-m", "1", "-x", "1/5"],
+    "orbit_plastic_fifth_dot": ["orbit", "--minpoly", PLASTIC, "-m", "1", "-x", "1/5",
+                                "--format", "dot"],
+    "orbit_cubic_m2_table": ["orbit", "--minpoly", CUBIC, "-m", "2", "-x", "b/(b+2)"],
     "orbit_golden_seventh_out": ["orbit", "--minpoly", GOLDEN, "-m", "1", "-x", "1/7",
                                  "--out", "{out}/seventh"],
     "orbit_sqrt2_diverges": ["orbit", "--minpoly", SQRT2, "-m", "1", "-x", "1/3",
