@@ -8,9 +8,9 @@ digit word.
 
 A point's digits are read on its reduced integer form (nums, den): beta*x
 is enclosed by one dot product with a fixed-point table of beta^j, j < d,
-that each ExpansionParams bisects once in integers without refining the
-field's ladder, and exact comparisons settle only the digits that
-enclosure leaves open.
+that each ExpansionParams bisects once (polys.bisect_step, the package's
+one halving of a real root's bracket) without refining the field's ladder,
+and exact comparisons settle only the digits that enclosure leaves open.
 """
 
 from __future__ import annotations
@@ -36,22 +36,17 @@ def _power_table(field: NumberField, bits: int) -> tuple[int, ...]:
     """Integers t_j, j < d, with |beta^j * 2^bits - t_j| <= 1.
 
     Beta's isolating interval [lo/e, hi/e] (the field's first rung, lo/e >=
-    1, no root at either end) is bisected with polys.sign_at at its
-    midpoints until (d-1) H^(d-2) (hi - lo)/e < 2^-bits, H >= beta an
-    integer; by the mean value theorem the endpoints' powers j < d then
-    differ by less than 2^-bits, and 1 + floor(2^bits lo^j / e^j) lies
-    within 1 of 2^bits beta^j.  The ladder is read, never refined."""
+    1, no root at either end) is halved by polys.bisect_step, with the
+    field's sign at beta's left end, until (d-1) H^(d-2) (hi - lo)/e <
+    2^-bits, H >= beta an integer; by the mean value theorem the endpoints'
+    powers j < d then differ by less than 2^-bits, and 1 + floor(2^bits
+    lo^j / e^j) lies within 1 of 2^bits beta^j.  The ladder is read, never
+    refined."""
     p, k = field.min_poly.coeffs, field.degree - 1
     lo, hi, e = field._rungs[0]
     slope = k * (-(-hi // e)) ** max(k - 1, 0)
-    s_lo = polys.sign_at(p, lo, e)
     while ((hi - lo) * slope) << bits >= e:
-        lo, hi, e = 2 * lo, 2 * hi, 2 * e
-        mid = (lo + hi) // 2
-        if polys.sign_at(p, mid, e) == s_lo:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi, e = polys.bisect_step(p, lo, hi, e, field._left)
     return tuple(((lo ** j) << bits) // e ** j + 1 for j in range(k + 1))
 
 

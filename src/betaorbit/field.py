@@ -9,8 +9,10 @@ unique, so equality, hashing and deduplication compare it directly, and each
 ring operation ends with one gcd normalisation.
 
 Ordering and approximation share one ladder of rational enclosures of beta,
-kept as integer endpoints (a, b, e) for [a/e, b/e]: rungs, each at least
-256 times narrower than the one before, and last the current enclosure.
+kept as integer endpoints (a, b, e) for [a/e, b/e], each cut from beta's
+isolating interval by polys.bisect_step with p's sign at its left end read
+once: rungs, each at least 256 times narrower than the one before, and last
+the current enclosure.
 Both run integer interval Horner (polys.horner_interval_int) on the
 numerators; den > 0 does not change a sign.  Interval Horner is
 inclusion-isotone and the rungs are nested, so the enclosure at a finer
@@ -30,9 +32,9 @@ the labels run picks the enclosure each label reads.
 
 The d-1 conjugates of beta are kept as one list of upper-half-plane boxes:
 a real conjugate is the zero-height box of its isolating interval, refined
-by bisection, and a complex pair is the pairwise disjoint certified box of
-its upper root (polys.propose_and_certify_complex_roots), refined by
-interval Newton.
+by polys.bisect_step, and a complex pair is the pairwise disjoint
+certified box of its upper root (polys.propose_and_certify_complex_roots),
+refined by interval Newton.
 
 All values are immutable after construction.  The mutable state is the
 per-field enclosure cache: the ladder, whose last rung is beta's only
@@ -155,14 +157,18 @@ class NumberField:
             raise NoRealRootAboveOne(
                 f"{min_poly} has {len(by_rank)} real roots; rank {root_rank} does not exist"
             )
-        lo, hi = by_rank[root_rank]
+        p = min_poly.coeffs
+        a, b, e = polys.integer_endpoints(*by_rank[root_rank])
+        # p's sign at beta's left end, and so at every bracket cut from it
+        self._left = polys.sign_at(p, a, e)
         # settle the root against 1 (irrational roots cannot equal 1, and
         # rational roots come back as exact points)
-        while lo < 1 < hi:
-            lo, hi = polys.bisect_step(min_poly.coeffs, lo, hi)
-        if hi <= 1:
+        while a < e < b:
+            a, b, e = polys.bisect_step(p, a, b, e, self._left)
+        if b <= e:
             raise NoRealRootAboveOne(
-                f"selected root of {min_poly} lies in [{lo}, {hi}], not above 1"
+                f"selected root of {min_poly} lies in [{Fraction(a, e)}, {Fraction(b, e)}], "
+                "not above 1"
             )
         self._chosen_index = isolations.index(by_rank[root_rank])
         # the one enclosure ladder, as integer endpoints (a, b, e) for
@@ -170,7 +176,7 @@ class NumberField:
         # 256 times narrower than the one before, and the last entry is
         # always the current enclosure (itself a rung when it was kept as
         # one).  Replaced, never mutated, so a reader needs no lock.
-        self._rungs: list[tuple[int, int, int]] = [polys.integer_endpoints(lo, hi)]
+        self._rungs: list[tuple[int, int, int]] = [(a, b, e)]
         self._ladder_len = 1
         # advisory: per eps (numerator, denominator), the rung approx last
         # returned; any hint gives the same interval
@@ -183,7 +189,7 @@ class NumberField:
         # polynomial is monic; these power rows make reduction after products
         # a small integer combination.
         d = self.degree
-        tail = [-c for c in min_poly.coeffs[:-1]]
+        tail = [-c for c in p[:-1]]
         rows = [tail]
         for _ in range(d - 2):
             prev = rows[-1]
@@ -245,17 +251,15 @@ class NumberField:
         """One bisection of beta's enclosure, kept as a rung too when it is
         at least 256 times narrower than the last rung."""
         with self._lock:
-            lo, hi = self.beta_interval()
-            if lo == hi:
-                return lo, hi
-            lo, hi = polys.bisect_step(self.min_poly.coeffs, lo, hi)
-            keep = self._ladder_len
-            a, b, e = self._rungs[keep - 1]
-            cur = polys.integer_endpoints(lo, hi)
-            if (b - a) * cur[2] >= 256 * (cur[1] - cur[0]) * e:
-                self._ladder_len = keep + 1
-            self._rungs = self._rungs[:keep] + [cur]
-            return lo, hi
+            a, b, e = self._rungs[-1]
+            if a < b:
+                a, b, e = polys.bisect_step(self.min_poly.coeffs, a, b, e, self._left)
+                keep = self._ladder_len
+                ra, rb, re = self._rungs[keep - 1]
+                if (rb - ra) * e >= 256 * (b - a) * re:
+                    self._ladder_len = keep + 1
+                self._rungs = self._rungs[:keep] + [(a, b, e)]
+            return Fraction(a, e), Fraction(b, e)
 
     def evaluates_to_zero(self, elem: "FieldElement") -> bool:
         """Exact test for elem(beta) == 0, sound even when the defining
@@ -295,7 +299,9 @@ class NumberField:
         p = self.min_poly.coeffs
         box = self._conjugates[i]
         if box[1][1] == 0:
-            box = polys.bisect_step(p, *box[0]), box[1]
+            a, b, e = polys.integer_endpoints(*box[0])
+            a, b, e = polys.bisect_step(p, a, b, e, polys.sign_at(p, a, e))
+            box = (Fraction(a, e), Fraction(b, e)), box[1]
         else:
             box = polys.newton_box(p, polys.derivative(p), box)[0]
         self._conjugates[i] = box
@@ -660,7 +666,8 @@ class FieldElement:
 
     def to_json(self) -> dict:
         """{"coeffs": [...]}, each coefficient as str(Fraction) gives it
-        ("-4/7", "0", "3"), formed from the integers."""
+        ("-4/7", "0", "3"), formed from the integers: exact, so an integer
+        past Python's int-to-str limit needs it lifted, as cli.main does."""
         den = self.den
         out = []
         for n in self.nums:
@@ -680,22 +687,20 @@ _LONG = 10 ** 600
 
 
 def _sci_str(x: int | Fraction, direction: int) -> str:
-    """x >= 1 as d.dddddde+E, six places rounded down (direction <= 0) or up
-    (direction > 0), by integer arithmetic on x's numerator and denominator
-    alone."""
+    """x > 0 as d.dddddde+E or d.dddddde-E, six places rounded down
+    (direction <= 0) or up (direction > 0), by integer arithmetic on x's
+    numerator and denominator alone."""
     n, d = x.numerator, x.denominator
     e = (n.bit_length() - d.bit_length()) * 30103 // 100000  # about log10(x)
-    while n < d * 10 ** e:
-        e -= 1
-    while n >= d * 10 ** (e + 1):
-        e += 1
-    q, r = divmod(n * 10 ** 6, d * 10 ** e)  # 10^6 <= q < 10^7
-    if direction > 0 and r:
-        q += 1
-        if q == 10 ** 7:
-            q, e = 10 ** 6, e + 1
+    while True:  # q = x 10^(6-e), rounded in the given direction
+        s = 6 - e
+        num, den = (n * 10 ** s, d) if s >= 0 else (n, d * 10 ** -s)
+        q = -(-num // den) if direction > 0 else num // den
+        if 10 ** 6 <= q < 10 ** 7:
+            break
+        e += 1 if q >= 10 ** 7 else -1
     digits = str(q)
-    return f"{digits[0]}.{digits[1:]}e+{e}"
+    return f"{digits[0]}.{digits[1:]}e{e:+d}"
 
 
 def _bound_str(x: Fraction, direction: int) -> str:
@@ -707,14 +712,15 @@ def _bound_str(x: Fraction, direction: int) -> str:
 def _format_terms(terms: Iterable[tuple[int, int | Fraction]], var: str) -> str:
     """The terms (exponent, coefficient), in the order given, as signed
     monomials in var, zero terms left out, e.g. 'z^2 - z - 1'; '0' when
-    every coefficient is zero.  A coefficient of magnitude at least _LONG
-    prints in mantissa-exponent form, rounded towards zero."""
+    every coefficient is zero.  A coefficient whose numerator or
+    denominator is at least _LONG prints in mantissa-exponent form, rounded
+    towards zero."""
     parts = []
     for i, c in terms:
         if c == 0:
             continue
         mag = abs(c)
-        text = str(mag) if mag < _LONG else _sci_str(mag, -1)
+        text = str(mag) if max(mag.numerator, mag.denominator) < _LONG else _sci_str(mag, -1)
         if i == 0:
             body = text
         else:

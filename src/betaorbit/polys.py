@@ -14,12 +14,17 @@ integer intervals (_integer_roots), and division by a monic integer
 polynomial stays in the integers (divmod_monic).  Isolation builds one
 Sturm chain, p's: after the integer roots are deflated, the deflated
 polynomial has as many roots in (lo, hi] as p has there, less the integer
-roots in (lo, hi].  Sturm counts run only inside isolation: whether a
-factor of an isolated polynomial vanishes at the isolated root is two
-signs (vanishes_at_root).  One interval Newton routine, newton_box, both
-certifies a complex root's box and refines it.  The rational
-polynomial ring, and the rational evaluate, squarefree part, Sturm chain
-and root count these kernels are checked against, live with the tests.
+roots in (lo, hi]; each node keeps the chain's sign variations at both
+ends, so a split reads the chain at its midpoint only.  Sturm counts run
+only inside isolation: whether a factor of an isolated polynomial vanishes
+at the isolated root is two signs (vanishes_at_root).  Every real root in
+the package is halved by one step, bisect_step on an integer bracket with
+the caller's sign at its left end, so a step reads one sign.  One interval
+Newton routine, newton_box, both certifies a complex root's box and
+refines it.  evaluate_interval has no caller here: the benchmark's span
+tracer and the tests read it.  The rational polynomial ring, and the
+rational evaluate, squarefree part, Sturm chain, root count and bisection
+these kernels are checked against, live with the tests.
 """
 
 from __future__ import annotations
@@ -111,10 +116,6 @@ def sign_at(nums: Sequence[int], n: int, d: int) -> int:
         scale *= d
         acc = acc * n + c * scale
     return (acc > 0) - (acc < 0)
-
-
-def _sign(nums: Sequence[int], x: Fraction) -> int:
-    return sign_at(nums, x.numerator, x.denominator)
 
 
 def evaluate_interval(p: Sequence[int], lo: Fraction, hi: Fraction) -> Interval:
@@ -233,20 +234,15 @@ def gcd_int(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(-c for c in g) if g and g[-1] < 0 else tuple(g)
 
 
-def _sign_variations(signs: Sequence[int]) -> int:
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_between(chain: list[Sequence[int]], a: Fraction, b: Fraction) -> int:
-    """Number of real roots in (a, b] of the squarefree polynomial chain[0],
-    from its Sturm chain, as V(a) - V(b).  a or b may be a root: chain[0]
+def _variations(chain: list[Sequence[int]], n: int, d: int) -> int:
+    """V(n/d), for d > 0: the sign variations of the Sturm chain at n/d,
+    zeros left out.  V(a) - V(b) is the number of real roots of the
+    squarefree chain[0] in (a, b], even when a or b is a root: chain[0]
     vanishes there and is dropped, while chain[1], a positive multiple of
     its derivative, keeps its sign, so V is continuous from the right at a
     root and drops by one across it."""
-    va = _sign_variations([_sign(c, a) for c in chain])
-    vb = _sign_variations([_sign(c, b) for c in chain])
-    return va - vb
+    signs = [s for s in (sign_at(c, n, d) for c in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def root_bound(p: Sequence[int]) -> Fraction:
@@ -263,15 +259,11 @@ def _integer_roots(chain: list[list[int]]) -> list[int]:
     rounded up, each interval (a, b] that holds a root is halved until its
     width is 1, and then b is tested by sign_at, so the cost grows with the
     bit size of the coefficients.  V(a) - V(b) counts the roots in (a, b]
-    even when a or b is a root (count_roots_between)."""
+    even when a or b is a root (_variations)."""
     p = chain[0]
     bound = ceil(root_bound(p))
-
-    def variations(x: int) -> int:
-        return _sign_variations([sign_at(c, x, 1) for c in chain])
-
     roots = []
-    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    stack = [(-bound, bound, _variations(chain, -bound, 1), _variations(chain, bound, 1))]
     while stack:
         a, b, va, vb = stack.pop()
         if va == vb:
@@ -281,7 +273,7 @@ def _integer_roots(chain: list[list[int]]) -> list[int]:
                 roots.append(b)
             continue
         mid = (a + b) // 2
-        vm = variations(mid)
+        vm = _variations(chain, mid, 1)
         stack += [(mid, b, vm, vb), (a, mid, va, vm)]
     return roots
 
@@ -294,7 +286,10 @@ def isolate_real_roots(p: Sequence[int]) -> list[Interval]:
     root of p; exact rational roots come back as degenerate [r, r].  For
     non-degenerate intervals the endpoints are non-roots and p changes sign
     across the interval, so plain bisection refines them.  Adjacent
-    intervals may share an endpoint, which is then not a root.
+    intervals may share an endpoint, which is then not a root.  The nodes
+    are integer brackets (a, b, e) for (a/e, b/e], halved as bisect_step
+    halves, from (-B, B] for B the Cauchy bound of the monic deflated
+    polynomial, an integer; each keeps V (_variations) at both ends.
     """
     work = _strip(p)
     if len(work) < 2:
@@ -313,44 +308,43 @@ def isolate_real_roots(p: Sequence[int]) -> list[Interval]:
         work, rem = divmod_monic(work, (-r, 1))
         assert not rem, "deflation by a non-root"
 
-    def count(lo: Fraction, hi: Fraction) -> int:  # roots of work in (lo, hi], on p's chain
-        return count_roots_between(chain, lo, hi) - sum(lo < r <= hi for r in exact)
-
     intervals: list[Interval] = []
     if len(work) > 1:
-        bound = root_bound(work)
-        stack = [(-bound, bound, count(-bound, bound))]
+        bound = ceil(root_bound(work))
+        stack = [(-bound, bound, 1, _variations(chain, -bound, 1), _variations(chain, bound, 1))]
         while stack:
-            lo, hi, n = stack.pop()
+            a, b, e, va, vb = stack.pop()
+            # roots of work in (a/e, b/e], counted on p's chain
+            n = va - vb - sum(a < r * e <= b for r in exact)
             if n == 1:
-                # shrink until no deflated exact root lies in [lo, hi], so both
-                # endpoints are non-roots of p (work has no rational roots, so
-                # its root here is never one of them)
-                while any(lo <= r <= hi for r in exact):
-                    lo, hi = bisect_step(work, lo, hi)
-                intervals.append((lo, hi))
+                # shrink until no deflated exact root lies in [a/e, b/e], so
+                # both endpoints are non-roots of p (work has no rational
+                # roots, so its root here is never one of them)
+                left = sign_at(work, a, e)
+                while any(a <= r * e <= b for r in exact):
+                    a, b, e = bisect_step(work, a, b, e, left)
+                intervals.append((Fraction(a, e), Fraction(b, e)))
             elif n > 1:
-                mid = (lo + hi) / 2
-                left = count(lo, mid)
-                stack += [(lo, mid, left), (mid, hi, n - left)]
+                vm = _variations(chain, a + b, 2 * e)
+                stack += [(2 * a, a + b, 2 * e, va, vm), (a + b, 2 * b, 2 * e, vm, vb)]
 
     out = intervals + [(Fraction(r),) * 2 for r in exact]
     out.sort(key=lambda iv: iv[0] + iv[1])
     return out
 
 
-def bisect_step(p: Sequence[int], lo: Fraction, hi: Fraction) -> Interval:
-    """One bisection step on a sign-change bracket of a squarefree integer
-    polynomial without trailing zeros (sign_at reads the signs exactly)."""
-    if lo == hi:
-        return lo, hi
-    mid = (lo + hi) / 2
-    sm = _sign(p, mid)
-    if sm == 0:  # only possible for rational roots, which the fields deflate
-        return mid, mid
-    if (_sign(p, lo) > 0) != (sm > 0):
-        return lo, mid
-    return mid, hi
+def bisect_step(p: Sequence[int], a: int, b: int, e: int, left: int) -> tuple[int, int, int]:
+    """One halving of the sign-change bracket [a/e, b/e], e > 0, of an
+    integer polynomial p without trailing zeros, for `left` the sign of p at
+    a/e (nonzero): the half (2a, a + b, 2e) or (a + b, 2b, 2e) across which
+    p changes sign, or the point (a + b, a + b, 2e) when p vanishes at the
+    midpoint, the one sign read.  These are the rationals of Fraction
+    bisection."""
+    mid, e = a + b, 2 * e
+    s = sign_at(p, mid, e)
+    if s == 0:  # only possible for rational roots, which the fields deflate
+        return mid, mid, e
+    return (mid, 2 * b, e) if s == left else (2 * a, mid, e)
 
 
 # spectral refines alpha's enclosure only when it takes at most this many
@@ -371,9 +365,10 @@ def vanishes_at_root(p: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
     of q, as holds for every factor of q.  Then p has no root at either
     end and at most one inside, q's, where its sign flips."""
     nums = _strip(p)
+    at_lo = sign_at(nums, lo.numerator, lo.denominator)
     if lo == hi:
-        return _sign(nums, lo) == 0
-    return _sign(nums, lo) * _sign(nums, hi) < 0
+        return at_lo == 0
+    return at_lo * sign_at(nums, hi.numerator, hi.denominator) < 0
 
 
 # ---------------------------------------------------------------------------

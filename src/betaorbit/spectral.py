@@ -15,13 +15,15 @@ cycle) * prod chi_B with chi_B(z) = z^(|B| - p|C_0|) chi_B0(z^p), so the
 division-checked Faddeev-LeVerrier recurrence (FL) runs only on the B0.  The
 route to the dominant eigenvalue is exact: one Sturm isolation of the
 largest real root of the squarefree part sf(chi_A) and bisection to the
-requested width, every sign read by integer Horner (polys.sign_at).  When
-the graph is one SCC of period p > 1, sf(chi_A) = z^eps g(z^p) with g the
-squarefree part of chi_B0 without its factors z, and the isolation is
-replayed on g: on a node (lo, hi] with lo >= 0, sf(chi_A) has as many roots
-as g has in (lo^p, hi^p], and each bisection step places its midpoint x by
-x^p against an isolating interval of alpha^p on g (_PerronRoot); the
-enclosure is the one isolation on sf(chi_A) gives.
+requested width by polys.bisect_step, the package's one halving of a real
+root, with the sign at the left end of alpha's isolating interval read
+once (_PerronRoot).  When the graph is one SCC of period p > 1, sf(chi_A) =
+z^eps g(z^p) with g the squarefree part of chi_B0 without its factors z,
+and the isolation is replayed on g: on a node (lo, hi] with lo >= 0,
+sf(chi_A) has as many roots as g has in (lo^p, hi^p], and each halving
+places its midpoint x by x^p against an isolating interval of alpha^p on
+g, itself halved by polys.bisect_step; the enclosure is the one isolation
+on sf(chi_A) gives.
 
 The same recurrence, applied to the vector 1, yields P(z) = adj(zI - A) . 1,
 whose value at the Perron root is a nonnegative eigenvector (after exact
@@ -371,43 +373,40 @@ def perron_eigenvalue(matrix: TransitionMatrix, tol=Fraction(1, 10 ** 12)) -> Pe
 
 
 class _PerronRoot:
-    """The Perron root alpha, the largest real root of sf(chi_A), with an
-    exact comparison of a rational against it.
+    """The Perron root alpha, the largest real root of sf(chi_A).
 
     sf(chi_A) is z^eps g(z^p): g = sf(chi_A) with p = 1 and eps = 0, or, on
     one SCC of period p > 1, g the squarefree part of chi_B0 with its
     factors z divided out (the roots of g(z^p) are then simple, as its
     derivative is p z^(p-1) g'(z^p), and nonzero).  `w` isolates alpha^p,
-    g's largest root.  With p = 1 a point of w is placed by the sign of g
-    there against the sign at w's left end (g changes sign once across w).
-    With p > 1 a point x > 0 is placed by x^p against w, which each
-    comparison bisects on g, in place, only as far as it must."""
+    g's largest root, as a bracket (_bracket), and `left` is g's sign at
+    its left end: with p = 1, _halve bisects alpha's enclosures on g with
+    it; with p > 1, _halve places a point x > 0 by x^p against w, which
+    each placement bisects on g, in place, only as far as it must."""
 
-    def __init__(self, g: tuple[int, ...], w: list[Fraction], p: int = 1, eps: int = 0):
-        self.g, self.w, self.p, self.eps = g, w, p, eps
-        self.left_pos = polys.sign_at(g, w[0].numerator, w[0].denominator) > 0
-
-    def compare(self, n: int, d: int) -> int:
-        """The sign of n/d - alpha, for d > 0 (and n/d in w when p = 1)."""
-        if self.p == 1:
-            s = polys.sign_at(self.g, n, d)
-            return 0 if s == 0 else -1 if (s > 0) == self.left_pos else 1
-        if n <= 0:  # alpha >= 1
-            return -1
-        y = Fraction(n ** self.p, d ** self.p)
-        if self.w[0] == self.w[1] == y:
-            return 0
-        return -1 if _above(self.g, self.w, y) else 1
+    def __init__(self, g: tuple[int, ...], w: Interval, p: int = 1, eps: int = 0):
+        self.g, self.w, self.p, self.eps = g, _bracket(g, *w), p, eps
+        self.left = self.w[3]
 
 
-def _above(g: tuple[int, ...], iv: list[Fraction], y: Fraction) -> bool:
-    """Whether the root of g in its isolating interval iv (from
+def _bracket(g: tuple[int, ...], lo: Fraction, hi: Fraction) -> list[int]:
+    """An isolating interval [lo, hi] of a root of g (from
     polys.isolate_real_roots: an exact point, or open with non-root
-    endpoints) exceeds y.  iv is bisected in place until y leaves its
-    interior."""
-    while iv[0] < y < iv[1]:
-        iv[0], iv[1] = polys.bisect_step(g, iv[0], iv[1])
-    return y < iv[0] or y == iv[0] < iv[1]
+    endpoints) as the list [a, b, e, left] for [a/e, b/e], left the sign
+    of g at a/e."""
+    a, b, e = polys.integer_endpoints(lo, hi)
+    return [a, b, e, polys.sign_at(g, a, e)]
+
+
+def _above(g: tuple[int, ...], iv: list[int], n: int, d: int) -> bool:
+    """Whether the root of g that the bracket iv (_bracket) isolates
+    exceeds n/d, for d > 0.  iv is bisected in place (polys.bisect_step)
+    until n/d leaves its interior."""
+    a, b, e, left = iv
+    while a * d < n * e < b * d:
+        a, b, e = polys.bisect_step(g, a, b, e, left)
+    iv[:3] = a, b, e
+    return n * e < a * d or n * e == a * d < b * d
 
 
 def _isolation(matrix: TransitionMatrix) -> tuple[tuple[int, ...], _PerronRoot, Interval]:
@@ -428,7 +427,7 @@ def _isolation(matrix: TransitionMatrix) -> tuple[tuple[int, ...], _PerronRoot, 
         else:
             chi_sf = polys.squarefree_part_int(chi)
             iv = polys.isolate_real_roots(chi_sf)[-1]  # rho(A) is a real root
-            root = _PerronRoot(chi_sf, list(iv))
+            root = _PerronRoot(chi_sf, iv)
         memo["_spectral_isolation"] = chi, root, iv
     return memo["_spectral_isolation"]
 
@@ -471,14 +470,15 @@ def _cyclic_root(block: _Block) -> tuple[_PerronRoot, Interval]:
     p, chi0 = block.period, block.core_chi
     j = next(i for i, c in enumerate(chi0) if c)  # chi_B0 = w^j h(w), h(0) != 0
     g = polys.squarefree_part_int(chi0[j:])
-    roots = [list(iv) for iv in polys.isolate_real_roots(g)]  # ascending
-    root = _PerronRoot(g, roots[-1], p, int(block.matrix.size > p * (len(chi0) - 1 - j)))
+    ivs = polys.isolate_real_roots(g)  # ascending
+    root = _PerronRoot(g, ivs[-1], p, int(block.matrix.size > p * (len(chi0) - 1 - j)))
+    roots = [_bracket(g, *iv) for iv in ivs[:-1]] + [root.w]
     if root.w[0] == root.w[1]:  # alpha^p is an integer, and alpha one when it is a p-th power
-        r = _iroot(root.w[0].numerator, p)
+        r = _iroot(root.w[0], p)  # w = [n, n, 1, 0] for the integer n
         if r ** p == root.w[0]:
             return root, (Fraction(r), Fraction(r))
     exact = [0] * root.eps
-    for lo, hi in roots:
+    for lo, hi in ivs:
         r = _iroot(abs(lo.numerator), p) if lo == hi else 0
         if r and r ** p == abs(lo) and (lo > 0 or p % 2):
             exact += [r if lo > 0 else -r] + ([-r] if p % 2 == 0 else [])
@@ -488,26 +488,24 @@ def _cyclic_root(block: _Block) -> tuple[_PerronRoot, Interval]:
         work, rem = polys.divmod_monic(work, (-r, 1))
         assert not rem, "deflation by a non-root"
 
-    def count(lo: Fraction, hi: Fraction) -> int:  # roots of work in (lo, hi], for 0 <= lo
-        ylo, yhi = lo ** p, hi ** p
-        return (sum(_above(g, iv, ylo) and not _above(g, iv, yhi) for iv in roots)
-                - sum(lo < r <= hi for r in exact))
+    def count(a: int, b: int, e: int) -> int:  # roots of work in (a/e, b/e], for 0 <= a
+        ylo, yhi, s = a ** p, b ** p, e ** p
+        return (sum(_above(g, iv, ylo, s) and not _above(g, iv, yhi, s) for iv in roots)
+                - sum(a < r * e <= b for r in exact))
 
-    real = len(roots) if p % 2 else 2 * sum(_above(g, iv, Fraction(0)) for iv in roots)
+    real = len(roots) if p % 2 else 2 * sum(_above(g, iv, 0, 1) for iv in roots)
     n = root.eps + real - len(exact)
-    bound = polys.root_bound(work)
-    lo, hi = -bound, bound
+    bound = math.ceil(polys.root_bound(work))
+    a, b, e = -bound, bound, 1
     if n > 1:
-        lo = Fraction(0)  # the first split, at 0: alpha >= 1 lies in (0, B]
-        n = count(lo, hi)
+        a = 0  # the first split, at 0: alpha >= 1 lies in (0, B]
+        n = count(a, b, e)
         while n > 1:
-            mid = (lo + hi) / 2
-            right = count(mid, hi)
-            lo, hi, n = (mid, hi, right) if right else (lo, mid, n)
-    while any(lo <= r <= hi for r in exact):
-        mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if root.compare(mid.numerator, mid.denominator) > 0 else (mid, hi)
-    return root, (lo, hi)
+            right = count(a + b, 2 * b, 2 * e)
+            a, b, e, n = (a + b, 2 * b, 2 * e, right) if right else (2 * a, a + b, 2 * e, n)
+    while any(a <= r * e <= b for r in exact):
+        a, b, e = _halve(root, a, b, e)
+    return root, (Fraction(a, e), Fraction(b, e))
 
 
 def _iroot(n: int, p: int) -> int:
@@ -525,14 +523,17 @@ IntInterval = tuple[int, int, int]
 
 
 def _halve(root: _PerronRoot, a: int, b: int, e: int) -> IntInterval:
-    """The half of [a/e, b/e] that holds alpha.  The midpoint is
-    (a + b) / 2e, so e doubles and the numerators keep their values; an
-    exact hit (only possible for a rational root) is the point itself."""
+    """The half of [a/e, b/e] that holds alpha, as polys.bisect_step cuts
+    it: on g with the root's left sign when p = 1, else by the midpoint
+    x = (a + b) / 2e, placed by x^p against w (x <= 0 lies below alpha >= 1).
+    When p > 1 a rational alpha is never halved: _cyclic_root returns it as
+    an exact point."""
+    if root.p == 1:
+        return polys.bisect_step(root.g, a, b, e, root.left)
     mid, e = a + b, 2 * e
-    side = root.compare(mid, e)
-    if side == 0:
-        return mid, mid, e
-    return (2 * a, mid, e) if side > 0 else (mid, 2 * b, e)
+    if mid > 0 and not _above(root.g, root.w, mid ** root.p, e ** root.p):
+        return 2 * a, mid, e
+    return mid, 2 * b, e
 
 
 def _refine(root: _PerronRoot, lo: Fraction, hi: Fraction, tol: Fraction) -> Interval:

@@ -14,7 +14,10 @@ Fraction eigenvector routines included, are what the tests compare those
 kernels against; the package itself never calls them.  Whether a factor
 of an isolated polynomial vanishes at the isolated root is read from two
 signs in the package (polys.vanishes_at_root); the Sturm count of roots in
-an interval is kept here as its oracle.
+an interval is kept here as its oracle.  Every bisection of a real root in
+the package is one integer step on a bracket (a, b, e) with the sign at its
+left end passed in (polys.bisect_step); the Fraction step it replaced,
+which reads the sign at both ends, is kept here as its oracle.
 
 The package also builds the characteristic polynomial from the blocks of
 the strongly connected components, bisects alpha in integers
@@ -149,6 +152,21 @@ def sturm_chain(p) -> list[tuple[Fraction, ...]]:
     return [c for c in chain if c]
 
 
+def _sign(p, x: Fraction) -> int:
+    return polys.sign_at(p, x.numerator, x.denominator)
+
+
+def count_roots_between(chain, a: Fraction, b: Fraction) -> int:
+    """Number of real roots in (a, b] of the squarefree polynomial chain[0],
+    from its Sturm chain, as V(a) - V(b), each V from the signs at one
+    Fraction point."""
+    def variations(x):
+        signs = [s for s in (_sign(c, x) for c in chain) if s]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    return variations(a) - variations(b)
+
+
 def count_roots_in_interval(p, lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of the squarefree integer polynomial p in
     [lo, hi], endpoints included, by a Sturm count (polys.sturm_chain_int):
@@ -156,10 +174,25 @@ def count_roots_in_interval(p, lo: Fraction, hi: Fraction) -> int:
     nums = polys._strip(p)
     if len(nums) < 2:
         return 0
-    at_lo = polys.sign_at(nums, lo.numerator, lo.denominator) == 0
+    at_lo = _sign(nums, lo) == 0
     if lo == hi:
         return int(at_lo)
-    return at_lo + polys.count_roots_between(polys.sturm_chain_int(nums), lo, hi)
+    return at_lo + count_roots_between(polys.sturm_chain_int(nums), lo, hi)
+
+
+def bisect_step(p, lo: Fraction, hi: Fraction):
+    """One Fraction bisection step on a sign-change bracket [lo, hi] of a
+    squarefree integer polynomial, reading the signs at lo and at the
+    midpoint: the oracle of the integer polys.bisect_step."""
+    if lo == hi:
+        return lo, hi
+    mid = (lo + hi) / 2
+    sm = _sign(p, mid)
+    if sm == 0:
+        return mid, mid
+    if (_sign(p, lo) > 0) != (sm > 0):
+        return lo, mid
+    return mid, hi
 
 
 # --- field inverse ---
@@ -199,7 +232,7 @@ def evaluate_at_root(ps, chi_sf, at, eps):
         while vhi - vlo > eps:
             if rounds == 100_000:
                 raise RefinementBudgetExceeded("eigenvector entry did not reach the requested width")
-            lo, hi = polys.bisect_step(chi_sf, lo, hi)
+            lo, hi = bisect_step(chi_sf, lo, hi)
             vlo, vhi = polys.evaluate_interval(p, lo, hi)
             rounds += 1
         out.append((vlo, vhi))
@@ -250,10 +283,10 @@ def decimal_str(x: Fraction, places: int, direction: int) -> str:
 # --- the whole-matrix Perron route ---
 
 def refine_to_width(p, lo, hi, width):
-    """Fraction bisection of [lo, hi] on p (polys.bisect_step) to width at
-    most `width`."""
+    """Fraction bisection of [lo, hi] on p (bisect_step) to width at most
+    `width`."""
     while hi - lo > width:
-        lo, hi = polys.bisect_step(p, lo, hi)
+        lo, hi = bisect_step(p, lo, hi)
     return lo, hi
 
 

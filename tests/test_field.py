@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -744,6 +745,31 @@ def test_repr_of_a_root_past_the_int_to_str_limit_encloses_it():
     big = 10 ** 400
     assert repr(NumberField(IntPolynomial((-big, 1)))) == \
         f"NumberField(z - {big}, root in [{big}.000000, {big}.000000])"
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int-to-str limit for the length of one test."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_element_repr_past_the_int_to_str_limit_prints_mantissa_exponent_form(
+        golden, default_digit_limit):
+    # a coefficient whose numerator or denominator reaches 10^600 prints as
+    # d.dddddde+-E rounded towards zero, so repr never meets the limit;
+    # smaller ones keep their exact bytes
+    tiny = golden.from_rational(F(1, 10 ** 5000))
+    assert repr(tiny) == "<1.000000e-5000>"
+    x = golden.element([F(-3, 7 * 10 ** 5000), F(10 ** 5000 + 1, 10 ** 5000)])
+    assert repr(x) == "<-4.285714e-5001 + 1.000000e+0*b>"
+    assert repr(golden.from_rational(-10 ** 700)) == "<-1.000000e+700>"
+    assert repr(golden.element([F(3, 7), -2])) == "<3/7 - 2*b>"
+    # to_json stays exact: it needs the limit lifted, as cli.main does
+    sys.set_int_max_str_digits(0)
+    assert tiny.to_json() == {"coeffs": ["1/1" + "0" * 5000, "0"]}
 
 
 def test_pisot_certificate_matches_mpmath_oracle():

@@ -9,9 +9,11 @@ from betaorbit import polys, spectral
 from betaorbit.errors import NotSquarefree, RefinementBudgetExceeded
 from betaorbit.orbit import TransitionMatrix
 from betaorbit.spectral import char_polynomial
+from conftest import BASE2, CUBIC2, GOLDEN, PLASTIC, QUINTIC, SQRT2, SQRT3, TETRA
 from rational_oracles import (
-    add, count_roots_in_interval, decimal_str, degree, derivative, divmod_poly, evaluate, gcd_poly,
-    monic, mul, normalize, refine_to_width, sqrt_bounds, squarefree_part, sturm_chain,
+    add, bisect_step, count_roots_in_interval, decimal_str, degree, derivative, divmod_poly,
+    evaluate, gcd_poly, monic, mul, normalize, refine_to_width, sqrt_bounds, squarefree_part,
+    sturm_chain,
 )
 
 
@@ -177,7 +179,7 @@ def test_isolate_endpoints_avoid_deflated_roots():
     assert len(roots) == 3 and (F(0), F(0)) in roots
     _assert_isolation(p)
     lo, hi = roots[-1]
-    assert polys.bisect_step(p, lo, hi) != (lo, hi)
+    assert bisect_step(p, lo, hi) != (lo, hi)
     assert refine_to_width(p, lo, hi, F(1, 2 ** 20))[0] > F(1618, 1000)
 
 
@@ -271,7 +273,7 @@ def test_vanishes_at_root_matches_the_sturm_count(factors, subset, scale):
     for lo, hi in polys.isolate_real_roots(q):
         for _ in range(6):
             assert polys.vanishes_at_root(p, lo, hi) == (count_roots_in_interval(p, lo, hi) > 0)
-            lo, hi = polys.bisect_step(q, lo, hi)
+            lo, hi = bisect_step(q, lo, hi)
 
 
 def test_refine_to_width():
@@ -570,6 +572,35 @@ def test_isolation_builds_one_sturm_chain(p, monkeypatch):
     monkeypatch.setattr(polys, "sturm_chain_int", lambda q: calls.append(tuple(q)) or chain(q))
     assert polys.isolate_real_roots(p) == _isolate_oracle(p)
     assert calls == [tuple(p)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from((GOLDEN, QUINTIC, BASE2, PLASTIC, CUBIC2, TETRA, SQRT2, SQRT3)),
+                 st.lists(st.integers(-12, 12), min_size=1, max_size=7).map(lambda low: low + [1])))
+@example([0, -2, 0, 1])  # z (z^2 - 2): an exact root between two brackets
+@example([-1, 0, 1])  # z^2 - 1: exact roots only
+def test_integer_bisection_matches_fraction_bisection(p):
+    # isolation on integer nodes gives the intervals of the Fraction-node
+    # oracle, and 40 integer steps, which read the midpoint's sign only,
+    # give the rationals of 40 Fraction steps, which read both ends' signs
+    assume(_is_squarefree(p))
+    intervals = polys.isolate_real_roots(p)
+    assert intervals == _isolate_oracle(p)
+    for lo, hi in intervals:
+        if lo == hi:
+            continue
+        a, b, e = polys.integer_endpoints(lo, hi)
+        left = polys.sign_at(p, a, e)
+        for _ in range(40):
+            a, b, e = polys.bisect_step(p, a, b, e, left)
+            lo, hi = bisect_step(p, lo, hi)
+            assert (F(a, e), F(b, e)) == (lo, hi)
+
+
+def test_bisect_step_returns_an_exact_hit_as_the_point():
+    # z - 1 on [0, 2]: the midpoint is the root
+    assert polys.bisect_step((-1, 1), 0, 2, 1, -1) == (2, 2, 2)
+    assert bisect_step((-1, 1), F(0), F(2)) == (1, 1)
 
 
 def test_refine_to_width_budget_is_checked_before_bisecting(monkeypatch):

@@ -11,7 +11,7 @@ from betaorbit.field import IntPolynomial, PisotCertificate
 from betaorbit.orbit import OrbitGraph, TransitionMatrix
 from betaorbit.spacing import GapStats, SeparationReport, SpectrumLevel
 from betaorbit.spectral import (DimensionResult, DominanceReport, PerronResult, _Block,
-                                _PerronRoot, _Structure)
+                                _halve, _PerronRoot, _Structure)
 
 # record -> its fields in order, and the defaults of the trailing ones
 RECORDS = {
@@ -60,8 +60,10 @@ def test_a_default_list_is_not_shared():
 
 def test_a_perron_root_defaults_to_period_one_and_no_zero_factor():
     root = _PerronRoot((-2, 0, 1), [Fraction(1), Fraction(2)])
-    assert (root.p, root.eps, root.left_pos) == (1, 0, False)  # z^2 - 2 < 0 at 1
-    assert root.compare(4, 3) == -1 and root.compare(3, 2) == 1  # 4/3 < sqrt(2) < 3/2
+    assert (root.p, root.eps, root.left) == (1, 0, -1)  # z^2 - 2 < 0 at 1
+    # 4/3 < sqrt(2) < 3/2: halving [1, 5/3] at 4/3 keeps the right half,
+    # halving [1, 2] at 3/2 the left one
+    assert _halve(root, 3, 5, 3) == (8, 10, 6) and _halve(root, 1, 2, 1) == (2, 3, 2)
     root = _PerronRoot((-2, 0, 1), [Fraction(1), Fraction(2)], 2, 1)
     assert (root.p, root.eps) == (2, 1)
 

@@ -1,9 +1,16 @@
 """The benchmark's span tracer wraps betaorbit functions by name; a rename
-must not leave one of its targets pointing at nothing."""
+must not leave one of its targets pointing at nothing, and a counted
+function must still be the one every caller reaches."""
 
 import ast
 import importlib
+import sys
+from fractions import Fraction
 from pathlib import Path
+
+from betaorbit import dynamics, polys, spectral
+from betaorbit.field import IntPolynomial, NumberField
+from betaorbit.orbit import TransitionMatrix
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -28,3 +35,31 @@ def test_every_span_target_names_a_betaorbit_attribute():
             assert hasattr(obj, part), f"span target {name}: betaorbit.{module}.{path} is missing"
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_every_bisection_goes_through_the_counted_bisect_step(monkeypatch):
+    # perfbench counts polys.bisect_step; each root the package bisects
+    # reaches it, from the caller named in each check below
+    callers = []
+    step = polys.bisect_step
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return step(*args)
+
+    monkeypatch.setattr(polys, "bisect_step", counting)
+
+    def reached(run) -> set:
+        callers.clear()
+        run()
+        return set(callers)
+
+    golden = IntPolynomial((-1, -1, 1))  # isolated in (0, 2], settled against 1
+    assert reached(lambda: NumberField(golden)) == {"__init__"}
+    field = NumberField(golden)
+    assert reached(field.refine_beta) == {"refine_beta"}
+    assert "_power_table" in reached(lambda: dynamics.ExpansionParams(NumberField(golden), 1))
+    tetra = NumberField(IntPolynomial((-1, -1, -1, -1, 1)))  # a real conjugate near -0.77
+    assert "_refine_conjugate" in reached(tetra.is_pisot)
+    matrix = TransitionMatrix.from_rows([[1, 1], [1, 0]])  # primitive
+    assert reached(lambda: spectral._perron_root(matrix, Fraction(1, 10 ** 6))) == {"_halve"}
