@@ -52,11 +52,17 @@ def _power_table(field: NumberField, bits: int) -> tuple[int, ...]:
 
 class ExpansionParams:
     """Fixes the dynamical system: the field, the digit bound m, and the
-    interval [0, m/(beta-1)] the maps must not leave."""
+    interval [0, m/(beta-1)] the maps must not leave.  A field of degree
+    > 1 whose polynomial has an integer root is refused: there two
+    coordinate vectors name one point, so the orbit search could not close."""
 
     def __init__(self, field: NumberField, m: int):
         if m < 1:
             raise ValueError("m must be a positive integer")
+        exact = [lo for lo, hi in field._real_root_intervals if lo == hi]
+        if field.degree > 1 and exact:
+            raise ValueError(f"{field.min_poly} has the integer root {exact[0]}; "
+                             "give beta's minimal polynomial")
         self.field = field
         self.m = m
         self.beta = field.beta

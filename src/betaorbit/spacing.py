@@ -138,6 +138,9 @@ def _levels(field: NumberField, m: int, n: int):
     keys, slack, element), where element(x) is the FieldElement of a packed
     point or gap x.  The body runs lazily, so callers check the depth first."""
     beta = field.beta
+    # load-bearing beyond the keys: this refines the field's ladder to 1e-17,
+    # and the gap enclosures printed later are approx's first rung that
+    # fits, so keys taken without refining the ladder change printed bytes
     lo, hi = beta.approx(Fraction(1, 10 ** 17))
     powers = list(accumulate(repeat(beta, n), mul))
     width, degree = _width(m, powers), field.degree

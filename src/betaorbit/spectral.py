@@ -15,19 +15,19 @@ cycle) * prod chi_B with chi_B(z) = z^(|B| - p|C_0|) chi_B0(z^p), so the
 division-checked Faddeev-LeVerrier recurrence (FL) runs only on the B0.  The
 route to the dominant eigenvalue is exact: one Sturm isolation of the
 largest real root of the squarefree part sf(chi_A) and bisection to the
-requested width by polys.bisect_step, the package's one halving of a real
-root, with the sign at the left end of alpha's isolating interval read
-once (_PerronRoot).  When the graph is one SCC of period p > 1, sf(chi_A) =
-z^eps g(z^p) with g the squarefree part of chi_B0 without its factors z,
-and the isolation is replayed on g: on a node (lo, hi] with lo >= 0,
-sf(chi_A) has as many roots as g has in (lo^p, hi^p], and each halving
-places its midpoint x by x^p against an isolating interval of alpha^p on
-g, itself halved by polys.bisect_step; the enclosure is the one isolation
-on sf(chi_A) gives.
+requested width.  sf(chi_A) = z^eps g(z^p), with p = 1 and g = sf(chi_A)
+unless the graph is one SCC of period p > 1, where g is the squarefree
+part of chi_B0 without its factors z and the isolation is replayed on g:
+on a node (lo, hi] with lo >= 0, sf(chi_A) has as many roots as g has in
+(lo^p, hi^p].  At every period each halving places its midpoint x by x^p
+against an isolating interval of alpha^p on g (_PerronRoot), itself
+halved by polys.bisect_step, the package's one halving of a real root;
+the enclosure is the one isolation on sf(chi_A) gives.
 
 The same recurrence, applied to the vector 1, yields P(z) = adj(zI - A) . 1,
-whose value at the Perron root is a nonnegative eigenvector (after exact
-division by any common factor vanishing there, a monic integer polynomial);
+whose value at the Perron root is an eigenvector, nonnegative as alpha*I - A
+is a singular M-matrix (after exact division by any common factor vanishing
+there, a monic integer polynomial);
 its rows are reduced mod the monic squarefree part by integer elimination,
 and its entries are evaluated in turn by integer interval Horner at an
 enclosure of the root that is bisected further while an entry is too wide,
@@ -379,14 +379,12 @@ class _PerronRoot:
     one SCC of period p > 1, g the squarefree part of chi_B0 with its
     factors z divided out (the roots of g(z^p) are then simple, as its
     derivative is p z^(p-1) g'(z^p), and nonzero).  `w` isolates alpha^p,
-    g's largest root, as a bracket (_bracket), and `left` is g's sign at
-    its left end: with p = 1, _halve bisects alpha's enclosures on g with
-    it; with p > 1, _halve places a point x > 0 by x^p against w, which
-    each placement bisects on g, in place, only as far as it must."""
+    g's largest root, as a bracket (_bracket): _halve places a point x > 0
+    by x^p against w, which each placement bisects on g, in place, only as
+    far as it must."""
 
-    def __init__(self, g: tuple[int, ...], w: Interval, p: int = 1, eps: int = 0):
-        self.g, self.w, self.p, self.eps = g, _bracket(g, *w), p, eps
-        self.left = self.w[3]
+    def __init__(self, g: tuple[int, ...], w: Interval, p: int = 1):
+        self.g, self.w, self.p = g, _bracket(g, *w), p
 
 
 def _bracket(g: tuple[int, ...], lo: Fraction, hi: Fraction) -> list[int]:
@@ -471,19 +469,20 @@ def _cyclic_root(block: _Block) -> tuple[_PerronRoot, Interval]:
     j = next(i for i, c in enumerate(chi0) if c)  # chi_B0 = w^j h(w), h(0) != 0
     g = polys.squarefree_part_int(chi0[j:])
     ivs = polys.isolate_real_roots(g)  # ascending
-    root = _PerronRoot(g, ivs[-1], p, int(block.matrix.size > p * (len(chi0) - 1 - j)))
+    root = _PerronRoot(g, ivs[-1], p)
+    eps = int(block.matrix.size > p * (len(chi0) - 1 - j))
     roots = [_bracket(g, *iv) for iv in ivs[:-1]] + [root.w]
     if root.w[0] == root.w[1]:  # alpha^p is an integer, and alpha one when it is a p-th power
         r = _iroot(root.w[0], p)  # w = [n, n, 1, 0] for the integer n
         if r ** p == root.w[0]:
             return root, (Fraction(r), Fraction(r))
-    exact = [0] * root.eps
+    exact = [0] * eps
     for lo, hi in ivs:
         r = _iroot(abs(lo.numerator), p) if lo == hi else 0
         if r and r ** p == abs(lo) and (lo > 0 or p % 2):
             exact += [r if lo > 0 else -r] + ([-r] if p % 2 == 0 else [])
-    work = [0] * (root.eps + p * (len(g) - 1) + 1)
-    work[root.eps::p] = g
+    work = [0] * (eps + p * (len(g) - 1) + 1)
+    work[eps::p] = g
     for r in exact:
         work, rem = polys.divmod_monic(work, (-r, 1))
         assert not rem, "deflation by a non-root"
@@ -494,7 +493,7 @@ def _cyclic_root(block: _Block) -> tuple[_PerronRoot, Interval]:
                 - sum(a < r * e <= b for r in exact))
 
     real = len(roots) if p % 2 else 2 * sum(_above(g, iv, 0, 1) for iv in roots)
-    n = root.eps + real - len(exact)
+    n = eps + real - len(exact)
     bound = math.ceil(polys.root_bound(work))
     a, b, e = -bound, bound, 1
     if n > 1:
@@ -523,13 +522,12 @@ IntInterval = tuple[int, int, int]
 
 
 def _halve(root: _PerronRoot, a: int, b: int, e: int) -> IntInterval:
-    """The half of [a/e, b/e] that holds alpha, as polys.bisect_step cuts
-    it: on g with the root's left sign when p = 1, else by the midpoint
+    """The half of [a/e, b/e] that holds alpha, by the midpoint
     x = (a + b) / 2e, placed by x^p against w (x <= 0 lies below alpha >= 1).
-    When p > 1 a rational alpha is never halved: _cyclic_root returns it as
-    an exact point."""
-    if root.p == 1:
-        return polys.bisect_step(root.g, a, b, e, root.left)
+    With p = 1, w and every enclosure halved here are nodes of one dyadic
+    tree grown from alpha's isolating interval, so this is the half that
+    polys.bisect_step picks, by no more sign reads.  A rational alpha is
+    never halved: isolation returns it as an exact point."""
     mid, e = a + b, 2 * e
     if mid > 0 and not _above(root.g, root.w, mid ** root.p, e ** root.p):
         return 2 * a, mid, e
@@ -556,17 +554,19 @@ def _refine(root: _PerronRoot, lo: Fraction, hi: Fraction, tol: Fraction) -> Int
 
 def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]], root: _PerronRoot,
                           alpha: Interval, tol: Fraction) -> list[IntInterval]:
-    """Enclosures of P(alpha) for P = adj(zI - A) . 1, sign-fixed nonnegative,
-    each as integers (lo, hi, s) for [lo/s, hi/s], for a matrix that is not
-    one SCC of period > 1 (root.p = 1, root.g = sf(chi_A)).
+    """Enclosures of the nonnegative P(alpha) for P = adj(zI - A) . 1, each
+    as integers (lo, hi, s) for [lo/s, hi/s], for a matrix that is not one
+    SCC of period > 1 (root.p = 1, root.g = sf(chi_A)).
 
     (alpha*I - A) P(alpha) = chi(alpha) . 1 = 0, so P(alpha) is an eigenvector
     once it is nonzero.  When every P_i vanishes at alpha (possible only at
     geometric multiplicity >= 2), t = gcd(chi_sf, P_1, ..., P_k) has alpha as
     a root and P/t solves (zI - A) P/t = chi/t . 1; repeat.  Since
     (zI - A)^-1 . 1 has a pole at the Perron root of order equal to its
-    index, this stops before chi/t loses that root, and the limit vector is
-    nonnegative up to sign.
+    index, this stops before chi/t loses that root.  No sign needs fixing
+    (alpha*I - A is a singular M-matrix; Berman & Plemmons, ch. 6): for
+    z > alpha = rho(A), (zI - A)^-1 >= 0 and chi(z), t(z) > 0, so P/t >= 0
+    at alpha, as a limit from the right.
     """
     chi_sf = root.g
     vec, rest = adj_one, list(chi)
@@ -596,7 +596,6 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]], root: 
         # (alpha*I - A) P(alpha) = rest(alpha) . 1 must still vanish
         assert polys.vanishes_at_root(polys.gcd_int(rest, chi_sf), *alpha), \
             "common-factor division removed the Perron root"
-    sign = next(1 if lo > 0 else -1 for lo, hi, _ in rough if lo > 0 or hi < 0)
     # the largest |endpoint| n/d, compared by cross-multiplying
     n, d = 0, 1
     for lo, hi, s in rough:
@@ -604,8 +603,6 @@ def _adjugate_eigenvector(chi: tuple[int, ...], adj_one: list[list[int]], root: 
         if m * d > n * s:
             n, d = m, s
     ivs, _ = _evaluate_at_root(reduced, root, at, tol * Fraction(n, d))
-    if sign < 0:
-        ivs = [(-hi, -lo, s) for lo, hi, s in ivs]
     assert all(hi >= 0 for _, hi, _ in ivs), "adjugate eigenvector is not nonnegative"
     return ivs
 

@@ -247,6 +247,27 @@ def test_expand_no_period_exit(capsys):
     assert "no period within 1 steps" in out
 
 
+def _coeffs(*pairs):
+    return [{"coeffs": list(c)} for c in pairs]
+
+
+def test_expand_json_of_a_periodic_run(capsys):
+    code, out, _ = run(capsys, "expand", "--minpoly", GOLDEN, "-m", "1", "-x", "1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"preperiod": [1, 1], "period": [0],
+                               "states": _coeffs(("1", "0"), ("-1", "1"), ("0", "0"))}
+
+
+def test_expand_json_without_a_period_has_a_null_period(capsys):
+    code, out, _ = run(capsys, "expand", "--minpoly", GOLDEN, "-m", "1", "-x", "1/3",
+                       "--steps", "3", "--format", "json")
+    assert code == 7
+    assert json.loads(out) == {
+        "preperiod": [0, 0, 1], "period": None,
+        "states": _coeffs(("1/3", "0"), ("0", "1/3"), ("1/3", "1/3"), ("-2/3", "2/3"))}
+
+
 # === count ===
 
 def test_count_both_methods_agree(capsys):
@@ -262,6 +283,19 @@ def test_count_single_method(capsys):
                        "-n", "20", "--method", "brute")
     assert code == 0
     assert out.strip() == "brute: 21"
+
+
+def test_count_both_methods_disagreeing_exits_6(capsys, monkeypatch):
+    from betaorbit import orbit
+    monkeypatch.setattr(orbit, "count_prefixes_matrix", lambda mat, start, n: 22)
+    code, out, err = run(capsys, "count", "--minpoly", GOLDEN, "-m", "1", "-x", "1", "-n", "20")
+    assert (code, err) == (6, "")
+    assert out == "matrix: 22\nbrute: 21\nMISMATCH between matrix and brute-force counts\n"
+
+
+def test_count_negative_word_length_exits_64(capsys):
+    code, out, err = run(capsys, "count", "--minpoly", GOLDEN, "-m", "1", "-x", "1", "-n", "-1")
+    assert (code, out, err) == (64, "", "error: n must be nonnegative\n")
 
 
 def test_count_brute_word_length_beyond_the_recursion_limit(capsys):
@@ -356,6 +390,18 @@ def test_spectrum_on_a_reducible_base_exits_64(capsys):
     code, out, err = run(capsys, "spectrum", "--minpoly", "2,-3,1", "-m", "1", "--nmax", "5")
     assert (code, out) == (64, "")
     assert "distinct representations coincide" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["orbit"], ["dimension"], ["count", "-n", "5"], ["expand"]])
+def test_a_minpoly_with_an_integer_root_exits_64(capsys, argv):
+    # z^2 - 5z + 6 = (z - 2)(z - 3), beta = 2: the orbit of 1/3 is finite,
+    # but beta and 2 are distinct coordinate vectors of one point, so the
+    # search would never close; -m 1 and -m 2 now fail alike
+    for m in ("1", "2"):
+        code, out, err = run(capsys, *argv, "--minpoly", "6,-5,1", "--root-rank", "1",
+                             "-m", m, "-x", "1/3")
+        assert (code, out) == (64, "")
+        assert err == "error: z^2 - 5*z + 6 has the integer root 2; give beta's minimal polynomial\n"
 
 
 def test_orbit_dot_format(capsys):

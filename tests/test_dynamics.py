@@ -36,6 +36,14 @@ def test_params_validation(golden):
     ExpansionParams(big, 2)  # beta = m+1 allowed
 
 
+def test_params_refuse_a_polynomial_of_degree_above_one_with_an_integer_root():
+    # z^2 - z - 2 = (z - 2)(z + 1): z and 2 name one point at beta = 2
+    with pytest.raises(ValueError, match="^z\\^2 - z - 2 has the integer root -1; "):
+        ExpansionParams(NumberField(IntPolynomial((-2, -1, 1))), 1)
+    params = ExpansionParams(NumberField(IntPolynomial((-2, 1))), 1)  # z - 2 is beta's own
+    assert params.right_endpoint == params.field.one
+
+
 def test_right_endpoint_identity(golden_params, quintic_params):
     for params in (golden_params, quintic_params):
         m = params.field.from_rational(params.m)

@@ -128,6 +128,36 @@ def test_division_and_pow(golden):
     assert b ** 0 == golden.one
 
 
+def test_reflected_subtraction_and_division(golden):
+    b = golden.beta
+    assert 3 - b == golden.from_rational(3) - b == 2 - (b - 1)
+    assert 3 / b == 3 * (b - 1)  # 1/b = b - 1
+    assert F(1, 2) / b == (b - 1) / 2
+
+
+def test_non_strict_order(golden):
+    b = golden.beta
+    assert b <= b and b >= b
+    assert b - 1 <= 1 <= b and b >= 1 >= b - 1
+    assert not b <= 1 and not b - 1 >= 1
+
+
+def test_a_string_operand_is_refused(golden):
+    b = golden.beta
+    with pytest.raises(TypeError, match="cannot compare FieldElement with str"):
+        b.compare("a")
+    with pytest.raises(TypeError):
+        b + "a"
+
+
+def test_approx_needs_a_positive_width_and_takes_a_float(golden):
+    b = golden.beta
+    with pytest.raises(ValueError, match="eps must be positive"):
+        b.approx(0)
+    lo, hi = b.approx(0.001)
+    assert lo < b < hi and hi - lo <= F(0.001)
+
+
 def test_cross_field_operations_rejected(golden, base2):
     with pytest.raises(ValueError):
         golden.beta + base2.beta

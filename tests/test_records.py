@@ -58,14 +58,17 @@ def test_a_default_list_is_not_shared():
     assert b.states_visited == []
 
 
-def test_a_perron_root_defaults_to_period_one_and_no_zero_factor():
-    root = _PerronRoot((-2, 0, 1), [Fraction(1), Fraction(2)])
-    assert (root.p, root.eps, root.left) == (1, 0, -1)  # z^2 - 2 < 0 at 1
-    # 4/3 < sqrt(2) < 3/2: halving [1, 5/3] at 4/3 keeps the right half,
-    # halving [1, 2] at 3/2 the left one
-    assert _halve(root, 3, 5, 3) == (8, 10, 6) and _halve(root, 1, 2, 1) == (2, 3, 2)
-    root = _PerronRoot((-2, 0, 1), [Fraction(1), Fraction(2)], 2, 1)
-    assert (root.p, root.eps) == (2, 1)
+def test_a_perron_root_defaults_to_period_one_and_halves_by_placement():
+    # sqrt(2) as the root of z^2 - 2 at period 1 and of z - 2 at period 2
+    for root in (_PerronRoot((-2, 0, 1), [Fraction(1), Fraction(2)]),
+                 _PerronRoot((-2, 1), [Fraction(1), Fraction(3)], 2)):
+        assert root.w[3] == -1  # g < 0 at the left end of alpha^p's interval
+        # 4/3 < sqrt(2) < 3/2: halving [1, 5/3] at 4/3 keeps the right half,
+        # halving [1, 2] at 3/2 the left one; a midpoint x <= 0 lies below
+        assert _halve(root, 3, 5, 3) == (8, 10, 6) and _halve(root, 1, 2, 1) == (2, 3, 2)
+        assert _halve(root, -2, 2, 1) == (0, 4, 2)
+    assert _PerronRoot((-2, 0, 1), [Fraction(1), Fraction(2)]).p == 1
+    assert vars(root).keys() == {"g", "w", "p"}
 
 
 @pytest.mark.parametrize("coeffs, error, message", [

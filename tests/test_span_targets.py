@@ -61,5 +61,5 @@ def test_every_bisection_goes_through_the_counted_bisect_step(monkeypatch):
     assert "_power_table" in reached(lambda: dynamics.ExpansionParams(NumberField(golden), 1))
     tetra = NumberField(IntPolynomial((-1, -1, -1, -1, 1)))  # a real conjugate near -0.77
     assert "_refine_conjugate" in reached(tetra.is_pisot)
-    matrix = TransitionMatrix.from_rows([[1, 1], [1, 0]])  # primitive
-    assert reached(lambda: spectral._perron_root(matrix, Fraction(1, 10 ** 6))) == {"_halve"}
+    matrix = TransitionMatrix.from_rows([[1, 1], [1, 0]])  # primitive: _halve places by _above
+    assert reached(lambda: spectral._perron_root(matrix, Fraction(1, 10 ** 6))) == {"_above"}

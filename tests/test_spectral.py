@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -688,6 +689,95 @@ def test_integer_eigenvector_stage_matches_fractions_on_orbit_matrices(minpoly, 
     params = ExpansionParams(NumberField(IntPolynomial(minpoly)), m)
     _assert_stage_matches_the_fraction_oracles(
         transition_matrix(compute_orbit(params, params.parse_point(point))))
+
+
+# === one halving rule, and an adjugate that needs no sign fixed ===
+
+def _sign_reads(run):
+    with mock.patch.object(polys, "sign_at", wraps=polys.sign_at) as sign_at:
+        out = run()
+    return out, sign_at.call_count
+
+
+def _assert_halve_is_bisect_step(mat, steps=40):
+    """From alpha's isolating interval, _halve picks at every period the
+    halves polys.bisect_step picks on sf(chi_A), and at period 1 it reads
+    one sign a halving (none on an exact point), as bisect_step does."""
+    chi, root, (lo, hi) = spectral._isolation(mat)
+    chi_sf = polys.squarefree_part_int(chi)
+    start = polys.integer_endpoints(lo, hi)
+
+    def halve():
+        at = [start]
+        for _ in range(steps):
+            at.append(spectral._halve(root, *at[-1]))
+        return at
+
+    def bisect():
+        at = [start]
+        left = polys.sign_at(chi_sf, start[0], start[2])
+        for _ in range(steps):
+            at.append(polys.bisect_step(chi_sf, *at[-1], left))
+        return at
+
+    ours, reads = _sign_reads(halve)
+    assert ours == bisect()
+    if root.p == 1:
+        assert reads == (steps if lo < hi else 0)
+
+
+def _primitive_matrices(max_k):
+    """Random nonnegative matrices made primitive by a cycle through every
+    state and a loop at state 0."""
+    return _nonneg_matrices(max_k).map(lambda rows: [
+        [max(v, int(j == (i + 1) % len(rows) or i == j == 0)) for j, v in enumerate(row)]
+        for i, row in enumerate(rows)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_primitive_matrices(8))
+@example([[1]])  # alpha = 1, an exact point
+@example([[1, 1], [1, 0]])
+def test_halve_matches_bisect_step_on_random_primitive_matrices(rows):
+    _assert_halve_is_bisect_step(_mat(rows))
+
+
+@pytest.mark.parametrize("minpoly,m,point", _ORBIT_CASES)
+def test_halve_matches_bisect_step_on_orbit_matrices(minpoly, m, point):
+    _assert_halve_is_bisect_step(_orbit_matrix(minpoly, m, point))
+
+
+def _evaluated_enclosures(mat):
+    """Every enclosure _evaluate_at_root returns while perron_eigenvalue runs."""
+    seen = []
+    evaluate = spectral._evaluate_at_root
+
+    def record(*args):
+        out = evaluate(*args)
+        seen.extend(out[0])
+        return out
+
+    with mock.patch.object(spectral, "_evaluate_at_root", record):
+        perron_eigenvalue(mat)
+    return seen
+
+
+# one golden block feeding two more: phi three times over, of index 2
+_BLOCK_FEEDS_TWO_GOLDEN = [[1, 1, 1, 0, 1, 0]] + _block_diag(_GOLD, _GOLD, _GOLD)[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonneg_matrices(10))
+@example(_block_diag(_GOLD, _GOLD))
+@example(_BLOCK_FEEDS_TWO_GOLDEN)
+@example(_SOURCE_FEEDS_TWO_GOLDEN)
+def test_no_adjugate_enclosure_lies_below_zero(rows):
+    # alpha*I - A is a singular M-matrix: adj(zI - A) . 1, and its quotient
+    # by a common factor, is >= 0 at alpha, so the rough enclosures that
+    # decide when to stop dividing, and the final ones, all reach 0 or above
+    if any(map(any, rows)):
+        enclosures = _evaluated_enclosures(_mat(rows))
+        assert enclosures and all(hi >= 0 for _, hi, _ in enclosures)
 
 
 @settings(max_examples=200, deadline=None)
