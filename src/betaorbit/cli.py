@@ -4,8 +4,9 @@ Outputs are deterministic (identical configs produce byte-identical output).
 Exit codes: 0 success; 2 not Pisot; 3 Pisot status unknown; 4 the orbit
 search or a brute-force count hit a cap; 5 dominant eigenvalue not verified
 (alpha still reported); 6 count-method mismatch; 7 no period within the
-step budget; 64 usage/parse errors; 65 point outside the expansion interval;
-141 the reader closed stdout early (128 + SIGPIPE).
+step budget; 64 usage/parse errors or an --out path that cannot be
+written; 65 point outside the expansion interval; 141 the reader closed
+stdout early (128 + SIGPIPE).
 
 Every invocation is a fresh interpreter, so start-up pays for each module
 imported.  The top level imports only what the parser and every command
@@ -159,6 +160,18 @@ def build_parser(argv=()) -> _Parser:
     return parser
 
 
+def _write_out(path: str, write) -> None:
+    """Run write(fh) on the --out file at path.  Its 64 KiB buffer makes one
+    write call per 64 KiB, not one per matrix row.  An OSError from this
+    file (it cannot be created, or a write fails) is a usage error, exit 64;
+    stdout is not written here, so a broken pipe still exits 141."""
+    try:
+        with open(path, "w", buffering=1 << 16) as fh:
+            write(fh)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_pisot(args) -> int:
     field = _build_field(args)
     cert = field.is_pisot(budget=args.budget)
@@ -180,22 +193,17 @@ def cmd_orbit(args) -> int:
         result.write_json(sys.stdout)
         print()
     elif args.format == "dot":
-        print(result.to_dot(), end="")
+        result.write_dot(sys.stdout)
     else:
         depth = result.discovery_depth
         print("\n".join(f"  {j}: {decimal_str_int(num, den, 5, -1)}  depth {depth[j - 1]}"
                         for j, (num, den) in enumerate(result.label_midpoints, start=1)))
     if args.out:
         mat = transition_matrix(result)
-        # 64 KiB buffers: one write call per 64 KiB, not per 8 KiB matrix row
-        with open(args.out + ".json", "w", buffering=1 << 16) as fh:
-            result.write_json(fh)
-        with open(args.out + ".dot", "w", buffering=1 << 16) as fh:
-            fh.write(result.to_dot())
-        with open(args.out + ".matrix.json", "w", buffering=1 << 16) as fh:
-            mat.write_json(fh)
-        with open(args.out + ".matrix.csv", "w", buffering=1 << 16) as fh:
-            fh.write(mat.to_csv())
+        _write_out(args.out + ".json", result.write_json)
+        _write_out(args.out + ".dot", result.write_dot)
+        _write_out(args.out + ".matrix.json", mat.write_json)
+        _write_out(args.out + ".matrix.csv", mat.write_csv)
     return EXIT_OK
 
 
@@ -296,8 +304,7 @@ def cmd_spectrum(args) -> int:
     field = _build_field(args)
     csv = spacing.spectrum_csv(field, args.m, args.nmax)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv)
+        _write_out(args.out, lambda fh: fh.write(csv))
     else:
         print(csv, end="")
     return EXIT_OK

@@ -7,13 +7,16 @@ the states, the depth, or the total bit size of the states) and raises
 CapHit.  The search keys each state by its reduced integer form (nums, den)
 and reads its digits and images from ExpansionParams._images; the states'
 FieldElements are built once it closes.  The table and DOT labels are
-formatted from each state's integer 1e-7 enclosure.  The transition matrix
-drives exact big-integer prefix counting by matrix powers; the brute-force
-count in dynamics is the independent oracle for it.
+formatted from each state's integer 1e-7 enclosure.  Each export writer
+streams to a file object, one state, edge, matrix row or DOT line a write,
+and the to_csv and to_dot strings are what those writers write.  The
+transition matrix drives exact big-integer prefix counting by matrix
+powers; the brute-force count in dynamics is the independent oracle for it.
 """
 
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 from functools import cached_property
 
@@ -44,19 +47,20 @@ class OrbitGraph:
 
     def write_json(self, fh) -> None:
         """Write the bytes of json.dump(self.to_json(), fh, indent=2), laid
-        out directly.  No list in it is empty: k >= 1, every state has an
-        edge, and every coefficient vector has at least one entry."""
+        out directly, one state and one edge at a time.  No list in it is
+        empty: k >= 1, every state has an edge, and every coefficient
+        vector has at least one entry."""
         def strings(values, indent):
             return _json_list([f'"{v}"' for v in values], indent)
 
         minpoly = strings(self.params.field.min_poly.to_json()["coeffs"], 6)
-        states = [f'{{\n      "coeffs": {strings(s.to_json()["coeffs"], 8)}\n    }}'
-                  for s in self.states]
-        edges = [_json_list(map(str, e), 6) for e in self.edges]
         fh.write(f'{{\n  "minpoly": {{\n    "coeffs": {minpoly}\n  }},\n'
-                 f'  "m": {self.params.m},\n'
-                 f'  "states": {_json_list(states, 4)},\n'
-                 f'  "edges": {_json_list(edges, 4)}\n}}')
+                 f'  "m": {self.params.m},\n  "states": ')
+        _write_json_list(fh, (f'{{\n      "coeffs": {strings(s.to_json()["coeffs"], 8)}\n    }}'
+                              for s in self.states), 4)
+        fh.write(',\n  "edges": ')
+        _write_json_list(fh, (_json_list(map(str, e), 6) for e in self.edges), 4)
+        fh.write("\n}")
 
     @cached_property
     def label_midpoints(self) -> list[tuple[int, int]]:
@@ -66,15 +70,25 @@ class OrbitGraph:
         eps = Fraction(1, 10 ** 7)
         return [(lo + hi, 2 * den) for lo, hi, den in (s.approx_int(eps) for s in self.states)]
 
-    def to_dot(self) -> str:
-        lines = ["digraph orbit {"]
+    def write_dot(self, fh) -> None:
+        """Write the DOT graph, one line per state and per edge."""
+        fh.write("digraph orbit {\n")
         # int / int is the correctly rounded float, as float(Fraction) is
         for j, (num, den) in enumerate(self.label_midpoints, start=1):
-            lines.append(f'  {j} [label="{j}: {num / den:.5f}"];')
+            fh.write(f'  {j} [label="{j}: {num / den:.5f}"];\n')
         for (q, digit, j) in self.edges:
-            lines.append(f'  {q + 1} -> {j + 1} [label="{digit}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            fh.write(f'  {q + 1} -> {j + 1} [label="{digit}"];\n')
+        fh.write("}\n")
+
+    def to_dot(self) -> str:
+        return _text(self.write_dot)
+
+
+def _text(write) -> str:
+    """What write(fh) writes, as one string."""
+    fh = io.StringIO()
+    write(fh)
+    return fh.getvalue()
 
 
 def _json_list(items, indent: int) -> str:
@@ -82,6 +96,16 @@ def _json_list(items, indent: int) -> str:
     lays it out with its items at this indent."""
     pad = "\n" + " " * indent
     return f"[{pad}{(',' + pad).join(items)}\n{' ' * (indent - 2)}]"
+
+
+def _write_json_list(fh, items, indent: int) -> None:
+    """Write the text _json_list(items, indent) gives, one item a write."""
+    pad = "\n" + " " * indent
+    sep = "[" + pad
+    for item in items:
+        fh.write(sep + item)
+        sep = "," + pad
+    fh.write(f"\n{' ' * (indent - 2)}]")
 
 
 class TransitionMatrix:
@@ -174,8 +198,17 @@ class TransitionMatrix:
             sep = "\n    ],\n    [\n      "
         fh.write("\n    ]\n  ]\n}")
 
+    def write_csv(self, fh) -> None:
+        """Write the dense matrix, one row a line, entries joined by ","
+        and every row ended by a newline; k = 0 gives one empty line."""
+        if not self.succ:
+            fh.write("\n")
+        for row in self._dense_text(","):
+            fh.write(row)
+            fh.write("\n")
+
     def to_csv(self) -> str:
-        return "\n".join(self._dense_text(",")) + "\n"
+        return _text(self.write_csv)
 
 
 # compute_orbit raises CapHit(..., "bits") once its states hold more than

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib
 import importlib.util
 import io
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,55 @@ def test_orbit_json_state_roundtrips_as_input(capsys):
     code2, out2, _ = run(capsys, "orbit", "--minpoly", QUINTIC, "-m", "1", "-x", state0)
     assert code2 == 0
     assert out2.splitlines()[0] == "k = 10"
+
+
+@pytest.mark.parametrize("argv", [["orbit", "-x", "1/7"], ["spectrum", "--nmax", "3"]])
+def test_an_out_path_that_cannot_be_written_exits_64(capsys, tmp_path, argv):
+    target = str(tmp_path / "no_such_dir" / "x")
+    code, out, err = run(capsys, argv[0], "--minpoly", GOLDEN, *argv[1:], "--out", target)
+    assert code == 64 and "Traceback" not in err
+    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+    assert err.endswith(": No such file or directory\n")
+
+
+def test_a_failed_write_to_an_out_file_exits_64(capsys, tmp_path, monkeypatch):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    base = str(tmp_path / "x")
+    code, out, err = run(capsys, "orbit", "--minpoly", GOLDEN, "-x", "1/7", "--out", base)
+    assert (code, err) == (64, f"error: cannot write {base}.json: No space left on device\n")
+    assert out.startswith("k = ")
+
+
+def test_a_reader_closing_stdout_after_the_out_files_still_gets_exit_141(tmp_path, monkeypatch):
+    # as with `| head -0` on a short output: every byte waits in stdout's
+    # buffer until the final flush, which comes after the --out files
+    class ClosedAtFlush(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedAtFlush())
+    base = str(tmp_path / "x")
+    assert main(["orbit", "--minpoly", GOLDEN, "-x", "1/7", "--format", "dot", "--out", base]) == 141
+    assert all(Path(base + suffix).stat().st_size
+               for suffix in (".json", ".dot", ".matrix.json", ".matrix.csv"))
+
+
+def test_orbit_out_traces_less_memory_than_its_csv_file(tmp_path, capsys):
+    # quintic 1/3 has k = 1372 and a 3.6 MB dense CSV; every --out writer
+    # streams row by row, so no stage holds a whole file
+    base = str(tmp_path / "q")
+    tracemalloc.start()
+    try:
+        code = main(["orbit", "--minpoly", QUINTIC, "-m", "1", "-x", "1/3", "--out", base])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out.startswith("k = 1372\n")
+    assert peak < Path(base + ".matrix.csv").stat().st_size
 
 
 # === dimension ===
@@ -548,6 +599,18 @@ def test_a_reader_that_closes_stdout_early_gets_exit_141_without_a_traceback():
     # first write, so every write fails with EPIPE
     proc = subprocess.Popen([sys.executable, "-m", "betaorbit", "spectrum", "--minpoly", GOLDEN,
                              "-m", "1", "--nmax", "12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_a_reader_that_closes_stdout_early_on_orbit_out_gets_exit_141(tmp_path):
+    proc = subprocess.Popen([sys.executable, "-m", "betaorbit", "orbit", "--minpoly", GOLDEN,
+                             "-m", "1", "-x", "1/7", "--format", "dot",
+                             "--out", str(tmp_path / "x")],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
     proc.stdout.close()
     err = proc.stderr.read()

@@ -314,18 +314,73 @@ def test_orbit_sizes_cover_large_exports():
     assert [g.size for g in _ORBITS] == [1, 4, 16, 289, 734]
 
 
+class _Writes(io.StringIO):
+    """A StringIO that records the length of its longest write."""
+    longest = 0
+
+    def write(self, text):
+        self.longest = max(self.longest, len(text))
+        return super().write(text)
+
+
+def _written(write) -> _Writes:
+    fh = _Writes()
+    write(fh)
+    return fh
+
+
+def _nested(blob) -> str:
+    """blob as json.dumps(..., indent=2) lays it out as an item of a list
+    inside the top-level object (its lines indented 4 more)."""
+    return json.dumps(blob, indent=2).replace("\n", "\n    ")
+
+
 def _assert_writers_match_dense(mat):
-    fh = io.StringIO()
-    mat.write_json(fh)
-    assert fh.getvalue() == json.dumps(mat.to_json(), indent=2)
     dense = mat.rows
     assert mat.to_json() == {"k": len(dense), "rows": [list(r) for r in dense]}
-    assert mat.to_csv() == "\n".join(",".join(str(v) for v in r) for r in dense) + "\n"
+    want_json = json.dumps(mat.to_json(), indent=2)
+    want_csv = "\n".join(",".join(str(v) for v in r) for r in dense) + "\n"
+    fh_json, fh_csv = _written(mat.write_json), _written(mat.write_csv)
+    assert fh_json.getvalue() == want_json
+    assert fh_csv.getvalue() == mat.to_csv() == want_csv
+    # no write is longer than one dense row (or the header before the rows)
+    assert fh_csv.longest <= max(1, *map(len, want_csv.splitlines()))
+    if dense:
+        head = want_json[:want_json.index('"rows": [') + len('"rows": [')]
+        assert fh_json.longest <= max(len(head), *(len(_nested(list(r))) for r in dense))
 
 
 @pytest.mark.parametrize("graph", _ORBITS[:4], ids=_ORBIT_IDS[:4])
 def test_matrix_json_writer_is_byte_identical(graph):
     _assert_writers_match_dense(transition_matrix(graph))
+
+
+def _dot_oracle(graph) -> str:
+    """The DOT text built as one list of lines, each label the float of
+    the midpoint of the state's 1e-7 enclosure."""
+    lines = ["digraph orbit {"]
+    for j, state in enumerate(graph.states, start=1):
+        lo, hi, den = state.approx_int(F(1, 10 ** 7))
+        lines.append(f'  {j} [label="{j}: {float(F(lo + hi, 2 * den)):.5f}"];')
+    lines += [f'  {q + 1} -> {j + 1} [label="{digit}"];' for q, digit, j in graph.edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("graph", _ORBITS, ids=_ORBIT_IDS)
+def test_orbit_writers_are_byte_identical_and_write_row_sized_pieces(graph):
+    want = json.dumps(graph.to_json(), indent=2)
+    fh = _written(graph.write_json)
+    assert fh.getvalue() == want
+    # each write holds the part before the states, or one state or one
+    # edge with the separator before it
+    head = want[:want.index('"states": ') + len('"states": ')]
+    items = [s.to_json() for s in graph.states] + [list(e) for e in graph.edges]
+    assert fh.longest <= max(len(head), *(len(",\n    " + _nested(b)) for b in items))
+
+    want = _dot_oracle(graph)
+    fh = _written(graph.write_dot)
+    assert fh.getvalue() == graph.to_dot() == want
+    assert fh.longest == max(len(line) + 1 for line in want.splitlines())  # one line a write
 
 
 def test_matrix_json_writer_edge_shapes():
