@@ -188,6 +188,12 @@ def cmd_orbit(args) -> int:
 
     params, x = _build_params(args)
     result = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)
+    if args.out:  # before stdout, so a failed write prints nothing
+        mat = transition_matrix(result)
+        _write_out(args.out + ".json", result.write_json)
+        _write_out(args.out + ".dot", result.write_dot)
+        _write_out(args.out + ".matrix.json", mat.write_json)
+        _write_out(args.out + ".matrix.csv", mat.write_csv)
     print(f"k = {result.size}")
     if args.format == "json":
         result.write_json(sys.stdout)
@@ -198,12 +204,6 @@ def cmd_orbit(args) -> int:
         depth = result.discovery_depth
         print("\n".join(f"  {j}: {decimal_str_int(num, den, 5, -1)}  depth {depth[j - 1]}"
                         for j, (num, den) in enumerate(result.label_midpoints, start=1)))
-    if args.out:
-        mat = transition_matrix(result)
-        _write_out(args.out + ".json", result.write_json)
-        _write_out(args.out + ".dot", result.write_dot)
-        _write_out(args.out + ".matrix.json", mat.write_json)
-        _write_out(args.out + ".matrix.csv", mat.write_csv)
     return EXIT_OK
 
 
@@ -282,6 +282,8 @@ def cmd_count(args) -> int:
     params, x = _build_params(args)
     if args.n < 0:
         raise _UsageError("n must be nonnegative")
+    if args.state_cap < 1 or args.depth_cap < 1:  # as compute_orbit refuses them, for every method
+        raise _UsageError("caps must be at least 1")
     results = {}
     if args.method in ("matrix", "both"):
         graph = compute_orbit(params, x, state_cap=args.state_cap, depth_cap=args.depth_cap)

@@ -238,6 +238,8 @@ def count_prefixes_bruteforce(params: ExpansionParams, x: FieldElement, n: int,
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if state_cap is not None and state_cap < 1:
+        raise ValueError("caps must be at least 1")
     if not params.contains(x):
         raise OutsideInterval(f"{x!r} lies outside [0, m/(beta-1)]")
     children: dict = {}

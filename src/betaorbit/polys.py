@@ -11,11 +11,12 @@ Signs at n/d are read by integer Horner on the numerators (sign_at).  The
 Sturm chain and the gcd are integer primitive remainder sequences (Collins
 1967, Brown & Traub 1971), the integer roots come from Sturm counts on
 integer intervals (_integer_roots), and division by a monic integer
-polynomial stays in the integers (divmod_monic).  Isolation builds one
-Sturm chain, p's: after the integer roots are deflated, the deflated
-polynomial has as many roots in (lo, hi] as p has there, less the integer
-roots in (lo, hi]; each node keeps the chain's sign variations at both
-ends, so a split reads the chain at its midpoint only.  Sturm counts run
+polynomial stays in the integers (divmod_monic).  Every real root is
+isolated by one walk (_isolating_nodes) of the node tree grown from (-B, B]
+after the integer roots are deflated (deflate), on the caller's root count
+and halving: p's Sturm chain, built once, and bisect_step here, and counts
+on g's roots for z^eps g(z^p) in spectral.  A node keeps the counts at both
+ends, so a split reads the count at its midpoint only.  Sturm counts run
 only inside isolation: whether a factor of an isolated polynomial vanishes
 at the isolated root is two signs (vanishes_at_root).  Every real root in
 the package is halved by one step, bisect_step on an integer bracket with
@@ -31,20 +32,23 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from functools import partial
 from math import ceil, gcd, lcm, pi
 from operator import index
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import NotSquarefree, RefinementBudgetExceeded
 
 Interval = tuple[Fraction, Fraction]
 # Axis-aligned rational rectangle in the complex plane: (re_interval, im_interval).
 Box = tuple[Interval, Interval]
+# an enclosure [a/e, b/e], or an isolation node (a/e, b/e], as the integers (a, b, e), e > 0
+IntInterval = tuple[int, int, int]
 
 _ZERO = Fraction(0)
 _ABERTH_SWEEPS = 500
 # outward rounding keeps this many bits below an interval's width
-_ROUND_OUT_BITS = 32
+ROUND_OUT_BITS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +282,41 @@ def _integer_roots(chain: list[list[int]]) -> list[int]:
     return roots
 
 
+def deflate(p: Sequence[int], roots: Sequence[int]) -> Sequence[int]:
+    """p divided by z - r for each r in roots, an integer root of what is left."""
+    for r in roots:
+        p, rem = divmod_monic(p, (-r, 1))
+        assert not rem, "deflation by a non-root"
+    return p
+
+
+def _isolating_nodes(work: Sequence[int], exact: Sequence[int], above: Callable[[int, int], int],
+                     halve: Callable[[int, int, int], IntInterval]) -> Iterator[IntInterval]:
+    """The isolating node (a, b, e), for (a/e, b/e], of each real root of
+    work, largest first, in the tree grown from (-B, B], B the Cauchy bound
+    of work rounded up.  work is a monic q with its integer roots `exact`
+    deflated, so no midpoint is a root of work.  above(n, d) counts q's
+    roots above n/d, d > 0, up to a constant; a split reads it at the
+    midpoint and each end keeps its count.  The right child is walked
+    first.  halve(a, b, e) is the half of a one-root node that holds the
+    root, taken until no integer root lies in [a/e, b/e], so neither end is
+    a root of q."""
+    if len(work) < 2:
+        return
+    bound = ceil(root_bound(work))
+    stack = [(-bound, bound, 1, above(-bound, 1), above(bound, 1))]
+    while stack:
+        a, b, e, va, vb = stack.pop()
+        n = va - vb - sum(a < r * e <= b for r in exact)
+        if n == 1:
+            while any(a <= r * e <= b for r in exact):
+                a, b, e = halve(a, b, e)
+            yield a, b, e
+        elif n > 1:
+            vm = above(a + b, 2 * e)
+            stack += [(2 * a, a + b, 2 * e, va, vm), (a + b, 2 * b, 2 * e, vm, vb)]
+
+
 def isolate_real_roots(p: Sequence[int]) -> list[Interval]:
     """Isolating intervals for every real root of a squarefree monic
     integer polynomial.
@@ -286,11 +325,9 @@ def isolate_real_roots(p: Sequence[int]) -> list[Interval]:
     root of p; exact rational roots come back as degenerate [r, r].  For
     non-degenerate intervals the endpoints are non-roots and p changes sign
     across the interval, so plain bisection refines them.  Adjacent
-    intervals may share an endpoint, which is then not a root.  The nodes
-    are integer brackets (a, b, e) for (a/e, b/e], halved as bisect_step
-    halves, from (-B, B] for B the Cauchy bound of the monic deflated
-    polynomial, an integer; each keeps V (_variations) at both ends.
-    """
+    intervals may share an endpoint, which is then not a root.  They are
+    the nodes of _isolating_nodes, counted on p's Sturm chain (_variations)
+    and halved by bisect_step."""
     work = _strip(p)
     if len(work) < 2:
         return []
@@ -300,40 +337,17 @@ def isolate_real_roots(p: Sequence[int]) -> list[Interval]:
     if len(chain[-1]) > 1:
         raise NotSquarefree("root isolation requires a squarefree polynomial")
 
-    # Exact rational roots of a monic integer polynomial are integers, so
-    # peeling them off first leaves a polynomial with no dyadic roots at
-    # all, making every bisection midpoint sign-safe.
-    exact = _integer_roots(chain)
-    for r in exact:
-        work, rem = divmod_monic(work, (-r, 1))
-        assert not rem, "deflation by a non-root"
-
-    intervals: list[Interval] = []
-    if len(work) > 1:
-        bound = ceil(root_bound(work))
-        stack = [(-bound, bound, 1, _variations(chain, -bound, 1), _variations(chain, bound, 1))]
-        while stack:
-            a, b, e, va, vb = stack.pop()
-            # roots of work in (a/e, b/e], counted on p's chain
-            n = va - vb - sum(a < r * e <= b for r in exact)
-            if n == 1:
-                # shrink until no deflated exact root lies in [a/e, b/e], so
-                # both endpoints are non-roots of p (work has no rational
-                # roots, so its root here is never one of them)
-                left = sign_at(work, a, e)
-                while any(a <= r * e <= b for r in exact):
-                    a, b, e = bisect_step(work, a, b, e, left)
-                intervals.append((Fraction(a, e), Fraction(b, e)))
-            elif n > 1:
-                vm = _variations(chain, a + b, 2 * e)
-                stack += [(2 * a, a + b, 2 * e, va, vm), (a + b, 2 * b, 2 * e, vm, vb)]
-
-    out = intervals + [(Fraction(r),) * 2 for r in exact]
+    exact = _integer_roots(chain)  # p's only rational roots, as p is monic
+    work = deflate(work, exact)
+    nodes = _isolating_nodes(work, exact, partial(_variations, chain),
+                             lambda a, b, e: bisect_step(work, a, b, e, sign_at(work, a, e)))
+    out = [(Fraction(a, e), Fraction(b, e)) for a, b, e in nodes]
+    out += [(Fraction(r),) * 2 for r in exact]
     out.sort(key=lambda iv: iv[0] + iv[1])
     return out
 
 
-def bisect_step(p: Sequence[int], a: int, b: int, e: int, left: int) -> tuple[int, int, int]:
+def bisect_step(p: Sequence[int], a: int, b: int, e: int, left: int) -> IntInterval:
     """One halving of the sign-change bracket [a/e, b/e], e > 0, of an
     integer polynomial p without trailing zeros, for `left` the sign of p at
     a/e (nonzero): the half (2a, a + b, 2e) or (a + b, 2b, 2e) across which
@@ -423,13 +437,13 @@ def round_up(x: Fraction, bits: int) -> Fraction:
 
 
 def round_out_interval(iv: Interval) -> Interval:
-    """Outward-round an interval to dyadics _ROUND_OUT_BITS finer than its
+    """Outward-round an interval to dyadics ROUND_OUT_BITS finer than its
     width, keeping coordinate sizes bounded."""
     lo, hi = iv
     width = hi - lo
     if width <= 0:
         return iv
-    bits = max(0, width.denominator.bit_length() - width.numerator.bit_length()) + _ROUND_OUT_BITS
+    bits = max(0, width.denominator.bit_length() - width.numerator.bit_length()) + ROUND_OUT_BITS
     return round_down(lo, bits), round_up(hi, bits)
 
 

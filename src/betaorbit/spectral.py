@@ -13,16 +13,16 @@ matrix B0 = A_01 A_12 ... A_{p-1,0} on C_0, built by sparse p-step walks
 The characteristic polynomial is the block product chi_A = z^(states on no
 cycle) * prod chi_B with chi_B(z) = z^(|B| - p|C_0|) chi_B0(z^p), so the
 division-checked Faddeev-LeVerrier recurrence (FL) runs only on the B0.  The
-route to the dominant eigenvalue is exact: one Sturm isolation of the
-largest real root of the squarefree part sf(chi_A) and bisection to the
-requested width.  sf(chi_A) = z^eps g(z^p), with p = 1 and g = sf(chi_A)
-unless the graph is one SCC of period p > 1, where g is the squarefree
-part of chi_B0 without its factors z and the isolation is replayed on g:
-on a node (lo, hi] with lo >= 0, sf(chi_A) has as many roots as g has in
-(lo^p, hi^p].  At every period each halving places its midpoint x by x^p
-against an isolating interval of alpha^p on g (_PerronRoot), itself
-halved by polys.bisect_step, the package's one halving of a real root;
-the enclosure is the one isolation on sf(chi_A) gives.
+route to the dominant eigenvalue is exact: one isolation of the largest
+real root of the squarefree part sf(chi_A) = z^eps g(z^p) and bisection to
+the requested width.  p = 1 and g = sf(chi_A), counted by Sturm, unless the
+graph is one SCC of period p > 1; then g is the squarefree part of chi_B0
+without its factors z, and the one walk of isolation nodes
+(polys._isolating_nodes) counts the roots of sf(chi_A) from those of g.  At
+every period each halving places its midpoint x by x^p against an
+isolating interval of alpha^p on g (_PerronRoot), itself halved by
+polys.bisect_step, the package's one halving of a real root; the enclosure
+is the one isolation on sf(chi_A) gives.
 
 The same recurrence, applied to the vector 1, yields P(z) = adj(zI - A) . 1,
 whose value at the Perron root is an eigenvector, nonnegative as alpha*I - A
@@ -51,17 +51,18 @@ appears only in display values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from decimal import Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import count
 from typing import NamedTuple
 
 from . import polys
 from .errors import DominanceNotEstablished, RefinementBudgetExceeded, ZeroMatrix
 from .orbit import TransitionMatrix
-from .polys import Interval
+from .polys import IntInterval, Interval
 
 
 def char_polynomial(matrix: TransitionMatrix) -> tuple[int, ...]:
@@ -412,7 +413,7 @@ def _isolation(matrix: TransitionMatrix) -> tuple[tuple[int, ...], _PerronRoot, 
     structure (_structure) in the matrix's __dict__: the characteristic
     polynomial chi, the Perron root with its squarefree polynomial, and the
     isolating interval of alpha that polys.isolate_real_roots gives on
-    sf(chi_A).  On one SCC of period p > 1 that isolation is replayed on
+    sf(chi_A).  On one SCC of period p > 1 the same walk counts roots on
     B0's polynomial (_cyclic_root).  Every comparison of the root is exact,
     so its results do not depend on how far earlier ones have narrowed the
     root's `w`."""
@@ -453,57 +454,41 @@ def _perron_root(matrix: TransitionMatrix,
 
 def _cyclic_root(block: _Block) -> tuple[_PerronRoot, Interval]:
     """For a graph that is the one SCC `block`, of period p > 1: the Perron
-    root, with sf(chi_A) = z^eps g(z^p), and the isolating interval of it
-    that polys.isolate_real_roots gives on sf(chi_A), with every root count
-    and comparison made on g's isolating intervals.
-
-    Isolation deflates the integer roots of sf(chi_A) (0 when eps = 1, and
-    each r with r^p an integer root of g) into `work`, takes the Cauchy
-    bound B of work, splits (-B, B] at 0 first and then halves the node
-    that holds alpha, the largest root, until it holds one root of work.
-    z -> z^p is increasing on z >= 0, so on a node (lo, hi] with lo >= 0
-    work has as many roots as g has in (lo^p, hi^p], less the integer roots
-    in (lo, hi].  A node that still holds an integer root is halved towards
-    alpha, as isolation does."""
+    root, with sf(chi_A) = z^eps g(z^p), and its isolating interval on
+    sf(chi_A), the first node of polys._isolating_nodes with the integer
+    roots (0 when eps = 1, each r with r^p an integer root of g) deflated.
+    The roots above x are counted on g's isolating intervals: the p-th roots
+    of g's roots above x^p (z -> z^p increases on z >= 0, and on every z for
+    p odd), and 0 when eps = 1 and x < 0; for p even the real roots are
+    symmetric about 0, so above x < 0 lie all but those at or above -x."""
     p, chi0 = block.period, block.core_chi
     j = next(i for i, c in enumerate(chi0) if c)  # chi_B0 = w^j h(w), h(0) != 0
     g = polys.squarefree_part_int(chi0[j:])
     ivs = polys.isolate_real_roots(g)  # ascending
     root = _PerronRoot(g, ivs[-1], p)
     eps = int(block.matrix.size > p * (len(chi0) - 1 - j))
-    roots = [_bracket(g, *iv) for iv in ivs[:-1]] + [root.w]
-    if root.w[0] == root.w[1]:  # alpha^p is an integer, and alpha one when it is a p-th power
-        r = _iroot(root.w[0], p)  # w = [n, n, 1, 0] for the integer n
-        if r ** p == root.w[0]:
-            return root, (Fraction(r), Fraction(r))
     exact = [0] * eps
     for lo, hi in ivs:
         r = _iroot(abs(lo.numerator), p) if lo == hi else 0
         if r and r ** p == abs(lo) and (lo > 0 or p % 2):
             exact += [r if lo > 0 else -r] + ([-r] if p % 2 == 0 else [])
+    if max(exact, default=0) ** p == root.w[0] == root.w[1]:  # alpha, the top root, is an integer
+        return root, (Fraction(max(exact)),) * 2
+    roots = [_bracket(g, *iv) for iv in ivs[:-1]] + [root.w]
     work = [0] * (eps + p * (len(g) - 1) + 1)
     work[eps::p] = g
-    for r in exact:
-        work, rem = polys.divmod_monic(work, (-r, 1))
-        assert not rem, "deflation by a non-root"
 
-    def count(a: int, b: int, e: int) -> int:  # roots of work in (a/e, b/e], for 0 <= a
-        ylo, yhi, s = a ** p, b ** p, e ** p
-        return (sum(_above(g, iv, ylo, s) and not _above(g, iv, yhi, s) for iv in roots)
-                - sum(a < r * e <= b for r in exact))
+    @cache
+    def beyond(y: int, s: int) -> int:  # g's roots above y/s, the last of the ascending `roots`
+        return len(roots) - bisect_left(roots, True, key=lambda iv: _above(g, iv, y, s))
 
-    real = len(roots) if p % 2 else 2 * sum(_above(g, iv, 0, 1) for iv in roots)
-    n = eps + real - len(exact)
-    bound = math.ceil(polys.root_bound(work))
-    a, b, e = -bound, bound, 1
-    if n > 1:
-        a = 0  # the first split, at 0: alpha >= 1 lies in (0, B]
-        n = count(a, b, e)
-        while n > 1:
-            right = count(a + b, 2 * b, 2 * e)
-            a, b, e, n = (a + b, 2 * b, 2 * e, right) if right else (2 * a, a + b, 2 * e, n)
-    while any(a <= r * e <= b for r in exact):
-        a, b, e = _halve(root, a, b, e)
+    def above(n: int, d: int) -> int:  # the real roots of z^eps g(z^p) above n/d
+        if n < 0 and p % 2 == 0:
+            return eps + 2 * beyond(0, 1) - above(-n, d) - any(r * d == n for r in exact)
+        return eps * (n < 0) + beyond(n ** p, d ** p)
+
+    work = polys.deflate(work, exact)
+    a, b, e = next(polys._isolating_nodes(work, exact, above, partial(_halve, root)))
     return root, (Fraction(a, e), Fraction(b, e))
 
 
@@ -515,10 +500,6 @@ def _iroot(n: int, p: int) -> int:
         if s >= r:
             return r
         r = s
-
-
-# an enclosure [lo/s, hi/s] as the integers (lo, hi, s) with s > 0
-IntInterval = tuple[int, int, int]
 
 
 def _halve(root: _PerronRoot, a: int, b: int, e: int) -> IntInterval:
@@ -680,12 +661,12 @@ def _power(p: int, a: int, b: int, e: int) -> IntInterval:
 
 
 def _round_out(lo: int, hi: int, s: int) -> IntInterval:
-    """[lo/s, hi/s] rounded outward to the dyadic grid 2^32 times finer than
-    its width, so that the sizes of the integers follow the width, not the
-    arithmetic behind them; an exact point is kept."""
+    """[lo/s, hi/s] rounded outward to the dyadic grid polys.ROUND_OUT_BITS
+    bits finer than its width, so the sizes of the integers follow the
+    width, not the arithmetic behind them; an exact point is kept."""
     if lo == hi:
         return lo, hi, s
-    k = max(0, s.bit_length() - (hi - lo).bit_length() + 32)
+    k = max(0, s.bit_length() - (hi - lo).bit_length() + polys.ROUND_OUT_BITS)
     return (lo << k) // s, -((-hi << k) // s), 1 << k
 
 

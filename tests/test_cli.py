@@ -200,7 +200,7 @@ def test_a_failed_write_to_an_out_file_exits_64(capsys, tmp_path, monkeypatch):
     base = str(tmp_path / "x")
     code, out, err = run(capsys, "orbit", "--minpoly", GOLDEN, "-x", "1/7", "--out", base)
     assert (code, err) == (64, f"error: cannot write {base}.json: No space left on device\n")
-    assert out.startswith("k = ")
+    assert out == ""  # the --out files are written before the table
 
 
 def test_a_reader_closing_stdout_after_the_out_files_still_gets_exit_141(tmp_path, monkeypatch):
@@ -373,6 +373,17 @@ def test_count_brute_within_the_state_cap_is_unchanged(capsys):
         code, out, _ = run(capsys, "count", "--minpoly", QUINTIC, "-m", "1", "-x", "1/(b^2-1)",
                            "-n", "10", "--method", "brute", "--state-cap", cap)
         assert (code, out) == (0, "brute: 26\n")
+
+
+@pytest.mark.parametrize("method", ["matrix", "brute", "both"])
+@pytest.mark.parametrize("cap", [["--state-cap", "0"], ["--depth-cap", "0"], ["--state-cap", "-3"]])
+def test_count_refuses_a_cap_below_one_with_every_method(capsys, monkeypatch, method, cap):
+    from betaorbit import dynamics, orbit
+    for module, name in [(orbit, "compute_orbit"), (dynamics, "count_prefixes_bruteforce")]:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    code, out, err = run(capsys, "count", "--minpoly", GOLDEN, "-m", "1", "-x", "1/3",
+                         "-n", "5", "--method", method, *cap)
+    assert (code, out, err) == (64, "", "error: caps must be at least 1\n")
 
 
 def test_count_prints_counts_beyond_the_int_to_str_digit_limit():

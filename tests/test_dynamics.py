@@ -94,6 +94,13 @@ def test_count_bruteforce_golden(golden_params):
         assert count_prefixes_bruteforce(golden_params, one, n) == n + 1
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_count_bruteforce_refuses_a_state_cap_below_one(golden_params, cap):
+    # as compute_orbit refuses it, before the first level
+    with pytest.raises(ValueError, match="caps must be at least 1"):
+        count_prefixes_bruteforce(golden_params, golden_params.field.one, 3, state_cap=cap)
+
+
 def test_count_monotone(quintic_params, quintic_x):
     counts = [count_prefixes_bruteforce(quintic_params, quintic_x, n) for n in range(11)]
     m = quintic_params.m

@@ -1102,6 +1102,65 @@ def test_replayed_alpha_matches_the_whole_matrix_route_on_orbits(minpoly, m, poi
     assert (chi, alpha) == whole_matrix_perron_root(mat, tol)[::2]
 
 
+class _Core:
+    """The parts of a _Block that _cyclic_root reads: chi_B0 = g, and a
+    block of size p deg g + eps, so that sf(chi_A) = z^eps g(z^p)."""
+
+    def __init__(self, g, p, eps):
+        self.period, self.core_chi = p, tuple(g)
+        self.matrix = TransitionMatrix(succ=((),) * (p * (len(g) - 1) + eps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=4), st.integers(2, 5),
+       st.sampled_from([0, 1]))
+@example([-2], 2, 0)  # z^2 - 2: alpha = sqrt 2, two irrational roots
+@example([-2], 3, 1)  # z (z^3 - 2): p odd, an integer root at 0
+@example([3, -4], 2, 1)  # z (z^2 - 1)(z^2 - 3): the integer roots -1, 0 and 1 deflated
+@example([-4, 0], 2, 0)  # z^4 - 4 = (z^2 - 2)(z^2 + 2)
+# g = (y - 1)(y^2 - 7y + 5) at p = 4: a split falls on the integer root -1
+@example([-5, 12, -8], 4, 0)
+def test_the_cyclic_counter_drains_the_walk_to_the_whole_isolation(low, p, eps):
+    # every node of the walk, not only alpha's, and so every count, at
+    # negative midpoints too, is that of the Sturm chain of z^eps g(z^p)
+    g = low + [1]
+    # as _cyclic_root takes g: g(0) != 0, squarefree, its largest real root positive
+    if g[0] == 0 or polys.squarefree_part_int(g) != tuple(g):
+        return
+    if not count_roots_in_interval(g, F(0), polys.root_bound(g)):
+        return
+    walks = []
+    walk = polys._isolating_nodes
+    with mock.patch.object(polys, "_isolating_nodes",
+                           lambda *args: walks.append(args) or walk(*args)):
+        spectral._cyclic_root(_Core(g, p, eps))
+    sf = [0] * (eps + p * (len(g) - 1) + 1)
+    sf[eps::p] = g
+    whole = polys.isolate_real_roots(sf)
+    if len(walks) == 1:  # returned before the walk: alpha is an integer
+        assert whole[-1][0] == whole[-1][1]
+        return
+    work, exact, above, _ = walks[-1]
+    assert sorted(exact) == [lo for lo, hi in whole if lo == hi]
+    assert work == polys.deflate(sf, exact)
+    nodes = walk(work, exact, above, lambda a, b, e: polys.bisect_step(work, a, b, e,
+                                                                       polys.sign_at(work, a, e)))
+    assert [(F(a, e), F(b, e)) for a, b, e in nodes][::-1] == [iv for iv in whole if iv[0] < iv[1]]
+
+
+def test_isolation_and_the_cyclic_root_take_the_one_walk(monkeypatch):
+    block = spectral._structure(_orbit_matrix((-1, -1, 1), 1, "1/3")).blocks[0]
+    walks = []
+    walk = polys._isolating_nodes
+    monkeypatch.setattr(polys, "_isolating_nodes", lambda *args: walks.append(args) or walk(*args))
+    assert polys.isolate_real_roots([-1, -1, 1]) == [(F(-2), F(0)), (F(0), F(2))]
+    assert len(walks) == 1
+    assert spectral._cyclic_root(block)[1] == (F(7, 8), F(7, 4))
+    # g's Sturm isolation, then alpha's node of the walk on sf(chi_A), counted on g
+    assert len(walks) == 3
+    assert walks[1][2].func is polys._variations and walks[2][2].__name__ == "above"
+
+
 def _assert_meets_the_whole_matrix_adjugate(mat, tol=F(1, 10 ** 12)):
     pr = perron_eigenvalue(mat, tol)
     alpha, unit = whole_matrix_eigenvector(mat, tol)
